@@ -5,6 +5,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::ops::Bound::{Excluded, Unbounded};
 
 use lucent_obs::{Level, Telemetry};
 use lucent_support::{Bytes, ToJson};
@@ -73,7 +74,19 @@ pub struct TcpHost {
     pub ip: Ipv4Addr,
     label: String,
     rng: SimRng,
-    sockets: Vec<Option<Tcb>>,
+    /// Every socket this host has opened, indexed by [`SocketId`].
+    ///
+    /// Note on lifetime: closed sockets are retained (with drained
+    /// buffers) so drivers can inspect their event logs after the fact;
+    /// a host's memory therefore grows with its total connection count,
+    /// which is bounded by the experiment driving it.
+    sockets: Vec<Tcb>,
+    /// The sockets that may still emit: all of `sockets` except those
+    /// that reached `Closed` and have since been polled. A closed TCB
+    /// with no RST pending polls empty forever (no call, segment or
+    /// timer revives it), so a `WAKE` walks only this set and costs
+    /// O(live sockets), not O(sockets ever opened).
+    live: BTreeSet<SocketId>,
     apps: BTreeMap<SocketId, Box<dyn SocketApp>>,
     dispatched: BTreeMap<SocketId, usize>,
     /// (local port, remote ip, remote port) → socket.
@@ -81,11 +94,6 @@ pub struct TcpHost {
     listeners: BTreeMap<u16, Box<dyn Fn() -> Box<dyn SocketApp>>>,
     next_port: u16,
     /// Inbound packet filter (the `iptables` model).
-    ///
-    /// Note on lifetime: closed sockets are retained (with drained
-    /// buffers) so drivers can inspect their event logs after the fact;
-    /// a host's memory therefore grows with its total connection count,
-    /// which is bounded by the experiment driving it.
     pub firewall: Firewall,
     pcap_enabled: bool,
     pcap: Vec<(SimTime, Packet)>,
@@ -109,6 +117,7 @@ impl TcpHost {
             label: label.into(),
             rng: SimRng::seed_from_u64(seed ^ u64::from(u32::from(ip))),
             sockets: Vec::new(),
+            live: BTreeSet::new(),
             apps: BTreeMap::new(),
             dispatched: BTreeMap::new(),
             tuples: BTreeMap::new(),
@@ -152,7 +161,8 @@ impl TcpHost {
         let iss: u32 = self.rng.gen();
         let tcb = Tcb::connect((self.ip, local_port), (dst, dst_port), iss, SimTime::ZERO);
         let id = SocketId(self.sockets.len() as u32);
-        self.sockets.push(Some(tcb));
+        self.sockets.push(tcb);
+        self.live.insert(id);
         self.tuples.insert((local_port, dst, dst_port), id);
         id
     }
@@ -233,11 +243,11 @@ impl TcpHost {
     }
 
     fn tcb(&self, id: SocketId) -> Option<&Tcb> {
-        self.sockets.get(id.0 as usize).and_then(|s| s.as_ref())
+        self.sockets.get(id.0 as usize)
     }
 
     fn tcb_mut(&mut self, id: SocketId) -> Option<&mut Tcb> {
-        self.sockets.get_mut(id.0 as usize).and_then(|s| s.as_mut())
+        self.sockets.get_mut(id.0 as usize)
     }
 
     // ------------------------------------------------------------------
@@ -356,13 +366,18 @@ impl TcpHost {
                 );
             }
         }
-        // Unmap fully closed connections so late segments draw RSTs.
+        // Unmap fully closed connections so late segments draw RSTs. The
+        // poll above sent any pending RST, so the socket is now silent for
+        // good: it leaves the live set and its app is dropped.
         let Some(tcb) = self.tcb(id) else { return };
         if tcb.state == TcpState::Closed {
             let key = (tcb.local.1, tcb.remote.0, tcb.remote.1);
             if self.tuples.get(&key) == Some(&id) {
                 self.tuples.remove(&key);
             }
+            self.live.remove(&id);
+            self.apps.remove(&id);
+            self.dispatched.remove(&id);
         }
     }
 
@@ -371,7 +386,7 @@ impl TcpHost {
         let cursor = self.dispatched.entry(id).or_insert(0);
         let start = *cursor;
         let now = ctx.now();
-        if let Some(tcb) = self.sockets.get_mut(id.0 as usize).and_then(|s| s.as_mut()) {
+        if let Some(tcb) = self.tcb_mut(id) {
             let events: Vec<_> = tcb.events[start..].iter().map(|e| e.event.clone()).collect();
             let mut io = SocketIo { tcb, now };
             for ev in &events {
@@ -434,7 +449,8 @@ impl TcpHost {
                 let tcb =
                     Tcb::accept((self.ip, h.dst_port), (pkt.src(), h.src_port), iss, h, ctx.now());
                 let id = SocketId(self.sockets.len() as u32);
-                self.sockets.push(Some(tcb));
+                self.sockets.push(tcb);
+                self.live.insert(id);
                 self.tuples.insert(key, id);
                 self.apps.insert(id, app);
                 self.dispatched.insert(id, 0);
@@ -540,11 +556,13 @@ impl Node for TcpHost {
             for pkt in std::mem::take(&mut self.outbox) {
                 ctx.send(IfaceId::PRIMARY, pkt);
             }
-            for i in 0..self.sockets.len() {
-                let id = SocketId(i as u32);
-                if self.tcb(id).is_some() {
-                    self.poll_socket(ctx, id);
-                }
+            // Ascending-id cursor over the live set: the same order as a
+            // walk of every socket, minus the closed ones that would poll
+            // empty. Polling may shrink the set, never grow it.
+            let mut next = self.live.first().copied();
+            while let Some(id) = next {
+                self.poll_socket(ctx, id);
+                next = self.live.range((Excluded(id), Unbounded)).next().copied();
             }
             return;
         }

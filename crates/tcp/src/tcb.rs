@@ -837,6 +837,82 @@ mod tests {
         assert_eq!(b.mss, 500);
     }
 
+    /// Poll once, expecting silence: no segment and no timer request.
+    fn assert_silent(tcb: &mut Tcb, after: &str) {
+        let (out, ask) = tcb.poll(t(50));
+        assert!(out.is_empty(), "closed TCB emitted {out:?} after {after}");
+        assert_eq!(ask, TimerAsk::None, "closed TCB asked for a timer after {after}");
+        assert_eq!(tcb.state, TcpState::Closed, "closed TCB left Closed after {after}");
+    }
+
+    /// Drive every input a host can deliver at a closed, fully polled TCB
+    /// and check that none makes it emit again. `TcpHost` relies on this to
+    /// drop such sockets from its wake walk.
+    fn assert_closed_stays_silent(mut tcb: Tcb) {
+        assert_silent(&mut tcb, "the last poll");
+        let (rcv, snd) = (tcb.rcv_nxt(), tcb.snd_nxt());
+        tcb.send(b"late bytes");
+        assert_silent(&mut tcb, "send");
+        tcb.close();
+        assert_silent(&mut tcb, "close");
+        tcb.abort();
+        assert_silent(&mut tcb, "abort");
+        tcb.on_retransmit_timeout(t(60));
+        assert_silent(&mut tcb, "on_retransmit_timeout");
+        tcb.on_time_wait_timeout(t(70));
+        assert_silent(&mut tcb, "on_time_wait_timeout");
+        let seg = |flags: TcpFlags| {
+            let mut h = TcpHeader::new(tcb.remote.1, tcb.local.1, flags);
+            h.seq = rcv;
+            h.ack = snd;
+            h
+        };
+        let inputs: [(&str, TcpHeader, &[u8]); 4] = [
+            ("RST", seg(TcpFlags::RST), b""),
+            ("SYN", seg(TcpFlags::SYN), b""),
+            ("data", seg(TcpFlags::ACK | TcpFlags::PSH), b"payload"),
+            ("FIN", seg(TcpFlags::ACK | TcpFlags::FIN), b""),
+        ];
+        for (name, h, payload) in inputs {
+            tcb.on_segment(&h, payload, t(80));
+            assert_silent(&mut tcb, name);
+        }
+    }
+
+    #[test]
+    fn closed_tcb_never_emits_again() {
+        // Aborted: the one RST goes out, then silence.
+        let (mut a, _b) = established();
+        a.abort();
+        let (out, _) = a.poll(t(3));
+        assert_eq!(out.len(), 1);
+        assert_closed_stays_silent(a);
+
+        // Reset by the peer.
+        let (mut a, _b) = established();
+        let mut h = TcpHeader::new(80, 4000, TcpFlags::RST);
+        h.seq = a.rcv_nxt();
+        a.on_segment(&h, b"", t(5));
+        assert_closed_stays_silent(a);
+
+        // Orderly close: b completes LastAck, a expires TIME-WAIT.
+        let (mut a, mut b) = established();
+        a.close();
+        pump(&mut a, &mut b, t(2));
+        a.on_time_wait_timeout(t(20_000));
+        assert_closed_stays_silent(a);
+        assert_closed_stays_silent(b);
+
+        // Gave up retransmitting: the RST goes out, then silence.
+        let (mut a, _) = pair();
+        let _ = a.poll(t(0));
+        for i in 0..=SYN_RETRIES {
+            a.on_retransmit_timeout(t(1000 * u64::from(i + 1)));
+            let _ = a.poll(t(1000 * u64::from(i + 1)));
+        }
+        assert_closed_stays_silent(a);
+    }
+
     #[test]
     fn events_carry_timestamps() {
         let (a, _) = established();

@@ -111,6 +111,88 @@ fn late_segment_after_close_draws_rst() {
 }
 
 #[test]
+fn aged_client_still_aborts_rejects_and_keeps_logs() {
+    // A long-lived client (the paper's per-ISP vantage point) accumulates
+    // hundreds of closed sockets. Wakes skip them, which must change
+    // nothing a driver or the wire can observe. The server closes first,
+    // so its side of each connection sits in TIME-WAIT.
+    const FETCHES: usize = 300;
+    let mut t = build();
+    t.net
+        .node_mut::<TcpHost>(t.server).unwrap()
+        .listen(80, || Box::new(FixedResponder::new(b"HTTP/1.1 200 OK\r\n\r\nhi".to_vec())));
+    let mut socks = Vec::with_capacity(FETCHES);
+    let mut first_log = Vec::new();
+    for i in 0..FETCHES {
+        let c = t.net.node_mut::<TcpHost>(t.client).unwrap();
+        let sock = c.connect(SERVER_IP, 80);
+        c.send(sock, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n");
+        t.net.wake(t.client);
+        run(&mut t.net, 50);
+        let c = t.net.node_ref::<TcpHost>(t.client).unwrap();
+        assert_eq!(c.received(sock), b"HTTP/1.1 200 OK\r\n\r\nhi", "fetch {i}");
+        assert_eq!(c.state(sock), TcpState::Closed, "fetch {i}");
+        if i == 0 {
+            first_log = c.events(sock).to_vec();
+        }
+        socks.push(sock);
+    }
+    // Every server-side TIME-WAIT expires.
+    run(&mut t.net, 11_000);
+    let c = t.net.node_ref::<TcpHost>(t.client).unwrap();
+    assert!(socks.iter().all(|&s| c.state(s) == TcpState::Closed));
+
+    // The first socket still reads Closed, with its whole log.
+    let first = socks[0];
+    assert_eq!(c.state(first), TcpState::Closed);
+    assert_eq!(c.events(first), &first_log[..]);
+    let kinds: Vec<_> = first_log.iter().map(|e| e.event.clone()).collect();
+    assert_eq!(
+        kinds,
+        [
+            SocketEvent::Established,
+            SocketEvent::Data { len: 21 },
+            SocketEvent::PeerFin,
+            SocketEvent::Closed
+        ]
+    );
+    let first_port = c.local_addr(first).unwrap().1;
+
+    // A driver abort on a fresh live socket puts exactly one RST on the
+    // wire.
+    let fresh = t.net.node_mut::<TcpHost>(t.client).unwrap().connect(SERVER_IP, 80);
+    t.net.wake(t.client);
+    run(&mut t.net, 50);
+    assert_eq!(t.net.node_ref::<TcpHost>(t.client).unwrap().state(fresh), TcpState::Established);
+    t.net.node_mut::<TcpHost>(t.server).unwrap().enable_pcap();
+    t.net.node_mut::<TcpHost>(t.client).unwrap().abort(fresh);
+    t.net.wake(t.client);
+    run(&mut t.net, 50);
+    let pcap = t.net.node_mut::<TcpHost>(t.server).unwrap().take_pcap();
+    let rsts = pcap
+        .iter()
+        .filter(|(_, p)| p.as_tcp().is_some_and(|(h, _)| h.flags.contains(TcpFlags::RST)))
+        .count();
+    assert_eq!(rsts, 1, "abort must emit exactly one RST: {pcap:?}");
+
+    // A forged segment to the first socket's old 4-tuple draws a RST (the
+    // Figure 4 behaviour), and the old log is untouched.
+    let mut h = TcpHeader::new(80, first_port, TcpFlags::ACK | TcpFlags::PSH);
+    h.seq = 777;
+    h.ack = 888;
+    t.net.inject(t.client, IfaceId::PRIMARY, Packet::tcp(SERVER_IP, CLIENT_IP, h, &b"late"[..]));
+    run(&mut t.net, 50);
+    let pcap = t.net.node_mut::<TcpHost>(t.server).unwrap().take_pcap();
+    assert_eq!(pcap.len(), 1);
+    let (hdr, _) = pcap[0].1.as_tcp().unwrap();
+    assert!(hdr.flags.contains(TcpFlags::RST));
+    assert_eq!((hdr.src_port, hdr.seq), (first_port, 888));
+    let c = t.net.node_ref::<TcpHost>(t.client).unwrap();
+    assert_eq!(c.state(first), TcpState::Closed);
+    assert_eq!(c.events(first), &first_log[..]);
+}
+
+#[test]
 fn raw_port_bypasses_stack_and_collects_packets() {
     let mut t = build();
     t.net.node_mut::<TcpHost>(t.server).unwrap().listen(80, || {
