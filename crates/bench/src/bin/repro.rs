@@ -23,9 +23,6 @@
 //! `--threads N` shards the per-ISP experiments (table1, fig2, race,
 //! triggers, evasion, anonymity) across N OS threads; every artifact is
 //! byte-identical to `--threads 1` (default: available parallelism).
-//! Wall-time, event count, and events/sec per run land in
-//! `BENCH_repro.json` next to the JSON results (`lucent-bench` ratchets
-//! against these).
 //!
 //! `--profile PATH` turns on the profiler and writes a two-plane
 //! profile: a `deterministic` section (virtual-time scheduler dwell
@@ -467,7 +464,6 @@ fn main() {
         "done in {wall:.1}s wall, {events} simulator events ({rate:.0} events/s), virtual time {}",
         lab.now()
     );
-    record_bench(&args, wall, events);
 }
 
 /// Close the phase that started at `from` µs (process wall clock) under
@@ -500,7 +496,7 @@ fn write_profile(
     wall: f64,
     events: u64,
 ) {
-    use lucent_support::Json;
+    use lucent_support::{Json, ToJson};
     let wall_plane = lucent_obs::prof::WallPlane {
         phases,
         pools: drv.pool_walls(),
@@ -514,7 +510,7 @@ fn write_profile(
             lucent_obs::prof::deterministic_json(obs, lab.india.net.queue_depth_hwm()),
         ),
         ("schema".to_string(), Json::Str(lucent_obs::prof::SCHEMA.to_string())),
-        ("wall".to_string(), wall_plane.render_json()),
+        ("wall".to_string(), wall_plane.to_json()),
     ]);
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         let _ = std::fs::create_dir_all(parent);
@@ -523,50 +519,6 @@ fn write_profile(
     let chrome_path = path.with_extension("phases.json");
     write_or_die(&chrome_path, &wall_plane.phases_chrome());
     println!("profile -> {} (phase view: {})", path.display(), chrome_path.display());
-}
-
-/// Upsert this run's measurement into `BENCH_repro.json` under the
-/// versioned [`lucent_bench::benchfile`] schema (`wall_secs`, `events`,
-/// `events_per_sec`), keyed by experiment, scale and thread count so
-/// speedup across `--threads` values can be read off one file. The file
-/// sits next to the JSON results (or in the current directory) and is a
-/// measurement artifact — it is deliberately NOT part of the
-/// determinism-diffed outputs; `lucent-bench check` ratchets against it.
-fn record_bench(args: &Args, wall: f64, events: u64) {
-    use lucent_bench::benchfile;
-    let dir = args.json_dir.clone().unwrap_or_else(|| PathBuf::from("."));
-    let _ = fs::create_dir_all(&dir);
-    let path = dir.join("BENCH_repro.json");
-    let mut entries = match benchfile::load(&path) {
-        Ok(entries) => entries,
-        Err(e) => {
-            eprintln!("warn: {e}; rewriting {} from scratch", path.display());
-            Vec::new()
-        }
-    };
-    let key = format!(
-        "{}@{}@threads={}",
-        args.experiment,
-        format!("{:?}", args.scale).to_lowercase(),
-        args.threads
-    );
-    // Guard the throughput derivation against zero or sub-resolution
-    // wall times: `events / 0.0` is `inf`, and one `inf` written here
-    // would ratchet the up-only baseline to a floor no later run can
-    // meet. Record "events present, eps absent" instead and warn.
-    let events_per_sec = (wall > 0.0).then(|| events as f64 / wall).filter(|eps| eps.is_finite());
-    if events_per_sec.is_none() {
-        eprintln!(
-            "warn: wall time {wall}s is too small to derive events/sec for {} events; \
-             recording the event count without a throughput figure",
-            events
-        );
-    }
-    let entry = benchfile::Entry { wall_secs: wall, events: Some(events), events_per_sec };
-    benchfile::upsert(&mut entries, &key, entry);
-    if let Err(e) = fs::write(&path, benchfile::render(&entries)) {
-        eprintln!("warn: cannot write {}: {e}", path.display());
-    }
 }
 
 /// Write an exporter artifact, failing loudly: a half-written trace is

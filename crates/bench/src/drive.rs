@@ -41,10 +41,7 @@ impl Driver {
             trace,
             prof: false,
             shard_events: std::cell::Cell::new(0),
-            // `default()` rather than `new()`: the lint's name-based
-            // call graph puts every `Vec::new` in a fn named `new` into
-            // the hot-root closure; this constructor is cold.
-            walls: std::cell::RefCell::default(),
+            walls: std::cell::RefCell::new(Vec::new()),
         }
     }
 

@@ -1,10 +1,9 @@
 //! # lucent-bench
 //!
 //! The reproduction harness: the `repro` binary regenerates every table
-//! and figure of the paper (at a configurable scale), the `lucent-bench`
-//! binary enforces the shrink-only events/sec ratchet against a
-//! committed baseline, and the Criterion benches measure both the
-//! experiments and the substrate.
+//! and figure of the paper (at a configurable scale) through the sharded
+//! experiment driver. Performance is measured by the separate
+//! `benchmark/` workspace, which builds on [`Scale`] and [`shard`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -12,9 +11,7 @@
 use lucent_core::lab::Lab;
 use lucent_topology::{India, IndiaConfig};
 
-pub mod benchfile;
 pub mod drive;
-pub mod ratchet;
 pub mod shard;
 
 /// Scale presets for the simulated world.

@@ -61,9 +61,11 @@ fn json_dir_is_created_on_demand() {
         .output()
         .expect("spawn repro");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(dir.join("fig1.json").is_file(), "fig1.json must appear under the new directory");
-    let bench = dir.join("BENCH_repro.json");
-    assert!(bench.is_file(), "the wall-time record lands next to the results");
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("json dir")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .collect();
+    assert_eq!(files, ["fig1.json"], "only the experiment's result lands in the JSON directory");
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -86,12 +88,10 @@ fn profile_needs_a_path_and_writes_both_views() {
     assert!(text.contains("\"schema\": \"lucent-prof/1\""), "{text}");
     assert!(text.contains("\"deterministic\""), "{text}");
     assert!(text.contains("\"wall\""), "{text}");
+    assert!(text.contains("\"events_per_sec\""), "{text}");
     let phases = std::fs::read_to_string(path.with_extension("phases.json"))
         .expect("phase view written next to the profile");
     assert!(phases.contains("traceEvents"), "{phases}");
-    // The bench side file carries the versioned throughput schema.
-    let bench = std::fs::read_to_string(root.join("BENCH_repro.json")).expect("bench file");
-    assert!(bench.contains("\"events_per_sec\""), "{bench}");
     let _ = std::fs::remove_dir_all(root);
 }
 
@@ -103,9 +103,6 @@ fn metrics_out_creates_parent_directories() {
     let out = repro()
         .args(["world", "--scale", "tiny", "--metrics-out"])
         .arg(&path)
-        // Run from the scratch root so the BENCH_repro.json side file
-        // lands there, not in the source tree.
-        .current_dir(&root)
         .output()
         .expect("spawn repro");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));

@@ -137,7 +137,7 @@ impl MbSpec {
 
     fn client_cidrs(&self) -> Option<Vec<Cidr>> {
         if self.filtered_clients {
-            let mut v = Vec::default();
+            let mut v = Vec::new();
             v.push(Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 8));
             Some(v)
         } else {
@@ -152,7 +152,7 @@ pub fn diff_spec(s: &mut Source) -> MbSpec {
     let notice = if s.chance(2, 3) { Some(*s.pick(&["airtel", "idea", "jio"])) } else { None };
     let lo = s.range_u64(50, 2_000);
     let n = s.len_in(1, 3);
-    let mut blocklist = Vec::default();
+    let mut blocklist = Vec::new();
     for i in 0..n {
         blocklist.push(format!("blocked-{i}.example"));
     }
@@ -191,7 +191,7 @@ pub fn airtel_spec() -> MbSpec {
         filtered_clients: false,
         flow_timeout_secs: 150,
         blocklist: {
-            let mut v = Vec::default();
+            let mut v = Vec::new();
             v.push("blocked-0.example".to_string());
             v
         },
@@ -214,7 +214,7 @@ pub fn idea_spec() -> MbSpec {
         filtered_clients: false,
         flow_timeout_secs: 150,
         blocklist: {
-            let mut v = Vec::default();
+            let mut v = Vec::new();
             v.push("blocked-0.example".to_string());
             v
         },
@@ -301,7 +301,7 @@ fn request_image(s: &mut Source, host: &str) -> Vec<u8> {
 /// in evasion variants, teardown RSTs, UDP/ICMP noise, off-port SYNs,
 /// and time skips long enough to cross the sweep and timeout horizons.
 pub fn diff_script(s: &mut Source, spec: &MbSpec) -> Vec<Step> {
-    let mut steps = Vec::default();
+    let mut steps = Vec::new();
     let mut a = FlowGen::fresh((Ipv4Addr::new(10, 0, 0, 2), 40_000), 80, 1_000);
     let mut b = FlowGen::fresh((Ipv4Addr::new(10, 0, 7, 9), 41_000), 80, 50_000);
     // Outside the 10/8 filter: exercises the client-eligibility gate.
@@ -371,7 +371,7 @@ pub fn diff_script(s: &mut Source, spec: &MbSpec) -> Vec<Step> {
 /// goldens and the CI negative control: handshake, blocked GET, clean
 /// GET, sweep-crossing skip, second blocked GET.
 pub fn canned_script(spec: &MbSpec) -> Vec<Step> {
-    let mut steps = Vec::default();
+    let mut steps = Vec::new();
     let mut a = FlowGen::fresh((Ipv4Addr::new(10, 0, 0, 2), 40_000), 80, 1_000);
     a.hs_steps(&mut steps);
     let blocked = spec.blocklist[0].clone();
@@ -419,8 +419,8 @@ fn build_rig(device: Box<dyn Node>) -> Result<Rig, String> {
         .set_filter_spec("wiretap=debug,interceptive=debug")
         .map_err(|e| format!("filter spec rejected: {e:?}"))?;
     let mb = net.add_node(device);
-    let a = net.add_node(Box::new(Tap { rows: Vec::default(), tag: "tap-client" }));
-    let b = net.add_node(Box::new(Tap { rows: Vec::default(), tag: "tap-server" }));
+    let a = net.add_node(Box::new(Tap { rows: Vec::new(), tag: "tap-client" }));
+    let b = net.add_node(Box::new(Tap { rows: Vec::new(), tag: "tap-server" }));
     net.connect(mb, IfaceId(0), a, IfaceId(0), SimDuration::from_micros(10));
     net.connect(mb, IfaceId(1), b, IfaceId(0), SimDuration::from_micros(10));
     Ok(Rig { net, mb, a, b })

@@ -20,7 +20,6 @@
 //! | `planted_cap_is_bounded` | the planted SUT respects its cap (fails under `--features planted-bug`) |
 //! | `lint_lexer_total` | the devtools scrubbing lexer preserves length and newlines on Rust-ish soup |
 //! | `lint_parser_total` | the devtools item parser is total and emits sane spans on Rust-ish soup |
-//! | `lint_allocsite_total` | the devtools allocation-site detector is total and never mis-spans on Rust-ish soup |
 //! | `obs_histogram_merge` | telemetry merge is order/grouping-insensitive and conserves histogram buckets under shard splits |
 //! | `sched_matches_heap_model` | the netsim calendar queue pops in exactly the reference binary-heap order, deadline pops included |
 //! | `policy_replay_deterministic` | a compiled policy program renders a byte-identical transcript on every replay — the invariant the recorded `tests/golden/mb-*.transcript` goldens rest on |
@@ -337,29 +336,6 @@ pub fn lint_parser_total(s: &mut Source) {
     }
 }
 
-/// The devtools allocation-site detector (L9/L10 input) is total on
-/// arbitrary Rust-ish soup and never mis-spans: every site lands on a
-/// real 1-based line with a non-empty kind, and every loop span is a
-/// sane 1-based range inside the file.
-pub fn lint_allocsite_total(s: &mut Source) {
-    let text = crate::rustish::soup(s);
-    let lexed = lucent_devtools::source::Lexed::new(&text);
-    let lines = text.bytes().filter(|&c| c == b'\n').count() + 1;
-    for site in lucent_devtools::allocsite::alloc_sites(&lexed) {
-        assert!(
-            site.line >= 1 && site.line <= lines,
-            "alloc site `{}` on line {} of {lines}",
-            site.kind,
-            site.line
-        );
-        assert!(!site.kind.is_empty(), "alloc site with an empty kind");
-    }
-    for (lo, hi) in lucent_devtools::allocsite::loop_spans(lexed.scrubbed()) {
-        assert!(lo >= 1 && lo <= hi, "loop span {lo}..={hi} starts badly");
-        assert!(hi <= lines, "loop span {lo}..={hi} beyond line {lines}");
-    }
-}
-
 /// Telemetry merge — the operation the profiler's thread-count
 /// invariance claim rests on — is commutative and associative, and
 /// conserves histogram buckets under shard splits: absorbing shard
@@ -652,7 +628,6 @@ pub fn all() -> Vec<NamedOracle> {
         ("planted_cap_is_bounded", planted_cap_is_bounded),
         ("lint_lexer_total", lint_lexer_total),
         ("lint_parser_total", lint_parser_total),
-        ("lint_allocsite_total", lint_allocsite_total),
         ("obs_histogram_merge", obs_histogram_merge),
         ("sched_matches_heap_model", sched_matches_heap_model),
         ("policy_replay_deterministic", policy_replay_deterministic),

@@ -1,8 +1,7 @@
 //! The property runner: deterministic cases, integrated shrinking, and
 //! replayable reports.
 //!
-//! [`check`] supersedes `lucent_support::prop::check`. Where the old
-//! harness could only name the failing seed, this one records the choice
+//! [`check`] does more than name the failing seed: it records the choice
 //! tape behind the failure, greedily minimizes it ([`crate::shrink`]),
 //! and re-reports the *minimal* case together with the hex tape that
 //! replays it byte-for-byte via [`assert_replay`].
@@ -179,7 +178,7 @@ pub fn run(cfg: &Config, prop: impl Fn(&mut Source)) -> Option<Finding> {
 }
 
 /// Run the property and panic with a shrunk, replayable report on
-/// failure — the drop-in upgrade for `lucent_support::prop::check`.
+/// failure.
 pub fn check(cfg: &Config, prop: impl Fn(&mut Source)) {
     if let Some(finding) = run(cfg, prop) {
         std::panic::panic_any(finding.report());

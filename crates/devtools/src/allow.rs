@@ -22,15 +22,6 @@ pub struct Allow {
     /// Per-entry-point ceilings on reachable panic sites (L7). Keys
     /// are entry ids, `<file>::<fn name>`.
     pub panic_reach: BTreeMap<String, usize>,
-    /// Hot-path roots for L9/L10, as `<file>::<fn name>` ids. This is
-    /// *configuration*, not a generated baseline: name the event-engine
-    /// entry points allocation provenance should be measured from.
-    pub hot_roots: Vec<String>,
-    /// Per-hot-root ceilings on reachable allocation sites (L9).
-    pub alloc_reach: BTreeMap<String, usize>,
-    /// Per-hot-root ceilings on reachable in-loop allocation sites
-    /// (L10) — the per-event allocations the arena refactor must kill.
-    pub alloc_in_loop: BTreeMap<String, usize>,
     /// Per-policy-file ceilings on L11 anomaly findings from the
     /// symbolic policycheck analyzer.
     pub policy_anomaly: BTreeMap<String, usize>,
@@ -57,20 +48,12 @@ impl Allow {
             }
             Ok(out)
         };
-        let roots = doc
-            .get("hot_roots", "roots")
-            .and_then(Value::as_array)
-            .map(<[String]>::to_vec)
-            .unwrap_or_default();
         Ok(Allow {
             wall_clock: files("wall_clock"),
             rng_construction: files("rng_construction"),
             shared_state: files("shared_state"),
             panic_sites: ceilings("panic_sites")?,
             panic_reach: ceilings("panic_reach")?,
-            hot_roots: roots,
-            alloc_reach: ceilings("alloc_reach")?,
-            alloc_in_loop: ceilings("alloc_in_loop")?,
             policy_anomaly: ceilings("policy_anomaly")?,
         })
     }
@@ -94,16 +77,6 @@ impl Allow {
     /// Ceiling on panic sites reachable from the entry point `id`.
     pub fn reach_ceiling(&self, id: &str) -> usize {
         self.panic_reach.get(id).copied().unwrap_or(0)
-    }
-
-    /// Ceiling on allocation sites reachable from the hot root `id`.
-    pub fn alloc_reach_ceiling(&self, id: &str) -> usize {
-        self.alloc_reach.get(id).copied().unwrap_or(0)
-    }
-
-    /// Ceiling on in-loop allocation sites reachable from `id`.
-    pub fn alloc_in_loop_ceiling(&self, id: &str) -> usize {
-        self.alloc_in_loop.get(id).copied().unwrap_or(0)
     }
 
     /// Ceiling on L11 policy anomalies in the policy file `path`.
@@ -146,27 +119,6 @@ impl Allow {
             out.push_str(&format!("\"{id}\" = {n}\n"));
         }
         out.push('\n');
-        out.push_str("# Hot-path roots for allocation provenance (L9/L10). This table is\n");
-        out.push_str("# configuration, not a generated baseline: it names the event-engine\n");
-        out.push_str("# entry points. A root no longer in the symbol index is a violation.\n");
-        out.push_str("[hot_roots]\n");
-        let quoted: Vec<String> = self.hot_roots.iter().map(|r| format!("\"{r}\"")).collect();
-        out.push_str(&format!("roots = [{}]\n\n", quoted.join(", ")));
-        out.push_str("# Allocation sites reachable from each hot root (L9). Keys are\n");
-        out.push_str("# `<file>::<fn>`. Regenerate with `lucent-lint --update-baseline`.\n");
-        out.push_str("[alloc_reach]\n");
-        for (id, n) in &self.alloc_reach {
-            out.push_str(&format!("\"{id}\" = {n}\n"));
-        }
-        out.push('\n');
-        out.push_str("# Per-event (in-loop) allocation sites reachable from each hot root\n");
-        out.push_str("# (L10) — the subset the arena refactor must drive to zero.\n");
-        out.push_str("# Regenerate with `lucent-lint --update-baseline`.\n");
-        out.push_str("[alloc_in_loop]\n");
-        for (id, n) in &self.alloc_in_loop {
-            out.push_str(&format!("\"{id}\" = {n}\n"));
-        }
-        out.push('\n');
         out.push_str("# Symbolic policy anomalies (L11) per committed policy file —\n");
         out.push_str("# dead/shadowed rules, conflicting overlaps, unreachable gates,\n");
         out.push_str("# probability-mass errors. Regenerate with `lucent-lint\n");
@@ -191,9 +143,6 @@ mod tests {
         a.panic_sites.insert("crates/packet/src/dns.rs".into(), 7);
         a.shared_state.push("crates/check/src/runner.rs".into());
         a.panic_reach.insert("crates/core/src/experiments/race.rs::run_isp".into(), 2);
-        a.hot_roots.push("crates/netsim/src/network.rs::step".into());
-        a.alloc_reach.insert("crates/netsim/src/network.rs::step".into(), 9);
-        a.alloc_in_loop.insert("crates/netsim/src/network.rs::step".into(), 3);
         a.policy_anomaly.insert("crates/middlebox/policies/airtel-wm.toml".into(), 1);
         let b = Allow::parse(&a.to_toml()).expect("round trip");
         assert_eq!(b.wall_clock, a.wall_clock);
@@ -201,9 +150,6 @@ mod tests {
         assert_eq!(b.panic_sites, a.panic_sites);
         assert_eq!(b.shared_state, a.shared_state);
         assert_eq!(b.panic_reach, a.panic_reach);
-        assert_eq!(b.hot_roots, a.hot_roots);
-        assert_eq!(b.alloc_reach, a.alloc_reach);
-        assert_eq!(b.alloc_in_loop, a.alloc_in_loop);
         assert_eq!(b.policy_anomaly, a.policy_anomaly);
     }
 

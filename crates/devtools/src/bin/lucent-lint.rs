@@ -8,7 +8,7 @@
 //! I/O errors. Run from anywhere inside the workspace; the root is found
 //! by walking up to the `[workspace]` manifest.
 //!
-//! `--json` prints the machine-readable report (schema `lucent-lint/4`)
+//! `--json` prints the machine-readable report (schema `lucent-lint/5`)
 //! to stdout and nothing else; the bytes are identical across runs and
 //! `--threads` values, so CI diffs them against a committed golden.
 
@@ -83,23 +83,19 @@ fn main() -> ExitCode {
     }
     if update && report.ok() {
         println!(
-            "lucent-lint: baseline rewritten ({} panic sites, {} alloc sites)",
-            report.panic_total, report.alloc_total
+            "lucent-lint: baseline rewritten ({} panic sites)",
+            report.panic_total
         );
         return ExitCode::SUCCESS;
     }
     if report.ok() {
-        let hot_alloc: usize = report.alloc_reach.values().sum();
-        let hot_loop: usize = report.alloc_in_loop.values().sum();
         println!(
             "lucent-lint: clean — {} files, {} fns, {} call edges, {} panic sites within \
-             baseline, {}/{} hot-reachable/in-loop alloc sites within baseline, {} note(s)",
+             baseline, {} note(s)",
             report.files_scanned,
             report.functions,
             report.call_edges,
             report.panic_total,
-            hot_alloc,
-            hot_loop,
             report.warnings.len()
         );
         ExitCode::SUCCESS

@@ -186,7 +186,7 @@ pub fn has_token(line: &str, tok: &str) -> bool {
     false
 }
 
-fn is_ident(c: u8) -> bool {
+pub(crate) fn is_ident(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 

@@ -1,7 +1,9 @@
 //! `lucent-devtools`: in-tree static analysis for the lucent workspace.
 //!
 //! The `lucent-lint` binary (and the `run_root` library entry point the
-//! tier-1 gate calls) enforces twelve rule families:
+//! tier-1 gate calls) enforces ten rule families, L1–L8, L11 and L12
+//! (L9/L10 were static allocation estimates, retired once the
+//! `benchmark/` workspace began counting real allocations per event):
 //!
 //! - **L1 hermeticity** — every dependency is a path dependency; the
 //!   workspace builds with the network unplugged.
@@ -17,9 +19,9 @@
 //! - **L5 unsafe hygiene** — every `unsafe` carries a `// SAFETY:`
 //!   justification (most crates simply `#![forbid(unsafe_code)]`).
 //! - **L6 print hygiene** — no `println!`/`eprintln!` in non-test library
-//!   code outside the sanctioned sinks (the bench stopwatch, the `repro`
-//!   CLI, the lint CLI, and the `lucent-check` campaign reporter with
-//!   its `fuzz-smoke` binary); diagnostics go through `lucent-obs`.
+//!   code outside the sanctioned sinks (the `repro` CLI, the lint CLI,
+//!   and the `lucent-check` campaign reporter with its `fuzz-smoke`
+//!   binary); diagnostics go through `lucent-obs`.
 //! - **L7 panic provenance** — every residual panic site is attributed,
 //!   through a workspace-wide approximate call graph, to the experiment
 //!   entry points that can reach it; per-entry reachable counts are
@@ -28,15 +30,6 @@
 //!   interior-mutability statics (`Mutex`/`RefCell`/atomics/… at static
 //!   scope, `thread_local!`) are confined to `[shared_state]`
 //!   allowlisted files so shard workers never share mutable state.
-//! - **L9 alloc provenance** — allocation sites (`clone`/`to_vec`/
-//!   `Vec::new`/`with_capacity`/`collect`/`format!`/`Box::new`/
-//!   `String::from`/`vec!`) reachable from the configured `[hot_roots]`
-//!   (the event-engine hot path) are capped per root by the shrink-only
-//!   `[alloc_reach]` baseline.
-//! - **L10 per-event heap discipline** — the subset of hot-reachable
-//!   allocation sites lexically inside `loop`/`while`/`for` bodies gets
-//!   a separate, tighter `[alloc_in_loop]` ceiling: per-event
-//!   allocations are what the arena refactor must eliminate.
 //! - **L11 policy anomalies** — committed censor-policy programs
 //!   (`crates/*/policies/*.toml`) are compiled to the middlebox rule IR
 //!   and symbolically analyzed ([`policycheck`]): dead rules,
@@ -63,10 +56,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod allocsite;
 pub mod allow;
 pub mod callgraph;
-pub mod hotalloc;
 pub mod lex;
 pub mod manifest;
 pub mod parse;
@@ -84,7 +75,6 @@ use std::path::{Path, PathBuf};
 
 use allow::Allow;
 use callgraph::{CallSite, Graph};
-use hotalloc::HotSite;
 use lex::in_spans;
 use reach::PanicSite;
 use report::{Report, Rule, Violation};
@@ -173,23 +163,15 @@ pub fn run_root_with(root: &Path, opts: &Options) -> io::Result<Report> {
         report.panic_total += count;
     }
 
-    // L7/L9/L10: assemble the symbol index and call graph, then ratchet
-    // the per-entry reachable-panic counts and the per-hot-root
-    // reachable-allocation counts.
-    let (index, graph, sites, alloc) = graph_phase(&scans);
+    // L7: assemble the symbol index and call graph, then ratchet the
+    // per-entry reachable-panic counts.
+    let (index, graph, sites) = graph_phase(&scans);
     report.functions = index.len();
     report.call_edges = graph.edge_count;
-    report.alloc_total = alloc.len();
     let reach_out = reach::check_reach(&index, &graph, &sites, &allow);
     report.merge(reach_out.violations);
     report.warnings.extend(reach_out.warnings);
     report.panic_reach = reach_out.reach;
-    let alloc_out = hotalloc::check_hot_alloc(&index, &graph, &alloc, &allow);
-    report.merge(alloc_out.violations);
-    report.warnings.extend(alloc_out.warnings);
-    report.alloc_reach = alloc_out.alloc_reach;
-    report.alloc_in_loop = alloc_out.alloc_in_loop;
-    report.hot_alloc_census = alloc_out.census;
 
     // L11/L12: compile and symbolically analyze the committed censor
     // policies. The pass is single-threaded and file-order
@@ -250,8 +232,6 @@ struct FileScan {
     warnings: Vec<String>,
     /// 1-based lines of panic sites in non-test library code.
     panic_lines: Vec<usize>,
-    /// Allocation sites in non-test library code (L9/L10 input).
-    alloc_sites: Vec<allocsite::AllocSite>,
     /// Non-test `fn` items (library tree only).
     fns: Vec<parse::FnItem>,
     /// `(local fn index, call site)` pairs from non-test bodies.
@@ -266,7 +246,6 @@ impl FileScan {
             violations: Vec::new(),
             warnings: Vec::new(),
             panic_lines: Vec::new(),
-            alloc_sites: Vec::new(),
             fns: Vec::new(),
             calls: Vec::new(),
         }
@@ -291,7 +270,6 @@ fn scan_file(root: &Path, rel: &str, allow: &Allow) -> FileScan {
         let (v, count) = source::check_panic_budget(&file, &lexed, allow);
         scan.violations.extend(v);
         scan.panic_lines = source::panic_site_lines(&lexed);
-        scan.alloc_sites = allocsite::alloc_sites(&lexed);
         if count < allow.panic_ceiling(rel) {
             scan.warnings.push(format!(
                 "{rel}: {count} panic site(s), baseline {} — shrink the entry",
@@ -316,12 +294,11 @@ fn scan_file(root: &Path, rel: &str, allow: &Allow) -> FileScan {
 }
 
 /// Globalize per-file symbols into the index, the call graph, and the
-/// owner-attributed panic- and allocation-site lists.
-fn graph_phase(scans: &[FileScan]) -> (Index, Graph, Vec<PanicSite>, Vec<HotSite>) {
+/// owner-attributed panic-site list.
+fn graph_phase(scans: &[FileScan]) -> (Index, Graph, Vec<PanicSite>) {
     let index = Index::build(scans.iter().map(|s| (s.rel.as_str(), s.fns.as_slice())));
     let mut calls: Vec<(usize, &CallSite)> = Vec::new();
     let mut sites = Vec::new();
-    let mut alloc = Vec::new();
     let mut base = 0;
     for s in scans {
         for (li, c) in &s.calls {
@@ -340,19 +317,10 @@ fn graph_phase(scans: &[FileScan]) -> (Index, Graph, Vec<PanicSite>, Vec<HotSite
         for &line in &s.panic_lines {
             sites.push(PanicSite { file: s.rel.clone(), line, owner: owner_of(line) });
         }
-        for a in &s.alloc_sites {
-            alloc.push(HotSite {
-                file: s.rel.clone(),
-                line: a.line,
-                kind: a.kind,
-                in_loop: a.in_loop,
-                owner: owner_of(a.line),
-            });
-        }
         base += s.fns.len();
     }
     let graph = Graph::build(&index, calls.into_iter());
-    (index, graph, sites, alloc)
+    (index, graph, sites)
 }
 
 /// Ratchet one generated baseline table against a fresh census in one
@@ -390,12 +358,10 @@ fn ratchet_table(
 }
 
 /// Rewrite `lint-allow.toml` with current panic counts, per-entry panic
-/// reach, per-hot-root allocation reach, and per-policy anomaly counts
-/// — all five generated tables (`[panic_sites]`, `[panic_reach]`,
-/// `[alloc_reach]`, `[alloc_in_loop]`, `[policy_anomaly]`) in one
+/// reach and per-policy anomaly counts — all three generated tables
+/// (`[panic_sites]`, `[panic_reach]`, `[policy_anomaly]`) in one
 /// deterministic sorted pass. Ceilings only ever move down: an attempt
-/// to raise one, or a stale `[hot_roots]` entry, is reported as a
-/// violation and nothing is written.
+/// to raise one is reported as a violation and nothing is written.
 pub fn update_baseline(root: &Path) -> io::Result<Report> {
     let mut report = Report::default();
     let old = fs::read_to_string(root.join(ALLOW_FILE))
@@ -421,8 +387,7 @@ pub fn update_baseline(root: &Path) -> io::Result<Report> {
             report.panic_total += count;
         }
     }
-    let (index, graph, sites, alloc) = graph_phase(&scans);
-    report.alloc_total = alloc.len();
+    let (index, graph, sites) = graph_phase(&scans);
     let mut reach_counts = Counts::new();
     for entry in reach::entry_points(&index) {
         let sym = &index.syms[entry];
@@ -432,25 +397,6 @@ pub fn update_baseline(root: &Path) -> io::Result<Report> {
             reach_counts.insert(sym.id(), (sym.file.clone(), count));
         }
     }
-    let (root_counts, stale_roots) = hotalloc::root_counts(&index, &graph, &alloc, &old.hot_roots);
-    for stale in stale_roots {
-        report.violations.push(Violation::file(
-            Rule::AllocReach,
-            ALLOW_FILE,
-            format!(
-                "stale [hot_roots] entry `{stale}` — no such function in the symbol index; \
-                 remove it before regenerating baselines"
-            ),
-        ));
-    }
-    let file_of = |id: &String| id.split("::").next().unwrap_or(id).to_string();
-    let alloc_counts: Counts =
-        root_counts.iter().map(|(id, (n, _))| (id.clone(), (file_of(id), *n))).collect();
-    let loop_counts: Counts = root_counts
-        .iter()
-        .filter(|(_, (_, l))| *l > 0)
-        .map(|(id, (_, l))| (id.clone(), (file_of(id), *l)))
-        .collect();
     let policy_paths = policy_sources(root)?;
     let policy_out = policycheck::check_policy_files(root, &policy_paths, &old)?;
     let policy_counts: Counts = policy_out
@@ -464,15 +410,6 @@ pub fn update_baseline(root: &Path) -> io::Result<Report> {
         ratchet_table("panic_sites", Rule::PanicBudget, &old.panic_sites, &panic_counts, &mut report);
     new.panic_reach =
         ratchet_table("panic_reach", Rule::PanicReach, &old.panic_reach, &reach_counts, &mut report);
-    new.alloc_reach =
-        ratchet_table("alloc_reach", Rule::AllocReach, &old.alloc_reach, &alloc_counts, &mut report);
-    new.alloc_in_loop = ratchet_table(
-        "alloc_in_loop",
-        Rule::AllocInLoop,
-        &old.alloc_in_loop,
-        &loop_counts,
-        &mut report,
-    );
     new.policy_anomaly = ratchet_table(
         "policy_anomaly",
         Rule::PolicyAnomaly,
@@ -637,7 +574,7 @@ mod tests {
         assert!(in_library_tree("crates/packet/src/dns.rs"));
         assert!(in_library_tree("crates/bench/src/bin/repro.rs"));
         assert!(!in_library_tree("crates/packet/tests/garbage.rs"));
-        assert!(!in_library_tree("crates/bench/benches/tables.rs"));
+        assert!(!in_library_tree("crates/bench/tests/cli.rs"));
         assert!(!in_library_tree("tests/it_end_to_end.rs"));
         assert!(!in_library_tree("examples/quickstart.rs"));
     }

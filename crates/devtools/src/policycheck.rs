@@ -189,7 +189,7 @@ fn fire_liveness(rules: &[PolicyRule], shadow: &[Option<usize>]) -> Vec<bool> {
 /// Probability-mass findings for rule `i`.
 fn mass_findings(rules: &[PolicyRule], i: usize, line: usize) -> Vec<Anomaly> {
     let rule = &rules[i];
-    let mut out = Vec::default();
+    let mut out = Vec::new();
     if let Some(p) = rule.probability {
         if !(p.is_finite() && p > 0.0 && p <= 1.0) {
             out.push(Anomaly {
@@ -249,7 +249,7 @@ pub fn probe_policy(policy: &Policy, rule_lines: &[usize]) -> Vec<Anomaly> {
     let rules = &policy.rules;
     let shadow = shadowers(rules);
     let live = fire_liveness(rules, &shadow);
-    let mut out = Vec::default();
+    let mut out = Vec::new();
     for (i, rule) in rules.iter().enumerate() {
         let line = pinned_line(rule_lines, i);
         if listed_and_empty(&rule.hosts) {
@@ -308,7 +308,7 @@ pub fn probe_policy(policy: &Policy, rule_lines: &[usize]) -> Vec<Anomaly> {
 /// Telemetry labels a compiled program can cause the interpreter to
 /// emit, derived from its family and actions.
 fn emitted_labels(policy: &Policy) -> Vec<&'static str> {
-    let mut out = Vec::default();
+    let mut out = Vec::new();
     out.push("mb.flow.evictions");
     out.push("mb.flow.size");
     match policy.family {
@@ -331,7 +331,7 @@ fn emitted_labels(policy: &Policy) -> Vec<&'static str> {
 /// L12 per-policy findings: unknown telemetry labels and literal hosts
 /// that cannot resolve against the blocklist corpus.
 pub fn coverage_findings(policy: &Policy, rule_lines: &[usize]) -> Vec<Anomaly> {
-    let mut out = Vec::default();
+    let mut out = Vec::new();
     for label in emitted_labels(policy) {
         if !KNOWN_TELEMETRY.contains(&label) {
             out.push(Anomaly {

@@ -23,12 +23,6 @@ pub enum Rule {
     /// L8 — no `static mut`; interior-mutability statics confined to
     /// `[shared_state]` allowlisted files.
     SharedState,
-    /// L9 — allocation sites reachable from `[hot_roots]` stay within
-    /// the shrink-only `[alloc_reach]` baseline.
-    AllocReach,
-    /// L10 — in-loop (per-event) allocation sites reachable from
-    /// `[hot_roots]` stay within the tighter `[alloc_in_loop]` baseline.
-    AllocInLoop,
     /// L11 — symbolic anomalies in compiled censor policies (dead
     /// rules, conflicting overlaps, unreachable gates, probability-mass
     /// errors) stay within the shrink-only `[policy_anomaly]` baseline.
@@ -50,8 +44,6 @@ impl Rule {
             Rule::PrintHygiene => "L6-print",
             Rule::PanicReach => "L7-panic-reach",
             Rule::SharedState => "L8-shared-state",
-            Rule::AllocReach => "L9-alloc-reach",
-            Rule::AllocInLoop => "L10-alloc-in-loop",
             Rule::PolicyAnomaly => "L11-policy-anomaly",
             Rule::PolicyCoverage => "L12-policy-coverage",
         }
@@ -104,15 +96,6 @@ pub struct Report {
     pub panic_by_file: std::collections::BTreeMap<String, usize>,
     /// Entry id → sorted `file:line` of reachable panic sites.
     pub panic_reach: std::collections::BTreeMap<String, Vec<String>>,
-    /// Total allocation sites detected in non-test library code.
-    pub alloc_total: usize,
-    /// Hot root id → count of reachable allocation sites (L9).
-    pub alloc_reach: std::collections::BTreeMap<String, usize>,
-    /// Hot root id → count of reachable in-loop allocation sites (L10).
-    pub alloc_in_loop: std::collections::BTreeMap<String, usize>,
-    /// Crate name → `(reachable, in_loop)` allocation sites over the
-    /// union of all hot roots.
-    pub hot_alloc_census: std::collections::BTreeMap<String, (usize, usize)>,
     /// Committed policy files scanned by L11/L12.
     pub policy_files: usize,
     /// Policy file → L11 anomaly count (zero-finding files omitted).
@@ -128,18 +111,17 @@ impl Report {
         self.violations.append(&mut other);
     }
 
-    /// Machine-readable report (schema `lucent-lint/4`). Hand-rolled on
+    /// Machine-readable report (schema `lucent-lint/5`). Hand-rolled on
     /// purpose: every map is a `BTreeMap` and every list is pre-sorted
     /// by the caller, so the bytes are identical across runs and thread
     /// counts — CI diffs this against a committed golden.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"lucent-lint/4\",\n");
+        out.push_str("{\n  \"schema\": \"lucent-lint/5\",\n");
         count_line(&mut out, "files_scanned", self.files_scanned);
         count_line(&mut out, "functions", self.functions);
         count_line(&mut out, "call_edges", self.call_edges);
         count_line(&mut out, "panic_total", self.panic_total);
-        count_line(&mut out, "alloc_total", self.alloc_total);
         count_line(&mut out, "policy_files", self.policy_files);
         count_map(&mut out, "panic_sites", &self.panic_by_file);
         out.push_str("  \"panic_reach\": {");
@@ -149,19 +131,6 @@ impl Report {
             first = false;
             let listed: Vec<String> = sites.iter().map(|s| json_str(s)).collect();
             out.push_str(&format!("    {}: [{}]", json_str(id), listed.join(", ")));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        count_map(&mut out, "alloc_reach", &self.alloc_reach);
-        count_map(&mut out, "alloc_in_loop", &self.alloc_in_loop);
-        out.push_str("  \"hot_alloc_census\": {");
-        first = true;
-        for (krate, (total, in_loop)) in &self.hot_alloc_census {
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            out.push_str(&format!(
-                "    {}: {{\"reachable\": {total}, \"in_loop\": {in_loop}}}",
-                json_str(krate)
-            ));
         }
         out.push_str(if first { "},\n" } else { "\n  },\n" });
         count_map(&mut out, "policy_anomaly", &self.policy_anomaly);
@@ -241,20 +210,13 @@ mod tests {
         r.panic_reach.insert("crates/x/src/a.rs::run".into(), vec!["crates/x/src/a.rs:4".into()]);
         r.violations.push(Violation::at(Rule::SharedState, "crates/x/src/b.rs", 7, "a \"quoted\" msg"));
         r.warnings.push("note\twith tab".into());
-        r.alloc_total = 5;
-        r.alloc_reach.insert("crates/x/src/a.rs::step".into(), 4);
-        r.alloc_in_loop.insert("crates/x/src/a.rs::step".into(), 2);
-        r.hot_alloc_census.insert("x".into(), (4, 2));
         r.policy_files = 2;
         r.policy_anomaly.insert("crates/x/policies/p.toml".into(), 3);
         let json = r.to_json();
         assert_eq!(json, r.to_json(), "emission is deterministic");
-        assert!(json.contains("\"schema\": \"lucent-lint/4\""), "{json}");
+        assert!(json.contains("\"schema\": \"lucent-lint/5\""), "{json}");
         assert!(json.contains("\"policy_files\": 2"), "{json}");
         assert!(json.contains("\"crates/x/policies/p.toml\": 3"), "{json}");
-        assert!(json.contains("\"alloc_total\": 5"), "{json}");
-        assert!(json.contains("\"crates/x/src/a.rs::step\": 4"), "{json}");
-        assert!(json.contains("\"x\": {\"reachable\": 4, \"in_loop\": 2}"), "{json}");
         assert!(json.contains("\"L8-shared-state\""), "{json}");
         assert!(json.contains("a \\\"quoted\\\" msg"), "{json}");
         assert!(json.contains("note\\twith tab"), "{json}");
@@ -265,8 +227,6 @@ mod tests {
     fn empty_report_serializes_with_empty_collections() {
         let json = Report::default().to_json();
         assert!(json.contains("\"panic_sites\": {},"), "{json}");
-        assert!(json.contains("\"alloc_reach\": {},"), "{json}");
-        assert!(json.contains("\"hot_alloc_census\": {},"), "{json}");
         assert!(json.contains("\"policy_anomaly\": {},"), "{json}");
         assert!(json.contains("\"violations\": [],"), "{json}");
         assert!(json.ends_with("]\n}\n"), "{json}");

@@ -129,9 +129,7 @@ fn strip_comment(line: &str) -> &str {
 /// Split at top level on `sep`, ignoring separators inside strings,
 /// lists and inline tables.
 fn split_top(s: &str, sep: char) -> Vec<&str> {
-    // `split_top` shares its name with the devtools TOML reader, which
-    // sits in the packet parsers' L9 closure; keep this fn needle-free.
-    let mut parts = Vec::default();
+    let mut parts = Vec::new();
     let mut depth = 0i32;
     let mut in_str = false;
     let mut start = 0;

@@ -25,14 +25,6 @@
 //! first (scan order), then the delay jitter (slow-path coin before
 //! range draw). The recorded transcripts pin this draw sequence — a
 //! reordered draw diverges from the goldens.
-//!
-//! # Hot path
-//!
-//! [`PolicyBox::on_packet`] is registered in `[hot_roots]`
-//! (lint-allow.toml): its reachable-allocation ceilings are governed by
-//! L9/L10 and shrink-only. The interpreter loop itself introduces no
-//! new allocation sites — all per-packet work reuses the flow table,
-//! the matcher, and stack values.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -189,13 +181,7 @@ impl Instance {
         client_filter: Option<Vec<Cidr>>,
         seed: u64,
     ) -> Instance {
-        // Loop rather than collect: `of` shares its name with
-        // `checksum::of` on the packet hot path, so a needle here would
-        // land in every hot root's L9 closure.
-        let mut blocklist = BTreeSet::default();
-        for d in domains {
-            blocklist.insert(d.to_ascii_lowercase());
-        }
+        let blocklist = domains.into_iter().map(|d| d.to_ascii_lowercase()).collect();
         Instance { blocklist, client_filter, seed }
     }
 }
@@ -218,8 +204,7 @@ impl Policy {
         injection_delay_us: (u64, u64),
         slow_injection: Option<(f64, (u64, u64))>,
     ) -> Policy {
-        let mut rules = Vec::default();
-        rules.push(Rule {
+        let rules = vec![Rule {
             name: None,
             matcher,
             hosts: HostSet::Blocklist,
@@ -236,7 +221,7 @@ impl Policy {
                 },
                 delay: DelaySpec { base: Some(injection_delay_us), slow: slow_injection },
             }),
-        });
+        }];
         Policy {
             name: name.into(),
             family: Family::Wiretap,
@@ -255,8 +240,7 @@ impl Policy {
         fixed_ip_id: Option<u16>,
     ) -> Policy {
         let covert = notice.is_none();
-        let mut rules = Vec::default();
-        rules.push(Rule {
+        let rules = vec![Rule {
             name: None,
             matcher,
             hosts: HostSet::Blocklist,
@@ -273,7 +257,7 @@ impl Policy {
                 },
                 delay: DelaySpec { base: None, slow: None },
             }),
-        });
+        }];
         Policy {
             name: name.into(),
             family: Family::Interceptive,
@@ -345,7 +329,7 @@ fn trigger_event(
     if !ctx.obs().enabled(target, Level::Debug) {
         return;
     }
-    let mut fields: Vec<(String, Json)> = Vec::default();
+    let mut fields: Vec<(String, Json)> = Vec::new();
     fields.push(("device".to_string(), ctx.label().to_json()));
     fields.push(("domain".to_string(), domain.to_json()));
     fields.push(("client".to_string(), client.to_json()));
@@ -402,13 +386,13 @@ impl PolicyBox {
             policy,
             inst,
             flows,
-            blackholed: BTreeMap::default(),
+            blackholed: BTreeMap::new(),
             rng,
             label: label.into(),
             sweep_armed: false,
             fired_mask: 0,
             triggers: 0,
-            trigger_log: Vec::default(),
+            trigger_log: Vec::new(),
         }
     }
 
@@ -420,7 +404,7 @@ impl PolicyBox {
 
     /// Ordered view of the black-holed flow keys.
     pub fn blackhole_rows(&self) -> Vec<FlowKey> {
-        let mut rows = Vec::default();
+        let mut rows = Vec::new();
         for k in self.blackholed.keys() {
             rows.push(*k);
         }

@@ -169,7 +169,7 @@ impl Network {
                 sched: CalendarQueue::fresh(),
                 packets: PacketSlab::default(),
                 seq: 0,
-                links: Vec::default(),
+                links: Vec::new(),
                 trace,
                 telemetry,
                 drops: BTreeMap::new(),
@@ -177,8 +177,8 @@ impl Network {
                 queue_hwm: 0,
                 wire_fidelity: false,
             },
-            nodes: Vec::default(),
-            labels: Vec::default(),
+            nodes: Vec::new(),
+            labels: Vec::new(),
         }
     }
 

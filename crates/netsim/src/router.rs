@@ -53,7 +53,7 @@ impl RouterNode {
             ip,
             table: RouteTable::new(),
             anonymized: false,
-            mirrors: Vec::default(),
+            mirrors: Vec::new(),
             mirror_only_egress: BTreeSet::new(),
             forward_delay: SimDuration::from_micros(50),
             label: label.into(),

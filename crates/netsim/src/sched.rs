@@ -101,7 +101,7 @@ impl<T> CalendarQueue<T> {
     /// oracle can shrink the horizon and force overflow traffic.
     pub fn with_geometry(slot_log2: u32, slots: usize) -> Self {
         assert!(slots.is_power_of_two(), "ring size must be a power of two");
-        let mut ring = Vec::default();
+        let mut ring = Vec::new();
         ring.resize_with(slots, Vec::default);
         CalendarQueue {
             due: BinaryHeap::default(),

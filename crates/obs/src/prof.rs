@@ -13,7 +13,7 @@
 //!
 //! **Wall-clock plane** — explicitly nondeterministic timings
 //! ([`WallPlane`]): phase timers, per-shard busy seconds and the
-//! events/sec figure the perf ratchet tracks. The planes never mix:
+//! run's events/sec. The planes never mix:
 //! profile files carry them under separate top-level keys, and nothing
 //! in this module reads a clock (callers time with
 //! `lucent_support::bench::Stopwatch` and hand the numbers in), keeping
@@ -143,12 +143,10 @@ impl PoolWall {
             1.0
         }
     }
+}
 
-    // Named `render_json` (not `to_json`) on purpose: the wall plane is
-    // cold exporter code, and the lint's name-based call graph would
-    // otherwise pull these allocation sites into the hot-root closure
-    // through the `to_json` calls the metrics path already makes.
-    fn render_json(&self) -> Json {
+impl ToJson for PoolWall {
+    fn to_json(&self) -> Json {
         Json::Obj(vec![
             (
                 "busy_secs".to_string(),
@@ -178,38 +176,13 @@ pub struct WallPlane {
 }
 
 impl WallPlane {
-    /// Simulator events per wall second — the perf-ratchet figure.
+    /// Simulator events per wall second.
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
             self.events as f64 / self.wall_secs
         } else {
             0.0
         }
-    }
-
-    /// The wall plane as JSON (sorted keys). See [`PoolWall::render_json`]
-    /// for why this is not named `to_json`.
-    pub fn render_json(&self) -> Json {
-        let phases = Json::Arr(
-            self.phases
-                .iter()
-                .map(|p| {
-                    Json::Obj(vec![
-                        ("dur_us".to_string(), Json::UInt(p.dur_us)),
-                        ("name".to_string(), Json::Str(p.name.clone())),
-                        ("start_us".to_string(), Json::UInt(p.start_us)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("events".to_string(), Json::UInt(self.events)),
-            ("events_per_sec".to_string(), self.events_per_sec().to_json()),
-            ("phases".to_string(), phases),
-            ("pools".to_string(), Json::Arr(self.pools.iter().map(PoolWall::render_json).collect())),
-            ("threads".to_string(), Json::UInt(self.threads as u64)),
-            ("wall_secs".to_string(), self.wall_secs.to_json()),
-        ])
     }
 
     /// The phase timers as a Chrome trace-event file (one named track
@@ -226,6 +199,32 @@ impl WallPlane {
             })
             .collect();
         export::chrome_trace(spans.iter(), &names)
+    }
+}
+
+/// The wall plane as JSON, keys sorted.
+impl ToJson for WallPlane {
+    fn to_json(&self) -> Json {
+        let phases = Json::Arr(
+            self.phases
+                .iter()
+                .map(|p| {
+                    Json::Obj(vec![
+                        ("dur_us".to_string(), Json::UInt(p.dur_us)),
+                        ("name".to_string(), Json::Str(p.name.clone())),
+                        ("start_us".to_string(), Json::UInt(p.start_us)),
+                    ])
+                })
+                .collect(),
+        );
+        Json::Obj(vec![
+            ("events".to_string(), Json::UInt(self.events)),
+            ("events_per_sec".to_string(), self.events_per_sec().to_json()),
+            ("phases".to_string(), phases),
+            ("pools".to_string(), Json::Arr(self.pools.iter().map(PoolWall::to_json).collect())),
+            ("threads".to_string(), Json::UInt(self.threads as u64)),
+            ("wall_secs".to_string(), self.wall_secs.to_json()),
+        ])
     }
 }
 
@@ -318,7 +317,7 @@ mod tests {
         };
         assert_eq!(plane.events_per_sec(), 250.0);
         assert!((plane.pools[0].imbalance() - 1.5).abs() < 1e-9);
-        let j = plane.render_json();
+        let j = plane.to_json();
         assert_eq!(j.get("events"), Some(&Json::UInt(500)));
         assert_eq!(j.get("events_per_sec").and_then(Json::as_f64), Some(250.0));
         let chrome = Json::parse(&plane.phases_chrome()).unwrap();

@@ -1,11 +1,10 @@
-//! A micro benchmark harness, replacing `criterion` for the `benches/`
-//! targets.
+//! The wall-clock stopwatch.
 //!
 //! This module is the single sanctioned home of wall-clock reads in the
 //! workspace: lint rule L3 bans `std::time::Instant::now` everywhere
 //! except here, so simulation code can never accidentally couple results
-//! to real time. Benches and the `repro` binary take their timing
-//! through [`Stopwatch`] and [`Harness`].
+//! to real time. The `repro` binary and the shard pool take their timing
+//! through [`Stopwatch`].
 
 use std::time::Instant;
 
@@ -31,114 +30,9 @@ impl Stopwatch {
     }
 }
 
-/// One measured benchmark result.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Benchmark name (`group/name` style).
-    pub name: String,
-    /// Iterations measured.
-    pub iters: u32,
-    /// Mean nanoseconds per iteration.
-    pub mean_ns: f64,
-    /// Fastest single iteration, nanoseconds.
-    pub min_ns: f64,
-}
-
-/// A bench harness: registers named closures, times them, prints a
-/// one-line summary each. An optional CLI substring filter (the first
-/// non-flag argument, as with criterion/libtest) selects benchmarks.
-pub struct Harness {
-    filter: Option<String>,
-    /// Target measuring time per benchmark, seconds.
-    pub target_secs: f64,
-    /// Hard cap on measured iterations.
-    pub max_iters: u32,
-    results: Vec<Measurement>,
-}
-
-impl Default for Harness {
-    fn default() -> Self {
-        Harness::new()
-    }
-}
-
-impl Harness {
-    /// Build a harness, reading the benchmark filter from `argv[1..]`.
-    pub fn new() -> Harness {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-') && a != "--bench");
-        Harness { filter, target_secs: 1.0, max_iters: 200, results: Vec::new() }
-    }
-
-    /// Time `f`, printing `name: <mean> ns/iter (min <min>)`.
-    pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
-        }
-        // Warm-up: one untimed call, then estimate per-iter cost.
-        let warm = Stopwatch::start();
-        std::hint::black_box(f());
-        let est_ns = warm.elapsed_nanos().max(1) as f64;
-        let budget_ns = self.target_secs * 1e9;
-        let iters = ((budget_ns / est_ns) as u32).clamp(1, self.max_iters);
-        let mut min_ns = f64::INFINITY;
-        let total = Stopwatch::start();
-        for _ in 0..iters {
-            let one = Stopwatch::start();
-            std::hint::black_box(f());
-            min_ns = min_ns.min(one.elapsed_nanos() as f64);
-        }
-        let mean_ns = total.elapsed_nanos() as f64 / f64::from(iters);
-        println!("bench {name:<40} {:>12} ns/iter (min {:>12} ns, {iters} iters)",
-            format_ns(mean_ns), format_ns(min_ns));
-        self.results.push(Measurement {
-            name: name.to_string(),
-            iters,
-            mean_ns,
-            min_ns,
-        });
-    }
-
-    /// All measurements so far.
-    pub fn results(&self) -> &[Measurement] {
-        &self.results
-    }
-}
-
-fn format_ns(ns: f64) -> String {
-    format!("{ns:.0}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn harness_measures_and_records() {
-        let mut h = Harness { filter: None, target_secs: 0.01, max_iters: 10, results: Vec::new() };
-        h.bench("demo/sum", || (0..1000u64).sum::<u64>());
-        assert_eq!(h.results().len(), 1);
-        let m = &h.results()[0];
-        assert!(m.iters >= 1 && m.iters <= 10);
-        assert!(m.min_ns <= m.mean_ns * 1.5 + 1.0);
-    }
-
-    #[test]
-    fn filter_skips_mismatches() {
-        let mut h = Harness {
-            filter: Some("only-this".into()),
-            target_secs: 0.01,
-            max_iters: 2,
-            results: Vec::new(),
-        };
-        h.bench("other/thing", || 1);
-        assert!(h.results().is_empty());
-        h.bench("group/only-this-one", || 1);
-        assert_eq!(h.results().len(), 1);
-    }
 
     #[test]
     fn stopwatch_monotone() {

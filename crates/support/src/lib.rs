@@ -10,9 +10,10 @@
 //! * [`json`] — deterministic JSON tree, writer, parser, and the
 //!   [`json::ToJson`] trait with derive-style macros (was `serde` +
 //!   `serde_json`)
-//! * [`prop`] — a micro property-testing harness (was `proptest`)
-//! * [`bench`] — a micro benchmark harness and the workspace's only
-//!   sanctioned wall-clock access (was `criterion`)
+//! * [`bench`] — a wall-clock stopwatch, the workspace's only
+//!   sanctioned wall-clock access
+//!
+//! Property tests run on `lucent-check`, which sits above this crate.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,7 +21,6 @@
 pub mod bench;
 pub mod buf;
 pub mod json;
-pub mod prop;
 pub mod rng;
 
 pub use buf::Bytes;

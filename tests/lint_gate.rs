@@ -1,13 +1,12 @@
 //! Tier-1 gate: `cargo test` fails if the workspace violates the
 //! lucent-lint rules (hermeticity, layering, determinism, panic budget,
 //! unsafe hygiene, print hygiene, panic provenance, shard isolation,
-//! allocation provenance, per-event heap discipline, policy anomaly,
-//! policy coverage). Equivalent to running the binary:
+//! policy anomaly, policy coverage). Equivalent to running the binary:
 //! `cargo run -p lucent-devtools --bin lucent-lint`.
 //!
 //! Also pins the machine-readable report: `--json` output must be
 //! byte-identical across runs and across `--threads` values (CI diffs
-//! it against `tests/golden/lint-report.json`), the L7/L8/L9/L10/L11
+//! it against `tests/golden/lint-report.json`), the L7/L8/L11
 //! rule fixtures under `crates/devtools/fixtures/` must go red/green
 //! exactly as designed, and `--update-baseline` must refuse to raise
 //! any generated ceiling.
@@ -32,23 +31,12 @@ fn workspace_passes_the_lint_gate() {
     }
     assert!(report.ok(), "{} lint violation(s) — see stderr", report.violations.len());
     // Sanity: the scan actually covered the tree, the symbol graph is
-    // populated, and the panic-site ratchet stays at or below the
-    // PR-5 baseline of 4 (seed was 142).
+    // populated, and the panic-site ratchet stays at or below its one
+    // remaining site (seed was 142).
     assert!(report.files_scanned > 60, "only {} files scanned", report.files_scanned);
     assert!(report.functions > 400, "only {} fns indexed", report.functions);
     assert!(report.call_edges > 1000, "only {} call edges", report.call_edges);
-    assert!(report.panic_total <= 4, "panic ratchet regressed: {}", report.panic_total);
-    // The allocation census actually ran: the detector saw the tree and
-    // every configured hot root resolved with a reachable count.
-    assert!(report.alloc_total > 500, "only {} alloc sites detected", report.alloc_total);
-    assert!(!report.alloc_reach.is_empty(), "no hot roots produced reach counts");
-    for krate in ["netsim", "middlebox", "packet"] {
-        assert!(
-            report.hot_alloc_census.contains_key(krate),
-            "census missing crate {krate}: {:?}",
-            report.hot_alloc_census
-        );
-    }
+    assert!(report.panic_total <= 1, "panic ratchet regressed: {}", report.panic_total);
 }
 
 #[test]
@@ -59,11 +47,10 @@ fn json_report_is_byte_identical_across_runs_and_thread_counts() {
     assert_eq!(serial, again, "two serial runs diverged");
     let wide = run_root_with(root, &Options { threads: 4 }).expect("scan").to_json();
     assert_eq!(serial, wide, "threads=1 and threads=4 diverged");
-    assert!(serial.contains("\"schema\": \"lucent-lint/4\""));
-    assert!(serial.contains("\"alloc_total\""), "schema 4 carries the alloc census");
-    assert!(serial.contains("\"hot_alloc_census\""), "schema 4 carries the alloc census");
-    assert!(serial.contains("\"policy_files\""), "schema 4 carries the policy census");
-    assert!(serial.contains("\"policy_anomaly\""), "schema 4 carries the policy census");
+    assert!(serial.contains("\"schema\": \"lucent-lint/5\""));
+    assert!(!serial.contains("\"alloc_"), "schema 5 carries no allocation estimates");
+    assert!(serial.contains("\"policy_files\""), "schema 5 carries the policy census");
+    assert!(serial.contains("\"policy_anomaly\""), "schema 5 carries the policy census");
 }
 
 #[test]
@@ -87,36 +74,6 @@ fn l7_fixture_goes_green_with_the_reach_baseline() {
         report.panic_reach["crates/core/src/experiments/exp.rs::run_isp"],
         vec!["crates/core/src/experiments/exp.rs:9"]
     );
-}
-
-#[test]
-fn l9_l10_fixture_goes_red_without_alloc_baselines() {
-    let report = run_root(&fixture("alloc-red")).expect("fixture scan");
-    let l9: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule.code() == "L9-alloc-reach")
-        .collect();
-    let l10: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule.code() == "L10-alloc-in-loop")
-        .collect();
-    assert_eq!(l9.len(), 1, "{:?}", report.violations);
-    assert_eq!(l10.len(), 1, "{:?}", report.violations);
-    assert!(l9[0].msg.contains("step"), "{}", l9[0].msg);
-    assert!(l9[0].msg.contains("lib.rs:6 (clone)"), "{}", l9[0].msg);
-    assert!(l10[0].msg.contains("per-event"), "{}", l10[0].msg);
-    assert!(l10[0].msg.contains("lib.rs:6 (clone)"), "{}", l10[0].msg);
-}
-
-#[test]
-fn l9_l10_fixture_goes_green_with_alloc_baselines() {
-    let report = run_root(&fixture("alloc-green")).expect("fixture scan");
-    assert!(report.ok(), "{:?}", report.violations);
-    assert_eq!(report.alloc_reach["crates/engine/src/lib.rs::step"], 1);
-    assert_eq!(report.alloc_in_loop["crates/engine/src/lib.rs::step"], 1);
-    assert_eq!(report.hot_alloc_census["engine"], (1, 1));
 }
 
 #[test]
@@ -167,25 +124,29 @@ fn l8_fixture_goes_green_when_allowlisted() {
     assert!(report.ok(), "{:?}", report.violations);
 }
 
-/// Build a throwaway copy of the `alloc-green` hot path under the
-/// cargo-managed tmpdir with a caller-chosen allowlist, for exercising
-/// `--update-baseline` (which rewrites the allowlist in place).
+/// The scratch tree's one panic site and the entry point reaching it.
+const EXP: &str = "crates/core/src/experiments/exp.rs";
+const RUN_ISP: &str = "crates/core/src/experiments/exp.rs::run_isp";
+
+/// Build a throwaway workspace under the cargo-managed tmpdir — one
+/// experiment entry point reaching one `unwrap` — with a caller-chosen
+/// allowlist, for exercising `--update-baseline` (which rewrites the
+/// allowlist in place).
 fn scratch_workspace(name: &str, allow: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let engine = dir.join("crates/engine/src");
-    std::fs::create_dir_all(&engine).expect("mkdir");
-    std::fs::write(dir.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/engine\"]\n")
+    let experiments = dir.join("crates/core/src/experiments");
+    std::fs::create_dir_all(&experiments).expect("mkdir");
+    std::fs::write(dir.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/core\"]\n")
         .expect("write");
     std::fs::write(
-        dir.join("crates/engine/Cargo.toml"),
-        "[package]\nname = \"fixture-engine\"\nversion = \"0.0.0\"\nedition = \"2021\"\n",
+        dir.join("crates/core/Cargo.toml"),
+        "[package]\nname = \"fixture-core\"\nversion = \"0.0.0\"\nedition = \"2021\"\n",
     )
     .expect("write");
     std::fs::write(
-        engine.join("lib.rs"),
-        "pub fn step(packets: &[Vec<u8>]) -> usize {\n    let mut total = 0;\n    for p in \
-         packets {\n        total += handle(p.clone());\n    }\n    total\n}\n\nfn handle(p: \
-         Vec<u8>) -> usize {\n    p.len()\n}\n",
+        experiments.join("exp.rs"),
+        "pub fn run_isp(sample: Option<u32>) -> u32 {\n    helper(sample)\n}\n\n\
+         fn helper(sample: Option<u32>) -> u32 {\n    sample.unwrap()\n}\n",
     )
     .expect("write");
     std::fs::write(dir.join("lint-allow.toml"), allow).expect("write");
@@ -194,15 +155,14 @@ fn scratch_workspace(name: &str, allow: &str) -> PathBuf {
 
 #[test]
 fn update_baseline_refuses_to_raise_a_generated_ceiling() {
-    let allow = "[hot_roots]\nroots = [\"crates/engine/src/lib.rs::step\"]\n\n\
-                 [alloc_reach]\n\"crates/engine/src/lib.rs::step\" = 0\n";
-    let dir = scratch_workspace("ratchet-raise", allow);
+    let allow = format!("[panic_sites]\n\"{EXP}\" = 0\n");
+    let dir = scratch_workspace("ratchet-raise", &allow);
     let report = lucent_devtools::update_baseline(&dir).expect("update");
     assert!(
         report
             .violations
             .iter()
-            .any(|v| v.msg.contains("refusing to raise the [alloc_reach] baseline")),
+            .any(|v| v.msg.contains("refusing to raise the [panic_sites] baseline")),
         "{:?}",
         report.violations
     );
@@ -212,23 +172,22 @@ fn update_baseline_refuses_to_raise_a_generated_ceiling() {
 
 #[test]
 fn update_baseline_emits_all_generated_tables_in_one_pass() {
-    let allow = "[hot_roots]\nroots = [\"crates/engine/src/lib.rs::step\"]\n\n\
-                 [alloc_reach]\n\"crates/engine/src/lib.rs::step\" = 5\n\n\
-                 [alloc_in_loop]\n\"crates/engine/src/lib.rs::step\" = 4\n";
-    let dir = scratch_workspace("ratchet-shrink", allow);
+    let allow = format!(
+        "[shared_state]\nfiles = [\"{EXP}\"]\n\n\
+         [panic_sites]\n\"{EXP}\" = 5\n\n\
+         [panic_reach]\n\"{RUN_ISP}\" = 4\n"
+    );
+    let dir = scratch_workspace("ratchet-shrink", &allow);
     let report = lucent_devtools::update_baseline(&dir).expect("update");
     assert!(report.ok(), "{:?}", report.violations);
     let after = std::fs::read_to_string(dir.join("lint-allow.toml")).expect("read");
-    // One deterministic pass rewrote every generated table — the alloc
-    // ceilings ratcheted down to the real counts, the panic tables are
-    // present (empty), and the hot-root configuration survived.
-    assert!(after.contains("[panic_sites]"), "{after}");
-    assert!(after.contains("[panic_reach]"), "{after}");
-    assert!(
-        after.contains("roots = [\"crates/engine/src/lib.rs::step\"]"),
-        "hot_roots config lost: {after}"
-    );
-    assert!(after.contains("\"crates/engine/src/lib.rs::step\" = 1\n"), "{after}");
+    // One deterministic pass rewrote every generated table — both panic
+    // ceilings ratcheted down to the real count, the policy table is
+    // present (empty), and the [shared_state] configuration survived.
+    assert!(after.contains(&format!("[panic_sites]\n\"{EXP}\" = 1\n")), "{after}");
+    assert!(after.contains(&format!("[panic_reach]\n\"{RUN_ISP}\" = 1\n")), "{after}");
+    assert!(after.contains("[policy_anomaly]"), "{after}");
+    assert!(after.contains(&format!("files = [\"{EXP}\"]")), "shared_state config lost: {after}");
     assert!(!after.contains("= 5"), "stale ceiling survived: {after}");
     assert!(!after.contains("= 4"), "stale ceiling survived: {after}");
     // Idempotent: a second pass writes the same bytes.
@@ -236,20 +195,6 @@ fn update_baseline_emits_all_generated_tables_in_one_pass() {
     assert!(report2.ok(), "{:?}", report2.violations);
     let again = std::fs::read_to_string(dir.join("lint-allow.toml")).expect("read");
     assert_eq!(after, again);
-}
-
-#[test]
-fn update_baseline_rejects_a_stale_hot_root() {
-    let allow = "[hot_roots]\nroots = [\"crates/engine/src/lib.rs::gone\"]\n";
-    let dir = scratch_workspace("ratchet-stale", allow);
-    let report = lucent_devtools::update_baseline(&dir).expect("update");
-    assert!(
-        report.violations.iter().any(|v| v.msg.contains("stale [hot_roots] entry")),
-        "{:?}",
-        report.violations
-    );
-    let after = std::fs::read_to_string(dir.join("lint-allow.toml")).expect("read");
-    assert_eq!(after, allow, "a stale root must block the rewrite");
 }
 
 #[test]
