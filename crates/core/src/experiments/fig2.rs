@@ -5,7 +5,7 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
-
+use std::num::NonZeroU32;
 
 use lucent_topology::IspId;
 use lucent_web::SiteId;
@@ -21,14 +21,14 @@ pub struct Fig2Options {
     pub isps: Vec<IspId>,
     /// Stride when scanning prefixes for open resolvers (1 = every
     /// address, as the paper scanned the whole IPv4 space of the ISP).
-    pub scan_stride: u32,
+    pub scan_stride: NonZeroU32,
     /// Cap on PBWs queried per resolver (None = all 1200).
     pub max_sites: Option<usize>,
 }
 
 impl Default for Fig2Options {
     fn default() -> Self {
-        Fig2Options { isps: vec![IspId::Mtnl, IspId::Bsnl], scan_stride: 1, max_sites: None }
+        Fig2Options { isps: vec![IspId::Mtnl, IspId::Bsnl], scan_stride: NonZeroU32::MIN, max_sites: None }
     }
 }
 

@@ -356,7 +356,7 @@ impl Lab {
     pub fn bulk_resolve(
         &mut self,
         from: NodeId,
-        queries: &[(Ipv4Addr, String)],
+        queries: &[(Ipv4Addr, &str)],
         window_ms: u64,
     ) -> Vec<Option<Vec<Ipv4Addr>>> {
         let from_ip = self.host_ip(from);

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-
+use std::num::NonZeroU32;
 
 use lucent_packet::ipv4::is_bogon;
 use lucent_topology::IspId;
@@ -58,7 +58,8 @@ impl DnsSurvey {
 /// Discover open resolvers by querying every address of the ISP's leaf
 /// prefixes for a well-known uncensored name (§3.2-III "our own
 /// institution's website" — here a popular site with a known answer).
-pub fn find_open_resolvers(lab: &mut Lab, isp: IspId, stride: u32) -> Vec<Ipv4Addr> {
+/// Probes host offsets 2, 2 + `stride`, 2 + 2·`stride`, … of each prefix.
+pub fn find_open_resolvers(lab: &mut Lab, isp: IspId, stride: NonZeroU32) -> Vec<Ipv4Addr> {
     let probe_site = lab.india.corpus.popular[0];
     let domain = lab.india.corpus.site(probe_site).domain.clone();
     let expected: Vec<Ipv4Addr> = lab.india.corpus.site(probe_site).replicas.clone();
@@ -68,8 +69,8 @@ pub fn find_open_resolvers(lab: &mut Lab, isp: IspId, stride: u32) -> Vec<Ipv4Ad
     for prefix in &prefixes {
         let mut host = 2u32;
         while host < prefix.size() as u32 - 1 {
-            queries.push((prefix.nth(host), domain.clone()));
-            host += stride;
+            queries.push((prefix.nth(host), domain.as_str()));
+            host += stride.get();
         }
     }
     let answers = lab.bulk_resolve(client, &queries, 2_500);
@@ -92,11 +93,15 @@ pub fn find_open_resolvers(lab: &mut Lab, isp: IspId, stride: u32) -> Vec<Ipv4Ad
 pub fn reference_answers(lab: &mut Lab, pbw: &[SiteId]) -> Vec<Option<Vec<Ipv4Addr>>> {
     let tor = lab.india.tor;
     let public = lab.india.public_dns_ip;
-    let ref_queries: Vec<(Ipv4Addr, String)> = pbw
-        .iter()
-        .map(|&s| (public, lab.india.corpus.site(s).domain.clone()))
-        .collect();
+    let domains = pbw_domains(lab, pbw);
+    let ref_queries: Vec<(Ipv4Addr, &str)> = domains.iter().map(|d| (public, d.as_str())).collect();
     lab.bulk_resolve(tor, &ref_queries, 2_500)
+}
+
+/// The domain of every PBW, copied once so a scan can borrow them while
+/// it drives the lab.
+fn pbw_domains(lab: &Lab, pbw: &[SiteId]) -> Vec<String> {
+    pbw.iter().map(|&s| lab.india.corpus.site(s).domain.clone()).collect()
 }
 
 /// Judge one resolver's answer sheet against the reference with the
@@ -146,12 +151,14 @@ pub fn survey_batch(
 ) -> Vec<ResolverScan> {
     let client = lab.client_of(isp);
     let prefix = lab.india.isps[&isp].prefix;
+    let domains = pbw_domains(lab, pbw);
+    let mut queries: Vec<(Ipv4Addr, &str)> =
+        domains.iter().map(|d| (Ipv4Addr::UNSPECIFIED, d.as_str())).collect();
     let mut poisoned = Vec::new();
     for &resolver in resolvers {
-        let queries: Vec<(Ipv4Addr, String)> = pbw
-            .iter()
-            .map(|&s| (resolver, lab.india.corpus.site(s).domain.clone()))
-            .collect();
+        for query in &mut queries {
+            query.0 = resolver;
+        }
         let answers = lab.bulk_resolve(client, &queries, 2_500);
         let manipulated = judge_answers(pbw, &answers, reference, prefix);
         if !manipulated.is_empty() {
@@ -183,7 +190,7 @@ mod tests {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
         let deployed: Vec<Ipv4Addr> =
             lab.india.isps[&IspId::Mtnl].resolvers.iter().map(|(ip, _)| *ip).collect();
-        let found = find_open_resolvers(&mut lab, IspId::Mtnl, 1);
+        let found = find_open_resolvers(&mut lab, IspId::Mtnl, NonZeroU32::MIN);
         for ip in &deployed {
             assert!(found.contains(ip), "missed resolver {ip}");
         }
@@ -220,11 +227,7 @@ mod tests {
         let resolver = lab.india.isps[&IspId::Mtnl].default_resolver;
         let dead = Ipv4Addr::new(203, 0, 113, 250);
         let domain = lab.india.corpus.site(lab.india.corpus.popular[0]).domain.clone();
-        let queries = vec![
-            (dead, domain.clone()),
-            (resolver, domain.clone()),
-            (dead, domain),
-        ];
+        let queries = [(dead, domain.as_str()), (resolver, &domain), (dead, &domain)];
         let answers = lab.bulk_resolve(client, &queries, 2_500);
         assert_eq!(answers.len(), queries.len());
         assert!(answers[0].is_none() && answers[2].is_none(), "{answers:?}");

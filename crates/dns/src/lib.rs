@@ -19,4 +19,4 @@ pub mod resolver;
 
 pub use catalog::{DnsCatalog, RegionId, SharedCatalog};
 pub use injector::DnsInjectorNode;
-pub use resolver::{PoisonMode, ResolverApp};
+pub use resolver::{Blocklist, PoisonMode, ResolverApp};

@@ -1,8 +1,9 @@
 //! Resolver applications: honest resolution and the poisoned variant the
 //! paper finds in MTNL and BSNL.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use lucent_obs::Level;
 use lucent_packet::dns::{DnsMessage, Name, Rcode};
@@ -34,17 +35,97 @@ impl PoisonMode {
     }
 }
 
+/// An ISP's DNS blocklist, interned once and shared (behind an `Rc`) by
+/// every resolver of the ISP. Each resolver marks its own subset with a
+/// membership bitset over the list's slots (see [`Blocklist::members`]).
+#[derive(Debug, Default)]
+pub struct Blocklist {
+    /// The names, sorted and deduplicated.
+    names: Box<[Name]>,
+    /// [`prefix_key`] of each name. Ascending, because the key never
+    /// orders two names differently from the names themselves.
+    keys: Box<[u64]>,
+}
+
+/// The first eight bytes of `name`, zero-padded, as a big-endian
+/// integer: comparing keys is one integer compare instead of a string
+/// compare, and `prefix_key(a) < prefix_key(b)` implies `a < b`.
+fn prefix_key(name: &Name) -> u64 {
+    let bytes = name.as_str().as_bytes();
+    let mut key = [0; 8];
+    let n = bytes.len().min(8);
+    key[..n].copy_from_slice(&bytes[..n]);
+    u64::from_be_bytes(key)
+}
+
+impl Blocklist {
+    /// Intern `names`: sort and deduplicate them into a shared list, and
+    /// return, for each input name in order, its slot in that list.
+    /// Names compare as [`Name`]s do, so case variants of one name share
+    /// a slot.
+    pub fn intern(names: impl IntoIterator<Item = Name>) -> (Rc<Blocklist>, Vec<usize>) {
+        let mut tagged: Vec<(Name, usize)> = names.into_iter().enumerate().map(|(i, n)| (n, i)).collect();
+        tagged.sort_unstable();
+        let mut sorted: Vec<Name> = Vec::new();
+        let mut slots = vec![0; tagged.len()];
+        for (name, input) in tagged {
+            if sorted.last() != Some(&name) {
+                sorted.push(name);
+            }
+            slots[input] = sorted.len() - 1;
+        }
+        let keys = sorted.iter().map(prefix_key).collect();
+        (Rc::new(Blocklist { names: sorted.into(), keys }), slots)
+    }
+
+    /// The slot of `name`, if it is on the list: a binary search that
+    /// compares integer keys and reads the strings only on key ties.
+    pub fn slot(&self, name: &Name) -> Option<usize> {
+        let key = prefix_key(name);
+        let (mut lo, mut hi) = (0, self.names.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let below = match self.keys[mid].cmp(&key) {
+                Ordering::Equal => self.names[mid] < *name,
+                order => order == Ordering::Less,
+            };
+            if below {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (self.names.get(lo) == Some(name)).then_some(lo)
+    }
+
+    /// The membership bitset with `slots` set: bit `i % 64` of word
+    /// `i / 64` marks entry `i` as blocked. Every slot must be on the list.
+    pub fn members(&self, slots: impl IntoIterator<Item = usize>) -> Vec<u64> {
+        let mut bits = vec![0; self.names.len().div_ceil(64)];
+        for slot in slots {
+            bits[slot / 64] |= 1 << (slot % 64);
+        }
+        bits
+    }
+}
+
 /// A recursive resolver serving UDP port 53.
 ///
-/// With an empty blocklist this is an honest resolver; with a blocklist
-/// and a [`PoisonMode`] it is a poisoned one. The distinction the paper
-/// measures — *which* resolvers of an ISP are poisoned, and *which* names
-/// each poisons — lives entirely in per-resolver configuration, which is
-/// how the coverage/consistency spread of Figure 2 arises.
+/// Every resolver of an ISP shares one interned [`Blocklist`] of the
+/// names the ISP blocks anywhere; each resolver keeps a bitset of the
+/// entries it poisons itself. With an empty bitset this is an honest
+/// resolver; with bits set and a [`PoisonMode`] it is a poisoned one.
+/// The distinction the paper measures — *which* resolvers of an ISP are
+/// poisoned, and *which* names each poisons — lives entirely in the
+/// per-resolver bitsets, which is how the coverage/consistency spread of
+/// Figure 2 arises.
 pub struct ResolverApp {
     catalog: SharedCatalog,
     region: RegionId,
-    blocklist: BTreeSet<Name>,
+    /// The ISP-wide blocklist.
+    master: Rc<Blocklist>,
+    /// This resolver's subset of `master` (see [`Blocklist::members`]).
+    members: Vec<u64>,
     mode: PoisonMode,
     /// Count of queries answered (diagnostics).
     pub queries: u64,
@@ -53,50 +134,39 @@ pub struct ResolverApp {
 }
 
 impl ResolverApp {
-    /// An honest resolver.
+    /// An honest resolver: nothing is blocked.
     pub fn honest(catalog: SharedCatalog, region: RegionId) -> Self {
-        ResolverApp {
-            catalog,
-            region,
-            blocklist: BTreeSet::new(),
-            mode: PoisonMode::NxDomain,
-            queries: 0,
-            poisoned_answers: 0,
-        }
+        Self::poisoned(catalog, region, Rc::default(), Vec::new(), PoisonMode::NxDomain)
     }
 
-    /// A poisoned resolver blocking `blocklist` with the given mode.
+    /// A resolver poisoning, with the given mode, the entries of
+    /// `master` whose bits are set in `members`.
     pub fn poisoned(
         catalog: SharedCatalog,
         region: RegionId,
-        blocklist: impl IntoIterator<Item = Name>,
+        master: Rc<Blocklist>,
+        members: Vec<u64>,
         mode: PoisonMode,
     ) -> Self {
-        ResolverApp {
-            catalog,
-            region,
-            blocklist: blocklist.into_iter().collect(),
-            mode,
-            queries: 0,
-            poisoned_answers: 0,
-        }
+        ResolverApp { catalog, region, master, members, mode, queries: 0, poisoned_answers: 0 }
     }
 
     /// True if this resolver manipulates any name.
     pub fn is_poisoned(&self) -> bool {
-        !self.blocklist.is_empty()
+        self.members.iter().any(|&word| word != 0)
     }
 
-    /// The blocklist (ground truth for experiment scoring).
-    pub fn blocklist(&self) -> &BTreeSet<Name> {
-        &self.blocklist
+    /// True if this resolver manipulates `name`.
+    fn blocks(&self, name: &Name) -> bool {
+        let Some(slot) = self.master.slot(name) else { return false };
+        self.members.get(slot / 64).is_some_and(|word| word >> (slot % 64) & 1 == 1)
     }
 
     fn answer(&mut self, query: &DnsMessage) -> DnsMessage {
         let Some(q) = query.questions.first() else {
             return DnsMessage::error(query, Rcode::FormErr);
         };
-        if self.blocklist.contains(&q.name) {
+        if self.blocks(&q.name) {
             self.poisoned_answers += 1;
             return match self.mode.answer_ip() {
                 Some(ip) => DnsMessage::answer_a(query, &[ip], 300),
@@ -169,6 +239,14 @@ mod tests {
         io.out.pop().map(|(_, _, b)| DnsMessage::parse(&b).unwrap())
     }
 
+    /// A resolver over the master `["blocked.example", "other.example"]`
+    /// that blocks `blocked`.
+    fn blocking(blocked: &[&str], mode: PoisonMode) -> ResolverApp {
+        let (master, _) = Blocklist::intern(["blocked.example", "other.example"].map(Name::new));
+        let bits = master.members(blocked.iter().filter_map(|n| master.slot(&Name::new(n))));
+        ResolverApp::poisoned(catalog(), 0, master, bits, mode)
+    }
+
     #[test]
     fn honest_resolver_answers_catalog() {
         let mut app = ResolverApp::honest(catalog(), 0);
@@ -191,10 +269,8 @@ mod tests {
     #[test]
     fn poisoned_resolver_manipulates_only_blocklist() {
         let static_ip = Ipv4Addr::new(59, 144, 1, 1);
-        let mut app = ResolverApp::poisoned(
-            catalog(),
-            0,
-            [Name::new("blocked.example")],
+        let mut app = blocking(
+            &["blocked.example"],
             PoisonMode::StaticIp(static_ip),
         );
         let blocked = ask(&mut app, "blocked.example").unwrap();
@@ -208,10 +284,8 @@ mod tests {
     #[test]
     fn bogon_mode_returns_bogon() {
         let bogon = Ipv4Addr::new(10, 10, 34, 34);
-        let mut app = ResolverApp::poisoned(
-            catalog(),
-            0,
-            [Name::new("blocked.example")],
+        let mut app = blocking(
+            &["blocked.example"],
             PoisonMode::Bogon(bogon),
         );
         let r = ask(&mut app, "blocked.example").unwrap();
@@ -221,10 +295,8 @@ mod tests {
 
     #[test]
     fn nxdomain_mode_denies_existence() {
-        let mut app = ResolverApp::poisoned(
-            catalog(),
-            0,
-            [Name::new("blocked.example")],
+        let mut app = blocking(
+            &["blocked.example"],
             PoisonMode::NxDomain,
         );
         let r = ask(&mut app, "blocked.example").unwrap();
@@ -245,5 +317,86 @@ mod tests {
         app.on_datagram(&mut io, Ipv4Addr::new(1, 1, 1, 1), 1, &bytes);
         assert!(io.out.is_empty());
         assert_eq!(app.queries, 0);
+    }
+
+    #[test]
+    fn a_name_missing_from_the_master_resolves_honestly() {
+        let mut app = blocking(&["blocked.example"], PoisonMode::NxDomain);
+        let r = ask(&mut app, "ok.example").unwrap();
+        assert_eq!(r.a_records(), vec![Ipv4Addr::new(198, 51, 100, 7)]);
+        assert_eq!(app.poisoned_answers, 0);
+    }
+
+    #[test]
+    fn a_master_name_with_its_bit_clear_resolves_honestly() {
+        // "blocked.example" is on the ISP's master but not on this
+        // resolver's subset.
+        let mut app = blocking(&["other.example"], PoisonMode::NxDomain);
+        assert!(app.is_poisoned());
+        let r = ask(&mut app, "blocked.example").unwrap();
+        assert_eq!(r.a_records(), vec![Ipv4Addr::new(198, 51, 100, 8)]);
+        assert_eq!(app.poisoned_answers, 0);
+    }
+
+    #[test]
+    fn a_bitset_shorter_than_the_master_means_not_blocked() {
+        // 130 names need three words; a one-word set covers slots 0..64.
+        let (master, _) = Blocklist::intern((0..130).map(|i| Name::new(&format!("site{i:03}.example"))));
+        assert_eq!(master.names.len(), 130);
+        let mut app = ResolverApp::poisoned(catalog(), 0, master.clone(), vec![1], PoisonMode::NxDomain);
+        assert_eq!(ask(&mut app, "site000.example").unwrap().flags.rcode, Rcode::NxDomain);
+        assert_eq!(app.poisoned_answers, 1);
+        ask(&mut app, "site129.example").unwrap();
+        assert_eq!(app.poisoned_answers, 1, "slot 129 lies past the bitset");
+        let mut bare = ResolverApp::poisoned(catalog(), 0, master, Vec::new(), PoisonMode::NxDomain);
+        ask(&mut bare, "site129.example").unwrap();
+        assert_eq!(bare.poisoned_answers, 0);
+    }
+
+    #[test]
+    fn an_all_zero_bitset_is_not_poisoned() {
+        let (master, _) = Blocklist::intern([Name::new("blocked.example")]);
+        let mut app = ResolverApp::poisoned(catalog(), 0, master, vec![0, 0], PoisonMode::NxDomain);
+        assert!(!app.is_poisoned());
+        let r = ask(&mut app, "blocked.example").unwrap();
+        assert_eq!(r.a_records(), vec![Ipv4Addr::new(198, 51, 100, 8)]);
+    }
+
+    #[test]
+    fn intern_dedupes_case_variants_like_a_name_set() {
+        let input = ["B.example", "a.example.", "b.EXAMPLE", "A.Example", "c.example"];
+        let (master, slots) = Blocklist::intern(input.map(Name::new));
+        let set: std::collections::BTreeSet<Name> = input.map(Name::new).into_iter().collect();
+        assert!(master.names.iter().eq(set.iter()), "{master:?} vs {set:?}");
+        assert_eq!(slots, vec![1, 0, 1, 0, 2]);
+        // Blocking the upper-case spelling blocks every spelling.
+        let bits = master.members([slots[0]]);
+        let mut app = ResolverApp::poisoned(catalog(), 0, master, bits, PoisonMode::NxDomain);
+        assert_eq!(ask(&mut app, "b.example").unwrap().flags.rcode, Rcode::NxDomain);
+        assert_eq!(ask(&mut app, "B.EXAMPLE").unwrap().flags.rcode, Rcode::NxDomain);
+        assert_eq!(app.poisoned_answers, 2);
+    }
+
+    #[test]
+    fn slot_finds_names_that_share_an_eight_byte_prefix() {
+        let names = ["abcdefgh", "abcdefgh.in", "abcdefgh.com", "abcdefgi", "abc", "", "zz"];
+        let (master, slots) = Blocklist::intern(names.map(Name::new));
+        for (name, slot) in names.iter().zip(&slots) {
+            assert_eq!(master.slot(&Name::new(name)), Some(*slot), "{name}");
+            assert_eq!(master.names[*slot], Name::new(name));
+        }
+        for absent in ["abcdefgh.org", "abcdefg", "ab", "abcdefgj", "zzz", "a"] {
+            assert_eq!(master.slot(&Name::new(absent)), None, "{absent}");
+        }
+        assert_eq!(Blocklist::default().slot(&Name::new("abc")), None);
+    }
+
+    #[test]
+    fn members_sets_exactly_the_given_slots() {
+        let list = |n: usize| Blocklist::intern((0..n).map(|i| Name::new(&format!("s{i:03}")))).0;
+        assert!(list(0).members([]).is_empty());
+        assert_eq!(list(65).members([0, 3, 64]), vec![0b1001, 1]);
+        assert_eq!(list(130).members([129]), vec![0, 0, 2]);
+        assert_eq!(list(130).members([]), vec![0; 3]);
     }
 }

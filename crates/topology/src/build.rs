@@ -5,10 +5,11 @@ use std::net::Ipv4Addr;
 
 use lucent_netsim::SimRng;
 
-use lucent_dns::{catalog, DnsCatalog, PoisonMode, RegionId, ResolverApp, SharedCatalog};
+use lucent_dns::{catalog, Blocklist, DnsCatalog, PoisonMode, RegionId, ResolverApp, SharedCatalog};
 use lucent_middlebox::{builtin, Instance, MiddleboxConfig, NoticeStyle, Policy, PolicyBox};
 use lucent_netsim::routing::Cidr;
 use lucent_netsim::{IfaceId, Network, Node, NodeId, RouterNode, SimDuration};
+use lucent_packet::dns::Name;
 use lucent_tcp::{FixedResponder, TcpHost};
 use lucent_web::{Corpus, IpAllocator, ServerConfig, SiteId, WebServerApp};
 
@@ -838,7 +839,11 @@ impl India {
         let mut default_resolver = honest_ip;
         if let Some(dp) = cfg.dns.get(&isp_id) {
             let dns_master = sample_sites(rng, &corpus.pbw, dp.blocked_sites);
-            truth.dns_master.insert(isp_id, dns_master.clone());
+            // One interned name list per ISP; `slots[j]` is the master
+            // slot of the j-th site of `dns_master` (ascending SiteId).
+            let (master, slots) = Blocklist::intern(dns_master.iter().map(|s| Name::new(&corpus.site(*s).domain)));
+            // (site, slot) pairs one poisoned resolver blocks, reused.
+            let mut picked: Vec<(SiteId, usize)> = Vec::new();
             let mut poisoned_truth = Vec::new();
             let extra = dp.resolvers.saturating_sub(1); // honest one exists
             for i in 0..extra {
@@ -847,41 +852,35 @@ impl India {
                 let rip = ip(leaf as u8, fourth);
                 let mut host = TcpHost::new(rip, format!("{}-dns-{rip}", isp_id.name()), cfg.seed ^ 5);
                 let app = if i < dp.poisoned {
-                    let mut blocklist: BTreeSet<SiteId> = dns_master
-                        .iter()
-                        .copied()
-                        .filter(|site| {
-                            let q = dp.consistency_q.0
-                                + (dp.consistency_q.1 - dp.consistency_q.0)
-                                    * det_unit(&[cfg.seed ^ 0xd15, u64::from(u32::from(prefix.addr)), site.0 as u64]);
-                            det_unit(&[
-                                cfg.seed ^ 0xd16,
-                                u64::from(u32::from(prefix.addr)),
-                                i as u64,
-                                site.0 as u64,
-                            ]) < q
-                        })
-                        .collect();
+                    picked.clear();
+                    picked.extend(dns_master.iter().copied().zip(slots.iter().copied()).filter(|(site, _)| {
+                        let q = dp.consistency_q.0
+                            + (dp.consistency_q.1 - dp.consistency_q.0)
+                                * det_unit(&[cfg.seed ^ 0xd15, u64::from(u32::from(prefix.addr)), site.0 as u64]);
+                        det_unit(&[
+                            cfg.seed ^ 0xd16,
+                            u64::from(u32::from(prefix.addr)),
+                            i as u64,
+                            site.0 as u64,
+                        ]) < q
+                    }));
                     // A poisoned resolver that manipulates nothing is
                     // indistinguishable from an honest one; give each at
                     // least one entry so the deployment counts are real.
-                    if blocklist.is_empty() {
-                        if let Some(&first) = dns_master.iter().nth(i % dns_master.len().max(1)) {
-                            blocklist.insert(first);
+                    if picked.is_empty() {
+                        let j = i % dns_master.len().max(1);
+                        if let (Some(&first), Some(&slot)) = (dns_master.iter().nth(j), slots.get(j)) {
+                            picked.push((first, slot));
                         }
                     }
-                    poisoned_truth.push((rip, blocklist.clone()));
+                    poisoned_truth.push((rip, picked.iter().map(|&(site, _)| site).collect()));
+                    let bits = master.members(picked.iter().map(|&(_, slot)| slot));
                     let mode = if det_unit(&[cfg.seed ^ 0xd17, i as u64]) < dp.static_ip_fraction {
                         PoisonMode::StaticIp(notice_ip)
                     } else {
                         PoisonMode::Bogon(Ipv4Addr::new(10, 10, 34, 34 + (i % 4) as u8))
                     };
-                    ResolverApp::poisoned(
-                        catalog.clone(),
-                        region,
-                        blocklist.iter().map(|s| lucent_packet::dns::Name::new(&corpus.site(*s).domain)),
-                        mode,
-                    )
+                    ResolverApp::poisoned(catalog.clone(), region, master.clone(), bits, mode)
                 } else {
                     ResolverApp::honest(catalog.clone(), region)
                 };
@@ -889,6 +888,7 @@ impl India {
                 let id = attach_host(net, wire, host, leaf);
                 resolvers.push((rip, id));
             }
+            truth.dns_master.insert(isp_id, dns_master);
             truth.dns_resolvers.insert(isp_id, poisoned_truth);
             // Clients of a DNS-censoring ISP are handed a poisoned
             // resolver (the first one, if any were deployed).

@@ -1,6 +1,9 @@
 //! DNS-layer integration: poisoning end-to-end, the resolver survey
 //! against ground truth, and the poisoning-vs-injection discriminator.
 
+use std::collections::BTreeSet;
+use std::num::NonZeroU32;
+
 use lucent_core::lab::Lab;
 use lucent_core::probe::dns_scan::{find_open_resolvers, survey};
 use lucent_core::probe::tracer::{dns_tracer, DnsMechanism};
@@ -104,11 +107,65 @@ fn open_resolver_scan_is_precise() {
     let mut lab = lab();
     for isp in [IspId::Mtnl, IspId::Bsnl] {
         let deployed: Vec<_> = lab.india.isps[&isp].resolvers.iter().map(|(ip, _)| *ip).collect();
-        let found = find_open_resolvers(&mut lab, isp, 1);
+        let found = find_open_resolvers(&mut lab, isp, NonZeroU32::MIN);
         assert_eq!(found.len(), deployed.len(), "{isp}: {found:?}");
         for ip in &found {
             assert!(deployed.contains(ip), "{isp}: {ip} is not a resolver");
         }
+    }
+}
+
+#[test]
+fn every_resolver_poisons_exactly_its_ground_truth_subset() {
+    // Exhaustive over (resolver, master site): a wrong slot or bit index
+    // in a resolver's blocklist shows up as one mismatched pair.
+    let mut lab = lab();
+    for isp in [IspId::Mtnl, IspId::Bsnl] {
+        let client = lab.client_of(isp);
+        let notice_ip = lab.india.isps[&isp].notice_ip;
+        let master = lab.india.truth.dns_master[&isp].clone();
+        let truth = lab.india.truth.dns_resolvers[&isp].clone();
+        let resolvers: Vec<_> = lab.india.isps[&isp].resolvers.iter().map(|(ip, _)| *ip).collect();
+        assert!(truth.iter().any(|(_, bl)| !bl.is_empty()), "{isp}: no poisoned resolver to check");
+        for resolver in resolvers {
+            let blocked = truth
+                .iter()
+                .find(|(ip, _)| *ip == resolver)
+                .map(|(_, bl)| bl.clone())
+                .unwrap_or_default();
+            for &site in &master {
+                let domain = lab.india.corpus.site(site).domain.clone();
+                let out = lab.resolve(client, resolver, &domain);
+                assert!(!out.timed_out, "{isp} {resolver} {domain}");
+                let lied = !out.ips.is_empty() && out.ips.iter().all(|&ip| ip == notice_ip || is_bogon(ip));
+                assert_eq!(lied, blocked.contains(&site), "{isp} {resolver} {domain}: {out:?}");
+                if !lied {
+                    let replicas = &lab.india.corpus.site(site).replicas;
+                    assert!(out.ips.iter().all(|ip| replicas.contains(ip)), "{isp} {resolver} {domain}: {out:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn stride_three_scan_finds_exactly_the_resolvers_at_offsets_two_mod_three() {
+    let mut lab = lab();
+    let stride = NonZeroU32::new(3).expect("3 is non-zero");
+    for isp in [IspId::Mtnl, IspId::Bsnl] {
+        let prefixes = lab.india.isps[&isp].leaf_prefixes.clone();
+        let offset = |ip: std::net::Ipv4Addr| {
+            prefixes
+                .iter()
+                .find(|p| p.contains(ip))
+                .map(|p| u32::from(ip) - u32::from(p.addr))
+                .expect("every resolver sits in a leaf prefix")
+        };
+        let deployed: BTreeSet<_> = lab.india.isps[&isp].resolvers.iter().map(|(ip, _)| *ip).collect();
+        let expected: BTreeSet<_> = deployed.iter().copied().filter(|&ip| offset(ip) % 3 == 2).collect();
+        assert!(!expected.is_empty() && expected.len() < deployed.len(), "{isp}: {deployed:?}");
+        let found: BTreeSet<_> = find_open_resolvers(&mut lab, isp, stride).into_iter().collect();
+        assert_eq!(found, expected, "{isp}");
     }
 }
 
