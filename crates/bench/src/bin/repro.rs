@@ -43,6 +43,7 @@ use lucent_core::experiments::{
 };
 use lucent_core::lab::Lab;
 use lucent_core::metrics::PrecisionRecall;
+use lucent_core::probe::classify::render_rate;
 use lucent_core::probe::manual::inspect;
 use lucent_core::probe::ooni::web_connectivity_with;
 use lucent_topology::{India, IspId};
@@ -280,30 +281,35 @@ fn run_threshold_audit(lab: &mut Lab, caps: Caps, json: &Option<PathBuf>) {
     emit_json(json, "threshold_audit", &results);
 }
 
-/// Ablation: sweep the wiretap slow-injection probability and measure the
-/// render rate (DESIGN.md §5 — the paper's ≈3/10 emerges from this knob).
+/// Ablation: sweep the slow-path probability of Airtel's program and
+/// measure the render rate (DESIGN.md §5 — the paper's ≈3/10 emerges
+/// from this knob). The censored sites are found once, under the
+/// committed program: probing under a device that always loses the race
+/// would find none.
 fn run_ablate_race(scale: Scale, json: &Option<PathBuf>) {
     println!("Ablation: wiretap slow-path probability → render rate (Airtel model)");
+    let sites = race::censored_sites(&mut Lab::new(India::build(scale.config())), IspId::Airtel, 4);
     let mut rows = Vec::new();
     for slow_prob in [0.0, 0.15, 0.3, 0.5, 0.8] {
         let mut cfg = scale.config();
         if let Some(p) = cfg.http.get_mut(&IspId::Airtel) {
-            p.slow_injection = Some((slow_prob, (150_000, 400_000)));
+            p.policy.set_slow_path(slow_prob, (150_000, 400_000));
         }
         let mut lab = Lab::new(India::build(cfg));
-        let r = race::run(
-            &mut lab,
-            &race::RaceOptions { isps: vec![IspId::Airtel], attempts: 10, sites_per_isp: 4 },
-        );
-        let row = &r.rows[0];
+        let (mut rendered, mut attempts) = (0, 0);
+        for &site in &sites {
+            let (r, a) = render_rate(&mut lab, IspId::Airtel, site, 10);
+            rendered += r;
+            attempts += a;
+        }
         println!(
             "  slow_prob {:.2}: rendered {}/{} ({:.0}%)",
             slow_prob,
-            row.rendered,
-            row.attempts,
-            row.rate() * 100.0
+            rendered,
+            attempts,
+            100.0 * rendered as f64 / attempts.max(1) as f64
         );
-        rows.push((slow_prob, row.rendered, row.attempts));
+        rows.push((slow_prob, rendered, attempts));
     }
     println!();
     emit_json(json, "ablate_race", &rows);

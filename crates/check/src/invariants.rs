@@ -4,7 +4,7 @@
 //! - **Header-permutation invariance** (paper §5: middleboxes trigger
 //!   solely on the `Host` header) — a request's censorship verdict must
 //!   not change when censorship-irrelevant headers are added, renamed or
-//!   reordered. Checked at the matcher level, the config level, and
+//!   reordered. Checked at the matcher level, the blocklist level, and
 //!   end-to-end through a client–router–server rig with a live
 //!   policy-interpreted wiretap ([`PolicyBox`]) on a mirror port.
 //! - **Blocklist monotonicity** — growing a blocklist can only grow the
@@ -19,8 +19,8 @@ use lucent_bench::drive::Driver;
 use lucent_bench::Scale;
 use lucent_core::experiments::race::RaceOptions;
 use lucent_middlebox::notice::looks_like_notice;
-use lucent_middlebox::policy::Policy;
-use lucent_middlebox::{HostMatcher, Instance, MiddleboxConfig, NoticeStyle, PolicyBox};
+use lucent_middlebox::compile::compile;
+use lucent_middlebox::{HostMatcher, Instance, PolicyBox};
 use lucent_netsim::routing::Cidr;
 use lucent_netsim::{IfaceId, Network, NodeId, RouterNode, SimDuration};
 use lucent_obs::Telemetry;
@@ -67,9 +67,9 @@ pub fn permuted_request(s: &mut Source, host: &str, path: &str) -> Vec<u8> {
     b.build()
 }
 
-/// Matcher- and config-level §5 invariance: every matcher extracts the
-/// same domain from the canonical and the permuted request, and any
-/// config reaches the same verdict on both.
+/// Matcher- and blocklist-level §5 invariance: every matcher extracts
+/// the same domain from the canonical and the permuted request, and any
+/// matcher over a device blocklist reaches the same verdict on both.
 pub fn header_permutation_verdicts(s: &mut Source) {
     let host = packets::host_name(s);
     let path = packets::url_path(s);
@@ -83,21 +83,20 @@ pub fn header_permutation_verdicts(s: &mut Source) {
     }
     let blocked = s.any_bool();
     let target = if blocked { host.clone() } else { format!("not-{host}") };
-    let mut cfg = MiddleboxConfig::new([target]);
-    cfg.matcher = *s.pick(&MATCHERS);
+    let inst = Instance::of([target], None, 0);
+    let matcher = *s.pick(&MATCHERS);
     let verdict =
-        |req: &[u8]| cfg.matcher.extract(req).is_some_and(|d| cfg.blocks(&d));
+        |req: &[u8]| matcher.extract(req).is_some_and(|d| inst.blocklist.contains(&d));
     assert_eq!(
         verdict(&canonical),
         verdict(&permuted),
-        "verdict changed under header permutation ({:?})",
-        cfg.matcher
+        "verdict changed under header permutation ({matcher:?})"
     );
     assert_eq!(verdict(&canonical), blocked);
 }
 
-/// Config-level blocklist monotonicity: `blocks(B, d)` implies
-/// `blocks(B ∪ {x}, d)` for every extra domain `x`.
+/// Blocklist monotonicity: `d ∈ B` implies `d ∈ B ∪ {x}` for every
+/// extra domain `x`, over the lowercased device blocklist.
 pub fn blocklist_monotonicity(s: &mut Source) {
     let n = s.len_in(1, 4);
     let base: Vec<String> = (0..n).map(|_| packets::dns_name(s)).collect();
@@ -107,12 +106,12 @@ pub fn blocklist_monotonicity(s: &mut Source) {
     } else {
         packets::dns_name(s)
     };
-    let small = MiddleboxConfig::new(base.clone());
-    let big = MiddleboxConfig::new(base.into_iter().chain([extra.clone()]));
-    if small.blocks(&probe) {
-        assert!(big.blocks(&probe), "adding {extra:?} to the blocklist unblocked {probe:?}");
+    let small = Instance::of(base.clone(), None, 0).blocklist;
+    let big = Instance::of(base.into_iter().chain([extra.clone()]), None, 0).blocklist;
+    if small.contains(&probe) {
+        assert!(big.contains(&probe), "adding {extra:?} to the blocklist unblocked {probe:?}");
     }
-    assert!(big.blocks(&extra), "a listed domain must be blocked");
+    assert!(big.contains(&extra), "a listed domain must be blocked");
 }
 
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -124,12 +123,27 @@ struct Rig {
     wm: NodeId,
 }
 
+/// Airtel's committed rule without its slow tail, so the injection
+/// always wins the rig's race.
+const RIG_POLICY: &str = r#"
+[policy]
+name = "rig-wm"
+family = "wiretap"
+
+[[rule]]
+trigger = "host-header"
+matcher = "exact-token"
+hosts = "blocklist"
+action = ["inject-notice", "inject-rst"]
+notice = "airtel"
+ip_id = 242
+delay_us = { lo = 300, hi = 900 }
+"#;
+
 /// client — router (mirror → WM) — server, with the server 30 ms away so
 /// the wiretap's injection deterministically wins the race. The device
-/// is a [`PolicyBox`] running the single-rule wiretap program derived
-/// from `cfg` — the same construction path the topology uses for
-/// censors without a committed policy file.
-fn build_rig(cfg: MiddleboxConfig) -> Rig {
+/// is a [`PolicyBox`] running [`RIG_POLICY`] over `blocklist`.
+fn build_rig(blocklist: &[String]) -> Rig {
     let mut net = Network::new();
     let client = net.add_node(Box::new(TcpHost::new(CLIENT, "client", 1)));
     let mut server_host = TcpHost::new(SERVER, "server", 2);
@@ -149,29 +163,13 @@ fn build_rig(cfg: MiddleboxConfig) -> Rig {
     r.table.add(Cidr::new(SERVER, 24), IfaceId(1));
     r.mirrors.push(IfaceId(2));
     let r = net.add_node(Box::new(r));
-    let mut policy = Policy::wiretap_like(
-        "wm",
-        cfg.matcher,
-        cfg.notice.clone(),
-        cfg.fixed_ip_id,
-        cfg.injection_delay_us,
-        cfg.slow_injection,
-    );
-    policy.ports = cfg.ports.clone();
-    policy.flow_timeout = cfg.flow_timeout;
-    let inst = Instance { blocklist: cfg.blocklist, client_filter: cfg.client_filter, seed: cfg.seed };
+    let policy = must(compile(RIG_POLICY).ok(), "rig policy");
+    let inst = Instance::of(blocklist.iter().cloned(), None, 0);
     let wm = net.add_node(Box::new(PolicyBox::new(policy, inst, "wm")));
     net.connect(client, IfaceId::PRIMARY, r, IfaceId(0), SimDuration::from_millis(1));
     net.connect(r, IfaceId(1), server, IfaceId::PRIMARY, SimDuration::from_millis(31));
     net.connect(r, IfaceId(2), wm, IfaceId::PRIMARY, SimDuration::from_micros(80));
     Rig { net, client, wm }
-}
-
-fn wm_config(target: &str) -> MiddleboxConfig {
-    let mut cfg = MiddleboxConfig::new([target.to_string()]);
-    cfg.fixed_ip_id = Some(242);
-    cfg.notice = Some(NoticeStyle::airtel_like());
-    cfg
 }
 
 /// Open a connection, send `request` verbatim, and return what the
@@ -204,23 +202,21 @@ pub fn wiretap_verdicts_are_header_invariant(s: &mut Source) {
     let permuted = permuted_request(s, &host, &path);
     let extra = packets::dns_name(s);
 
-    let observe = |cfg: MiddleboxConfig, req: &[u8]| {
-        let mut rig = build_rig(cfg);
+    let observe = |blocklist: &[String], req: &[u8]| {
+        let mut rig = build_rig(blocklist);
         let got = fetch_raw(&mut rig, req);
         let notice = HttpResponse::parse(&got).ok().map(|r| looks_like_notice(&r));
         (injections(&rig), notice)
     };
 
-    let (inj_canon, notice_canon) = observe(wm_config(&target), &canonical);
-    let (inj_perm, notice_perm) = observe(wm_config(&target), &permuted);
+    let (inj_canon, notice_canon) = observe(&[target.clone()], &canonical);
+    let (inj_perm, notice_perm) = observe(&[target.clone()], &permuted);
     assert_eq!(inj_canon, inj_perm, "injection count changed under header permutation");
     assert_eq!(notice_canon, notice_perm, "client outcome changed under header permutation");
     assert_eq!(inj_canon > 0, blocked, "the wiretap fired iff the host was listed");
     assert_eq!(notice_canon, Some(blocked), "the client saw the notice iff blocked");
 
-    let mut bigger = wm_config(&target);
-    bigger.blocklist.insert(format!("extra-{extra}"));
-    let (inj_big, notice_big) = observe(bigger, &canonical);
+    let (inj_big, notice_big) = observe(&[target, format!("extra-{extra}")], &canonical);
     assert_eq!(inj_big, inj_canon, "growing the blocklist changed the injection count");
     assert_eq!(notice_big, notice_canon, "growing the blocklist changed the outcome");
 }

@@ -71,7 +71,7 @@ pub struct Race {
 
 /// Find sites actually censored on the client's direct path (render-rate
 /// only means something on censored paths).
-fn censored_sites(lab: &mut Lab, isp: IspId, want: usize) -> Vec<SiteId> {
+pub fn censored_sites(lab: &mut Lab, isp: IspId, want: usize) -> Vec<SiteId> {
     let master: Vec<SiteId> = lab
         .india
         .truth

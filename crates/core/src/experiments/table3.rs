@@ -56,7 +56,7 @@ pub struct Table3 {
 /// (§6.1 heuristic 3): every censor's iframe URL is distinctive.
 fn attribute_by_notice(lab: &Lab, resp: &HttpResponse) -> Option<IspId> {
     for (isp, profile) in &lab.india.cfg.http {
-        if let Some(style) = &profile.notice {
+        if let Some(style) = profile.policy.notice() {
             if style.matches(resp) {
                 return Some(*isp);
             }

@@ -751,7 +751,9 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
     Ok((Policy { name, family, ports, flow_timeout, rules }, rule_lines))
 }
 
-/// Names of the four committed ISP policy files.
+/// Names of the four access-ISP policy files. TATA's border program,
+/// `tata-wm`, is committed beside them but is not an access ISP's, so
+/// it is reachable through [`builtin`] only.
 pub fn builtin_names() -> [&'static str; 4] {
     ["airtel-wm", "jio-wm", "idea-im", "vodafone-im"]
 }
@@ -763,6 +765,7 @@ pub fn builtin(name: &str) -> Result<Policy, PolicyError> {
         "jio-wm" => include_str!("../policies/jio-wm.toml"),
         "idea-im" => include_str!("../policies/idea-im.toml"),
         "vodafone-im" => include_str!("../policies/vodafone-im.toml"),
+        "tata-wm" => include_str!("../policies/tata-wm.toml"),
         other => return err(0, format!("unknown builtin policy `{other}`")),
     };
     compile(text)
@@ -771,7 +774,7 @@ pub fn builtin(name: &str) -> Result<Policy, PolicyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Instance;
+    use crate::config::Instance;
 
     fn msg(text: &str) -> String {
         match compile(text) {
@@ -782,7 +785,7 @@ mod tests {
 
     #[test]
     fn builtins_compile() {
-        for name in builtin_names() {
+        for name in builtin_names().into_iter().chain(["tata-wm"]) {
             let policy = builtin(name).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(policy.name, name);
             assert!(!policy.rules.is_empty());
@@ -809,6 +812,39 @@ mod tests {
         let Action::Fire(act) = &p.rules[0].action else { panic!("vodafone rule passes") };
         assert!(act.notice.is_none() && act.rst && act.reset_server && act.drop_flow);
         assert_eq!(act.ip_id, IpIdSpec::DeviceMark);
+    }
+
+    #[test]
+    fn tata_builtin_is_the_single_rule_border_wiretap() {
+        // Field by field, the single-rule border wiretap TATA's devices
+        // run: exact-token match, TATA's own notice, hashed IP-ID, no
+        // slow tail.
+        let p = builtin("tata-wm").unwrap();
+        assert_eq!(p.name, "tata-wm");
+        assert_eq!(p.family, Family::Wiretap);
+        assert_eq!(p.ports, Some([80].into_iter().collect()));
+        assert_eq!(p.flow_timeout, SimDuration::from_secs(150));
+        let fire = FireSpec {
+            notice: Some(NoticeStyle {
+                iframe_url: "http://www.tatacommunications.com/dot-blocked".into(),
+                server_header: "nginx".into(),
+                statutory_text: "Blocked under DoT instructions.".into(),
+            }),
+            rst: true,
+            reset_server: false,
+            drop_flow: false,
+            ip_id: IpIdSpec::SeqHash,
+            delay: DelaySpec { base: Some((300, 900)), slow: None },
+        };
+        let rule = Rule {
+            name: None,
+            matcher: HostMatcher::ExactToken,
+            hosts: HostSet::Blocklist,
+            after: None,
+            probability: None,
+            action: Action::Fire(fire),
+        };
+        assert_eq!(p.rules, vec![rule]);
     }
 
     #[test]
@@ -855,7 +891,7 @@ mod tests {
 
     #[test]
     fn unknown_builtin_is_an_error() {
-        assert_eq!(builtin("tata-wm").unwrap_err().to_string(), "unknown builtin policy `tata-wm`");
+        assert_eq!(builtin("sify-wm").unwrap_err().to_string(), "unknown builtin policy `sify-wm`");
     }
 
     #[test]

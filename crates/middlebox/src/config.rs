@@ -1,79 +1,51 @@
-//! Shared middlebox configuration.
+//! Per-device censor configuration.
+//!
+//! A compiled [`crate::policy::Policy`] describes what *every* device of
+//! an ISP does; an [`Instance`] carries what a policy file deliberately
+//! leaves open so one program serves them all: the device's blocklist,
+//! the clients it watches, and its RNG seed.
 
 use std::collections::BTreeSet;
+use std::net::Ipv4Addr;
 
 use lucent_netsim::routing::Cidr;
-use lucent_netsim::SimDuration;
 
-use crate::matcher::HostMatcher;
-use crate::notice::NoticeStyle;
-
-/// Configuration shared by wiretap and interceptive middleboxes.
-#[derive(Debug, Clone)]
-pub struct MiddleboxConfig {
-    /// Domains this device censors (lowercase).
+/// Per-device instantiation parameters: what a policy file deliberately
+/// leaves open so one program serves every device of an ISP.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Instance {
+    /// Domains this device censors (lowercased on construction).
     pub blocklist: BTreeSet<String>,
-    /// How the device extracts the requested domain.
-    pub matcher: HostMatcher,
-    /// Destination ports inspected. `None` is the "ideal middlebox" that
-    /// inspects agnostic of port; the deployed ones watch only 80
-    /// (Section 6.3).
-    pub ports: Option<BTreeSet<u16>>,
-    /// When set, only flows whose *client* address falls in one of these
-    /// prefixes are inspected — the Jio behaviour that makes its
-    /// middleboxes invisible to vantage points outside the ISP.
+    /// Client prefixes eligible for inspection; `None` inspects all.
+    /// Jio's prefixes make its middleboxes invisible to vantage points
+    /// outside the ISP.
     pub client_filter: Option<Vec<Cidr>>,
-    /// Flow-state idle timeout (paper: 2–3 minutes).
-    pub flow_timeout: SimDuration,
-    /// Notification page; `None` makes the device covert (bare RST).
-    pub notice: Option<NoticeStyle>,
-    /// Fixed IP-Identifier stamped on injected packets (Airtel: 242);
-    /// `None` means a varying, hash-derived id.
-    pub fixed_ip_id: Option<u16>,
-    /// Injection processing delay range in microseconds — the wiretap
-    /// race margin.
-    pub injection_delay_us: (u64, u64),
-    /// Occasional slow path of a wiretap device: with probability `.0`
-    /// the injection takes a delay drawn from range `.1` (microseconds)
-    /// instead. Wiretaps "cannot outpace the client–PBW traffic flow"
-    /// (§4.2.1) — this tail is why ≈3/10 requests render anyway.
-    pub slow_injection: Option<(f64, (u64, u64))>,
-    /// RNG seed for the injection delay jitter.
+    /// RNG seed for probability gates and delay jitter.
     pub seed: u64,
 }
 
-impl MiddleboxConfig {
-    /// A config blocking `domains` with conventional defaults: port 80
-    /// only, 150 s flow timeout, overt Airtel-style notice.
-    pub fn new(domains: impl IntoIterator<Item = String>) -> Self {
-        MiddleboxConfig {
-            blocklist: domains.into_iter().map(|d| d.to_ascii_lowercase()).collect(),
-            matcher: HostMatcher::ExactToken,
-            ports: Some([80].into_iter().collect()),
-            client_filter: None,
-            flow_timeout: SimDuration::from_secs(150),
-            notice: Some(NoticeStyle::airtel_like()),
-            fixed_ip_id: None,
-            injection_delay_us: (300, 900),
-            slow_injection: None,
-            seed: 0,
-        }
-    }
-
-    /// Is `port` subject to inspection?
-    pub fn inspects_port(&self, port: u16) -> bool {
-        self.ports.as_ref().map(|p| p.contains(&port)).unwrap_or(true)
+impl Instance {
+    /// Build an instance; domains are lowercased, the form the host
+    /// matchers extract.
+    pub fn of(
+        domains: impl IntoIterator<Item = String>,
+        client_filter: Option<Vec<Cidr>>,
+        seed: u64,
+    ) -> Instance {
+        let blocklist = domains.into_iter().map(|d| d.to_ascii_lowercase()).collect();
+        Instance { blocklist, client_filter, seed }
     }
 
     /// Is a client address eligible for inspection?
-    pub fn inspects_client(&self, client: std::net::Ipv4Addr) -> bool {
+    pub fn inspects_client(&self, client: Ipv4Addr) -> bool {
         self.client_filter
             .as_ref()
             .map(|prefixes| prefixes.iter().any(|p| p.contains(client)))
             .unwrap_or(true)
     }
 
-    /// Is `domain` (already lowercased by the matcher) blocked?
+    /// Is `domain` (already lowercased by the matcher) on this device's
+    /// blocklist?
     pub fn blocks(&self, domain: &str) -> bool {
         self.blocklist.contains(domain)
     }
@@ -82,35 +54,37 @@ impl MiddleboxConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::Ipv4Addr;
+    use crate::compile::builtin;
 
     #[test]
     fn defaults_inspect_port_80_only() {
-        let cfg = MiddleboxConfig::new(["x.example".to_string()]);
-        assert!(cfg.inspects_port(80));
-        assert!(!cfg.inspects_port(8080));
+        let policy = builtin("airtel-wm").unwrap();
+        assert!(policy.inspects_port(80));
+        assert!(!policy.inspects_port(8080));
     }
 
     #[test]
     fn ideal_middlebox_inspects_all_ports() {
-        let mut cfg = MiddleboxConfig::new(["x.example".to_string()]);
-        cfg.ports = None;
-        assert!(cfg.inspects_port(8080));
-        assert!(cfg.inspects_port(443));
+        let mut policy = builtin("airtel-wm").unwrap();
+        policy.ports = None;
+        assert!(policy.inspects_port(8080));
+        assert!(policy.inspects_port(443));
     }
 
     #[test]
     fn client_filter_gates_inspection() {
-        let mut cfg = MiddleboxConfig::new(["x.example".to_string()]);
-        cfg.client_filter = Some(vec!["10.50.0.0/16".parse().unwrap()]);
-        assert!(cfg.inspects_client(Ipv4Addr::new(10, 50, 3, 3)));
-        assert!(!cfg.inspects_client(Ipv4Addr::new(172, 16, 0, 1)));
+        let filter = Some(vec!["10.50.0.0/16".parse().unwrap()]);
+        let inst = Instance::of(["x.example".to_string()], filter, 0);
+        assert!(inst.inspects_client(Ipv4Addr::new(10, 50, 3, 3)));
+        assert!(!inst.inspects_client(Ipv4Addr::new(172, 16, 0, 1)));
+        let unfiltered = Instance::of(["x.example".to_string()], None, 0);
+        assert!(unfiltered.inspects_client(Ipv4Addr::new(172, 16, 0, 1)));
     }
 
     #[test]
     fn blocklist_is_lowercased() {
-        let cfg = MiddleboxConfig::new(["MiXeD.Example".to_string()]);
-        assert!(cfg.blocks("mixed.example"));
-        assert!(!cfg.blocks("other.example"));
+        let inst = Instance::of(["MiXeD.Example".to_string()], None, 0);
+        assert!(inst.blocks("mixed.example"));
+        assert!(!inst.blocks("other.example"));
     }
 }

@@ -41,7 +41,7 @@ pub mod notice;
 pub mod policy;
 
 pub use compile::{builtin, PolicyError};
-pub use config::MiddleboxConfig;
 pub use matcher::HostMatcher;
 pub use notice::NoticeStyle;
-pub use policy::{Instance, Policy, PolicyBox};
+pub use config::Instance;
+pub use policy::{Policy, PolicyBox};

@@ -12,7 +12,9 @@
 //! behind the same [`Node`] surface the netsim engine already drives.
 //!
 //! Policies are compiled from TOML files by [`crate::compile`]; the
-//! four committed ISP programs live under `crates/middlebox/policies/`.
+//! five committed programs (the four access ISPs' and TATA's border
+//! wiretap) live under `crates/middlebox/policies/`, and every censor
+//! device the topology builds runs one of them.
 //! The hardcoded `WiretapMiddlebox` / `InterceptiveMiddlebox` structs
 //! this engine replaced are gone; their behaviour survives as recorded
 //! transcripts (`tests/golden/mb-*.transcript`) that the
@@ -32,13 +34,13 @@ use std::net::Ipv4Addr;
 
 use lucent_obs::Level;
 use lucent_support::{Bytes, Json, ToJson};
-use lucent_netsim::routing::Cidr;
 use lucent_netsim::SimRng;
 
 use lucent_netsim::{IfaceId, Node, NodeCtx, SimDuration, SimTime};
 use lucent_packet::tcp::{TcpFlags, TcpHeader};
 use lucent_packet::{Packet, Transport};
 
+use crate::config::Instance;
 use crate::flow::{FlowKey, FlowTable, Inspectable, Stage};
 use crate::matcher::HostMatcher;
 use crate::notice::NoticeStyle;
@@ -161,109 +163,32 @@ pub struct Policy {
     pub rules: Vec<Rule>,
 }
 
-/// Per-device instantiation parameters: what a policy file deliberately
-/// leaves open so one program serves every device of an ISP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Instance {
-    /// Domains this device censors (lowercased on construction).
-    pub blocklist: BTreeSet<String>,
-    /// Client prefixes eligible for inspection; `None` inspects all.
-    pub client_filter: Option<Vec<Cidr>>,
-    /// RNG seed for probability gates and delay jitter.
-    pub seed: u64,
-}
-
-impl Instance {
-    /// Build an instance; domains are lowercased like
-    /// [`crate::MiddleboxConfig::new`] does.
-    pub fn of(
-        domains: impl IntoIterator<Item = String>,
-        client_filter: Option<Vec<Cidr>>,
-        seed: u64,
-    ) -> Instance {
-        let blocklist = domains.into_iter().map(|d| d.to_ascii_lowercase()).collect();
-        Instance { blocklist, client_filter, seed }
-    }
-}
-
-fn port_80_only() -> Option<BTreeSet<u16>> {
-    let mut ports = BTreeSet::new();
-    ports.insert(80);
-    Some(ports)
-}
-
 impl Policy {
-    /// A single-rule wiretap program from profile primitives — the
-    /// construction path for censors without a committed policy file
-    /// (and the fallback should a builtin ever fail to compile).
-    pub fn wiretap_like(
-        name: impl Into<String>,
-        matcher: HostMatcher,
-        notice: Option<NoticeStyle>,
-        fixed_ip_id: Option<u16>,
-        injection_delay_us: (u64, u64),
-        slow_injection: Option<(f64, (u64, u64))>,
-    ) -> Policy {
-        let rules = vec![Rule {
-            name: None,
-            matcher,
-            hosts: HostSet::Blocklist,
-            after: None,
-            probability: None,
-            action: Action::Fire(FireSpec {
-                notice,
-                rst: true,
-                reset_server: false,
-                drop_flow: false,
-                ip_id: match fixed_ip_id {
-                    Some(v) => IpIdSpec::Fixed(v),
-                    None => IpIdSpec::SeqHash,
-                },
-                delay: DelaySpec { base: Some(injection_delay_us), slow: slow_injection },
-            }),
-        }];
-        Policy {
-            name: name.into(),
-            family: Family::Wiretap,
-            ports: port_80_only(),
-            flow_timeout: SimDuration::from_secs(150),
-            rules,
-        }
+    /// Is destination `port` subject to inspection?
+    pub fn inspects_port(&self, port: u16) -> bool {
+        self.ports.as_ref().map(|p| p.contains(&port)).unwrap_or(true)
     }
 
-    /// A single-rule interceptive program from profile primitives.
-    /// `notice == None` programs the covert bare-RST answer.
-    pub fn interceptive_like(
-        name: impl Into<String>,
-        matcher: HostMatcher,
-        notice: Option<NoticeStyle>,
-        fixed_ip_id: Option<u16>,
-    ) -> Policy {
-        let covert = notice.is_none();
-        let rules = vec![Rule {
-            name: None,
-            matcher,
-            hosts: HostSet::Blocklist,
-            after: None,
-            probability: None,
-            action: Action::Fire(FireSpec {
-                notice,
-                rst: covert,
-                reset_server: true,
-                drop_flow: true,
-                ip_id: match fixed_ip_id {
-                    Some(v) => IpIdSpec::Fixed(v),
-                    None => IpIdSpec::DeviceMark,
-                },
-                delay: DelaySpec { base: None, slow: None },
-            }),
-        }];
-        Policy {
-            name: name.into(),
-            family: Family::Interceptive,
-            ports: port_80_only(),
-            flow_timeout: SimDuration::from_secs(150),
-            rules,
+    /// The notice page this program forges: the first one its firing
+    /// rules name. `None` for a covert program that only answers with
+    /// RSTs.
+    pub fn notice(&self) -> Option<&NoticeStyle> {
+        self.rules.iter().find_map(|rule| match &rule.action {
+            Action::Fire(fire) => fire.notice.as_ref(),
+            Action::Pass => None,
+        })
+    }
+
+    /// Give every firing rule the slow path `(p, range_us)`: with
+    /// probability `p` an injection takes a delay drawn from `range_us`
+    /// instead of the normal range. Only timed (wiretap) rules draw, so
+    /// an interceptive program is unaffected. The race ablation sweeps
+    /// this knob.
+    pub fn set_slow_path(&mut self, p: f64, range_us: (u64, u64)) {
+        for rule in &mut self.rules {
+            if let Action::Fire(fire) = &mut rule.action {
+                fire.delay.slow = Some((p, range_us));
+            }
         }
     }
 }
@@ -285,9 +210,9 @@ enum FireNote {
     Intercept { covert: bool },
 }
 
-fn rule_hits(hosts: &HostSet, blocklist: &BTreeSet<String>, domain: &str) -> bool {
+fn rule_hits(hosts: &HostSet, inst: &Instance, domain: &str) -> bool {
     match hosts {
-        HostSet::Blocklist => blocklist.contains(domain),
+        HostSet::Blocklist => inst.blocks(domain),
         HostSet::Listed(set) => set.contains(domain),
         HostSet::Any => true,
     }
@@ -411,18 +336,6 @@ impl PolicyBox {
         rows
     }
 
-    fn inspects_port(&self, port: u16) -> bool {
-        self.policy.ports.as_ref().map(|p| p.contains(&port)).unwrap_or(true)
-    }
-
-    fn inspects_client(&self, client: Ipv4Addr) -> bool {
-        self.inst
-            .client_filter
-            .as_ref()
-            .map(|prefixes| prefixes.iter().any(|p| p.contains(client)))
-            .unwrap_or(true)
-    }
-
     fn maybe_arm_sweep(&mut self, ctx: &mut NodeCtx<'_>) {
         if !self.sweep_armed && (!self.flows.is_empty() || !self.blackholed.is_empty()) {
             self.sweep_armed = true;
@@ -440,7 +353,7 @@ impl PolicyBox {
         for (i, rule) in policy.rules.iter().enumerate() {
             let Some(domain) = rule.matcher.extract(payload) else { continue };
             saw_domain = true;
-            if !rule_hits(&rule.hosts, &inst.blocklist, &domain) {
+            if !rule_hits(&rule.hosts, inst, &domain) {
                 continue;
             }
             if let Some(j) = rule.after {
@@ -608,7 +521,7 @@ impl PolicyBox {
         };
         if h.flags.contains(TcpFlags::SYN)
             && !h.flags.contains(TcpFlags::ACK)
-            && (!self.inspects_port(h.dst_port) || !self.inspects_client(pkt.src()))
+            && (!self.policy.inspects_port(h.dst_port) || !self.inst.inspects_client(pkt.src()))
         {
             ctx.obs().prof_path("wm.syn-filtered");
             return;
@@ -650,7 +563,7 @@ impl PolicyBox {
 
         let track = !(h.flags.contains(TcpFlags::SYN)
             && !h.flags.contains(TcpFlags::ACK)
-            && (!self.inspects_port(h.dst_port) || !self.inspects_client(pkt.src())));
+            && (!self.policy.inspects_port(h.dst_port) || !self.inst.inspects_client(pkt.src())));
 
         if track {
             if let Some(insp) = self.flows.observe(&pkt, ctx.now()) {
@@ -707,6 +620,7 @@ impl Node for PolicyBox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::builtin;
     use crate::notice::looks_like_notice;
     use lucent_netsim::{Network, NodeId};
     use lucent_packet::http::RequestBuilder;
@@ -743,14 +657,18 @@ mod tests {
     }
 
     fn handshake(net: &mut Network, mb: NodeId, iface: IfaceId) {
-        let mut syn = TcpHeader::new(40000, 80, TcpFlags::SYN);
+        handshake_on(net, mb, iface, 80);
+    }
+
+    fn handshake_on(net: &mut Network, mb: NodeId, iface: IfaceId, port: u16) {
+        let mut syn = TcpHeader::new(40000, port, TcpFlags::SYN);
         syn.seq = 999;
         net.inject(mb, iface, Packet::tcp(CLIENT, SERVER, syn, Bytes::new()));
-        let mut synack = TcpHeader::new(80, 40000, TcpFlags::SYN | TcpFlags::ACK);
+        let mut synack = TcpHeader::new(port, 40000, TcpFlags::SYN | TcpFlags::ACK);
         synack.seq = 2000;
         synack.ack = 1000;
         net.inject(mb, IfaceId(1), Packet::tcp(SERVER, CLIENT, synack, Bytes::new()));
-        let mut ack = TcpHeader::new(40000, 80, TcpFlags::ACK);
+        let mut ack = TcpHeader::new(40000, port, TcpFlags::ACK);
         ack.seq = 1000;
         ack.ack = 2001;
         net.inject(mb, iface, Packet::tcp(CLIENT, SERVER, ack, Bytes::new()));
@@ -778,15 +696,14 @@ mod tests {
         (net, mb, a, b)
     }
 
+    /// Airtel's committed program without its slow tail, so every
+    /// injection lands within the 5 ms the tests run for.
     fn airtel_policy() -> Policy {
-        Policy::wiretap_like(
-            "airtel-test",
-            HostMatcher::ExactToken,
-            Some(NoticeStyle::airtel_like()),
-            Some(242),
-            (300, 900),
-            None,
-        )
+        let mut policy = builtin("airtel-wm").unwrap();
+        if let Action::Fire(fire) = &mut policy.rules[0].action {
+            fire.delay.slow = None;
+        }
+        policy
     }
 
     fn inst(domains: &[&str]) -> Instance {
@@ -824,12 +741,7 @@ mod tests {
 
     #[test]
     fn interceptive_policy_answers_resets_and_blackholes() {
-        let policy = Policy::interceptive_like(
-            "vodafone-test",
-            HostMatcher::LastHost,
-            None,
-            None,
-        );
+        let policy = builtin("vodafone-im").unwrap();
         let (mut net, mb, a, b) = inline_rig(policy, inst(&["blocked.example"]));
         handshake(&mut net, mb, IfaceId(0));
         net.inject(mb, IfaceId(0), get_for("blocked.example", 1000));
@@ -927,5 +839,27 @@ mod tests {
         let rows = net.node_ref::<PolicyBox>(mb).unwrap().flow_rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1, Stage::Established);
+
+        // Only inspected ports and clients are tracked: the committed
+        // port-80 program skips 8080, `ports = None` (the "ideal
+        // middlebox" of §6.3) tracks it, and a client filter tracks
+        // exactly the clients inside its prefixes.
+        let mut any_port = airtel_policy();
+        any_port.ports = None;
+        let filtered = |prefix: &str| {
+            let client_filter = Some(vec![prefix.parse().unwrap()]);
+            Instance::of(["blocked.example".to_string()], client_filter, 7)
+        };
+        for (policy, inst, port, tracked) in [
+            (airtel_policy(), inst(&["blocked.example"]), 8080, 0),
+            (any_port, inst(&["blocked.example"]), 8080, 1),
+            (airtel_policy(), filtered("10.50.0.0/16"), 80, 0),
+            (airtel_policy(), filtered("10.0.0.0/24"), 80, 1),
+        ] {
+            let (mut net, mb, _sink) = mirror_rig(policy, inst);
+            handshake_on(&mut net, mb, IfaceId(0), port);
+            let rows = net.node_ref::<PolicyBox>(mb).unwrap().flow_rows();
+            assert_eq!(rows.len(), tracked, "port {port}");
+        }
     }
 }

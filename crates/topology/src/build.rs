@@ -6,7 +6,8 @@ use std::net::Ipv4Addr;
 use lucent_netsim::SimRng;
 
 use lucent_dns::{catalog, Blocklist, DnsCatalog, PoisonMode, RegionId, ResolverApp, SharedCatalog};
-use lucent_middlebox::{builtin, Instance, MiddleboxConfig, NoticeStyle, Policy, PolicyBox};
+use lucent_middlebox::policy::Family;
+use lucent_middlebox::{Instance, NoticeStyle, Policy, PolicyBox};
 use lucent_netsim::routing::Cidr;
 use lucent_netsim::{IfaceId, Network, Node, NodeId, RouterNode, SimDuration};
 use lucent_packet::dns::Name;
@@ -14,7 +15,7 @@ use lucent_tcp::{FixedResponder, TcpHost};
 use lucent_web::{Corpus, IpAllocator, ServerConfig, SiteId, WebServerApp};
 
 use crate::ids::IspId;
-use crate::profile::{HttpProfile, IndiaConfig, MbKind};
+use crate::profile::IndiaConfig;
 use crate::truth::GroundTruth;
 
 /// Handles into one built ISP.
@@ -47,8 +48,8 @@ pub struct Isp {
     pub default_resolver: Ipv4Addr,
     /// The ISP's censorship-notice web host (poisoned DNS points here).
     pub notice_ip: Ipv4Addr,
-    /// Deployed middleboxes: (core index, node, kind).
-    pub devices: Vec<(usize, NodeId, MbKind)>,
+    /// Deployed middleboxes: (core index, node, program family).
+    pub devices: Vec<(usize, NodeId, Family)>,
 }
 
 /// The whole built world.
@@ -334,58 +335,70 @@ impl India {
                 }
                 let count = cfg.collateral.get(&(isp_id, censor)).copied().unwrap_or(0);
                 let censor_gw = gateway_of[&censor];
-                let censor_profile = cfg.http.get(&censor);
                 let via_even = side_idx == 0;
-                let blocklist = Self::border_blocklist(
-                    &mut rng, &corpus, &hosting_pools, count, via_even, single_homed,
-                );
-                truth.borders.insert((isp_id, censor), blocklist.iter().copied().collect());
-                let mb_cfg = Self::device_config(
-                    &cfg,
-                    censor,
-                    censor_profile,
-                    blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
-                    None,
-                    0x1000 + u64::from(u32::from(isp_id.prefix().addr)) + side_idx as u64,
-                );
-                let victim_iface = match censor_profile.map(|p| p.kind) {
-                    Some(MbKind::InterceptiveOvert) | Some(MbKind::InterceptiveCovert) => {
-                        let im = net.add_node(Self::censor_node(
-                            censor,
-                            censor_profile,
-                            mb_cfg,
-                            format!("border-im-{}-{}", isp_id.name(), censor.name()),
-                        ));
-                        let (v_if, _) = wire.link(&mut net, gw, im, MS(4));
-                        let (_, c_if) = wire.link(&mut net, im, censor_gw, MS(1));
+                let victim_iface = match cfg.http.get(&censor) {
+                    // A censor without a program deploys no device: the
+                    // interconnect is a plain, uncensored link.
+                    None => {
+                        let (v_if, c_if) = wire.link(&mut net, gw, censor_gw, MS(5));
                         edit_router(&mut net, censor_gw, |r| r.table.add(isp_id.prefix(), c_if));
                         v_if
                     }
-                    _ => {
-                        // WM (or no profile): censor-owned border router with tap.
-                        let br_ip = censor.prefix().nth(0xfd00 + side_idx as u32);
-                        let border = net.add_node(Box::new(RouterNode::new(
-                            br_ip,
-                            format!("border-{}-{}", isp_id.name(), censor.name()),
-                        )));
-                        let (v_if, b_down) = wire.link(&mut net, gw, border, MS(4));
-                        let (b_up, c_if) = wire.link(&mut net, border, censor_gw, MS(1));
-                        let wm = net.add_node(Self::censor_node(
-                            censor,
-                            censor_profile,
-                            mb_cfg,
-                            format!("border-wm-{}-{}", isp_id.name(), censor.name()),
-                        ));
-                        let tap = wire.alloc(border);
-                        net.connect(border, tap, wm, IfaceId::PRIMARY, SimDuration::from_micros(80));
-                        edit_router(&mut net, border, |b| {
-                            b.mirrors.push(tap);
-                            b.anonymized = true;
-                            b.table.add(isp_id.prefix(), b_down);
-                            b.table.add(Cidr::new(Ipv4Addr::new(0, 0, 0, 0), 0), b_up);
-                        });
-                        edit_router(&mut net, censor_gw, |r| r.table.add(isp_id.prefix(), c_if));
-                        v_if
+                    Some(profile) => {
+                        let blocklist = Self::border_blocklist(
+                            &mut rng, &corpus, &hosting_pools, count, via_even, single_homed,
+                        );
+                        truth.borders.insert((isp_id, censor), blocklist.iter().copied().collect());
+                        let device_tag = 0x1000 + u64::from(u32::from(isp_id.prefix().addr)) + side_idx as u64;
+                        let device = |label: String| {
+                            Self::censor_device(
+                                &cfg,
+                                censor,
+                                &profile.policy,
+                                blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
+                                None,
+                                device_tag,
+                                label,
+                            )
+                        };
+                        match profile.policy.family {
+                            Family::Interceptive => {
+                                let im = net.add_node(device(format!(
+                                    "border-im-{}-{}",
+                                    isp_id.name(),
+                                    censor.name()
+                                )));
+                                let (v_if, _) = wire.link(&mut net, gw, im, MS(4));
+                                let (_, c_if) = wire.link(&mut net, im, censor_gw, MS(1));
+                                edit_router(&mut net, censor_gw, |r| r.table.add(isp_id.prefix(), c_if));
+                                v_if
+                            }
+                            Family::Wiretap => {
+                                // Censor-owned border router with a tap.
+                                let br_ip = censor.prefix().nth(0xfd00 + side_idx as u32);
+                                let border = net.add_node(Box::new(RouterNode::new(
+                                    br_ip,
+                                    format!("border-{}-{}", isp_id.name(), censor.name()),
+                                )));
+                                let (v_if, b_down) = wire.link(&mut net, gw, border, MS(4));
+                                let (b_up, c_if) = wire.link(&mut net, border, censor_gw, MS(1));
+                                let wm = net.add_node(device(format!(
+                                    "border-wm-{}-{}",
+                                    isp_id.name(),
+                                    censor.name()
+                                )));
+                                let tap = wire.alloc(border);
+                                net.connect(border, tap, wm, IfaceId::PRIMARY, SimDuration::from_micros(80));
+                                edit_router(&mut net, border, |b| {
+                                    b.mirrors.push(tap);
+                                    b.anonymized = true;
+                                    b.table.add(isp_id.prefix(), b_down);
+                                    b.table.add(Cidr::new(Ipv4Addr::new(0, 0, 0, 0), 0), b_up);
+                                });
+                                edit_router(&mut net, censor_gw, |r| r.table.add(isp_id.prefix(), c_if));
+                                v_if
+                            }
+                        }
                     }
                 };
                 up_ifaces.push(victim_iface);
@@ -494,89 +507,24 @@ impl India {
         out
     }
 
-    /// The compiled censor program for `censor`: the ISP's committed
-    /// policy file when one exists, otherwise a program derived from
-    /// the profile primitives (Tata's border wiretap, bespoke tests).
-    /// The derivation is also the safety net should a builtin ever fail
-    /// to compile — a divergence there cannot hide, because the
-    /// differential equivalence suite compares behaviour, not source.
-    fn policy_for(censor: IspId, profile: Option<&HttpProfile>, mb: &MiddleboxConfig) -> Policy {
-        let builtin_name = match censor {
-            IspId::Airtel => Some("airtel-wm"),
-            IspId::Jio => Some("jio-wm"),
-            IspId::Idea => Some("idea-im"),
-            IspId::Vodafone => Some("vodafone-im"),
-            _ => None,
-        };
-        if let Some(name) = builtin_name {
-            if let Ok(policy) = builtin(name) {
-                return policy;
-            }
-        }
-        let mut policy = match profile.map(|p| p.kind) {
-            Some(MbKind::InterceptiveOvert | MbKind::InterceptiveCovert) => {
-                Policy::interceptive_like(
-                    censor.name(),
-                    mb.matcher,
-                    mb.notice.clone(),
-                    mb.fixed_ip_id,
-                )
-            }
-            _ => Policy::wiretap_like(
-                censor.name(),
-                mb.matcher,
-                mb.notice.clone(),
-                mb.fixed_ip_id,
-                mb.injection_delay_us,
-                mb.slow_injection,
-            ),
-        };
-        policy.ports = mb.ports.clone();
-        policy.flow_timeout = mb.flow_timeout;
-        policy
-    }
-
-    /// Construct the censor device node: a [`PolicyBox`] interpreting
-    /// the ISP's policy program.
-    fn censor_node(
-        censor: IspId,
-        profile: Option<&HttpProfile>,
-        mb_cfg: MiddleboxConfig,
-        label: String,
-    ) -> Box<dyn Node> {
-        let policy = Self::policy_for(censor, profile, &mb_cfg);
-        let inst = Instance {
-            blocklist: mb_cfg.blocklist,
-            client_filter: mb_cfg.client_filter,
-            seed: mb_cfg.seed,
-        };
-        Box::new(PolicyBox::new(policy, inst, label))
-    }
-
-    /// The per-device [`MiddleboxConfig`] for a censor. `device_tag`
-    /// distinguishes sibling devices: without it every device of an ISP
-    /// would share one RNG stream and their injection-delay draws would
-    /// be identical in lockstep.
-    fn device_config(
+    /// One censor device: a [`PolicyBox`] running the ISP's compiled
+    /// program over this device's blocklist. `device_tag` distinguishes
+    /// sibling devices: without it every device of an ISP would share
+    /// one RNG stream and their injection-delay draws would be
+    /// identical in lockstep.
+    fn censor_device(
         cfg: &IndiaConfig,
         censor: IspId,
-        profile: Option<&HttpProfile>,
+        policy: &Policy,
         domains: impl IntoIterator<Item = String>,
         client_filter: Option<Vec<Cidr>>,
         device_tag: u64,
-    ) -> MiddleboxConfig {
-        let mut mb = MiddleboxConfig::new(domains);
-        if let Some(p) = profile {
-            mb.matcher = p.matcher;
-            mb.notice = p.notice.clone();
-            mb.fixed_ip_id = p.fixed_ip_id;
-            mb.slow_injection = p.slow_injection;
-        }
-        mb.client_filter = client_filter;
-        mb.seed = cfg.seed
+        label: String,
+    ) -> Box<dyn Node> {
+        let seed = cfg.seed
             ^ u64::from(u32::from(censor.prefix().addr))
             ^ device_tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        mb
+        Box::new(PolicyBox::new(policy.clone(), Instance::of(domains, client_filter, seed), label))
     }
 
     /// Sites eligible for a border blocklist: alive, single-replica,
@@ -649,7 +597,7 @@ impl India {
 
         // --- HTTP devices: which cores are covered -----------------------
         let http_profile = cfg.http.get(&isp_id);
-        let mut devices: Vec<(usize, NodeId, MbKind)> = Vec::new();
+        let mut devices: Vec<(usize, NodeId, Family)> = Vec::new();
         let mut device_plan: Vec<(usize, bool, BTreeSet<SiteId>)> = Vec::new();
         let mut master: BTreeSet<SiteId> = BTreeSet::new();
         let mut covered: BTreeMap<usize, (bool, BTreeSet<SiteId>)> = BTreeMap::new();
@@ -695,69 +643,50 @@ impl India {
         }
 
         // --- wire gateway↔cores (inserting IMs where covered) ------------
-        // `covered` is only ever populated under `Some(profile)`, so the
-        // match pairs each covered core with the profile kind without a
-        // fallible re-lookup; a covered core with no profile (impossible
-        // by construction) degrades to a plain uncensored link.
+        // `covered` is only ever populated under `Some(profile)`, so a
+        // covered core with no profile (impossible by construction)
+        // degrades to a plain uncensored link.
         for (c, &core) in cores.iter().enumerate() {
-            let device_here = covered.get(&c).cloned();
-            match (device_here, http_profile.map(|p| p.kind)) {
-                (
-                    Some((sees_outside, blocklist)),
-                    Some(kind @ (MbKind::InterceptiveOvert | MbKind::InterceptiveCovert)),
-                ) => {
-                    let client_filter = if sees_outside { None } else { Some(vec![prefix]) };
-                    let mb_cfg = Self::device_config(
-                        cfg,
-                        isp_id,
-                        http_profile,
-                        blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
-                        client_filter,
-                        c as u64,
-                    );
-                    let im = net.add_node(Self::censor_node(
-                        isp_id,
-                        http_profile,
-                        mb_cfg,
-                        format!("{}-im{}", isp_id.name(), c),
-                    ));
+            let Some(((sees_outside, blocklist), profile)) = covered.remove(&c).zip(http_profile) else {
+                wire.link(net, gateway, core, MS(1));
+                continue;
+            };
+            let client_filter = if sees_outside { None } else { Some(vec![prefix]) };
+            let family = profile.policy.family;
+            let device = |label: String| {
+                Self::censor_device(
+                    cfg,
+                    isp_id,
+                    &profile.policy,
+                    blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
+                    client_filter,
+                    c as u64,
+                    label,
+                )
+            };
+            let node = match family {
+                Family::Interceptive => {
+                    let im = net.add_node(device(format!("{}-im{}", isp_id.name(), c)));
                     let (_gw_if, _) = wire.link(net, gateway, im, MS(1));
                     let (_, _core_if) = wire.link(net, im, core, SimDuration::from_micros(500));
                     edit_router(net, core, |r| r.anonymized = true);
-                    devices.push((c, im, kind));
-                    device_plan.push((c, sees_outside, blocklist));
+                    im
                 }
-                (Some((sees_outside, blocklist)), Some(kind)) => {
+                Family::Wiretap => {
                     wire.link(net, gateway, core, MS(1));
                     // Wiretap on a mirror port of this core.
-                    let client_filter = if sees_outside { None } else { Some(vec![prefix]) };
-                    let mb_cfg = Self::device_config(
-                        cfg,
-                        isp_id,
-                        http_profile,
-                        blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
-                        client_filter,
-                        c as u64,
-                    );
-                    let wm = net.add_node(Self::censor_node(
-                        isp_id,
-                        http_profile,
-                        mb_cfg,
-                        format!("{}-wm{}", isp_id.name(), c),
-                    ));
+                    let wm = net.add_node(device(format!("{}-wm{}", isp_id.name(), c)));
                     let tap = wire.alloc(core);
                     net.connect(core, tap, wm, IfaceId::PRIMARY, SimDuration::from_micros(80));
                     edit_router(net, core, |core_router| {
                         core_router.mirrors.push(tap);
                         core_router.anonymized = true;
                     });
-                    devices.push((c, wm, kind));
-                    device_plan.push((c, sees_outside, blocklist));
+                    wm
                 }
-                _ => {
-                    wire.link(net, gateway, core, MS(1));
-                }
-            }
+            };
+            devices.push((c, node, family));
+            device_plan.push((c, sees_outside, blocklist));
         }
         if http_profile.is_some() {
             truth.http_master.insert(isp_id, master.clone());
@@ -816,7 +745,7 @@ impl India {
         // Notice host: serves the ISP's block page for anything.
         let notice_ip = ip(0, 80);
         let notice_style = http_profile
-            .and_then(|p| p.notice.clone())
+            .and_then(|p| p.policy.notice().cloned())
             .unwrap_or_else(|| NoticeStyle {
                 iframe_url: format!("http://www.{}.in/dot-compliance", isp_id.name().to_lowercase()),
                 server_header: "nginx".into(),

@@ -37,5 +37,5 @@ pub mod truth;
 
 pub use build::{India, Isp};
 pub use ids::IspId;
-pub use profile::{DnsProfile, HttpProfile, IndiaConfig, MbKind};
+pub use profile::{DnsProfile, HttpProfile, IndiaConfig};
 pub use truth::GroundTruth;

@@ -3,31 +3,18 @@
 
 use std::collections::BTreeMap;
 
-use lucent_middlebox::{HostMatcher, NoticeStyle};
+use lucent_middlebox::{builtin, Policy};
 use lucent_web::CorpusConfig;
 
 use crate::ids::IspId;
 
-/// Which middlebox family an ISP deploys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MbKind {
-    /// Wiretap middlebox on router mirror ports.
-    Wiretap,
-    /// Interceptive middlebox with a notification page.
-    InterceptiveOvert,
-    /// Interceptive middlebox answering with a bare RST.
-    InterceptiveCovert,
-}
-
 /// HTTP-filtering deployment of one ISP (Table 2 + Figure 5 targets).
 #[derive(Debug, Clone)]
 pub struct HttpProfile {
-    /// Device family.
-    pub kind: MbKind,
-    /// Host-extraction behaviour.
-    pub matcher: HostMatcher,
-    /// Notification style (`None` only for covert devices).
-    pub notice: Option<NoticeStyle>,
+    /// The compiled censor program every device of this ISP runs: what
+    /// it matches, injects and forges, and whether it sits inline or on
+    /// a mirror port.
+    pub policy: Policy,
     /// Fraction of core paths whose devices inspect *inside* clients.
     pub coverage_inside: f64,
     /// Fraction of core paths whose devices also inspect *outside*
@@ -39,10 +26,6 @@ pub struct HttpProfile {
     /// stable q ∈ [lo, hi]; each device blocks it with probability q.
     /// The mean of this range is the ISP's Figure-5 consistency.
     pub consistency_q: (f64, f64),
-    /// Fixed IP-Identifier on injected packets (Airtel: 242).
-    pub fixed_ip_id: Option<u16>,
-    /// Wiretap slow-path: (probability, delay range µs).
-    pub slow_injection: Option<(f64, (u64, u64))>,
 }
 
 /// DNS-poisoning deployment of one ISP (Figure 2 targets).
@@ -126,83 +109,34 @@ impl IndiaConfig {
         // Scale the paper's absolute counts to the configured corpus size
         // (ratios preserved: 234/1200, 338/1200, 483/1200, 200/1200).
         let scale = |paper_count: usize| ((paper_count * pbw) as f64 / 1200.0).round() as usize;
-        let mut http = BTreeMap::new();
-        http.insert(
-            IspId::Airtel,
-            HttpProfile {
-                kind: MbKind::Wiretap,
-                matcher: HostMatcher::ExactToken,
-                notice: Some(NoticeStyle::airtel_like()),
-                coverage_inside: 0.752,
-                coverage_outside: 0.542,
-                blocked_sites: scale(234),
-                consistency_q: (0.02, 0.23),
-                fixed_ip_id: Some(242),
-                slow_injection: Some((0.3, (150_000, 400_000))),
-            },
-        );
-        http.insert(
-            IspId::Idea,
-            HttpProfile {
-                kind: MbKind::InterceptiveOvert,
-                matcher: HostMatcher::StrictPattern,
-                notice: Some(NoticeStyle::idea_like()),
-                coverage_inside: 0.92,
-                coverage_outside: 0.90,
-                blocked_sites: scale(338),
-                consistency_q: (0.56, 0.98),
-                fixed_ip_id: None,
-                slow_injection: None,
-            },
-        );
-        http.insert(
-            IspId::Vodafone,
-            HttpProfile {
-                kind: MbKind::InterceptiveCovert,
-                matcher: HostMatcher::LastHost,
-                notice: None,
-                coverage_inside: 0.11,
-                coverage_outside: 0.025,
-                blocked_sites: scale(483),
-                consistency_q: (0.02, 0.21),
-                fixed_ip_id: None,
-                slow_injection: None,
-            },
-        );
-        http.insert(
-            IspId::Jio,
-            HttpProfile {
-                kind: MbKind::Wiretap,
-                matcher: HostMatcher::ExactToken,
-                notice: Some(NoticeStyle::jio_like()),
-                coverage_inside: 0.064,
-                coverage_outside: 0.0,
-                blocked_sites: scale(200),
-                consistency_q: (0.20, 0.50),
-                fixed_ip_id: None,
-                slow_injection: Some((0.3, (150_000, 400_000))),
-            },
-        );
-        // TATA censors only as transit (border devices); no internal
-        // coverage is modelled, so inside/outside are zero.
-        http.insert(
-            IspId::Tata,
-            HttpProfile {
-                kind: MbKind::Wiretap,
-                matcher: HostMatcher::ExactToken,
-                notice: Some(NoticeStyle {
-                    iframe_url: "http://www.tatacommunications.com/dot-blocked".into(),
-                    server_header: "nginx".into(),
-                    statutory_text: "Blocked under DoT instructions.".into(),
-                }),
-                coverage_inside: 0.0,
-                coverage_outside: 0.0,
-                blocked_sites: scale(220),
-                consistency_q: (0.3, 0.9),
-                fixed_ip_id: None,
-                slow_injection: None,
-            },
-        );
+        // (ISP, committed program, coverage inside/outside, blocked
+        // sites, consistency q range). TATA censors only as transit
+        // (border devices); no internal coverage is modelled, so its
+        // inside/outside coverage is zero. A program that fails to
+        // compile leaves its ISP out rather than becoming a different
+        // censor; `every_scale_deploys_all_five_committed_programs`
+        // pins that none does.
+        let deployments = [
+            (IspId::Airtel, "airtel-wm", (0.752, 0.542), scale(234), (0.02, 0.23)),
+            (IspId::Idea, "idea-im", (0.92, 0.90), scale(338), (0.56, 0.98)),
+            (IspId::Vodafone, "vodafone-im", (0.11, 0.025), scale(483), (0.02, 0.21)),
+            (IspId::Jio, "jio-wm", (0.064, 0.0), scale(200), (0.20, 0.50)),
+            (IspId::Tata, "tata-wm", (0.0, 0.0), scale(220), (0.3, 0.9)),
+        ];
+        let http = deployments
+            .into_iter()
+            .filter_map(|(isp, program, (inside, outside), blocked_sites, consistency_q)| {
+                let policy = builtin(program).ok()?;
+                let profile = HttpProfile {
+                    policy,
+                    coverage_inside: inside,
+                    coverage_outside: outside,
+                    blocked_sites,
+                    consistency_q,
+                };
+                Some((isp, profile))
+            })
+            .collect();
 
         let mut dns = BTreeMap::new();
         dns.insert(
@@ -292,10 +226,24 @@ mod tests {
     fn only_covert_profiles_lack_notices() {
         let cfg = IndiaConfig::paper();
         for (isp, p) in &cfg.http {
-            if p.kind == MbKind::InterceptiveCovert {
-                assert!(p.notice.is_none(), "{isp}");
-            } else {
-                assert!(p.notice.is_some(), "{isp}");
+            assert_eq!(p.policy.notice().is_none(), *isp == IspId::Vodafone, "{isp}");
+        }
+    }
+
+    #[test]
+    fn every_scale_deploys_all_five_committed_programs() {
+        let want = [
+            (IspId::Airtel, "airtel-wm"),
+            (IspId::Vodafone, "vodafone-im"),
+            (IspId::Idea, "idea-im"),
+            (IspId::Jio, "jio-wm"),
+            (IspId::Tata, "tata-wm"),
+        ];
+        for cfg in [IndiaConfig::tiny(), IndiaConfig::small(), IndiaConfig::paper()] {
+            let deployed: Vec<IspId> = cfg.http.keys().copied().collect();
+            assert_eq!(deployed, want.map(|(isp, _)| isp), "an ISP's program failed to compile");
+            for (isp, program) in want {
+                assert_eq!(cfg.http[&isp].policy, builtin(program).unwrap(), "{isp}");
             }
         }
     }

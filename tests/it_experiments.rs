@@ -5,6 +5,7 @@ use lucent_core::experiments::{
     dns_mechanism, evasion, fig2, mechanism, race, table1, table2, table3, tracer_demo, triggers,
 };
 use lucent_core::lab::Lab;
+use lucent_core::probe::classify::render_rate;
 use lucent_topology::{India, IndiaConfig, IspId};
 
 fn lab() -> Lab {
@@ -133,6 +134,24 @@ fn figure3_and_race_agree_interceptive_never_loses() {
         &race::RaceOptions { isps: vec![IspId::Idea], attempts: 6, sites_per_isp: 2 },
     );
     assert_eq!(r.rows[0].rendered, 0, "{r}");
+}
+
+#[test]
+fn airtel_race_renders_exactly_as_often_as_its_slow_path_fires() {
+    // The race ablation's knob is the slow path of Airtel's deployed
+    // program: without it every injection wins, always taken the real
+    // page gets through. Sites are found once, under the committed
+    // program, as `repro ablate-race` does.
+    let sites = race::censored_sites(&mut lab(), IspId::Airtel, 2);
+    assert!(!sites.is_empty(), "no censored Airtel path");
+    let rendered = |p: f64| {
+        let mut cfg = IndiaConfig::tiny();
+        cfg.http.get_mut(&IspId::Airtel).expect("Airtel deploys a program").policy.set_slow_path(p, (150_000, 400_000));
+        let mut lab = Lab::new(India::build(cfg));
+        sites.iter().map(|&site| render_rate(&mut lab, IspId::Airtel, site, 6).0).sum::<usize>()
+    };
+    assert_eq!(rendered(0.0), 0, "with no slow path every injection wins the race");
+    assert_eq!(rendered(1.0), 6 * sites.len(), "an always-slow device loses every race");
 }
 
 #[test]

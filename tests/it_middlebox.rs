@@ -4,6 +4,8 @@
 use lucent_core::lab::{Lab, FETCH_TIMEOUT_MS};
 use lucent_core::probe::classify::{classify_by_remote_hosts, MeasuredKind};
 use lucent_middlebox::notice::{looks_like_notice, NoticeStyle};
+use lucent_middlebox::{Policy, PolicyBox};
+use lucent_netsim::NodeId;
 use lucent_packet::tcp::TcpFlags;
 use lucent_topology::{India, IndiaConfig, IspId};
 use lucent_web::SiteId;
@@ -39,10 +41,23 @@ fn censored_fixture(lab: &mut Lab, isp: IspId) -> Option<(SiteId, std::net::Ipv4
 fn deployed_kinds_match_config() {
     let india = India::build(IndiaConfig::tiny());
     for (isp_id, profile) in &india.cfg.http {
-        for (_, _, kind) in &india.isps[isp_id].devices {
-            assert_eq!(kind, &profile.kind, "{isp_id}");
+        for &(_, node, family) in &india.isps[isp_id].devices {
+            assert_eq!(family, profile.policy.family, "{isp_id}");
+            let device = india.net.node_ref::<PolicyBox>(node).expect("a policy device");
+            assert_eq!(device.policy, profile.policy, "{isp_id}: device runs the deployed program");
         }
     }
+    // Border devices included, every censor in the world runs one of
+    // the deployed (committed) programs.
+    let deployed: Vec<&Policy> = india.cfg.http.values().map(|p| &p.policy).collect();
+    let mut devices = 0;
+    for id in (0..india.net.node_count() as u32).map(NodeId) {
+        let Some(device) = india.net.node_ref::<PolicyBox>(id) else { continue };
+        assert!(deployed.contains(&&device.policy), "{} runs an undeployed program", india.net.label_of(id));
+        devices += 1;
+    }
+    let access: usize = india.isps.values().map(|isp| isp.devices.len()).sum();
+    assert_eq!(devices, access + india.truth.borders.len(), "access plus border devices");
 }
 
 #[test]

@@ -145,7 +145,7 @@ fn policy_file_under_test_matches_the_airtel_recording() {
 
 #[test]
 fn every_committed_isp_policy_compiles_to_its_family() {
-    for name in builtin_names() {
+    for name in builtin_names().into_iter().chain(["tata-wm"]) {
         let p = builtin(name).unwrap();
         let want = if name.ends_with("-wm") { Family::Wiretap } else { Family::Interceptive };
         assert_eq!(p.family, want, "{name}");
