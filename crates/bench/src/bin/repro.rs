@@ -73,32 +73,35 @@ fn parse_args() -> Args {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                let v = args.next().unwrap_or_default();
+                let v = flag_value(&mut args, "--scale").unwrap_or_default();
                 scale = Scale::parse(&v).unwrap_or_else(|| {
                     eprintln!("unknown scale {v:?}; use tiny|small|paper");
                     std::process::exit(2);
                 });
             }
             "--json" => {
-                json_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| ".".into())));
+                let dir = flag_value(&mut args, "--json").unwrap_or_else(|| ".".into());
+                json_dir = Some(PathBuf::from(dir));
             }
             "--trace" => {
-                trace = Some(args.next().unwrap_or_else(|| {
+                trace = Some(flag_value(&mut args, "--trace").unwrap_or_else(|| {
                     eprintln!("--trace needs a spec, e.g. wiretap=debug,tcp=info");
                     std::process::exit(2);
                 }));
             }
             "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(args.next().unwrap_or_else(|| {
+                let path = flag_value(&mut args, "--metrics-out").unwrap_or_else(|| {
                     eprintln!("--metrics-out needs a file path");
                     std::process::exit(2);
-                })));
+                });
+                metrics_out = Some(PathBuf::from(path));
             }
             "--profile" => {
-                profile = Some(PathBuf::from(args.next().unwrap_or_else(|| {
+                let path = flag_value(&mut args, "--profile").unwrap_or_else(|| {
                     eprintln!("--profile needs a file path");
                     std::process::exit(2);
-                })));
+                });
+                profile = Some(PathBuf::from(path));
             }
             "--threads" => {
                 let v = args.next().unwrap_or_default();
@@ -127,6 +130,18 @@ fn parse_args() -> Args {
     Args { experiment, scale, json_dir, trace, metrics_out, profile, threads }
 }
 
+/// The value after `flag`, or `None` when the arguments end. A value
+/// that is itself a flag exits 2 rather than being swallowed, so
+/// `--json --scale tiny` cannot write JSON into a directory `--scale`.
+fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Option<String> {
+    let v = args.next()?;
+    if v.starts_with("--") {
+        eprintln!("{flag} needs a value, got flag {v:?}");
+        std::process::exit(2);
+    }
+    Some(v)
+}
+
 fn emit_json<T: lucent_support::ToJson>(dir: &Option<PathBuf>, name: &str, value: &T) {
     if let Some(dir) = dir {
         let _ = fs::create_dir_all(dir);
@@ -144,7 +159,14 @@ fn run_table1(drv: &Driver, obs: &lucent_obs::Telemetry, caps: Caps, json: &Opti
     emit_json(json, "table1", &t);
 }
 
-fn run_table2(lab: &mut Lab, caps: Caps, json: &Option<PathBuf>) -> table2::Table2 {
+/// Run Table 2, returning its options with it: `table2::run` builds one
+/// scan per `opts.isps` entry, in order, so `opts.isps` names each scan's
+/// ISP without a lookup by name.
+fn run_table2(
+    lab: &mut Lab,
+    caps: Caps,
+    json: &Option<PathBuf>,
+) -> (table2::Table2Options, table2::Table2) {
     let opts = table2::Table2Options {
         inside_targets: caps.inside_targets,
         hosts_per_path: caps.hosts_per_path,
@@ -154,7 +176,7 @@ fn run_table2(lab: &mut Lab, caps: Caps, json: &Option<PathBuf>) -> table2::Tabl
     let t = table2::run(lab, &opts);
     println!("{t}\n");
     emit_json(json, "table2", &t);
-    t
+    (opts, t)
 }
 
 fn run_categories(lab: &Lab, scans: &table2::Table2, json: &Option<PathBuf>) {
@@ -163,13 +185,17 @@ fn run_categories(lab: &Lab, scans: &table2::Table2, json: &Option<PathBuf>) {
     emit_json(json, "categories", &cats);
 }
 
-fn run_fig5(lab: &mut Lab, scans: &table2::Table2, caps: Caps, json: &Option<PathBuf>) {
+/// Figure 5 from Table 2's scans; `isps` are the ISPs Table 2 scanned,
+/// in scan order.
+fn run_fig5(
+    lab: &mut Lab,
+    isps: &[IspId],
+    t: &table2::Table2,
+    caps: Caps,
+    json: &Option<PathBuf>,
+) {
     let mut rows = Vec::new();
-    for scan in &scans.scans {
-        let isp = IspId::ALL
-            .into_iter()
-            .find(|i| i.name() == scan.isp)
-            .expect("scan isp known");
+    for (&isp, scan) in isps.iter().zip(&t.scans) {
         if isp == IspId::Jio {
             // The paper's Figure 5 plots Airtel, Vodafone, Idea.
             continue;
@@ -396,8 +422,8 @@ fn main() {
         "fig3" => run_fig3(&mut lab, json),
         "fig4" => run_fig4(&mut lab, json),
         "fig5" => {
-            let scans = run_table2(&mut lab, caps, json);
-            run_fig5(&mut lab, &scans, caps, json);
+            let (opts, t) = run_table2(&mut lab, caps, json);
+            run_fig5(&mut lab, &opts.isps, &t, caps, json);
         }
         "race" => run_race(&drv, &obs, json),
         "triggers" => run_triggers(&drv, &obs, json),
@@ -413,9 +439,9 @@ fn main() {
             run_fig1(&mut lab, json);
             run_table1(&drv, &obs, caps, json);
             run_threshold_audit(&mut lab, caps, json);
-            let scans = run_table2(&mut lab, caps, json);
-            run_fig5(&mut lab, &scans, caps, json);
-            run_categories(&lab, &scans, json);
+            let (opts, t) = run_table2(&mut lab, caps, json);
+            run_fig5(&mut lab, &opts.isps, &t, caps, json);
+            run_categories(&lab, &t, json);
             run_table3(&mut lab, caps, json);
             run_fig2(&drv, &obs, caps, json);
             run_fig3(&mut lab, json);

@@ -1,6 +1,7 @@
 //! CLI contract tests for the `repro` binary: flag validation exits 2
-//! with usage, `--help` exits 0, and `--json` creates its output
-//! directory (nested paths included) before writing result files.
+//! with usage, a flag is never read as another flag's value, `--help`
+//! exits 0, and `--json` creates its output directory (nested paths
+//! included) before writing result files.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -40,6 +41,18 @@ fn zero_threads_is_rejected() {
     assert_eq!(out.status.code(), Some(2), "--threads 0 must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("positive integer"), "{stderr}");
+}
+
+#[test]
+fn a_flag_is_never_taken_as_the_previous_flags_value() {
+    for flag in ["--json", "--trace", "--metrics-out", "--profile", "--scale"] {
+        let out = repro().args(["fig1", flag, "--threads", "1"]).output().expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "{flag} swallowed the next flag");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("{flag} needs a value, got flag \"--threads\"");
+        assert!(stderr.contains(&want), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+    }
 }
 
 #[test]

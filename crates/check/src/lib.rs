@@ -23,9 +23,9 @@
 //!   report, [`run`] returns the [`Finding`];
 //! - [`oracles`] — differential and round-trip properties over
 //!   `lucent-packet`, `lucent-tcp`, `lucent-middlebox`, and the
-//!   `lucent-devtools` lexer/parser (fed by [`rustish`]);
+//!   `lucent-devtools` lexer (fed by [`rustish`]);
 //! - [`rustish`] — Rust-ish token soup (raw strings, nested block
-//!   comments, escaped literals) for the lint totality oracles;
+//!   comments, escaped literals) for the lint lexer totality oracle;
 //! - [`diffmb`] — the differential equivalence harness holding the
 //!   declarative policy engine byte-identical to the legacy
 //!   middleboxes (random spec → rendered policy TOML → twin rigs);

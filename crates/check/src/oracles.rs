@@ -19,7 +19,6 @@
 //! | `flow_table_invariants` | flow tracking: len moves by ≤1 per packet, sweep reports exactly what it evicts |
 //! | `planted_cap_is_bounded` | the planted SUT respects its cap (fails under `--features planted-bug`) |
 //! | `lint_lexer_total` | the devtools scrubbing lexer preserves length and newlines on Rust-ish soup |
-//! | `lint_parser_total` | the devtools item parser is total and emits sane spans on Rust-ish soup |
 //! | `obs_histogram_merge` | telemetry merge is order/grouping-insensitive and conserves histogram buckets under shard splits |
 //! | `sched_matches_heap_model` | the netsim calendar queue pops in exactly the reference binary-heap order, deadline pops included |
 //! | `policy_replay_deterministic` | a compiled policy program renders a byte-identical transcript on every replay — the invariant the recorded `tests/golden/mb-*.transcript` goldens rest on |
@@ -315,27 +314,6 @@ pub fn lint_lexer_total(s: &mut Source) {
     let _ = lucent_devtools::lex::test_spans(&scrubbed);
 }
 
-/// The devtools item parser is total on arbitrary Rust-ish soup, and
-/// every item it does extract has a sane span: 1-based lines inside
-/// the file, `end_line >= line`, body ranges inside the text.
-pub fn lint_parser_total(s: &mut Source) {
-    let text = crate::rustish::soup(s);
-    let scrubbed = lucent_devtools::lex::scrub(&text);
-    let parsed = lucent_devtools::parse::parse(&scrubbed);
-    let lines = scrubbed.bytes().filter(|&c| c == b'\n').count() + 1;
-    for f in &parsed.fns {
-        assert!(f.line >= 1 && f.line <= lines, "fn `{}` line {} of {lines}", f.name, f.line);
-        assert!(f.end_line >= f.line, "fn `{}` ends before it starts", f.name);
-        assert!(f.end_line <= lines, "fn `{}` end_line {} of {lines}", f.name, f.end_line);
-        if let Some((lo, hi)) = f.body {
-            assert!(lo <= hi && hi <= scrubbed.len(), "fn `{}` body {lo}..{hi}", f.name);
-        }
-    }
-    for u in &parsed.uses {
-        assert!(u.line >= 1 && u.line <= lines, "use `{}` line {} of {lines}", u.path, u.line);
-    }
-}
-
 /// Telemetry merge — the operation the profiler's thread-count
 /// invariance claim rests on — is commutative and associative, and
 /// conserves histogram buckets under shard splits: absorbing shard
@@ -627,7 +605,6 @@ pub fn all() -> Vec<NamedOracle> {
         ("flow_table_invariants", flow_table_invariants),
         ("planted_cap_is_bounded", planted_cap_is_bounded),
         ("lint_lexer_total", lint_lexer_total),
-        ("lint_parser_total", lint_parser_total),
         ("obs_histogram_merge", obs_histogram_merge),
         ("sched_matches_heap_model", sched_matches_heap_model),
         ("policy_replay_deterministic", policy_replay_deterministic),

@@ -1,14 +1,14 @@
 //! A generator of Rust-ish token soup for fuzzing the `lucent-devtools`
-//! scrubbing lexer and item parser.
+//! scrubbing lexer.
 //!
 //! The output is *not* valid Rust — it is a concatenation of the
 //! constructs the lexer has to get right: raw strings with hash fences,
 //! nested block comments, byte and char literals with escapes,
 //! lifetimes (which look like unterminated char literals), and item
 //! keywords with unbalanced braces. Possibly-unterminated fragments are
-//! generated on purpose: the lexer and parser both claim totality on
-//! arbitrary input, and that claim is only worth something if the
-//! input distribution actually covers the nasty corners.
+//! generated on purpose: the lexer claims totality on arbitrary input,
+//! and that claim is only worth something if the input distribution
+//! actually covers the nasty corners.
 
 use crate::source::Source;
 
@@ -101,7 +101,7 @@ fn fragment(s: &mut Source) -> String {
 }
 
 /// Generate a Rust-ish source file: token soup over the constructs the
-/// devtools lexer and parser must stay total on.
+/// devtools lexer must stay total on.
 pub fn soup(s: &mut Source) -> String {
     let mut out = String::new();
     for _ in 0..s.len_in(0, 48) {

@@ -8,7 +8,7 @@
 //! I/O errors. Run from anywhere inside the workspace; the root is found
 //! by walking up to the `[workspace]` manifest.
 //!
-//! `--json` prints the machine-readable report (schema `lucent-lint/5`)
+//! `--json` prints the machine-readable report (schema `lucent-lint/6`)
 //! to stdout and nothing else; the bytes are identical across runs and
 //! `--threads` values, so CI diffs them against a committed golden.
 
@@ -83,19 +83,16 @@ fn main() -> ExitCode {
     }
     if update && report.ok() {
         println!(
-            "lucent-lint: baseline rewritten ({} panic sites)",
-            report.panic_total
+            "lucent-lint: baseline rewritten ({} policy anomalies)",
+            report.policy_anomaly.values().sum::<usize>()
         );
         return ExitCode::SUCCESS;
     }
     if report.ok() {
         println!(
-            "lucent-lint: clean — {} files, {} fns, {} call edges, {} panic sites within \
-             baseline, {} note(s)",
+            "lucent-lint: clean — {} files, {} policy files, {} note(s)",
             report.files_scanned,
-            report.functions,
-            report.call_edges,
-            report.panic_total,
+            report.policy_files,
             report.warnings.len()
         );
         ExitCode::SUCCESS

@@ -11,15 +11,12 @@ pub enum Rule {
     Layering,
     /// L3 — no wall clocks, entropy, or iteration-order hazards.
     Determinism,
-    /// L4 — panic sites stay within the shrink-only baseline.
+    /// L4 — no panic sites in non-test library code.
     PanicBudget,
     /// L5 — every `unsafe` carries a `// SAFETY:` justification.
     UnsafeHygiene,
     /// L6 — no console prints outside sanctioned sinks.
     PrintHygiene,
-    /// L7 — panic sites reachable from experiment entry points stay
-    /// within the shrink-only `[panic_reach]` baseline.
-    PanicReach,
     /// L8 — no `static mut`; interior-mutability statics confined to
     /// `[shared_state]` allowlisted files.
     SharedState,
@@ -42,7 +39,6 @@ impl Rule {
             Rule::PanicBudget => "L4-panic-budget",
             Rule::UnsafeHygiene => "L5-unsafe",
             Rule::PrintHygiene => "L6-print",
-            Rule::PanicReach => "L7-panic-reach",
             Rule::SharedState => "L8-shared-state",
             Rule::PolicyAnomaly => "L11-policy-anomaly",
             Rule::PolicyCoverage => "L12-policy-coverage",
@@ -88,14 +84,8 @@ pub struct Report {
     pub files_scanned: usize,
     /// Total panic sites counted in non-test library code.
     pub panic_total: usize,
-    /// Non-test functions in the symbol index.
-    pub functions: usize,
-    /// Resolved call-graph edges.
-    pub call_edges: usize,
     /// Per-file panic-site counts (files with zero sites omitted).
     pub panic_by_file: std::collections::BTreeMap<String, usize>,
-    /// Entry id → sorted `file:line` of reachable panic sites.
-    pub panic_reach: std::collections::BTreeMap<String, Vec<String>>,
     /// Committed policy files scanned by L11/L12.
     pub policy_files: usize,
     /// Policy file → L11 anomaly count (zero-finding files omitted).
@@ -111,31 +101,20 @@ impl Report {
         self.violations.append(&mut other);
     }
 
-    /// Machine-readable report (schema `lucent-lint/5`). Hand-rolled on
+    /// Machine-readable report (schema `lucent-lint/6`). Hand-rolled on
     /// purpose: every map is a `BTreeMap` and every list is pre-sorted
     /// by the caller, so the bytes are identical across runs and thread
     /// counts — CI diffs this against a committed golden.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"lucent-lint/5\",\n");
+        out.push_str("{\n  \"schema\": \"lucent-lint/6\",\n");
         count_line(&mut out, "files_scanned", self.files_scanned);
-        count_line(&mut out, "functions", self.functions);
-        count_line(&mut out, "call_edges", self.call_edges);
         count_line(&mut out, "panic_total", self.panic_total);
         count_line(&mut out, "policy_files", self.policy_files);
         count_map(&mut out, "panic_sites", &self.panic_by_file);
-        out.push_str("  \"panic_reach\": {");
-        let mut first = true;
-        for (id, sites) in &self.panic_reach {
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            let listed: Vec<String> = sites.iter().map(|s| json_str(s)).collect();
-            out.push_str(&format!("    {}: [{}]", json_str(id), listed.join(", ")));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
         count_map(&mut out, "policy_anomaly", &self.policy_anomaly);
         out.push_str("  \"violations\": [");
-        first = true;
+        let mut first = true;
         for v in &self.violations {
             out.push_str(if first { "\n" } else { ",\n" });
             first = false;
@@ -205,22 +184,21 @@ mod tests {
 
     #[test]
     fn json_report_is_stable_and_escaped() {
-        let mut r = Report { files_scanned: 2, panic_total: 1, functions: 3, ..Report::default() };
+        let mut r = Report { files_scanned: 2, panic_total: 1, ..Report::default() };
         r.panic_by_file.insert("crates/x/src/a.rs".into(), 1);
-        r.panic_reach.insert("crates/x/src/a.rs::run".into(), vec!["crates/x/src/a.rs:4".into()]);
         r.violations.push(Violation::at(Rule::SharedState, "crates/x/src/b.rs", 7, "a \"quoted\" msg"));
         r.warnings.push("note\twith tab".into());
         r.policy_files = 2;
         r.policy_anomaly.insert("crates/x/policies/p.toml".into(), 3);
         let json = r.to_json();
         assert_eq!(json, r.to_json(), "emission is deterministic");
-        assert!(json.contains("\"schema\": \"lucent-lint/5\""), "{json}");
+        assert!(json.contains("\"schema\": \"lucent-lint/6\""), "{json}");
         assert!(json.contains("\"policy_files\": 2"), "{json}");
         assert!(json.contains("\"crates/x/policies/p.toml\": 3"), "{json}");
         assert!(json.contains("\"L8-shared-state\""), "{json}");
         assert!(json.contains("a \\\"quoted\\\" msg"), "{json}");
         assert!(json.contains("note\\twith tab"), "{json}");
-        assert!(json.contains("\"crates/x/src/a.rs::run\": [\"crates/x/src/a.rs:4\"]"), "{json}");
+        assert!(json.contains("\"crates/x/src/a.rs\": 1"), "{json}");
     }
 
     #[test]

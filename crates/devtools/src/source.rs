@@ -1,6 +1,7 @@
-//! Source rules: L3 determinism, L4 panic budget, L5 unsafe hygiene.
+//! Source rules: L3 determinism, L4 panic budget, L5 unsafe hygiene,
+//! L6 print hygiene and L8 shard isolation.
 //!
-//! All three operate on one file at a time so they are trivially
+//! All of them operate on one file at a time so they are trivially
 //! testable on string fixtures. L3 and L4 consider only *non-test* code:
 //! anything under a `#[cfg(test)]` item is exempt, as are files outside
 //! a crate's `src/` tree (integration tests, benches).
@@ -27,17 +28,6 @@ impl Lexed {
         let scrubbed = scrub(text);
         let spans = test_spans(&scrubbed);
         Lexed { scrubbed, spans }
-    }
-
-    /// The scrubbed text (length- and newline-preserving) — the input
-    /// the item parser and call-graph extraction run on.
-    pub fn scrubbed(&self) -> &str {
-        &self.scrubbed
-    }
-
-    /// 1-based inclusive line ranges covered by `#[cfg(test)]` items.
-    pub fn test_spans(&self) -> &[(usize, usize)] {
-        &self.spans
     }
 
     /// Non-test scrubbed lines with 1-based numbers.
@@ -159,15 +149,9 @@ const PANIC_SITES: [&str; 4] = [".unwrap()", ".expect(", "panic!", "unreachable!
 /// `Option::expect`/`Result::expect` (e.g. a parser's `self.expect(b':')?`).
 const OWN_EXPECT: &str = "self.expect(";
 
-/// Count panic sites in non-test code.
-pub fn count_panic_sites(lexed: &Lexed) -> usize {
-    panic_site_lines(lexed).len()
-}
-
 /// 1-based lines of every panic site in non-test code, one entry per
-/// site (a line with two `.unwrap()`s appears twice) — the raw input
-/// of the L7 provenance pass.
-pub fn panic_site_lines(lexed: &Lexed) -> Vec<usize> {
+/// site (a line with two `.unwrap()`s appears twice).
+fn panic_site_lines(lexed: &Lexed) -> Vec<usize> {
     let mut out = Vec::new();
     for (n, line) in lexed.live_lines() {
         let count: usize = PANIC_SITES.iter().map(|tok| line.match_indices(tok).count()).sum();
@@ -180,28 +164,21 @@ pub fn panic_site_lines(lexed: &Lexed) -> Vec<usize> {
     out
 }
 
-/// L4: the count must not exceed the file's baseline ceiling; files with
-/// no entry get a ceiling of zero. Returns `(violations, count)`.
-pub fn check_panic_budget(
-    file: &SourceFile,
-    lexed: &Lexed,
-    allow: &Allow,
-) -> (Vec<Violation>, usize) {
-    let count = count_panic_sites(lexed);
-    let ceiling = allow.panic_ceiling(file.path);
-    if count > ceiling {
-        let msg = if ceiling == 0 {
-            format!(
-                "{count} panic site(s) in non-test code and no baseline entry — \
-                 return an error instead, or justify a lint-allow.toml entry in review"
+/// L4: non-test library code has no panic sites at all. Each site is
+/// one violation at its line; there is no allowlist.
+pub fn check_panic_budget(file: &SourceFile, lexed: &Lexed) -> Vec<Violation> {
+    panic_site_lines(lexed)
+        .into_iter()
+        .map(|n| {
+            Violation::at(
+                Rule::PanicBudget,
+                file.path,
+                n,
+                "panic site (`unwrap`/`expect`/`panic!`/`unreachable!`) in non-test code — \
+                 return an error instead",
             )
-        } else {
-            format!("{count} panic site(s) exceeds the shrink-only baseline of {ceiling}")
-        };
-        (vec![Violation::file(Rule::PanicBudget, file.path, msg)], count)
-    } else {
-        (Vec::new(), count)
-    }
+        })
+        .collect()
 }
 
 /// Console-print macros for L6. Library code must route diagnostics
@@ -450,36 +427,34 @@ mod tests {
     #[test]
     fn panic_sites_are_counted_in_live_code_only() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\nfn g() { panic!(\"boom\") }\n#[cfg(test)]\nmod tests {\n    fn t() { None::<u8>.unwrap(); }\n}\n";
-        assert_eq!(count_panic_sites(&Lexed::new(src)), 2);
+        assert_eq!(panic_site_lines(&Lexed::new(src)), [1, 2]);
     }
 
     #[test]
     fn panic_budget_enforces_the_ceiling() {
-        let text = "fn f() { x.unwrap() }\n";
+        // The ceiling is zero: every site is a violation pinned at its line.
+        let text = "fn f() {}\nfn g() { x.unwrap(); y.expect(\"m\") }\n";
         let file = SourceFile { path: "crates/x/src/a.rs", text };
-        let lexed = Lexed::new(text);
-        let (v, n) = check_panic_budget(&file, &lexed, &Allow::default());
-        assert_eq!((v.len(), n), (1, 1));
-        let mut allow = Allow::default();
-        allow.panic_sites.insert("crates/x/src/a.rs".into(), 1);
-        let (v, _) = check_panic_budget(&file, &lexed, &allow);
-        assert!(v.is_empty());
+        let v = check_panic_budget(&file, &Lexed::new(text));
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.to_string().starts_with("L4-panic-budget: crates/x/src/a.rs:2: ")), "{v:?}");
+        assert!(check_panic_budget(&file, &Lexed::new("fn f() {}\n")).is_empty());
     }
 
     #[test]
     fn expected_identifiers_do_not_count_as_expect() {
         let src = "let expected = 3; assert_eq!(expected, got);\n";
-        assert_eq!(count_panic_sites(&Lexed::new(src)), 0);
+        assert_eq!(panic_site_lines(&Lexed::new(src)).len(), 0);
     }
 
     #[test]
     fn a_types_own_expect_method_is_not_a_panic_site() {
         // A parser's `Result`-returning helper called on `self`.
-        assert_eq!(count_panic_sites(&Lexed::new("self.expect(b':')?;\n")), 0);
-        assert_eq!(count_panic_sites(&Lexed::new("x.expect(\"m\");\n")), 1);
+        assert_eq!(panic_site_lines(&Lexed::new("self.expect(b':')?;\n")).len(), 0);
+        assert_eq!(panic_site_lines(&Lexed::new("x.expect(\"m\");\n")).len(), 1);
         // Only the receiver `self` is exempt, not an identifier ending in it.
-        assert_eq!(count_panic_sites(&Lexed::new("myself.expect(\"m\");\n")), 1);
-        assert_eq!(count_panic_sites(&Lexed::new("self.expect(b'[')?; y.expect(\"m\");\n")), 1);
+        assert_eq!(panic_site_lines(&Lexed::new("myself.expect(\"m\");\n")).len(), 1);
+        assert_eq!(panic_site_lines(&Lexed::new("self.expect(b'[')?; y.expect(\"m\");\n")).len(), 1);
     }
 
     #[test]
