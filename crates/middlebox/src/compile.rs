@@ -858,23 +858,23 @@ mod tests {
     fn fixture_corpus_errors_are_pinned() {
         // Each malformed fixture under policies/fixtures/bad/ carries
         // its expected error on the first line: `# expect: <message>`.
-        let corpus: [(&str, &str); 9] = [
-            ("unknown-key", include_str!("../policies/fixtures/bad/unknown-key.toml")),
-            ("duplicate-rule", include_str!("../policies/fixtures/bad/duplicate-rule.toml")),
-            ("bad-rule-order", include_str!("../policies/fixtures/bad/bad-rule-order.toml")),
-            ("cyclic-after", include_str!("../policies/fixtures/bad/cyclic-after.toml")),
-            ("pass-plus", include_str!("../policies/fixtures/bad/pass-plus.toml")),
-            ("wiretap-drop", include_str!("../policies/fixtures/bad/wiretap-drop.toml")),
-            ("no-rule", include_str!("../policies/fixtures/bad/no-rule.toml")),
-            ("bad-probability", include_str!("../policies/fixtures/bad/bad-probability.toml")),
-            ("syntax", include_str!("../policies/fixtures/bad/syntax.toml")),
-        ];
-        for (name, text) in corpus {
+        // The whole directory is read, so no fixture goes unchecked.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("policies/fixtures/bad");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read the bad-fixture corpus")
+            .map(|e| e.expect("corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+            .collect();
+        paths.sort();
+        assert!(paths.len() >= 18, "corpus shrank to {} fixtures", paths.len());
+        for path in paths {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            let text = std::fs::read_to_string(&path).expect("read fixture");
             let first = text.lines().next().unwrap_or("");
             let expect = first
                 .strip_prefix("# expect: ")
                 .unwrap_or_else(|| panic!("{name}: fixture lacks `# expect:` header"));
-            assert_eq!(msg(text), expect, "fixture {name}");
+            assert_eq!(msg(&text), expect, "fixture {name}");
         }
     }
 
