@@ -1,5 +1,5 @@
 //! Differential and round-trip oracles over `lucent-packet`,
-//! `lucent-tcp` and `lucent-middlebox`.
+//! `lucent-tcp`, `lucent-middlebox` and the lint's readers.
 //!
 //! Every oracle is a property `fn(&mut Source)` that panics on
 //! violation, so the same function runs under [`crate::runner::check`]
@@ -22,7 +22,7 @@
 //! | `obs_histogram_merge` | telemetry merge is order/grouping-insensitive and conserves histogram buckets under shard splits |
 //! | `sched_matches_heap_model` | the netsim calendar queue pops in exactly the reference binary-heap order, deadline pops included |
 //! | `policy_replay_deterministic` | a compiled policy program renders a byte-identical transcript on every replay — the invariant the recorded `tests/golden/mb-*.transcript` goldens rest on |
-//! | `policy_compile_total` | the policy compiler never panics and is deterministic on soup, garbage, and corrupted programs |
+//! | `policy_compile_total` | the policy compiler, the lint's allowlist reader and its manifest extraction never panic and are deterministic on soup, garbage, and corrupted programs |
 //! | `policy_anomaly_total` | the L11/L12 symbolic policy analyzer is total (no panic) and deterministic on randomly corrupted policy IRs |
 
 use std::net::Ipv4Addr;
@@ -492,7 +492,9 @@ pub fn policy_replay_deterministic(s: &mut Source) {
 /// not on Rust-ish token soup, not on arbitrary bytes, not on a
 /// corrupted image of a valid policy — and compiling the same text
 /// twice yields identical results (policies compare equal, errors
-/// pin the same line and message).
+/// pin the same line and message). The same inputs go through the
+/// lint's allowlist parser and manifest extraction, which share the
+/// compiler's TOML reader.
 pub fn policy_compile_total(s: &mut Source) {
     use lucent_middlebox::compile::compile;
     let text = match s.below(3) {
@@ -518,6 +520,15 @@ pub fn policy_compile_total(s: &mut Source) {
         }
         _ => std::panic::panic_any("recompilation flipped between Ok and Err".to_string()),
     }
+    // The lint reads `lint-allow.toml` and the manifests with the same
+    // TOML reader: both consumers must be total and deterministic too.
+    let allow = || format!("{:?}", lucent_devtools::allow::Allow::parse(&text));
+    assert_eq!(allow(), allow(), "re-reading the allowlist changed it");
+    let manifest = || {
+        let doc = lucent_support::toml::parse(&text);
+        format!("{:?}", doc.map(|d| lucent_devtools::manifest::extract(&d, "Cargo.toml")))
+    };
+    assert_eq!(manifest(), manifest(), "re-reading the manifest changed it");
 }
 
 /// The L11/L12 symbolic policy analyzer is total and deterministic on

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::toml::{self, Value};
+use lucent_support::toml::{self, Error, Value};
 
 /// Parsed allowlist.
 #[derive(Debug, Default, Clone)]
@@ -28,36 +28,57 @@ pub struct Allow {
 const SECTIONS: [&str; 4] = ["wall_clock", "rng_construction", "shared_state", "policy_anomaly"];
 
 impl Allow {
-    /// Parse `lint-allow.toml` text.
-    pub fn parse(text: &str) -> Result<Allow, String> {
-        let doc = toml::parse(text)?;
-        if let Some((key, _)) = doc.section("").first() {
-            return Err(format!("key `{key}` outside any section"));
+    /// Parse `lint-allow.toml` text. Every misread is an error at its
+    /// line: an unknown section or key, a `files` value that is not a
+    /// list of strings, a ceiling that is not a non-negative integer,
+    /// and (from the reader) a repeated header or key.
+    pub fn parse(text: &str) -> Result<Allow, Error> {
+        let mut allow = Allow::default();
+        for sect in toml::parse(text)? {
+            let err = |line: usize, msg: String| Err(Error { line, msg });
+            let files = match (sect.array, sect.name.as_str()) {
+                (false, "wall_clock") => &mut allow.wall_clock,
+                (false, "rng_construction") => &mut allow.rng_construction,
+                (false, "shared_state") => &mut allow.shared_state,
+                (false, "policy_anomaly") => {
+                    for e in sect.entries {
+                        let Value::Int(n) = e.value else {
+                            return err(e.line, format!("`{}` wants an integer ceiling", e.key));
+                        };
+                        let Ok(n) = usize::try_from(n) else {
+                            return err(e.line, format!("`{}` has a negative ceiling", e.key));
+                        };
+                        allow.policy_anomaly.insert(e.key, n);
+                    }
+                    continue;
+                }
+                (array, name) => {
+                    let name = if array { format!("[{name}]") } else { name.to_string() };
+                    return err(
+                        sect.line,
+                        format!(
+                            "unknown section [{name}] — the allowlist reads only [{}]",
+                            SECTIONS.join("], [")
+                        ),
+                    );
+                }
+            };
+            for e in sect.entries {
+                if e.key != "files" {
+                    return err(e.line, format!("unknown key `{}` in [{}]", e.key, sect.name));
+                }
+                let Value::List(items) = e.value else {
+                    return err(e.line, "`files` wants a list of strings".to_string());
+                };
+                for item in items {
+                    let Value::Str(path) = item else {
+                        return err(e.line, "`files` wants a list of strings".to_string());
+                    };
+                    files.push(path);
+                }
+            }
         }
-        if let Some(name) = doc.order.iter().find(|s| !SECTIONS.contains(&s.as_str())) {
-            return Err(format!(
-                "unknown section [{name}] — the allowlist reads only [{}]",
-                SECTIONS.join("], [")
-            ));
-        }
-        let files = |section: &str| -> Vec<String> {
-            doc.get(section, "files")
-                .and_then(Value::as_array)
-                .map(<[String]>::to_vec)
-                .unwrap_or_default()
-        };
-        let mut policy_anomaly = BTreeMap::new();
-        for (key, v) in doc.section("policy_anomaly") {
-            let n = v.as_int().ok_or_else(|| format!("policy_anomaly.{key}: expected an integer"))?;
-            let n = usize::try_from(n).map_err(|_| format!("policy_anomaly.{key}: negative ceiling"))?;
-            policy_anomaly.insert(key.clone(), n);
-        }
-        Ok(Allow {
-            wall_clock: files("wall_clock"),
-            rng_construction: files("rng_construction"),
-            shared_state: files("shared_state"),
-            policy_anomaly,
-        })
+        Ok(allow)
     }
 
     pub fn allows_wall_clock(&self, path: &str) -> bool {
@@ -86,8 +107,8 @@ impl Allow {
              # reduced as code is hardened, never added or increased. The gate\n\
              # (tests/lint_gate.rs) fails the build when a ceiling is exceeded.\n\n",
         );
-        // One line per array: the subset parser does not read
-        // multi-line arrays.
+        // One line per array: the TOML reader has no multi-line
+        // arrays.
         let list = |name: &str, files: &[String]| {
             let quoted: Vec<String> = files.iter().map(|f| format!("\"{f}\"")).collect();
             format!("[{name}]\nfiles = [{}]\n\n", quoted.join(", "))
@@ -134,21 +155,64 @@ mod tests {
         assert_eq!(a.policy_anomaly_ceiling("x"), 0);
     }
 
+    fn bad(text: &str) -> String {
+        Allow::parse(text).expect_err(text).to_string()
+    }
+
     #[test]
     fn negative_ceilings_are_rejected() {
-        assert!(Allow::parse("[policy_anomaly]\n\"x.toml\" = -1\n").is_err());
+        assert_eq!(
+            bad("[policy_anomaly]\n\"x.toml\" = -1\n"),
+            "line 2: `x.toml` has a negative ceiling"
+        );
+        assert_eq!(
+            bad("[policy_anomaly]\n\"x.toml\" = 1.5\n"),
+            "line 2: `x.toml` wants an integer ceiling"
+        );
     }
 
     #[test]
     fn unknown_sections_are_rejected_by_name() {
-        let err = Allow::parse("[shared_state]\nfiles = []\n\n[panic_sites]\n\"x.rs\" = 1\n")
-            .expect_err("a table the gate does not read must not pass silently");
         assert_eq!(
-            err,
-            "unknown section [panic_sites] — the allowlist reads only [wall_clock], \
-             [rng_construction], [shared_state], [policy_anomaly]"
+            bad("[shared_state]\nfiles = []\n\n[panic_sites]\n\"x.rs\" = 1\n"),
+            "line 4: unknown section [panic_sites] — the allowlist reads only [wall_clock], \
+             [rng_construction], [shared_state], [policy_anomaly]",
+            "a table the gate does not read must not pass silently"
         );
-        let err = Allow::parse("files = []\n").expect_err("a key before any header");
-        assert_eq!(err, "key `files` outside any section");
+        assert!(bad("[[wall_clock]]\nfiles = []\n").starts_with("line 1: unknown section [[wall_clock]]"));
+        assert_eq!(bad("files = []\n"), "line 1: `files` before any section header");
+    }
+
+    #[test]
+    fn a_files_value_that_is_not_a_list_is_rejected() {
+        assert_eq!(
+            bad("[wall_clock]\nfiles = \"crates/x.rs\"\n"),
+            "line 2: `files` wants a list of strings"
+        );
+        assert_eq!(bad("[wall_clock]\nfiles = [1]\n"), "line 2: `files` wants a list of strings");
+    }
+
+    #[test]
+    fn a_misspelled_key_is_rejected() {
+        assert_eq!(
+            bad("[rng_construction]\nfile = [\"crates/x.rs\"]\n"),
+            "line 2: unknown key `file` in [rng_construction]"
+        );
+    }
+
+    #[test]
+    fn a_duplicated_ceiling_key_is_rejected() {
+        assert_eq!(
+            bad("[policy_anomaly]\n\"x.toml\" = 1\n\"x.toml\" = 0\n"),
+            "line 3: duplicate key `x.toml`"
+        );
+    }
+
+    #[test]
+    fn a_repeated_header_is_rejected() {
+        assert_eq!(
+            bad("[shared_state]\nfiles = [\"a.rs\"]\n\n[shared_state]\nfiles = [\"b.rs\"]\n"),
+            "line 4: duplicate section [shared_state]"
+        );
     }
 }

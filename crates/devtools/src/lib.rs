@@ -39,12 +39,13 @@
 //!   against the blocklist corpus, every program compilable.
 //!
 //! The lint's *language frontend* is dependency-free by construction:
-//! it ships its own Rust scrubbing lexer ([`lex`]) and a TOML subset
-//! parser ([`toml`]), so the gate itself cannot violate L1. The one
-//! workspace dependency is `lucent-middlebox`, linked so L11/L12
-//! analyze the *compiled* policy IR — the exact programs the
-//! interpreter executes — rather than re-parsing policy TOML with a
-//! second grammar.
+//! it ships its own Rust scrubbing lexer ([`lex`]) and reads
+//! `lint-allow.toml` and the manifests with `lucent-support`'s TOML
+//! reader — the one the policy compiler uses — so the gate itself
+//! cannot violate L1. Its workspace dependencies are that substrate and
+//! `lucent-middlebox`, linked so L11/L12 analyze the *compiled* policy
+//! IR — the exact programs the interpreter executes — rather than
+//! re-parsing policy TOML with a second grammar.
 //!
 //! The per-file pass runs on the deterministic [`pool`]: files are
 //! partitioned round-robin and merged in path order, so the report —
@@ -59,11 +60,12 @@ pub mod policycheck;
 pub mod pool;
 pub mod report;
 pub mod source;
-pub mod toml;
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use lucent_support::toml::{self, Section};
 
 use allow::Allow;
 use report::{Report, Rule, Violation};
@@ -176,14 +178,16 @@ pub fn run_root_with(root: &Path, opts: &Options) -> io::Result<Report> {
 
 /// Read the allowlist. A missing file is a warning (every ceiling is
 /// zero); an unparseable one is a violation, so neither the gate nor
-/// `--update-baseline` proceeds as if it were empty.
+/// `--update-baseline` proceeds as if it were empty. It is filed under
+/// L3, the first rule the allowlist configures.
 fn load_allow(root: &Path, report: &mut Report) -> Allow {
     match fs::read_to_string(root.join(ALLOW_FILE)) {
         Ok(text) => Allow::parse(&text).unwrap_or_else(|e| {
-            report.violations.push(Violation::file(
-                Rule::PanicBudget,
+            report.violations.push(Violation::at(
+                Rule::Determinism,
                 ALLOW_FILE,
-                format!("unparseable allowlist: {e}"),
+                e.line,
+                format!("unparseable allowlist: {}", e.msg),
             ));
             Allow::default()
         }),
@@ -283,7 +287,7 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-fn parse_manifest(root: &Path, rel: &str, report: &mut Report) -> Option<toml::Doc> {
+fn parse_manifest(root: &Path, rel: &str, report: &mut Report) -> Option<Vec<Section>> {
     let text = match fs::read_to_string(root.join(rel)) {
         Ok(t) => t,
         Err(e) => {
@@ -298,10 +302,11 @@ fn parse_manifest(root: &Path, rel: &str, report: &mut Report) -> Option<toml::D
     match toml::parse(&text) {
         Ok(doc) => Some(doc),
         Err(e) => {
-            report.violations.push(Violation::file(
+            report.violations.push(Violation::at(
                 Rule::Hermeticity,
                 rel,
-                format!("manifest outside the supported TOML subset: {e}"),
+                e.line,
+                format!("manifest outside the supported TOML subset: {}", e.msg),
             ));
             None
         }

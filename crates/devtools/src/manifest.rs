@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use crate::report::{Rule, Violation};
-use crate::toml::{Doc, Value};
+use lucent_support::toml::{Entry, Section, Value};
 
 /// One dependency as declared in a manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,70 +51,64 @@ pub struct Manifest {
 
 const DEP_SECTIONS: [&str; 3] = ["dependencies", "dev-dependencies", "build-dependencies"];
 
+/// The entries of the `[name]` table, or none when it is absent.
+fn table<'a>(doc: &'a [Section], name: &str) -> &'a [Entry] {
+    doc.iter().find(|s| !s.array && s.name == name).map_or(&[], |s| &s.entries)
+}
+
 /// Extract the package name and all dependency declarations from a
 /// parsed manifest, handling both inline (`foo = { … }`) and dotted
 /// (`[dependencies.foo]`) forms.
-pub fn extract(doc: &Doc, rel_path: &str) -> Manifest {
-    let package = doc
-        .get("package", "name")
-        .and_then(Value::as_str)
+pub fn extract(doc: &[Section], rel_path: &str) -> Manifest {
+    let package = table(doc, "package")
+        .iter()
+        .find(|e| e.key == "name")
+        .and_then(|e| e.value.as_str())
         .unwrap_or("<unnamed>")
         .to_string();
     let mut deps = Vec::new();
     for section in DEP_SECTIONS {
-        for (name, value) in doc.section(section) {
-            deps.push(classify(name, value, section));
+        for e in table(doc, section) {
+            // `foo = "1.0"` is a bare registry requirement.
+            let bare = matches!(e.value, Value::Str(_));
+            deps.push(dep(&e.key, section, bare, |k| e.value.get(k)));
         }
         // Dotted sub-tables: [dependencies.foo]
         let prefix = format!("{section}.");
-        for sec_name in doc.sections.keys() {
-            if let Some(dep_name) = sec_name.strip_prefix(&prefix) {
-                let entries = doc.section(sec_name);
-                let has = |k: &str| entries.iter().any(|(key, _)| key == k);
-                deps.push(Dep {
-                    name: dep_name.to_string(),
-                    section: section.to_string(),
-                    has_path: has("path"),
-                    from_workspace: entries.iter().any(|(k, v)| {
-                        k == "workspace" && matches!(v, Value::Bool(true))
-                    }),
-                    has_version: has("version"),
-                });
+        for sect in doc {
+            if let Some(name) = sect.name.strip_prefix(&prefix) {
+                deps.push(dep(name, section, false, |k| sect.get(k).map(|e| &e.value)));
             }
         }
     }
     Manifest { package, rel_path: rel_path.to_string(), deps }
 }
 
-fn classify(name: &str, value: &Value, section: &str) -> Dep {
-    let (has_path, from_workspace, has_version) = match value {
-        // `foo = "1.0"` — bare registry requirement.
-        Value::Str(_) => (false, false, true),
-        Value::Table(t) => (
-            t.contains_key("path"),
-            matches!(t.get("workspace"), Some(Value::Bool(true))),
-            t.contains_key("version"),
-        ),
-        _ => (false, false, false),
-    };
-    Dep { name: name.to_string(), section: section.to_string(), has_path, from_workspace, has_version }
+/// Classify one dependency from its fields (`field(k)` looks one up).
+fn dep<'a>(name: &str, section: &str, bare: bool, field: impl Fn(&str) -> Option<&'a Value>) -> Dep {
+    Dep {
+        name: name.to_string(),
+        section: section.to_string(),
+        has_path: field("path").is_some(),
+        from_workspace: field("workspace") == Some(&Value::Bool(true)),
+        has_version: bare || field("version").is_some(),
+    }
 }
 
 /// L1 on the root manifest: every `[workspace.dependencies]` entry must
 /// be a path dependency. Returns the set of names that are path-backed,
 /// for members to inherit.
-pub fn check_workspace_deps(root: &Doc) -> (Vec<Violation>, Vec<String>) {
+pub fn check_workspace_deps(root: &[Section]) -> (Vec<Violation>, Vec<String>) {
     let mut violations = Vec::new();
     let mut path_backed = Vec::new();
-    for (name, value) in root.section("workspace.dependencies") {
-        let ok = matches!(value, Value::Table(t) if t.contains_key("path"));
-        if ok {
-            path_backed.push(name.clone());
+    for e in table(root, "workspace.dependencies") {
+        if e.value.get("path").is_some() {
+            path_backed.push(e.key.clone());
         } else {
             violations.push(Violation::file(
                 Rule::Hermeticity,
                 "Cargo.toml",
-                format!("workspace dependency `{name}` is not a path dependency"),
+                format!("workspace dependency `{}` is not a path dependency", e.key),
             ));
         }
     }
@@ -180,8 +174,8 @@ pub fn layer_map() -> BTreeMap<&'static str, Vec<&'static str>> {
     );
     // The fuzzing/property harness sits above everything it checks —
     // lower crates consume it through dev-dependencies only. It also
-    // checks the lint's own lexer and parser, so the devtools crate is
-    // in scope for it.
+    // fuzzes the lint's lexer and allowlist/manifest readers, so the
+    // devtools crate is in scope for it.
     m.insert(
         "lucent-check",
         vec![
@@ -234,7 +228,7 @@ pub fn check_layering(m: &Manifest) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toml;
+    use lucent_support::toml;
 
     fn manifest(text: &str) -> Manifest {
         extract(&toml::parse(text).expect("toml"), "crates/x/Cargo.toml")

@@ -1,11 +1,10 @@
 //! The policy compiler: TOML policy files → [`Policy`] programs.
 //!
-//! The grammar is a deliberate TOML subset — line-oriented
-//! `key = value` under `[section]` / `[[rule]]` headers, with strings,
-//! integers, floats, booleans, flat lists and flat inline tables — the
-//! same dialect the devtools config reader speaks, extended with float
-//! literals (probability gates need them) and implemented here because
-//! `crates/middlebox` sits below devtools in the layering.
+//! The grammar is the workspace's TOML subset, read by
+//! [`lucent_support::toml`] — the same line-pinned reader the lint uses
+//! for `lint-allow.toml` and the manifests. The reader raises every
+//! syntax error; this module supplies the policy vocabulary (which
+//! headers exist, bare `[A-Za-z0-9_]` keys) and the semantics.
 //!
 //! The compiler is **total**: any input, including fuzzer garbage,
 //! either compiles or returns a line-numbered [`PolicyError`] — it
@@ -40,6 +39,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use lucent_netsim::SimDuration;
+use lucent_support::toml::{self, Dialect, Entry, Section, Value};
 
 use crate::matcher::HostMatcher;
 use crate::notice::NoticeStyle;
@@ -73,199 +73,33 @@ fn err<T>(line: usize, msg: String) -> Result<T, PolicyError> {
     Err(PolicyError { line, msg })
 }
 
-/// A parsed value.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Str(String),
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    List(Vec<Val>),
-    Table(Vec<(String, Val)>),
-}
-
-impl Val {
-    fn kind(&self) -> &'static str {
-        match self {
-            Val::Str(_) => "a string",
-            Val::Int(_) => "an integer",
-            Val::Float(_) => "a float",
-            Val::Bool(_) => "a boolean",
-            Val::List(_) => "a list",
-            Val::Table(_) => "an inline table",
-        }
+impl From<toml::Error> for PolicyError {
+    fn from(e: toml::Error) -> PolicyError {
+        PolicyError { line: e.line, msg: e.msg }
     }
 }
 
-/// One `key = value` line.
-#[derive(Debug)]
-struct Entry {
-    key: String,
-    val: Val,
-    line: usize,
-}
+/// The policy vocabulary: `[policy]`, `[match]`, `[state]` and
+/// repeated `[[rule]]` headers, and bare `[A-Za-z0-9_]` keys (quoted,
+/// dotted and dashed keys are not `key = value` here).
+struct PolicyDialect;
 
-/// One `[section]` or `[[rule]]` block.
-#[derive(Debug)]
-struct Sect {
-    name: String,
-    line: usize,
-    entries: Vec<Entry>,
-}
+impl Dialect for PolicyDialect {
+    fn header(&self, name: &str, array: bool) -> Result<(), String> {
+        match (array, name) {
+            (true, "rule") | (false, "policy" | "match" | "state") => Ok(()),
+            (true, _) => Err(format!("unknown section [[{name}]]")),
+            (false, _) => Err(format!("unknown section [{name}]")),
+        }
+    }
 
-/// Cut a `#` comment, respecting string literals.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
+    fn key(&self, raw: &str) -> bool {
+        raw.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
     }
-    line
-}
-
-/// Split at top level on `sep`, ignoring separators inside strings,
-/// lists and inline tables.
-fn split_top(s: &str, sep: char) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut start = 0;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '[' | '{' if !in_str => depth += 1,
-            ']' | '}' if !in_str => depth -= 1,
-            c if c == sep && !in_str && depth == 0 => {
-                parts.push(&s[start..i]);
-                start = i + c.len_utf8();
-            }
-            _ => {}
-        }
-    }
-    parts.push(&s[start..]);
-    parts
-}
-
-/// Parse one scalar, list, or inline-table value.
-fn toml_value(s: &str, line: usize) -> Result<Val, PolicyError> {
-    let s = s.trim();
-    if let Some(rest) = s.strip_prefix('"') {
-        let Some(body) = rest.strip_suffix('"') else {
-            return err(line, "unterminated string".to_string());
-        };
-        if body.contains('"') {
-            return err(line, "unterminated string".to_string());
-        }
-        if body.contains('\\') {
-            return err(line, "strings with escapes are not supported".to_string());
-        }
-        return Ok(Val::Str(body.to_string()));
-    }
-    if s == "true" {
-        return Ok(Val::Bool(true));
-    }
-    if s == "false" {
-        return Ok(Val::Bool(false));
-    }
-    if let Some(rest) = s.strip_prefix('[') {
-        let Some(body) = rest.strip_suffix(']') else {
-            return err(line, format!("malformed value `{s}`"));
-        };
-        let mut items = Vec::new();
-        if !body.trim().is_empty() {
-            for part in split_top(body, ',') {
-                items.push(toml_value(part, line)?);
-            }
-        }
-        return Ok(Val::List(items));
-    }
-    if let Some(rest) = s.strip_prefix('{') {
-        let Some(body) = rest.strip_suffix('}') else {
-            return err(line, format!("malformed value `{s}`"));
-        };
-        let mut pairs = Vec::new();
-        if !body.trim().is_empty() {
-            for part in split_top(body, ',') {
-                let Some((k, v)) = part.split_once('=') else {
-                    return err(line, format!("malformed value `{s}`"));
-                };
-                pairs.push((k.trim().to_string(), toml_value(v, line)?));
-            }
-        }
-        return Ok(Val::Table(pairs));
-    }
-    if let Ok(n) = s.parse::<i64>() {
-        return Ok(Val::Int(n));
-    }
-    if s.contains('.') {
-        if let Ok(x) = s.parse::<f64>() {
-            if x.is_finite() {
-                return Ok(Val::Float(x));
-            }
-        }
-    }
-    err(line, format!("malformed value `{s}`"))
-}
-
-/// Scan the file into sections. Accepts only `[policy]`, `[match]`,
-/// `[state]` and repeated `[[rule]]`.
-fn doc_scan(text: &str) -> Result<Vec<Sect>, PolicyError> {
-    let mut sects: Vec<Sect> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("[[") {
-            let Some(name) = rest.strip_suffix("]]") else {
-                return err(line_no, format!("malformed section header `{line}`"));
-            };
-            let name = name.trim();
-            if name != "rule" {
-                return err(line_no, format!("unknown section [[{name}]]"));
-            }
-            sects.push(Sect { name: "rule".to_string(), line: line_no, entries: Vec::new() });
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('[') {
-            let Some(name) = rest.strip_suffix(']') else {
-                return err(line_no, format!("malformed section header `{line}`"));
-            };
-            let name = name.trim();
-            if !matches!(name, "policy" | "match" | "state") {
-                return err(line_no, format!("unknown section [{name}]"));
-            }
-            if sects.iter().any(|s| s.name == name) {
-                return err(line_no, format!("duplicate section [{name}]"));
-            }
-            sects.push(Sect { name: name.to_string(), line: line_no, entries: Vec::new() });
-            continue;
-        }
-        let Some((key, val)) = line.split_once('=') else {
-            return err(line_no, "expected `key = value`".to_string());
-        };
-        let key = key.trim();
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return err(line_no, "expected `key = value`".to_string());
-        }
-        let val = toml_value(val, line_no)?;
-        let Some(sect) = sects.last_mut() else {
-            return err(line_no, format!("`{key}` before any section header"));
-        };
-        if sect.entries.iter().any(|e| e.key == key) {
-            return err(line_no, format!("duplicate key `{key}`"));
-        }
-        sect.entries.push(Entry { key: key.to_string(), val, line: line_no });
-    }
-    Ok(sects)
 }
 
 /// Reject keys outside the section's vocabulary.
-fn check_keys(sect: &Sect, allowed: &[&str], label: &str) -> Result<(), PolicyError> {
+fn check_keys(sect: &Section, allowed: &[&str], label: &str) -> Result<(), PolicyError> {
     for e in &sect.entries {
         if !allowed.contains(&e.key.as_str()) {
             return err(e.line, format!("unknown key `{}` in {label}", e.key));
@@ -274,41 +108,26 @@ fn check_keys(sect: &Sect, allowed: &[&str], label: &str) -> Result<(), PolicyEr
     Ok(())
 }
 
-fn find<'a>(sect: &'a Sect, key: &str) -> Option<&'a Entry> {
-    sect.entries.iter().find(|e| e.key == key)
-}
-
-fn want_str<'a>(e: &'a Entry) -> Result<&'a str, PolicyError> {
-    match &e.val {
-        Val::Str(s) => Ok(s),
+fn want_str(e: &Entry) -> Result<&str, PolicyError> {
+    match &e.value {
+        Value::Str(s) => Ok(s),
         other => err(e.line, format!("`{}` wants a string, not {}", e.key, other.kind())),
     }
 }
 
-fn table_u64(
-    pairs: &[(String, Val)],
-    key: &str,
-    entry: &Entry,
-    shape: &str,
-) -> Result<u64, PolicyError> {
-    for (k, v) in pairs {
-        if k == key {
-            if let Val::Int(n) = v {
-                if *n >= 0 {
-                    return Ok(*n as u64);
-                }
-            }
-            break;
-        }
+/// The non-negative integer under `key` in `entry`'s inline table.
+fn table_u64(entry: &Entry, key: &str, shape: &str) -> Result<u64, PolicyError> {
+    match entry.value.get(key) {
+        Some(Value::Int(n)) if *n >= 0 => Ok(*n as u64),
+        _ => err(entry.line, format!("`{}` wants `{shape}`", entry.key)),
     }
-    err(entry.line, format!("`{}` wants `{shape}`", entry.key))
 }
 
-fn notice_of(sect: &Sect, overt: bool) -> Result<Option<NoticeStyle>, PolicyError> {
-    let preset = find(sect, "notice");
+fn notice_of(sect: &Section, overt: bool) -> Result<Option<NoticeStyle>, PolicyError> {
+    let preset = sect.get("notice");
     let custom: Vec<&Entry> = ["notice_iframe", "notice_server", "notice_text"]
         .iter()
-        .filter_map(|k| find(sect, k))
+        .filter_map(|k| sect.get(k))
         .collect();
     if let Some(e) = preset {
         if let Some(c) = custom.first() {
@@ -345,7 +164,7 @@ fn notice_of(sect: &Sect, overt: bool) -> Result<Option<NoticeStyle>, PolicyErro
 
 /// Compile one `[[rule]]` section (without `after` resolution, which
 /// needs the whole rule list).
-fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, usize)>), PolicyError> {
+fn rule_of_sect(sect: &Section, family: Family) -> Result<(Rule, Option<(String, usize)>), PolicyError> {
     check_keys(
         sect,
         &[
@@ -367,7 +186,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         "[[rule]]",
     )?;
 
-    let Some(trig) = find(sect, "trigger") else {
+    let Some(trig) = sect.get("trigger") else {
         return err(sect.line, "rule needs `trigger = \"host-header\"`".to_string());
     };
     match want_str(trig)? {
@@ -375,7 +194,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         other => return err(trig.line, format!("unknown trigger `{other}`")),
     }
 
-    let Some(m) = find(sect, "matcher") else {
+    let Some(m) = sect.get("matcher") else {
         return err(sect.line, "rule needs a `matcher`".to_string());
     };
     let matcher = match want_str(m)? {
@@ -385,15 +204,15 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         other => return err(m.line, format!("unknown matcher `{other}`")),
     };
 
-    let hosts = match find(sect, "hosts") {
+    let hosts = match sect.get("hosts") {
         None => HostSet::Blocklist,
-        Some(e) => match &e.val {
-            Val::Str(s) if s == "blocklist" => HostSet::Blocklist,
-            Val::Str(s) if s == "any" => HostSet::Any,
-            Val::List(items) => {
+        Some(e) => match &e.value {
+            Value::Str(s) if s == "blocklist" => HostSet::Blocklist,
+            Value::Str(s) if s == "any" => HostSet::Any,
+            Value::List(items) => {
                 let mut set = BTreeSet::new();
                 for item in items {
-                    let Val::Str(host) = item else {
+                    let Value::Str(host) = item else {
                         return err(
                             e.line,
                             "`hosts` wants \"blocklist\", \"any\", or a list of strings"
@@ -413,12 +232,12 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         },
     };
 
-    let probability = match find(sect, "probability") {
+    let probability = match sect.get("probability") {
         None => None,
         Some(e) => {
-            let p = match e.val {
-                Val::Float(x) => x,
-                Val::Int(1) => 1.0,
+            let p = match e.value {
+                Value::Float(x) => x,
+                Value::Int(1) => 1.0,
                 _ => return err(e.line, "`probability` must be within (0, 1]".to_string()),
             };
             if !(p > 0.0 && p <= 1.0) {
@@ -428,10 +247,10 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         }
     };
 
-    let Some(act) = find(sect, "action") else {
+    let Some(act) = sect.get("action") else {
         return err(sect.line, "rule needs a non-empty `action`".to_string());
     };
-    let Val::List(verbs) = &act.val else {
+    let Value::List(verbs) = &act.value else {
         return err(act.line, "`action` wants a list of verbs".to_string());
     };
     if verbs.is_empty() {
@@ -440,7 +259,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
     let (mut pass, mut inject_notice, mut inject_rst, mut reset_server, mut drop_flow) =
         (false, false, false, false, false);
     for v in verbs {
-        let Val::Str(verb) = v else {
+        let Value::Str(verb) = v else {
             return err(act.line, "`action` wants a list of verbs".to_string());
         };
         match verb.as_str() {
@@ -467,8 +286,8 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         }
     }
 
-    let delay_entry = find(sect, "delay_us");
-    let slow_entry = find(sect, "slow");
+    let delay_entry = sect.get("delay_us");
+    let slow_entry = sect.get("slow");
     if family == Family::Interceptive {
         if let Some(e) = delay_entry.or(slow_entry) {
             return err(
@@ -481,7 +300,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         None if family == Family::Wiretap && !pass => Some((300, 900)),
         None => None,
         Some(e) => {
-            let Val::Table(pairs) = &e.val else {
+            let Value::Table(pairs) = &e.value else {
                 return err(e.line, "`delay_us` wants `{ lo = <us>, hi = <us> }`".to_string());
             };
             for (k, _) in pairs {
@@ -489,8 +308,8 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
                     return err(e.line, "`delay_us` wants `{ lo = <us>, hi = <us> }`".to_string());
                 }
             }
-            let lo = table_u64(pairs, "lo", e, "{ lo = <us>, hi = <us> }")?;
-            let hi = table_u64(pairs, "hi", e, "{ lo = <us>, hi = <us> }")?;
+            let lo = table_u64(e, "lo", "{ lo = <us>, hi = <us> }")?;
+            let hi = table_u64(e, "hi", "{ lo = <us>, hi = <us> }")?;
             if lo > hi {
                 return err(e.line, "empty delay range".to_string());
             }
@@ -500,7 +319,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
     let slow = match slow_entry {
         None => None,
         Some(e) => {
-            let Val::Table(pairs) = &e.val else {
+            let Value::Table(pairs) = &e.value else {
                 return err(
                     e.line,
                     "`slow` wants `{ p = <0-1>, lo = <us>, hi = <us> }`".to_string(),
@@ -509,8 +328,8 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
             let mut p = None;
             for (k, v) in pairs {
                 match (k.as_str(), v) {
-                    ("p", Val::Float(x)) => p = Some(*x),
-                    ("p", Val::Int(1)) => p = Some(1.0),
+                    ("p", Value::Float(x)) => p = Some(*x),
+                    ("p", Value::Int(1)) => p = Some(1.0),
                     ("lo" | "hi", _) => {}
                     _ => {
                         return err(
@@ -529,8 +348,8 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
             if !(p > 0.0 && p <= 1.0) {
                 return err(e.line, "`slow` probability must be within (0, 1]".to_string());
             }
-            let lo = table_u64(pairs, "lo", e, "{ p = <0-1>, lo = <us>, hi = <us> }")?;
-            let hi = table_u64(pairs, "hi", e, "{ p = <0-1>, lo = <us>, hi = <us> }")?;
+            let lo = table_u64(e, "lo", "{ p = <0-1>, lo = <us>, hi = <us> }")?;
+            let hi = table_u64(e, "hi", "{ p = <0-1>, lo = <us>, hi = <us> }")?;
             if lo > hi {
                 return err(e.line, "empty delay range".to_string());
             }
@@ -538,15 +357,15 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         }
     };
 
-    let ip_id = match find(sect, "ip_id") {
+    let ip_id = match sect.get("ip_id") {
         None => match family {
             Family::Wiretap => IpIdSpec::SeqHash,
             Family::Interceptive => IpIdSpec::DeviceMark,
         },
-        Some(e) => match &e.val {
-            Val::Int(n) if (0..=0xffff).contains(n) => IpIdSpec::Fixed(*n as u16),
-            Val::Str(s) if s == "hashed" => IpIdSpec::SeqHash,
-            Val::Str(s) if s == "device" => IpIdSpec::DeviceMark,
+        Some(e) => match &e.value {
+            Value::Int(n) if (0..=0xffff).contains(n) => IpIdSpec::Fixed(*n as u16),
+            Value::Str(s) if s == "hashed" => IpIdSpec::SeqHash,
+            Value::Str(s) if s == "device" => IpIdSpec::DeviceMark,
             _ => {
                 return err(
                     e.line,
@@ -557,10 +376,9 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
     };
 
     let action = if pass {
-        for e in ["notice", "notice_iframe", "notice_server", "notice_text", "ip_id", "delay_us", "slow"]
-            .iter()
-            .filter_map(|k| find(sect, k))
-        {
+        let fire_keys =
+            ["notice", "notice_iframe", "notice_server", "notice_text", "ip_id", "delay_us", "slow"];
+        if let Some(e) = fire_keys.iter().find_map(|k| sect.get(k)) {
             return err(e.line, format!("`{}` is meaningless on a pass rule", e.key));
         }
         Action::Pass
@@ -582,11 +400,11 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         })
     };
 
-    let name = match find(sect, "name") {
+    let name = match sect.get("name") {
         None => None,
         Some(e) => Some(want_str(e)?.to_string()),
     };
-    let after_ref = match find(sect, "after") {
+    let after_ref = match sect.get("after") {
         None => None,
         Some(e) => Some((want_str(e)?.to_string(), e.line)),
     };
@@ -606,17 +424,17 @@ pub fn compile(text: &str) -> Result<Policy, PolicyError> {
 /// equality); the line table is the side channel the `policycheck`
 /// analyzer in devtools uses to pin L11/L12 findings back to the file.
 pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyError> {
-    let sects = doc_scan(text)?;
+    let sects = toml::parse_in(text, &PolicyDialect)?;
 
     let Some(policy_sect) = sects.iter().find(|s| s.name == "policy") else {
         return err(0, "policy needs a [policy] section".to_string());
     };
     check_keys(policy_sect, &["name", "family"], "[policy]")?;
-    let Some(name_e) = find(policy_sect, "name") else {
+    let Some(name_e) = policy_sect.get("name") else {
         return err(policy_sect.line, "policy needs a `name`".to_string());
     };
     let name = want_str(name_e)?.to_string();
-    let Some(fam_e) = find(policy_sect, "family") else {
+    let Some(fam_e) = policy_sect.get("family") else {
         return err(policy_sect.line, "policy needs a `family`".to_string());
     };
     let family = match want_str(fam_e)? {
@@ -632,17 +450,17 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
     };
     if let Some(match_sect) = sects.iter().find(|s| s.name == "match") {
         check_keys(match_sect, &["ports"], "[match]")?;
-        if let Some(e) = find(match_sect, "ports") {
-            ports = match &e.val {
-                Val::Str(s) if s == "any" => None,
-                Val::List(items) if !items.is_empty() => {
+        if let Some(e) = match_sect.get("ports") {
+            ports = match &e.value {
+                Value::Str(s) if s == "any" => None,
+                Value::List(items) if !items.is_empty() => {
                     let mut set = BTreeSet::new();
                     for item in items {
                         match item {
-                            Val::Int(n) if (1..=0xffff).contains(n) => {
+                            Value::Int(n) if (1..=0xffff).contains(n) => {
                                 set.insert(*n as u16);
                             }
-                            Val::Int(n) => {
+                            Value::Int(n) => {
                                 return err(e.line, format!("port {n} is outside 1-65535"))
                             }
                             _ => {
@@ -665,9 +483,9 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
     let mut flow_timeout = SimDuration::from_secs(150);
     if let Some(state_sect) = sects.iter().find(|s| s.name == "state") {
         check_keys(state_sect, &["flow_timeout_secs"], "[state]")?;
-        if let Some(e) = find(state_sect, "flow_timeout_secs") {
-            match e.val {
-                Val::Int(n) if (1..=86_400).contains(&n) => {
+        if let Some(e) = state_sect.get("flow_timeout_secs") {
+            match e.value {
+                Value::Int(n) if (1..=86_400).contains(&n) => {
                     flow_timeout = SimDuration::from_secs(n as u64);
                 }
                 _ => {
@@ -680,7 +498,7 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
         }
     }
 
-    let rule_sects: Vec<&Sect> = sects.iter().filter(|s| s.name == "rule").collect();
+    let rule_sects: Vec<&Section> = sects.iter().filter(|s| s.name == "rule").collect();
     if rule_sects.is_empty() {
         return err(0, "a policy needs at least one [[rule]]".to_string());
     }
@@ -696,7 +514,7 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
             if rules.iter().any(|r: &Rule| r.name.as_deref() == Some(rule_name)) {
                 // Pin the error to the `name =` entry itself, not the
                 // `[[rule]]` header — the name is the offender.
-                let line = find(sect, "name").map(|e| e.line).unwrap_or(sect.line);
+                let line = sect.get("name").map(|e| e.line).unwrap_or(sect.line);
                 return err(line, format!("duplicate rule name `{rule_name}`"));
             }
         }

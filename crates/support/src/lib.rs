@@ -12,6 +12,8 @@
 //!   `serde_json`)
 //! * [`bench`] — a wall-clock stopwatch, the workspace's only
 //!   sanctioned wall-clock access
+//! * [`toml`] — the line-pinned reader for the workspace's TOML subset,
+//!   shared by the policy compiler and the lint
 //!
 //! Property tests run on `lucent-check`, which sits above this crate.
 
@@ -22,6 +24,7 @@ pub mod bench;
 pub mod buf;
 pub mod json;
 pub mod rng;
+pub mod toml;
 
 pub use buf::Bytes;
 pub use json::{Json, ToJson};

@@ -6,9 +6,9 @@
 //!
 //! Also pins the machine-readable report: `--json` output must be
 //! byte-identical across runs and across `--threads` values (CI diffs
-//! it against `tests/golden/lint-report.json`), the L4/L8/L11
-//! rule fixtures under `crates/devtools/fixtures/` must go red/green
-//! exactly as designed, and `--update-baseline` must refuse to raise
+//! it against `tests/golden/lint-report.json`), the L4/L8/L11 and
+//! allowlist fixtures under `crates/devtools/fixtures/` must go
+//! red/green exactly as designed, and `--update-baseline` must refuse to raise
 //! a generated ceiling.
 
 use std::path::{Path, PathBuf};
@@ -164,13 +164,28 @@ fn update_baseline_leaves_an_allowlist_with_a_retired_table_alone() {
     let allow = "[panic_sites]\n\"crates/isp/src/lib.rs\" = 1\n";
     let dir = scratch_workspace("ratchet-retired", allow);
     let report = lucent_devtools::update_baseline(&dir).expect("update");
-    assert!(
-        report.violations.iter().any(|v| v.msg.contains("unknown section [panic_sites]")),
-        "{:?}",
-        report.violations
-    );
+    let v = report
+        .violations
+        .iter()
+        .find(|v| v.msg.contains("unknown section [panic_sites]"))
+        .unwrap_or_else(|| panic!("{:?}", report.violations));
+    // Filed under L3, a rule the allowlist configures (L4 has none).
+    assert_eq!((v.rule.code(), v.path.as_str(), v.line), ("L3-determinism", "lint-allow.toml", 1));
     let after = std::fs::read_to_string(dir.join("lint-allow.toml")).expect("read");
     assert_eq!(after, allow, "an unparseable allowlist must not be rewritten");
+}
+
+#[test]
+fn allowlist_fixture_goes_red_on_a_repeated_ceiling_key() {
+    // A repeated `[policy_anomaly]` key is an error at its line, not a
+    // silent last-one-wins overwrite.
+    let report = run_root(&fixture("allow-red")).expect("fixture scan");
+    assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+    assert_eq!(
+        report.violations[0].to_string(),
+        "L3-determinism: lint-allow.toml:5: unparseable allowlist: \
+         duplicate key `crates/isp/policies/shadowed.toml`"
+    );
 }
 
 #[test]
