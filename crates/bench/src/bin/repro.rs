@@ -24,13 +24,13 @@
 //! triggers, evasion, anonymity) across N OS threads; every artifact is
 //! byte-identical to `--threads 1` (default: available parallelism).
 //!
-//! `--profile PATH` turns on the profiler and writes a two-plane
-//! profile: a `deterministic` section (virtual-time scheduler dwell
-//! histograms, per-event-kind pop counts, middlebox path counters,
-//! per-shard totals — byte-identical across runs and `--threads`
-//! values) and a `wall` section (per-phase timers, per-shard busy/idle,
-//! events/sec — explicitly nondeterministic). A Chrome trace-event
-//! phase view lands next to it at `PATH` with extension `.phases.json`.
+//! `--profile PATH` turns on the profiler and writes its `deterministic`
+//! section (virtual-time scheduler dwell histograms, per-event-kind pop
+//! counts, middlebox path counters, per-shard totals) with a `schema`
+//! tag; the file is byte-identical across runs and `--threads` values.
+//! Wall-clock performance is measured by the `benchmark/` workspace.
+//!
+//! Every requested output that cannot be written exits 1.
 
 use std::fs;
 use std::path::PathBuf;
@@ -144,12 +144,8 @@ fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Option<Str
 
 fn emit_json<T: lucent_support::ToJson>(dir: &Option<PathBuf>, name: &str, value: &T) {
     if let Some(dir) = dir {
-        let _ = fs::create_dir_all(dir);
         let path = dir.join(format!("{name}.json"));
-        let s = lucent_support::json::to_string_pretty(value);
-        if let Err(e) = fs::write(&path, s) {
-            eprintln!("warn: cannot write {}: {e}", path.display());
-        }
+        write_or_die(&path, &lucent_support::json::to_string_pretty(value));
     }
 }
 
@@ -406,8 +402,6 @@ fn main() {
         lab.india.net.events_processed(),
         start.elapsed_secs()
     );
-    let mut phases = Vec::new();
-    let mut phase_from = phase_mark(&start, &mut phases, "prepare", 0);
     let json = &args.json_dir;
     let drv = Driver::new(args.scale, args.threads, args.trace.clone())
         .with_prof(args.profile.is_some());
@@ -458,10 +452,8 @@ fn main() {
             std::process::exit(2);
         }
     }
-    phase_from = phase_mark(&start, &mut phases, "run", phase_from);
     if args.trace.is_some() {
         let dir = args.json_dir.clone().unwrap_or_else(|| PathBuf::from("."));
-        let _ = std::fs::create_dir_all(&dir);
         write_or_die(&dir.join("trace-events.jsonl"), &obs.event_log());
         write_or_die(&dir.join("chrome-trace.json"), &obs.chrome_trace());
         println!(
@@ -472,13 +464,9 @@ fn main() {
         );
     }
     if let Some(path) = &args.metrics_out {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(parent);
-        }
         write_or_die(path, &obs.metrics_snapshot_pretty());
         println!("metrics snapshot -> {}", path.display());
     }
-    phase_mark(&start, &mut phases, "assemble", phase_from);
     if obs.events_dropped() > 0 {
         eprintln!(
             "warn: {} telemetry event(s) dropped at the ring cap — event-derived \
@@ -488,75 +476,31 @@ fn main() {
     }
     let wall = start.elapsed_secs();
     let events = lab.india.net.events_processed() + drv.shard_events();
-    let rate = if wall > 0.0 { events as f64 / wall } else { 0.0 };
     if let Some(path) = &args.profile {
-        write_profile(path, &args, &obs, &lab, &drv, phases, wall, events);
+        write_profile(path, &obs, &lab);
     }
-    println!(
-        "done in {wall:.1}s wall, {events} simulator events ({rate:.0} events/s), virtual time {}",
-        lab.now()
-    );
+    println!("done in {wall:.1}s wall, {events} simulator events, virtual time {}", lab.now());
 }
 
-/// Close the phase that started at `from` µs (process wall clock) under
-/// `name`, returning the new phase start.
-fn phase_mark(
-    start: &lucent_support::bench::Stopwatch,
-    phases: &mut Vec<lucent_obs::prof::WallPhase>,
-    name: &str,
-    from: u64,
-) -> u64 {
-    let now = (start.elapsed_nanos() / 1_000) as u64;
-    phases.push(lucent_obs::prof::WallPhase {
-        name: name.to_string(),
-        start_us: from,
-        dur_us: now.saturating_sub(from),
-    });
-    now
-}
-
-/// Write the two-plane profile to `path` and the Chrome trace-event
-/// phase view next to it (`path` with extension `.phases.json`).
-#[allow(clippy::too_many_arguments)] // one-shot exporter, not an API
-fn write_profile(
-    path: &std::path::Path,
-    args: &Args,
-    obs: &lucent_obs::Telemetry,
-    lab: &Lab,
-    drv: &Driver,
-    phases: Vec<lucent_obs::prof::WallPhase>,
-    wall: f64,
-    events: u64,
-) {
-    use lucent_support::{Json, ToJson};
-    let wall_plane = lucent_obs::prof::WallPlane {
-        phases,
-        pools: drv.pool_walls(),
-        threads: args.threads,
-        events,
-        wall_secs: wall,
-    };
+/// Write the profile to `path`: the deterministic section and the
+/// schema tag.
+fn write_profile(path: &std::path::Path, obs: &lucent_obs::Telemetry, lab: &Lab) {
+    use lucent_obs::prof;
+    use lucent_support::Json;
     let profile = Json::Obj(vec![
-        (
-            "deterministic".to_string(),
-            lucent_obs::prof::deterministic_json(obs, lab.india.net.queue_depth_hwm()),
-        ),
-        ("schema".to_string(), Json::Str(lucent_obs::prof::SCHEMA.to_string())),
-        ("wall".to_string(), wall_plane.to_json()),
+        ("deterministic".to_string(), prof::deterministic_json(obs, lab.india.net.queue_depth_hwm())),
+        ("schema".to_string(), Json::Str(prof::SCHEMA.to_string())),
     ]);
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        let _ = std::fs::create_dir_all(parent);
-    }
     write_or_die(path, &profile.to_string_pretty());
-    let chrome_path = path.with_extension("phases.json");
-    write_or_die(&chrome_path, &wall_plane.phases_chrome());
-    println!("profile -> {} (phase view: {})", path.display(), chrome_path.display());
+    println!("profile -> {}", path.display());
 }
 
-/// Write an exporter artifact, failing loudly: a half-written trace is
-/// worse than an aborted run.
+/// Write a requested output file, creating its directory first, and
+/// fail loudly: a run that was asked for an artifact and could not
+/// write it must not exit 0.
 fn write_or_die(path: &std::path::Path, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Err(e) = dir.map_or(Ok(()), fs::create_dir_all).and_then(|()| fs::write(path, contents)) {
         eprintln!("cannot write {}: {e}", path.display());
         std::process::exit(1);
     }

@@ -1,14 +1,13 @@
 //! The sharded experiment driver: turns each experiment's per-ISP (or
 //! per-resolver-chunk) entry points into shard jobs, runs them on a
 //! [`Pool`], and merges rows **and telemetry** back in submission
-//! order. `repro` and the determinism integration test share this code,
-//! so what CI proves byte-identical is exactly what users run.
+//! order. This is the only way a multi-ISP experiment runs: `repro`,
+//! the integration tests and the examples all go through it, so what
+//! CI proves byte-identical is exactly what users run.
 
 use lucent_core::experiments::{anonymity, evasion, fig2, race, table1, triggers};
 use lucent_core::probe::dns_scan::{survey_batch, ResolverScan};
-use lucent_obs::prof::PoolWall;
 use lucent_obs::Telemetry;
-use lucent_support::bench::Stopwatch;
 use lucent_topology::IspId;
 
 use crate::shard::{Job, Pool, ShardOut};
@@ -27,7 +26,6 @@ pub struct Driver {
     trace: Option<String>,
     prof: bool,
     shard_events: std::cell::Cell<u64>,
-    walls: std::cell::RefCell<Vec<PoolWall>>,
 }
 
 impl Driver {
@@ -41,47 +39,26 @@ impl Driver {
             trace,
             prof: false,
             shard_events: std::cell::Cell::new(0),
-            walls: std::cell::RefCell::new(Vec::new()),
         }
     }
 
-    /// Enable the profiler on every shard registry, and collect
-    /// wall-clock pool accounting ([`Driver::pool_walls`]) per run.
+    /// Enable the profiler on every shard registry.
     pub fn with_prof(mut self, on: bool) -> Driver {
         self.prof = on;
         self
     }
 
     /// Simulator events processed by all shards so far — the hub
-    /// network never sees these, so events/s accounting needs them.
+    /// network never sees these, so a run's event total needs them.
     pub fn shard_events(&self) -> u64 {
         self.shard_events.get()
     }
 
-    /// Wall accounting for every sharded pool run so far, in run order.
-    /// Empty unless the driver was built [`Driver::with_prof`].
-    pub fn pool_walls(&self) -> Vec<PoolWall> {
-        self.walls.borrow().clone()
-    }
-
-    fn pool(&self) -> Pool {
-        Pool::new(self.scale.config(), self.threads, self.trace.clone()).with_prof(self.prof)
-    }
-
-    /// Run `jobs` on a fresh pool under `tag`, recording busy-vs-idle
-    /// wall stats when profiling (wall-clock plane only — the shard
-    /// outputs themselves stay deterministic).
-    fn run_pool<'a, T: Send>(&self, tag: &'static str, jobs: Vec<Job<'a, T>>) -> Vec<ShardOut<T>> {
-        let sw = Stopwatch::start();
-        let outs = self.pool().run_tagged(tag, jobs);
-        if self.prof {
-            self.walls.borrow_mut().push(PoolWall {
-                tag: tag.to_string(),
-                wall_secs: sw.elapsed_secs(),
-                busy_secs: outs.iter().map(|o| o.busy_secs).collect(),
-            });
-        }
-        outs
+    /// Run `jobs` on a fresh pool under `tag`.
+    fn run_pool<T: Send>(&self, tag: &str, jobs: Vec<Job<'_, T>>) -> Vec<ShardOut<T>> {
+        Pool::new(self.scale.config(), self.threads, self.trace.clone())
+            .with_prof(self.prof)
+            .run_tagged(tag, jobs)
     }
 
     /// Absorb shard telemetry into `hub` in submission order and return
@@ -238,20 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn profiled_pools_label_shards_and_record_walls() {
+    fn profiled_pools_label_shards() {
         let opts = race::RaceOptions {
             isps: vec![IspId::Airtel, IspId::Idea],
             attempts: 2,
             sites_per_isp: 1,
         };
         let prof_snapshot = |threads: usize| {
-            let drv = driver(threads).with_prof(true);
             let hub = Telemetry::new();
-            drv.race(&hub, &opts);
-            let walls = drv.pool_walls();
-            assert_eq!(walls.len(), 1);
-            assert_eq!(walls[0].tag, "race");
-            assert_eq!(walls[0].busy_secs.len(), 2);
+            driver(threads).with_prof(true).race(&hub, &opts);
             lucent_obs::prof::deterministic_json(&hub, 0).to_string_pretty()
         };
         let det1 = prof_snapshot(1);

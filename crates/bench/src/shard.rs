@@ -38,12 +38,12 @@ pub struct ShardOut<T> {
     pub value: T,
     /// Drained metrics/events/spans of the shard's private world.
     pub dump: TelemetryDump,
-    /// Simulator events the shard's network processed (for the
-    /// events/s accounting the hub can no longer see).
+    /// Simulator events the shard's network processed (for the run's
+    /// event total, which the hub can no longer see).
     pub events: u64,
-    /// Wall-clock seconds this shard's job ran for — the busy side of
-    /// the profiler's busy-vs-idle pool accounting. Nondeterministic;
-    /// never merged into telemetry.
+    /// Wall-clock seconds this shard's job ran for. Read by the
+    /// `benchmark/` workspace for its busy-vs-idle pool accounting;
+    /// nondeterministic, never merged into telemetry.
     pub busy_secs: f64,
 }
 
@@ -79,14 +79,11 @@ impl Pool {
     /// finished first. With `threads == 1` (or a single job) everything
     /// runs inline on the caller's thread — no spawn, identical
     /// semantics, which is what makes the determinism claim testable.
-    pub fn run<T: Send>(&self, jobs: Vec<Job<'_, T>>) -> Vec<ShardOut<T>> {
-        self.run_tagged("pool", jobs)
-    }
-
-    /// [`Pool::run`], labelling per-shard profiler samples
-    /// `tag/shard-NN`. The label depends only on the tag and the
-    /// submission index, never on a thread id, so the merged registry
-    /// stays byte-identical at any `--threads N`.
+    ///
+    /// Per-shard profiler samples are labelled `tag/shard-NN`. The label
+    /// depends only on the tag and the submission index, never on a
+    /// thread id, so the merged registry stays byte-identical at any
+    /// `--threads N`.
     pub fn run_tagged<T: Send>(&self, tag: &str, jobs: Vec<Job<'_, T>>) -> Vec<ShardOut<T>> {
         let n = jobs.len();
         if self.threads == 1 || n <= 1 {
@@ -177,7 +174,7 @@ mod tests {
             .iter()
             .map(|&isp| Box::new(move |ctx: &mut ShardCtx| isp_client_row(ctx, isp)) as _)
             .collect();
-        let outs = pool.run(jobs);
+        let outs = pool.run_tagged("pool", jobs);
         let hub = lucent_obs::Telemetry::new();
         let mut rows = Vec::new();
         for out in outs {

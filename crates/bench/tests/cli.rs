@@ -1,10 +1,13 @@
 //! CLI contract tests for the `repro` binary: flag validation exits 2
 //! with usage, a flag is never read as another flag's value, `--help`
-//! exits 0, and `--json` creates its output directory (nested paths
-//! included) before writing result files.
+//! exits 0, `--json` creates its output directory (nested paths
+//! included) before writing result files, and an output that cannot be
+//! written exits 1.
 
 use std::path::PathBuf;
 use std::process::Command;
+
+use lucent_support::Json;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -83,7 +86,24 @@ fn json_dir_is_created_on_demand() {
 }
 
 #[test]
-fn profile_needs_a_path_and_writes_both_views() {
+fn unwritable_json_dir_exits_1() {
+    let root = scratch("json-file");
+    std::fs::create_dir_all(&root).expect("scratch dir");
+    let file = root.join("results");
+    std::fs::write(&file, "").expect("plain file");
+    let out = repro()
+        .args(["fig1", "--scale", "tiny", "--json"])
+        .arg(&file)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(1), "a --json DIR that is a file must fail the run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn profile_needs_a_path_and_writes_only_the_deterministic_profile() {
     let out = repro().args(["race", "--scale", "tiny", "--profile"]).output().expect("spawn");
     assert_eq!(out.status.code(), Some(2), "--profile without a path must exit 2");
 
@@ -98,13 +118,15 @@ fn profile_needs_a_path_and_writes_both_views() {
         .expect("spawn repro");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let text = std::fs::read_to_string(&path).expect("profile written");
+    let Ok(Json::Obj(top)) = Json::parse(&text) else { panic!("profile is not a JSON object: {text}") };
+    let keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["deterministic", "schema"], "{text}");
     assert!(text.contains("\"schema\": \"lucent-prof/1\""), "{text}");
-    assert!(text.contains("\"deterministic\""), "{text}");
-    assert!(text.contains("\"wall\""), "{text}");
-    assert!(text.contains("\"events_per_sec\""), "{text}");
-    let phases = std::fs::read_to_string(path.with_extension("phases.json"))
-        .expect("phase view written next to the profile");
-    assert!(phases.contains("traceEvents"), "{phases}");
+    let files: Vec<_> = std::fs::read_dir(root.join("prof"))
+        .expect("profile dir")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .collect();
+    assert_eq!(files, ["profile.json"], "the profile is the only file written");
     let _ = std::fs::remove_dir_all(root);
 }
 

@@ -81,11 +81,6 @@ pub fn ranged(lo: u64, hi: u64) -> Gen<u64> {
     Gen::new(move |s| s.range_u64(lo, hi))
 }
 
-/// Byte strings with length in `lo..=hi`.
-pub fn byte_strings(lo: usize, hi: usize) -> Gen<Vec<u8>> {
-    Gen::new(move |s| s.bytes(lo, hi))
-}
-
 /// Strings over `alphabet` with length in `lo..=hi`.
 pub fn strings(alphabet: &str, lo: usize, hi: usize) -> Gen<String> {
     let alphabet = alphabet.to_string();

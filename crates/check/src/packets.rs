@@ -162,19 +162,9 @@ pub fn wire_image(s: &mut Source) -> Vec<u8> {
     }
 }
 
-/// `Gen` forms of the main structured generators.
+/// `Gen` form of [`tcp_packet`].
 pub fn packets() -> Gen<Packet> {
     Gen::new(tcp_packet)
-}
-
-/// `Gen` form of [`dns_message`].
-pub fn dns_messages() -> Gen<DnsMessage> {
-    Gen::new(dns_message)
-}
-
-/// `Gen` form of [`host_name`].
-pub fn host_names() -> Gen<String> {
-    Gen::new(host_name)
 }
 
 #[cfg(test)]

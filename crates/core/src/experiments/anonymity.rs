@@ -109,11 +109,6 @@ pub fn run_isp(lab: &mut Lab, isp: IspId, max_paths: usize) -> AnonymityRow {
     row
 }
 
-/// Probe up to `max_paths` popular-site paths in each ISP.
-pub fn run(lab: &mut Lab, isps: &[IspId], max_paths: usize) -> Anonymity {
-    Anonymity { rows: isps.iter().map(|&isp| run_isp(lab, isp, max_paths)).collect() }
-}
-
 impl fmt::Display for Anonymity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let rows: Vec<Vec<String>> = self
@@ -141,25 +136,6 @@ impl fmt::Display for Anonymity {
                 &rows
             )
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lucent_topology::{India, IndiaConfig};
-
-    #[test]
-    fn censored_paths_always_have_an_asterisked_hop() {
-        let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let a = run(&mut lab, &[IspId::Idea], 10);
-        let row = &a.rows[0];
-        assert!(row.paths > 0);
-        assert!(row.censored > 0, "{a}");
-        // Every censored path crosses an anonymized (device-hosting) hop.
-        assert_eq!(row.censored, row.censored_and_asterisk, "{a}");
-        // And the asterisk rate roughly tracks coverage (~7/8 in tiny).
-        assert!(row.with_asterisk * 2 >= row.paths, "{a}");
     }
 }
 

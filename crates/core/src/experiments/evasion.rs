@@ -149,18 +149,6 @@ pub fn run_isp(
     (per_technique, full)
 }
 
-/// Run the evaluation.
-pub fn run(lab: &mut Lab, opts: &EvasionOptions) -> Evasion {
-    let mut matrix = BTreeMap::new();
-    let mut fully = BTreeMap::new();
-    for &isp in &opts.isps {
-        let (per_technique, full) = run_isp(lab, isp, opts);
-        matrix.insert(isp.name().to_string(), per_technique);
-        fully.insert(isp.name().to_string(), full);
-    }
-    Evasion { matrix, fully_evaded: fully }
-}
-
 impl fmt::Display for Evasion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let technique_names: Vec<String> = self
@@ -193,34 +181,6 @@ impl fmt::Display for Evasion {
             .collect();
         writeln!(f, "Anti-censorship evaluation (successes/attempts per technique)")?;
         write!(f, "{}", report::table(&headers, &rows))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lucent_topology::{India, IndiaConfig};
-
-    #[test]
-    fn every_censor_is_fully_evaded_by_some_technique() {
-        let mut lab = Lab::new(India::build(IndiaConfig::small()));
-        let opts = EvasionOptions {
-            isps: vec![IspId::Idea, IspId::Mtnl],
-            sites_per_isp: 3,
-            techniques: vec![
-                Technique::ExtraSpaceBeforeValue,
-                Technique::SegmentedRequest,
-                Technique::HostKeywordCase,
-                Technique::PublicResolver,
-            ],
-        };
-        let e = run(&mut lab, &opts);
-        assert_eq!(e.fully_evaded.get("Idea"), Some(&true), "{e}");
-        assert_eq!(e.fully_evaded.get("MTNL"), Some(&true), "{e}");
-        // Idea (overt IM, case-insensitive): case fudging must fail.
-        let idea = &e.matrix["Idea"];
-        assert_eq!(idea["host-case"].success, 0, "{e}");
-        assert_eq!(idea["extra-space"].success, idea["extra-space"].attempts, "{e}");
     }
 }
 

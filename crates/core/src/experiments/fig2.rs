@@ -3,6 +3,7 @@
 //! coverage numbers (MTNL 383/448 ≈ 77%, BSNL 17/182 ≈ 9.3%) and
 //! consistency averages (≈42.4% vs ≈7.5%).
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::num::NonZeroU32;
@@ -11,7 +12,8 @@ use lucent_topology::IspId;
 use lucent_web::SiteId;
 
 use crate::lab::Lab;
-use crate::probe::dns_scan::{find_open_resolvers, reference_answers, survey, DnsSurvey, ResolverScan};
+use crate::metrics;
+use crate::probe::dns_scan::{find_open_resolvers, reference_answers, ResolverScan};
 use crate::report;
 
 /// Options for the Figure 2 run.
@@ -82,31 +84,29 @@ pub fn prepare_isp(lab: &mut Lab, isp: IspId, opts: &Fig2Options) -> IspPrep {
 }
 
 /// Assemble one ISP's row from its open-resolver list and the
-/// concatenated (submission-order) chunk scans.
+/// concatenated (submission-order) chunk scans: coverage (§4.1 metric
+/// 1), consistency (metric 2) and the per-site blocking fractions
+/// behind the figure (share of poisoned resolvers blocking each site,
+/// one entry per site blocked anywhere).
 pub fn assemble_row(isp: IspId, open: Vec<Ipv4Addr>, poisoned: Vec<ResolverScan>) -> DnsRow {
-    let s = DnsSurvey { isp: isp.name().to_string(), open_resolvers: open, poisoned };
-    let (consistency, mut series) = s.consistency_series();
+    let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
+    for scan in &poisoned {
+        for &site in &scan.manipulated {
+            *counts.entry(site).or_insert(0) += 1;
+        }
+    }
+    let n = poisoned.len();
+    let counts: Vec<usize> = counts.into_values().collect();
+    let mut series: Vec<f64> = counts.iter().map(|&c| c as f64 / n.max(1) as f64).collect();
     series.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
     DnsRow {
-        isp: s.isp.clone(),
-        open: s.open_resolvers.len(),
-        poisoned: s.poisoned.len(),
-        coverage: s.coverage(),
-        consistency,
+        isp: isp.name().to_string(),
+        open: open.len(),
+        poisoned: n,
+        coverage: metrics::coverage(n, open.len()),
+        consistency: metrics::consistency(&counts, n),
         series,
     }
-}
-
-/// Run the experiment.
-pub fn run(lab: &mut Lab, opts: &Fig2Options) -> Fig2 {
-    let pbw = pbw_sample(lab, opts.max_sites);
-    let mut rows = Vec::new();
-    for &isp in &opts.isps {
-        let resolvers = find_open_resolvers(lab, isp, opts.scan_stride);
-        let s = survey(lab, isp, &resolvers, &pbw);
-        rows.push(assemble_row(isp, s.open_resolvers, s.poisoned));
-    }
-    Fig2 { rows }
 }
 
 impl fmt::Display for Fig2 {
@@ -134,36 +134,6 @@ impl fmt::Display for Fig2 {
                 &rows
             )
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lucent_topology::{India, IndiaConfig};
-
-    #[test]
-    fn mtnl_dominates_bsnl_on_coverage() {
-        let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let fig = run(&mut lab, &Fig2Options::default());
-        let mtnl = &fig.rows[0];
-        let bsnl = &fig.rows[1];
-        // Deployment: MTNL 8 resolvers (6 poisoned) + honest default,
-        // BSNL 6 (1 poisoned) in the tiny config. (The consistency
-        // ordering of the paper only emerges with realistic resolver
-        // counts — a single poisoned BSNL resolver is trivially 100%
-        // consistent with itself — so only coverage is asserted here;
-        // the small/paper-scale repro run exercises consistency.)
-        assert!(mtnl.coverage > bsnl.coverage, "{fig}");
-        assert!(mtnl.poisoned >= 5, "{fig}");
-        assert!(bsnl.poisoned >= 1, "{fig}");
-        assert!(mtnl.consistency > 0.0 && mtnl.consistency <= 1.0);
-        // Figures match ground truth deployment counts.
-        let truth_poisoned = lab.india.truth.dns_resolvers[&IspId::Mtnl]
-            .iter()
-            .filter(|(_, bl)| !bl.is_empty())
-            .count();
-        assert!(mtnl.poisoned <= truth_poisoned + 1);
     }
 }
 

@@ -112,8 +112,7 @@ pub fn censored_sites(lab: &mut Lab, isp: IspId, want: usize) -> Vec<SiteId> {
 
 /// Measure one ISP. Counter deltas are read from the lab's own
 /// registry, so on a private shard lab they are attributable without
-/// any sequencing argument; on a shared lab this is exactly the old
-/// sequential-attribution semantics.
+/// any sequencing argument.
 pub fn run_isp(lab: &mut Lab, isp: IspId, opts: &RaceOptions) -> RaceRow {
     let obs = lab.india.net.telemetry();
     let inj_before = obs.counter_total("wm.injections");
@@ -135,11 +134,6 @@ pub fn run_isp(lab: &mut Lab, isp: IspId, opts: &RaceOptions) -> RaceRow {
     }
 }
 
-/// Run the race measurement.
-pub fn run(lab: &mut Lab, opts: &RaceOptions) -> Race {
-    Race { rows: opts.isps.iter().map(|&isp| run_isp(lab, isp, opts)).collect() }
-}
-
 impl fmt::Display for Race {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let rows: Vec<Vec<String>> = self
@@ -155,44 +149,6 @@ impl fmt::Display for Race {
             .collect();
         writeln!(f, "Injection race: attempts on which the real site rendered")?;
         write!(f, "{}", report::table(&["ISP", "Rendered", "Rate"], &rows))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lucent_topology::{India, IndiaConfig};
-
-    #[test]
-    fn wiretaps_lose_races_interceptive_never_do() {
-        let mut lab = Lab::new(India::build(IndiaConfig::small()));
-        let race = run(
-            &mut lab,
-            &RaceOptions {
-                isps: vec![IspId::Airtel, IspId::Idea],
-                attempts: 10,
-                sites_per_isp: 3,
-            },
-        );
-        let airtel = &race.rows[0];
-        let idea = &race.rows[1];
-        assert!(idea.attempts > 0, "{race}");
-        assert_eq!(idea.rendered, 0, "interceptive devices never lose: {race}");
-        // Metric-backed mechanism check: Idea is interceptive, so no
-        // wiretap injection fires during its window; Airtel's losses are
-        // explained by injections actually racing.
-        assert_eq!(idea.injections, 0, "no wiretap fires for Idea: {race}");
-        if airtel.attempts > 0 {
-            assert!(airtel.injections > 0, "Airtel's wiretap must have fired: {race}");
-            assert!(airtel.slow_injections <= airtel.injections, "{race}");
-        }
-        if airtel.attempts >= 20 {
-            let rate = airtel.rate();
-            assert!(
-                rate > 0.05 && rate < 0.7,
-                "wiretap render rate should be near the paper's ~0.3: {rate}"
-            );
-        }
     }
 }
 

@@ -114,13 +114,6 @@ pub fn run_isp(lab: &mut Lab, isp: IspId, sites: &[SiteId]) -> IspAccuracy {
     }
 }
 
-/// Run the experiment.
-pub fn run(lab: &mut Lab, opts: &Table1Options) -> Table1 {
-    let sites = site_sample(lab, opts.max_sites);
-    let rows = opts.isps.iter().map(|&isp| run_isp(lab, isp, &sites)).collect();
-    Table1 { rows, sites_tested: sites.len() }
-}
-
 impl fmt::Display for Table1 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let rows: Vec<Vec<String>> = self
@@ -193,36 +186,6 @@ pub fn threshold_audit(lab: &mut Lab, isp: IspId, max_sites: Option<usize>) -> T
         }
     }
     ThresholdAudit { isp: isp.name().to_string(), flagged, cleared }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lucent_topology::{India, IndiaConfig};
-
-    #[test]
-    fn table1_shapes_hold_in_a_small_world() {
-        let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let opts = Table1Options {
-            isps: vec![IspId::Mtnl, IspId::Idea],
-            max_sites: Some(24),
-        };
-        let t = run(&mut lab, &opts);
-        assert_eq!(t.rows.len(), 2);
-        let mtnl = &t.rows[0];
-        let idea = &t.rows[1];
-        // TCP censorship never exists, so TCP recall is 0 everywhere.
-        assert_eq!(mtnl.tcp.recall(), 0.0);
-        assert_eq!(idea.tcp.recall(), 0.0);
-        // Idea (an HTTP censor) has zero true DNS positives.
-        assert_eq!(idea.dns.tp, 0);
-        // Some manual blocks exist in both.
-        assert!(mtnl.manual_blocked > 0, "{t}");
-        assert!(idea.manual_blocked > 0, "{t}");
-        // Rendering works.
-        let text = t.to_string();
-        assert!(text.contains("MTNL") && text.contains("Idea"));
-    }
 }
 
 lucent_support::json_object!(IspAccuracy { isp, total, dns, tcp, http, ooni_blocked, manual_blocked });

@@ -99,11 +99,6 @@ pub fn run_isp(lab: &mut Lab, isp: IspId) -> TriggerRow {
     }
 }
 
-/// Run the characterization for the given ISPs.
-pub fn run(lab: &mut Lab, isps: &[IspId]) -> Triggers {
-    Triggers { rows: isps.iter().map(|&isp| run_isp(lab, isp)).collect() }
-}
-
 impl fmt::Display for Triggers {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Trigger characterization (request-only, Host-field-only, stateful, 2-3 min timeout)")?;
@@ -145,28 +140,6 @@ impl fmt::Display for Triggers {
             }
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lucent_topology::{India, IndiaConfig};
-
-    #[test]
-    fn idea_characterization_matches_the_paper() {
-        let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let t = run(&mut lab, &[IspId::Idea]);
-        let row = &t.rows[0];
-        let twin = row.twin.as_ref().expect("censored path exists in Idea");
-        assert!(twin.censored_short && twin.censored_full);
-        let ladder = row.ladder.as_ref().unwrap();
-        assert!(ladder.is_stateful(), "{ladder:?}");
-        let hf = row.host_field.as_ref().unwrap();
-        assert!(hf.host_blocked && !hf.domain_elsewhere && !hf.control);
-        let (idle, refreshed) = row.timeout.unwrap();
-        assert!(!idle && refreshed);
-        assert!(t.to_string().contains("Idea"));
     }
 }
 

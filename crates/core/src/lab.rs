@@ -58,21 +58,6 @@ impl Fetch {
         self.response.is_some()
     }
 
-    /// All pipelined responses in the byte stream.
-    pub fn all_responses(&self) -> Vec<HttpResponse> {
-        let mut out = Vec::new();
-        let mut rest = &self.bytes[..];
-        while let Some(end) = find_head_end(rest) {
-            let Ok(resp) = HttpResponse::parse(rest) else { break };
-            let consumed = end + resp.body.len();
-            out.push(resp);
-            if consumed >= rest.len() {
-                break;
-            }
-            rest = &rest[consumed..];
-        }
-        out
-    }
 }
 
 /// Outcome of a DNS resolution attempt.

@@ -2,7 +2,6 @@
 //! (§3.2-III): scan the ISP's address space with a known-good query, then
 //! hit every responder with the full PBW list.
 
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::num::NonZeroU32;
 
@@ -19,40 +18,6 @@ pub struct ResolverScan {
     pub resolver: Ipv4Addr,
     /// Sites it answered with a manipulated address.
     pub manipulated: Vec<u32>,
-}
-
-/// The full DNS-filtering survey of one ISP.
-#[derive(Debug, Clone)]
-pub struct DnsSurvey {
-    /// ISP surveyed.
-    pub isp: String,
-    /// Every open resolver discovered.
-    pub open_resolvers: Vec<Ipv4Addr>,
-    /// The censorious subset with their per-site manipulation lists.
-    pub poisoned: Vec<ResolverScan>,
-}
-
-impl DnsSurvey {
-    /// Coverage: poisoned / open (§4.1 metric 1).
-    pub fn coverage(&self) -> f64 {
-        crate::metrics::coverage(self.poisoned.len(), self.open_resolvers.len())
-    }
-
-    /// Consistency (§4.1 metric 2) and the per-site blocking fractions
-    /// behind Figure 2 (percent of poisoned resolvers blocking each
-    /// site, one entry per site blocked anywhere).
-    pub fn consistency_series(&self) -> (f64, Vec<f64>) {
-        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-        for scan in &self.poisoned {
-            for &site in &scan.manipulated {
-                *counts.entry(site).or_insert(0) += 1;
-            }
-        }
-        let n = self.poisoned.len();
-        let series: Vec<f64> = counts.values().map(|&c| c as f64 / n.max(1) as f64).collect();
-        let counts_vec: Vec<usize> = counts.values().copied().collect();
-        (crate::metrics::consistency(&counts_vec, n), series)
-    }
 }
 
 /// Discover open resolvers by querying every address of the ISP's leaf
@@ -141,7 +106,7 @@ fn judge_answers(
 /// Scan a batch of `resolvers` against a precomputed `reference`. This
 /// is the shardable unit: fixed-size resolver chunks of one ISP can run
 /// on separate labs and their `ResolverScan`s concatenate in submission
-/// order to exactly the serial result.
+/// order to exactly the scan of the whole list on one lab.
 pub fn survey_batch(
     lab: &mut Lab,
     isp: IspId,
@@ -166,18 +131,6 @@ pub fn survey_batch(
         }
     }
     poisoned
-}
-
-/// Identify which of `resolvers` manipulate answers, by querying every
-/// PBW and judging each answer with the §3.2 heuristics.
-pub fn survey(lab: &mut Lab, isp: IspId, resolvers: &[Ipv4Addr], pbw: &[SiteId]) -> DnsSurvey {
-    let reference = reference_answers(lab, pbw);
-    let poisoned = survey_batch(lab, isp, resolvers, pbw, &reference);
-    DnsSurvey {
-        isp: isp.name().to_string(),
-        open_resolvers: resolvers.to_vec(),
-        poisoned,
-    }
 }
 
 #[cfg(test)]
@@ -240,22 +193,22 @@ mod tests {
         let deployed: Vec<Ipv4Addr> =
             lab.india.isps[&IspId::Mtnl].resolvers.iter().map(|(ip, _)| *ip).collect();
         let pbw: Vec<SiteId> = lab.india.corpus.pbw.clone();
-        let survey = survey(&mut lab, IspId::Mtnl, &deployed, &pbw);
+        let reference = reference_answers(&mut lab, &pbw);
+        let poisoned = survey_batch(&mut lab, IspId::Mtnl, &deployed, &pbw, &reference);
         let truth_poisoned = lab.india.truth.dns_resolvers[&IspId::Mtnl].len();
         // Every truly-poisoned resolver with a non-empty blocklist of
         // *alive-name* sites should be caught; allow a small shortfall
         // for resolvers whose sampled blocklists are empty.
         assert!(
-            survey.poisoned.len() + 2 >= truth_poisoned,
+            poisoned.len() + 2 >= truth_poisoned,
             "found {} of {truth_poisoned}",
-            survey.poisoned.len()
+            poisoned.len()
         );
-        assert!(survey.coverage() > 0.0);
-        let (consistency, series) = survey.consistency_series();
-        assert!(consistency > 0.0 && consistency <= 1.0);
-        assert!(!series.is_empty());
+        let row = crate::experiments::fig2::assemble_row(IspId::Mtnl, deployed, poisoned);
+        assert!(row.coverage > 0.0);
+        assert!(row.consistency > 0.0 && row.consistency <= 1.0);
+        assert!(!row.series.is_empty());
     }
 }
 
 lucent_support::json_object!(ResolverScan { resolver, manipulated });
-lucent_support::json_object!(DnsSurvey { isp, open_resolvers, poisoned });

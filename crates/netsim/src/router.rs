@@ -2,7 +2,6 @@
 //! generation, optional anonymity, and wiretap mirror ports.
 
 use std::any::Any;
-use std::collections::BTreeSet;
 
 use lucent_packet::{IcmpMessage, Packet, Transport};
 
@@ -36,9 +35,6 @@ pub struct RouterNode {
     pub anonymized: bool,
     /// Interfaces that receive a copy of every forwarded packet.
     pub mirrors: Vec<IfaceId>,
-    /// When non-empty, only packets forwarded out of these interfaces are
-    /// mirrored (a tap on specific links rather than the whole router).
-    pub mirror_only_egress: BTreeSet<IfaceId>,
     /// Per-packet forwarding latency added on top of link latency.
     pub forward_delay: SimDuration,
     label: String,
@@ -54,7 +50,6 @@ impl RouterNode {
             table: RouteTable::new(),
             anonymized: false,
             mirrors: Vec::new(),
-            mirror_only_egress: BTreeSet::new(),
             forward_delay: SimDuration::from_micros(50),
             label: label.into(),
             forwarded: 0,
@@ -64,12 +59,6 @@ impl RouterNode {
     /// Builder: mark anonymized.
     pub fn anonymized(mut self) -> Self {
         self.anonymized = true;
-        self
-    }
-
-    /// Builder: add a mirror (tap) interface.
-    pub fn with_mirror(mut self, iface: IfaceId) -> Self {
-        self.mirrors.push(iface);
         self
     }
 
@@ -131,12 +120,8 @@ impl Node for RouterNode {
         }
         self.forwarded += 1;
         ctx.obs().counter_inc("netsim.router.forwarded", ctx.label());
-        // The egress filter is loop-invariant: evaluate it once so an
-        // unmirrored egress costs nothing per tap.
-        if self.mirror_only_egress.is_empty() || self.mirror_only_egress.contains(&out) {
-            for &m in &self.mirrors {
-                ctx.send(m, pkt.clone());
-            }
+        for &m in &self.mirrors {
+            ctx.send(m, pkt.clone());
         }
         ctx.send_delayed(out, pkt, self.forward_delay);
     }
@@ -341,23 +326,5 @@ mod tests {
             inbox[0].as_icmp(),
             Some(IcmpMessage::DestUnreachable { code: 0, .. })
         ));
-    }
-
-    #[test]
-    fn mirror_only_egress_filters_direction() {
-        let (mut net, client, server, tap) = chain(true);
-        let r2_id = crate::node::NodeId(3);
-        // Only mirror packets egressing toward the server (iface 1).
-        net.node_mut::<RouterNode>(r2_id).unwrap().mirror_only_egress.insert(IfaceId(1));
-        // Client→server is mirrored...
-        send_from_client(&mut net, client, udp_probe(64));
-        assert_eq!(net.node_ref::<Sink>(tap.unwrap()).unwrap().inbox.len(), 1);
-        // ...server→client is not.
-        let back = Packet::udp(SERVER, CLIENT, UdpHeader::new(9, 9), &b""[..]);
-        net.node_mut::<Sink>(server).unwrap().outbox = Some(back);
-        net.wake(server);
-        net.run_until_idle(1000);
-        assert_eq!(net.node_ref::<Sink>(tap.unwrap()).unwrap().inbox.len(), 1);
-        assert_eq!(net.node_ref::<Sink>(client).unwrap().inbox.len(), 1);
     }
 }

@@ -129,11 +129,6 @@ impl TraceHandle {
         s.filter = Some(nodes.into_iter().collect());
     }
 
-    /// Stop recording (entries are kept).
-    pub fn disable(&self) {
-        self.state.borrow_mut().enabled = false;
-    }
-
     /// Bound the capture ring to `cap` entries, evicting oldest first.
     pub fn set_cap(&self, cap: usize) {
         let mut s = self.state.borrow_mut();

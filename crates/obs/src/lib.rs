@@ -161,11 +161,6 @@ impl Telemetry {
         st.spans.push(Span { name, cat, ts_us, dur_us, tid });
     }
 
-    /// Cap the span ring.
-    pub fn set_span_cap(&self, cap: usize) {
-        self.state.borrow_mut().spans.set_cap(cap);
-    }
-
     /// Name the track a `tid` renders on in the Chrome trace export.
     pub fn set_thread_name(&self, tid: u64, name: &str) {
         self.state.borrow_mut().thread_names.insert(tid, name.to_string());

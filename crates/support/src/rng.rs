@@ -52,11 +52,6 @@ impl Rng64 {
         result
     }
 
-    /// The next raw 32-bit output (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value of any [`FromRng`] type (`u32`, `u64`, `f64`, ...).
     pub fn gen<T: FromRng>(&mut self) -> T {
         T::from_rng(self)

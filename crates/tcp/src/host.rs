@@ -173,16 +173,6 @@ impl TcpHost {
         self.listeners.insert(port, Box::new(factory));
     }
 
-    /// Remove a listener.
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
-    /// True if a listener is installed on `port`.
-    pub fn is_listening(&self, port: u16) -> bool {
-        self.listeners.contains_key(&port)
-    }
-
     /// Queue bytes on a socket (flushed on next wake or inbound event).
     pub fn send(&mut self, id: SocketId, bytes: &[u8]) {
         if let Some(tcb) = self.tcb_mut(id) {
@@ -201,13 +191,6 @@ impl TcpHost {
     pub fn abort(&mut self, id: SocketId) {
         if let Some(tcb) = self.tcb_mut(id) {
             tcb.abort();
-        }
-    }
-
-    /// Disable the browser-like auto-close-on-FIN for a socket.
-    pub fn set_auto_close(&mut self, id: SocketId, auto: bool) {
-        if let Some(tcb) = self.tcb_mut(id) {
-            tcb.auto_close_on_fin = auto;
         }
     }
 
@@ -311,12 +294,6 @@ impl TcpHost {
     /// Install an in-node UDP service on `port`.
     pub fn set_udp_app(&mut self, port: u16, app: Box<dyn UdpApp>) {
         self.udp_apps.insert(port, app);
-    }
-
-    /// Access an installed UDP app (for driver inspection), downcast by
-    /// the caller.
-    pub fn udp_app_mut(&mut self, port: u16) -> Option<&mut Box<dyn UdpApp>> {
-        self.udp_apps.get_mut(&port)
     }
 
     /// Drain ICMP arrivals (time-exceeded, unreachable, echo replies).

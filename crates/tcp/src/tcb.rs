@@ -173,11 +173,6 @@ impl Tcb {
         std::mem::take(&mut self.recv_buf)
     }
 
-    /// Number of bytes not yet acknowledged by the peer.
-    pub fn bytes_in_flight(&self) -> usize {
-        self.rtx.iter().map(|s| s.data.len()).sum()
-    }
-
     /// True when the peer has acknowledged everything we sent so far and
     /// our send queue is empty.
     pub fn send_drained(&self) -> bool {

@@ -6,16 +6,17 @@
 //! cargo run -p lucent-examples --bin evade -- [SITES_PER_ISP]
 //! ```
 
-use lucent_core::experiments::evasion::{run, EvasionOptions};
-use lucent_core::lab::Lab;
-use lucent_topology::{India, IndiaConfig};
+use lucent_bench::drive::Driver;
+use lucent_bench::{shard, Scale};
+use lucent_core::experiments::evasion::EvasionOptions;
+use lucent_obs::Telemetry;
 
 fn main() {
     let sites: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(3);
-    println!("building the simulated India…");
-    let mut lab = Lab::new(India::build(IndiaConfig::small()));
+    println!("evading every censoring ISP, each measured on its own simulated India…");
     let opts = EvasionOptions { sites_per_isp: sites, ..Default::default() };
-    let e = run(&mut lab, &opts);
+    let drv = Driver::new(Scale::Small, shard::default_threads(), None);
+    let e = drv.evasion(&Telemetry::new(), &opts);
     println!("{e}");
     println!("Reading the matrix:");
     println!("  host-case works on wiretaps (Airtel, Jio): their devices match `Host` case-sensitively;");

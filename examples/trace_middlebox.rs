@@ -28,6 +28,6 @@ fn main() {
     }
 
     println!("\ncharacterizing the trigger…\n");
-    let t = triggers::run(&mut lab, &[isp]);
+    let t = triggers::Triggers { rows: vec![triggers::run_isp(&mut lab, isp)] };
     println!("{t}");
 }

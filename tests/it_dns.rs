@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::num::NonZeroU32;
 
 use lucent_core::lab::Lab;
-use lucent_core::probe::dns_scan::{find_open_resolvers, survey};
+use lucent_core::probe::dns_scan::{find_open_resolvers, reference_answers, survey_batch};
 use lucent_core::probe::tracer::{dns_tracer, DnsMechanism};
 use lucent_packet::ipv4::is_bogon;
 use lucent_topology::{India, IndiaConfig, IspId};
@@ -57,11 +57,12 @@ fn survey_matches_ground_truth_blocklists() {
     let resolvers: Vec<_> =
         lab.india.isps[&IspId::Mtnl].resolvers.iter().map(|(ip, _)| *ip).collect();
     let pbw = lab.india.corpus.pbw.clone();
-    let s = survey(&mut lab, IspId::Mtnl, &resolvers, &pbw);
+    let reference = reference_answers(&mut lab, &pbw);
+    let poisoned = survey_batch(&mut lab, IspId::Mtnl, &resolvers, &pbw, &reference);
     // Every measured manipulation is a true one (no false accusations);
     // sites whose names are dead still count (the paper: stale lists).
     let truth = lab.india.truth.dns_resolvers[&IspId::Mtnl].clone();
-    for scan in &s.poisoned {
+    for scan in &poisoned {
         let (_, true_list) = truth
             .iter()
             .find(|(ip, _)| *ip == scan.resolver)

@@ -1,6 +1,8 @@
 //! Telemetry determinism: the observability layer must neither perturb
 //! experiment results nor itself vary between same-seed runs.
 
+use lucent_bench::drive::Driver;
+use lucent_bench::Scale;
 use lucent_core::experiments::{mechanism, race};
 use lucent_core::lab::Lab;
 use lucent_obs::Telemetry;
@@ -19,6 +21,12 @@ fn race_opts() -> race::RaceOptions {
     }
 }
 
+/// A one-thread driver whose shards trace with `spec`, as `repro
+/// --trace SPEC` runs them.
+fn driver(trace: Option<&str>) -> Driver {
+    Driver::new(Scale::Tiny, 1, trace.map(str::to_string))
+}
+
 /// Run fig4 + a small race with full tracing on and hand back the
 /// deterministic exporter artifacts.
 fn traced_run() -> (String, String, String) {
@@ -27,7 +35,7 @@ fn traced_run() -> (String, String, String) {
     obs.set_filter_spec("trace").expect("blanket spec parses");
     obs.enable_spans(true);
     mechanism::figure4(&mut lab);
-    race::run(&mut lab, &race_opts());
+    driver(Some("trace")).race(&obs, &race_opts());
     (obs.event_log(), obs.metrics_snapshot_pretty(), obs.chrome_trace())
 }
 
@@ -46,7 +54,7 @@ fn telemetry_on_or_off_does_not_change_experiment_results() {
     // Quiet run: default telemetry (events off, spans off).
     let mut quiet = lab();
     let quiet_fig4 = mechanism::figure4(&mut quiet).expect("fig4 path exists");
-    let quiet_race = race::run(&mut quiet, &race_opts());
+    let quiet_race = driver(None).race(&quiet.india.net.telemetry(), &race_opts());
 
     // Loud run: everything on.
     let mut loud = lab();
@@ -54,7 +62,7 @@ fn telemetry_on_or_off_does_not_change_experiment_results() {
     obs.set_filter_spec("trace").expect("blanket spec parses");
     obs.enable_spans(true);
     let loud_fig4 = mechanism::figure4(&mut loud).expect("fig4 path exists");
-    let loud_race = race::run(&mut loud, &race_opts());
+    let loud_race = driver(Some("trace")).race(&obs, &race_opts());
 
     assert!(obs.event_count() > 0, "the loud run must actually have traced");
     assert_eq!(

@@ -6,9 +6,10 @@
 
 use lucent_bench::drive::Driver;
 use lucent_bench::Scale;
-use lucent_core::experiments::{fig2, race, table1};
+use lucent_core::experiments::{evasion, fig2, race, table1};
 use lucent_obs::Telemetry;
 use lucent_support::json::to_string_pretty;
+use lucent_topology::IspId;
 
 /// Run `f` under a fresh driver + hub at each thread count and return
 /// the (result JSON, metrics snapshot) pairs.
@@ -65,4 +66,28 @@ fn fig2_is_byte_identical_across_thread_counts() {
         to_string_pretty(&drv.fig2(hub, &fig2::Fig2Options::default()))
     });
     assert_all_identical(&runs, "fig2");
+}
+
+/// The ISPs `repro` characterizes in the triggers and anonymity runs.
+const HTTP_CENSORS: [IspId; 4] = [IspId::Airtel, IspId::Idea, IspId::Vodafone, IspId::Jio];
+
+#[test]
+fn triggers_is_byte_identical_across_thread_counts() {
+    let runs = at_thread_counts(|drv, hub| to_string_pretty(&drv.triggers(hub, &HTTP_CENSORS)));
+    assert_all_identical(&runs, "triggers");
+}
+
+#[test]
+fn evasion_is_byte_identical_across_thread_counts() {
+    let runs = at_thread_counts(|drv, hub| {
+        to_string_pretty(&drv.evasion(hub, &evasion::EvasionOptions::default()))
+    });
+    assert_all_identical(&runs, "evasion");
+}
+
+#[test]
+fn anonymity_is_byte_identical_across_thread_counts() {
+    let runs =
+        at_thread_counts(|drv, hub| to_string_pretty(&drv.anonymity(hub, &HTTP_CENSORS, 30)));
+    assert_all_identical(&runs, "anonymity");
 }
