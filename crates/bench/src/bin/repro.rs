@@ -43,7 +43,7 @@ use lucent_core::experiments::{
 };
 use lucent_core::lab::Lab;
 use lucent_core::metrics::PrecisionRecall;
-use lucent_core::probe::classify::render_rate;
+use lucent_core::probe::classify::{censored_sites, render_rate};
 use lucent_core::probe::manual::inspect;
 use lucent_core::probe::ooni::web_connectivity_with;
 use lucent_topology::{India, IspId};
@@ -310,7 +310,8 @@ fn run_threshold_audit(lab: &mut Lab, caps: Caps, json: &Option<PathBuf>) {
 /// would find none.
 fn run_ablate_race(scale: Scale, json: &Option<PathBuf>) {
     println!("Ablation: wiretap slow-path probability → render rate (Airtel model)");
-    let sites = race::censored_sites(&mut Lab::new(India::build(scale.config())), IspId::Airtel, 4);
+    let india = India::build(scale.config());
+    let sites = censored_sites(&mut Lab::new(india), IspId::Airtel, 4, race::raceable);
     let mut rows = Vec::new();
     for slow_prob in [0.0, 0.15, 0.3, 0.5, 0.8] {
         let mut cfg = scale.config();

@@ -7,16 +7,15 @@
 //! detects a seeded defect.
 //!
 //! ```text
-//! fuzz-smoke [--cases N] [--seed S] [--threads N] [--no-sim]
+//! fuzz-smoke [--cases N] [--seed S] [--threads N]
 //! ```
 
 use std::process::exit;
 
-const USAGE: &str = "fuzz-smoke [--cases N] [--seed S] [--threads N] [--no-sim]
-  --cases N    cases per oracle (default 64)
+const USAGE: &str = "fuzz-smoke [--cases N] [--seed S] [--threads N]
+  --cases N    cases per oracle, 1 to 4294967295 (default 64)
   --seed S     campaign seed, decimal or 0x-hex (default lucent-check's)
-  --threads N  thread count exercised by the shard-invariance check (default 4)
-  --no-sim     skip the simulation invariants (oracles only)";
+  --threads N  thread count exercised by the shard-invariance check (default 4)";
 
 fn bad(msg: &str) -> ! {
     eprintln!("{msg}\nusage: {USAGE}");
@@ -39,11 +38,16 @@ fn main() {
     let mut cases: u32 = 64;
     let mut seed: u64 = lucent_check::runner::DEFAULT_SEED;
     let mut threads: usize = 4;
-    let mut with_sim = true;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--cases" => cases = parse_u64("--cases", args.next()) as u32,
+            "--cases" => {
+                let n = parse_u64("--cases", args.next());
+                cases = match u32::try_from(n) {
+                    Ok(c) if c > 0 => c,
+                    _ => bad(&format!("--cases needs an integer from 1 to {}, got {n}", u32::MAX)),
+                };
+            }
             "--seed" => seed = parse_u64("--seed", args.next()),
             "--threads" => {
                 threads = parse_u64("--threads", args.next()) as usize;
@@ -51,7 +55,6 @@ fn main() {
                     bad("--threads needs a positive integer");
                 }
             }
-            "--no-sim" => with_sim = false,
             "--help" | "-h" => {
                 println!("usage: {USAGE}");
                 exit(0);
@@ -59,10 +62,7 @@ fn main() {
             other => bad(&format!("unknown flag {other:?}")),
         }
     }
-    if cases == 0 {
-        bad("--cases needs a positive integer");
-    }
-    let (transcript, findings) = lucent_check::report::campaign(cases, seed, threads, with_sim);
+    let (transcript, findings) = lucent_check::report::campaign(cases, seed, threads, true);
     lucent_check::report::print_report(&transcript);
     if findings > 0 {
         exit(1);

@@ -368,7 +368,7 @@ pub fn diff_script(s: &mut Source, spec: &MbSpec) -> Vec<Step> {
 }
 
 /// A short deterministic script (no [`Source`]) for the recorded
-/// goldens and the CI negative control: handshake, blocked GET, clean
+/// goldens and the planted-policy negative control: handshake, blocked GET, clean
 /// GET, sweep-crossing skip, second blocked GET.
 pub fn canned_script(spec: &MbSpec) -> Vec<Step> {
     let mut steps = Vec::new();
@@ -513,8 +513,8 @@ pub fn render_transcript(policy: Policy, spec: &MbSpec, steps: &[Step]) -> Resul
 }
 
 /// Diff a live transcript against a recording, pinpointing the first
-/// divergent line. The messages say "diverged" — CI's negative control
-/// greps for it.
+/// divergent line. The messages say "diverged" — the planted-policy
+/// negative control in `tests/it_policy.rs` asserts it.
 pub fn diff_transcripts(live: &str, recorded: &str) -> Result<(), String> {
     if live == recorded {
         return Ok(());
@@ -593,7 +593,7 @@ mod tests {
 
     #[test]
     fn a_flipped_action_is_caught() {
-        // The in-process version of the CI negative control: record the
+        // The planted-policy negative control in miniature: record the
         // Airtel reference, then replay airtel minus the notice page
         // against the recording — it must diverge.
         let spec = airtel_spec();

@@ -30,7 +30,7 @@ use std::net::Ipv4Addr;
 use lucent_netsim::{SimDuration, SimTime};
 use lucent_packet::{
     checksum, DnsMessage, HttpRequest, HttpResponse, IcmpMessage, Ipv4Header, Packet,
-    RequestParseMode, TcpFlags, TcpHeader, UdpHeader,
+    TcpFlags, TcpHeader, UdpHeader,
 };
 use lucent_packet::http::RequestBuilder;
 use lucent_support::Bytes;
@@ -134,8 +134,7 @@ fn feed_all_parsers(bytes: &[u8]) {
     let _ = Ipv4Header::parse(bytes);
     let _ = Packet::parse(bytes);
     let _ = DnsMessage::parse(bytes);
-    let _ = HttpRequest::parse(bytes, RequestParseMode::Rfc);
-    let _ = HttpRequest::parse(bytes, RequestParseMode::Strict);
+    let _ = HttpRequest::parse(bytes);
     let _ = HttpResponse::parse(bytes);
 }
 
@@ -174,7 +173,7 @@ pub fn http_roundtrips(s: &mut Source) {
     let path = packets::url_path(s);
     let bytes = RequestBuilder::browser(&host, &path).build();
     let (req, used) =
-        ok(HttpRequest::parse(&bytes, RequestParseMode::Rfc), "browser request must parse");
+        ok(HttpRequest::parse(&bytes), "browser request must parse");
     assert_eq!(used, bytes.len());
     assert_eq!(req.host(), Some(host.as_str()));
     assert_eq!(req.target, path);

@@ -425,40 +425,17 @@ fn fetch_segmented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::race::raceable;
+    use crate::probe::classify::censored_sites;
     use lucent_topology::{India, IndiaConfig};
-
-    /// A blocked, alive site actually censored on the client's path.
-    fn censored_site(lab: &mut Lab, isp: IspId) -> Option<SiteId> {
-        let master: Vec<SiteId> = lab.india.truth.http_master[&isp].iter().copied().collect();
-        let client = lab.client_of(isp);
-        for site in master {
-            let s = lab.india.corpus.site(site);
-            if !s.is_alive() || s.kind != lucent_web::SiteKind::Normal {
-                continue;
-            }
-            let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-            let mut blocked = false;
-            for _ in 0..2 {
-                let f = lab.http_get(client, ip, &domain, 3_000);
-                if f.was_reset()
-                    || f.hit_timeout()
-                    || f.response.as_ref().map(looks_like_notice).unwrap_or(false)
-                {
-                    blocked = true;
-                    break;
-                }
-            }
-            if blocked {
-                return Some(site);
-            }
-        }
-        None
-    }
 
     #[test]
     fn extra_space_and_dup_host_evade_idea_but_case_change_does_not() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let site = censored_site(&mut lab, IspId::Idea).expect("censored site in Idea");
+        let site = censored_sites(&mut lab, IspId::Idea, 1, raceable)
+            .into_iter()
+            .next()
+            .expect("censored site in Idea");
         // Overt IM (StrictPattern): whitespace fudging works.
         assert!(attempt(&mut lab, IspId::Idea, site, Technique::ExtraSpaceBeforeValue).success);
         assert!(attempt(&mut lab, IspId::Idea, site, Technique::TabBeforeValue).success);
@@ -472,7 +449,7 @@ mod tests {
     #[test]
     fn case_change_and_firewall_evade_airtel() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let Some(site) = censored_site(&mut lab, IspId::Airtel) else {
+        let Some(&site) = censored_sites(&mut lab, IspId::Airtel, 1, raceable).first() else {
             return; // tiny world: the client's paths may dodge all devices
         };
         assert!(attempt(&mut lab, IspId::Airtel, site, Technique::HostKeywordCase).success);
@@ -483,7 +460,7 @@ mod tests {
     #[test]
     fn dup_host_evades_covert_vodafone() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let Some(site) = censored_site(&mut lab, IspId::Vodafone) else {
+        let Some(&site) = censored_sites(&mut lab, IspId::Vodafone, 1, raceable).first() else {
             return; // Vodafone's 11% coverage may miss the tiny client
         };
         assert!(attempt(&mut lab, IspId::Vodafone, site, Technique::DuplicateHostDecoy).success);

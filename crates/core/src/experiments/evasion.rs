@@ -5,12 +5,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 
-use lucent_middlebox::notice::looks_like_notice;
 use lucent_topology::IspId;
-use lucent_web::SiteId;
+use lucent_web::{SiteId, SiteKind};
 
 use crate::anticensor::{attempt, Technique};
 use crate::lab::Lab;
+use crate::probe::classify::censored_sites;
 use crate::report;
 
 /// Options for the evasion evaluation.
@@ -83,44 +83,13 @@ fn sample_sites(lab: &mut Lab, isp: IspId, want: usize) -> Vec<SiteId> {
                 .collect();
         }
     }
-    let master: Vec<SiteId> = lab
-        .india
-        .truth
-        .http_master
-        .get(&isp)
-        .map(|m| m.iter().copied().collect())
-        .unwrap_or_default();
-    let client = lab.client_of(isp);
-    let mut out = Vec::new();
-    for site in master {
-        let s = lab.india.corpus.site(site);
-        // Single-replica sites only: a CDN name resolves to different
-        // replicas (and thus different paths) per resolver, which would
-        // let the DNS technique "evade" path-based HTTP filtering by
-        // accident and confound the matrix.
-        if !s.is_alive() || s.kind != lucent_web::SiteKind::Normal || s.regional_dns {
-            continue;
-        }
-        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-        let mut censored = false;
-        for _ in 0..2 {
-            let f = lab.http_get(client, ip, &domain, 3_000);
-            if f.was_reset()
-                || f.hit_timeout()
-                || f.response.as_ref().map(looks_like_notice).unwrap_or(false)
-            {
-                censored = true;
-                break;
-            }
-        }
-        if censored {
-            out.push(site);
-            if out.len() >= want {
-                break;
-            }
-        }
-    }
-    out
+    // Single-replica sites only: a CDN name resolves to different
+    // replicas (and thus different paths) per resolver, which would let
+    // the DNS technique "evade" path-based HTTP filtering by accident
+    // and confound the matrix.
+    censored_sites(lab, isp, want, |s| {
+        s.is_alive() && s.kind == SiteKind::Normal && !s.regional_dns
+    })
 }
 
 /// Evaluate one ISP: its technique → cell map, plus the

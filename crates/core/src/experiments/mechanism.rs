@@ -95,7 +95,7 @@ fn observe_one(lab: &mut Lab, isp: IspId, blocked_domain: &str) -> Option<Mechan
             .map(|h| h.take_pcap())
             .unwrap_or_default();
 
-        let client_got_notice = fetch.response.as_ref().map(looks_like_notice).unwrap_or(false);
+        let client_got_notice = fetch.shows_notice();
         let client_got_rst = fetch.was_reset()
             || client_pcap.iter().any(|(_, p)| {
                 p.as_tcp().map(|(h, _)| h.flags.contains(TcpFlags::RST)).unwrap_or(false)

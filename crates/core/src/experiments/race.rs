@@ -5,12 +5,11 @@
 use std::fmt;
 
 
-use lucent_middlebox::notice::looks_like_notice;
 use lucent_topology::IspId;
-use lucent_web::SiteId;
+use lucent_web::{Site, SiteKind};
 
 use crate::lab::Lab;
-use crate::probe::classify::render_rate;
+use crate::probe::classify::{censored_sites, render_rate};
 use crate::report;
 
 /// Options for the race measurement.
@@ -69,45 +68,10 @@ pub struct Race {
     pub rows: Vec<RaceRow>,
 }
 
-/// Find sites actually censored on the client's direct path (render-rate
-/// only means something on censored paths).
-pub fn censored_sites(lab: &mut Lab, isp: IspId, want: usize) -> Vec<SiteId> {
-    let master: Vec<SiteId> = lab
-        .india
-        .truth
-        .http_master
-        .get(&isp)
-        .map(|m| m.iter().copied().collect())
-        .unwrap_or_default();
-    let client = lab.client_of(isp);
-    let mut out = Vec::new();
-    for site in master {
-        let s = lab.india.corpus.site(site);
-        if !s.is_alive() || s.kind != lucent_web::SiteKind::Normal {
-            continue;
-        }
-        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-        // Two probes: censored if either shows the block (the wiretap
-        // race can hide a single observation).
-        let mut censored = false;
-        for _ in 0..2 {
-            let f = lab.http_get(client, ip, &domain, 3_000);
-            if f.was_reset()
-                || f.hit_timeout()
-                || f.response.as_ref().map(looks_like_notice).unwrap_or(false)
-            {
-                censored = true;
-                break;
-            }
-        }
-        if censored {
-            out.push(site);
-            if out.len() >= want {
-                break;
-            }
-        }
-    }
-    out
+/// The sites the race samples: alive pages of the ordinary kind, whose
+/// real content is what a lost race renders.
+pub fn raceable(s: &Site) -> bool {
+    s.is_alive() && s.kind == SiteKind::Normal
 }
 
 /// Measure one ISP. Counter deltas are read from the lab's own
@@ -117,7 +81,7 @@ pub fn run_isp(lab: &mut Lab, isp: IspId, opts: &RaceOptions) -> RaceRow {
     let obs = lab.india.net.telemetry();
     let inj_before = obs.counter_total("wm.injections");
     let slow_before = obs.counter_total("wm.race.slow");
-    let sites = censored_sites(lab, isp, opts.sites_per_isp);
+    let sites = censored_sites(lab, isp, opts.sites_per_isp, raceable);
     let mut attempts = 0;
     let mut rendered = 0;
     for site in sites {

@@ -5,7 +5,6 @@
 use std::fmt;
 
 
-use lucent_middlebox::notice::looks_like_notice;
 use lucent_topology::IspId;
 use lucent_web::SiteId;
 
@@ -84,7 +83,7 @@ pub fn direct_blocked_set(lab: &mut Lab, isp: IspId, max_sites: Option<usize>) -
         let mut notice = false;
         for _ in 0..2 {
             let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-            if f.response.as_ref().map(looks_like_notice).unwrap_or(false) {
+            if f.shows_notice() {
                 notice = true;
                 break;
             }
@@ -165,22 +164,11 @@ pub fn scan_isp(lab: &mut Lab, isp: IspId, opts: &Table2Options) -> HttpScan {
             let (domain, ip) = (s.domain.clone(), s.replicas[0]);
             // Confirm this path is actually censored before classifying
             // (two tries absorb the wiretap race).
-            let mut censored = false;
-            for _ in 0..2 {
+            let censored = (0..2).any(|_| {
                 let probe = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-                if let Some(resp) = &probe.response {
-                    if looks_like_notice(resp) {
-                        overt = true;
-                    }
-                }
-                if probe.was_reset()
-                    || probe.hit_timeout()
-                    || probe.response.as_ref().map(looks_like_notice).unwrap_or(false)
-                {
-                    censored = true;
-                    break;
-                }
-            }
+                overt |= probe.shows_notice();
+                probe.censored()
+            });
             if !censored {
                 continue;
             }

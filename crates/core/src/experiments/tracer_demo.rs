@@ -5,10 +5,10 @@
 use std::fmt;
 
 
-use lucent_middlebox::notice::looks_like_notice;
 use lucent_topology::IspId;
 
 use crate::lab::Lab;
+use crate::probe::classify::censored_on_path;
 use crate::probe::tracer::{http_tracer, HttpTrace, Rung};
 
 /// The demonstration output.
@@ -26,34 +26,14 @@ pub struct TracerDemo {
 
 /// Run the demo in `isp` (first censored path found).
 pub fn run(lab: &mut Lab, isp: IspId) -> Option<TracerDemo> {
-    let master: Vec<_> = lab
-        .india
-        .truth
-        .http_master
-        .get(&isp)
-        .map(|m| m.iter().copied().collect())
-        .unwrap_or_default();
+    let master = lab.india.truth.http_master.get(&isp).cloned().unwrap_or_default();
     let client = lab.client_of(isp);
     for site in master {
+        if !lab.india.corpus.site(site).is_alive() || !censored_on_path(lab, isp, site) {
+            continue;
+        }
         let s = lab.india.corpus.site(site);
-        if !s.is_alive() {
-            continue;
-        }
         let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-        let mut censored = false;
-        for _ in 0..2 {
-            let f = lab.http_get(client, ip, &domain, 3_000);
-            if f.was_reset()
-                || f.hit_timeout()
-                || f.response.as_ref().map(looks_like_notice).unwrap_or(false)
-            {
-                censored = true;
-                break;
-            }
-        }
-        if !censored {
-            continue;
-        }
         let trace = http_tracer(lab, client, ip, &domain, 24);
         if trace.censored_at_ttl.is_some() {
             return Some(TracerDemo {

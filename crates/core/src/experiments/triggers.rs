@@ -5,10 +5,11 @@
 use std::fmt;
 
 
-use lucent_middlebox::notice::looks_like_notice;
 use lucent_topology::IspId;
+use lucent_web::Site;
 
 use crate::lab::Lab;
+use crate::probe::classify::censored_sites;
 use crate::probe::trigger::{
     host_field_only, stateful_ladder, timeout_probe, ttl_twin, HostFieldResult, StatefulLadder,
     TwinResult,
@@ -39,43 +40,17 @@ pub struct Triggers {
 /// Locate a (blocked domain, replica ip, allowed domain) censored on the
 /// ISP client's path.
 fn fixture(lab: &mut Lab, isp: IspId) -> Option<(String, std::net::Ipv4Addr, String)> {
-    let master: Vec<_> = lab
+    let site = *censored_sites(lab, isp, 1, Site::is_alive).first()?;
+    let s = lab.india.corpus.site(site);
+    let (domain, ip) = (s.domain.clone(), s.replicas[0]);
+    let allowed = lab
         .india
-        .truth
-        .http_master
-        .get(&isp)
-        .map(|m| m.iter().copied().collect())
-        .unwrap_or_default();
-    let client = lab.client_of(isp);
-    for site in master {
-        let s = lab.india.corpus.site(site);
-        if !s.is_alive() {
-            continue;
-        }
-        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-        let mut censored = false;
-        for _ in 0..2 {
-            let f = lab.http_get(client, ip, &domain, 3_000);
-            if f.was_reset()
-                || f.hit_timeout()
-                || f.response.as_ref().map(looks_like_notice).unwrap_or(false)
-            {
-                censored = true;
-                break;
-            }
-        }
-        if censored {
-            let allowed = lab
-                .india
-                .corpus
-                .popular
-                .first()
-                .map(|&p| lab.india.corpus.site(p).domain.clone())
-                .unwrap_or_else(|| "control.example".into());
-            return Some((domain, ip, allowed));
-        }
-    }
-    None
+        .corpus
+        .popular
+        .first()
+        .map(|&p| lab.india.corpus.site(p).domain.clone())
+        .unwrap_or_else(|| "control.example".into());
+    Some((domain, ip, allowed))
 }
 
 /// Characterize one ISP.

@@ -5,6 +5,7 @@
 
 use std::net::Ipv4Addr;
 
+use lucent_middlebox::notice::looks_like_notice;
 use lucent_netsim::{NodeId, SimDuration, SimTime};
 use lucent_packet::dns::DnsMessage;
 use lucent_packet::http::{find_head_end, RequestBuilder};
@@ -58,6 +59,16 @@ impl Fetch {
         self.response.is_some()
     }
 
+    /// Did the first response carry a censorship notification page?
+    pub fn shows_notice(&self) -> bool {
+        self.response.as_ref().is_some_and(looks_like_notice)
+    }
+
+    /// Did this fetch show a block: a reset, a black-holed timeout or a
+    /// notification page?
+    pub fn censored(&self) -> bool {
+        self.was_reset() || self.hit_timeout() || self.shows_notice()
+    }
 }
 
 /// Outcome of a DNS resolution attempt.

@@ -1,6 +1,13 @@
 //! Interceptive vs wiretap classification (§4.2.1): the controlled
 //! remote-host corroboration, the render-rate race, and the
 //! ICMP-consumption test.
+//!
+//! It also holds the direct-path check every experiment runs first:
+//! is this site censored on the client's own path? [`censored_on_path`]
+//! is the only copy of that check, and [`censored_sites`] scans an
+//! ISP's blocklist with it. The check fetches twice and stops at the
+//! first block. A wiretap loses about 3/10 injection races, so one
+//! clean fetch proves nothing.
 
 use std::net::Ipv4Addr;
 
@@ -9,7 +16,7 @@ use lucent_middlebox::notice::looks_like_notice;
 use lucent_packet::http::RequestBuilder;
 use lucent_packet::tcp::TcpFlags;
 use lucent_topology::IspId;
-use lucent_web::SiteId;
+use lucent_web::{Site, SiteId};
 
 use crate::lab::{Lab, FETCH_TIMEOUT_MS};
 
@@ -82,13 +89,11 @@ pub fn remote_host_experiment(
             .map(|(h, _)| h.flags.contains(TcpFlags::RST) && h.seq != snd_nxt)
             .unwrap_or(false)
     });
-    let client_saw_notice = fetch.response.as_ref().map(looks_like_notice).unwrap_or(false);
-    let censored = client_saw_notice || fetch.was_reset() || fetch.hit_timeout();
     RemoteHostReport {
         remote,
-        censored,
+        censored: fetch.censored(),
         get_reached_remote,
-        client_saw_notice,
+        client_saw_notice: fetch.shows_notice(),
         forged_rst_at_remote,
     }
 }
@@ -113,6 +118,38 @@ pub fn classify_by_remote_hosts(
         }
     }
     None
+}
+
+/// Is `site` censored on the `isp` client's direct path to its first
+/// replica? Two fetches at 3 s each, stopping at the first that shows a
+/// block (see the module doc for why one is not enough).
+pub fn censored_on_path(lab: &mut Lab, isp: IspId, site: SiteId) -> bool {
+    let s = lab.india.corpus.site(site);
+    let (domain, ip) = (s.domain.clone(), s.replicas[0]);
+    let client = lab.client_of(isp);
+    (0..2).any(|_| lab.http_get(client, ip, &domain, 3_000).censored())
+}
+
+/// The first `want` sites (at least one) of `isp`'s blocklist, in
+/// blocklist order, that pass `keep` and are censored on the client's
+/// direct path; fewer when the blocklist runs out.
+pub fn censored_sites(
+    lab: &mut Lab,
+    isp: IspId,
+    want: usize,
+    keep: impl Fn(&Site) -> bool,
+) -> Vec<SiteId> {
+    let master = lab.india.truth.http_master.get(&isp).cloned().unwrap_or_default();
+    let mut out = Vec::new();
+    for site in master {
+        if keep(lab.india.corpus.site(site)) && censored_on_path(lab, isp, site) {
+            out.push(site);
+            if out.len() >= want {
+                break;
+            }
+        }
+    }
+    out
 }
 
 /// The render-rate race (§4.2.1): fraction of attempts on which the real
@@ -225,31 +262,15 @@ mod tests {
     use super::*;
     use lucent_topology::{India, IndiaConfig};
 
-    /// A blocked (domain, ip) censored on the Idea client's path.
-    fn censored_fixture(lab: &mut Lab, isp: IspId) -> Option<(String, Ipv4Addr)> {
-        let master: Vec<SiteId> = lab.india.truth.http_master[&isp].iter().copied().collect();
-        let client = lab.client_of(isp);
-        for site in master {
-            let s = lab.india.corpus.site(site);
-            if !s.is_alive() {
-                continue;
-            }
-            let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-            let f = lab.http_get(client, ip, &domain, 3_000);
-            let blocked = f.was_reset()
-                || f.hit_timeout()
-                || f.response.as_ref().map(looks_like_notice).unwrap_or(false);
-            if blocked {
-                return Some((domain, ip));
-            }
-        }
-        None
-    }
-
     #[test]
     fn idea_classified_interceptive_by_icmp_consumption() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let (domain, ip) = censored_fixture(&mut lab, IspId::Idea).expect("censored path");
+        let site = censored_sites(&mut lab, IspId::Idea, 1, Site::is_alive)
+            .into_iter()
+            .next()
+            .expect("censored path");
+        let s = lab.india.corpus.site(site);
+        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
         // The Idea IM sits right past the core (hop 2).
         let res = icmp_consumption(&mut lab, IspId::Idea, ip, &domain, "top0000.com", 3);
         assert_eq!(res.verdict(), Some(MeasuredKind::Interceptive), "{res:?}");
@@ -258,10 +279,12 @@ mod tests {
     #[test]
     fn airtel_classified_wiretap_by_icmp_consumption() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let Some((domain, ip)) = censored_fixture(&mut lab, IspId::Airtel) else {
+        let Some(&site) = censored_sites(&mut lab, IspId::Airtel, 1, Site::is_alive).first() else {
             // In a tiny world the client's paths may dodge every device.
             return;
         };
+        let s = lab.india.corpus.site(site);
+        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
         let res = icmp_consumption(&mut lab, IspId::Airtel, ip, &domain, "top0000.com", 3);
         assert_eq!(res.verdict(), Some(MeasuredKind::Wiretap), "{res:?}");
     }

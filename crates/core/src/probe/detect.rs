@@ -132,7 +132,7 @@ pub fn http_filtered(lab: &mut Lab, isp: IspId, site: SiteId, resolved_ip: Ipv4A
     }
     // Manual confirmation: does a human see a block? (retries absorb the
     // wiretap race; a covert reset must be reproducible and Tor-visible).
-    let mut notice = direct.response.as_ref().map(looks_like_notice).unwrap_or(false);
+    let mut notice = direct.shows_notice();
     let mut kills = usize::from(hard_fail);
     for _ in 0..2 {
         if notice {

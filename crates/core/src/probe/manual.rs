@@ -75,18 +75,9 @@ pub fn inspect(lab: &mut Lab, isp: IspId, site: SiteId) -> ManualVerdict {
     };
     if dns_manipulated {
         // Confirm by looking at what the poisoned address serves.
-        let notice_seen = isp_dns
-            .ips
-            .first()
-            .map(|&ip| {
-                if is_bogon(ip) {
-                    false
-                } else {
-                    let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-                    f.response.as_ref().map(looks_like_notice).unwrap_or(false)
-                }
-            })
-            .unwrap_or(false);
+        let notice_seen = isp_dns.ips.first().is_some_and(|&ip| {
+            !is_bogon(ip) && lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS).shows_notice()
+        });
         return ManualVerdict {
             site: site.0,
             blocked: true,

@@ -168,44 +168,22 @@ pub fn dns_tracer(
 mod tests {
     use super::*;
     use lucent_topology::{India, IndiaConfig, IspId};
-    use lucent_web::SiteId;
+    use crate::probe::classify::censored_sites;
+    use lucent_web::Site;
 
     fn lab() -> Lab {
         Lab::new(India::build(IndiaConfig::tiny()))
     }
 
-    /// A site blocked by the device on the client's egress path to the
-    /// site's own replica, if one exists in this tiny world.
-    fn blocked_on_path(lab: &mut Lab, isp: IspId) -> Option<(SiteId, Ipv4Addr)> {
-        let master: Vec<SiteId> = lab.india.truth.http_master[&isp].iter().copied().collect();
-        for site in master {
-            let s = lab.india.corpus.site(site);
-            if !s.is_alive() {
-                continue;
-            }
-            let ip = s.replicas[0];
-            let domain = s.domain.clone();
-            let client = lab.client_of(isp);
-            let f = lab.http_get(client, ip, &domain, 3_000);
-            let censored = f.was_reset()
-                || f.hit_timeout()
-                || f
-                    .response
-                    .as_ref()
-                    .map(lucent_middlebox::notice::looks_like_notice)
-                    .unwrap_or(false);
-            if censored {
-                return Some((site, ip));
-            }
-        }
-        None
-    }
-
     #[test]
     fn tracer_locates_interceptive_middlebox_in_idea() {
         let mut lab = lab();
-        let (site, ip) = blocked_on_path(&mut lab, IspId::Idea).expect("a blocked path in Idea");
-        let domain = lab.india.corpus.site(site).domain.clone();
+        let site = censored_sites(&mut lab, IspId::Idea, 1, Site::is_alive)
+            .into_iter()
+            .next()
+            .expect("a blocked path in Idea");
+        let s = lab.india.corpus.site(site);
+        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
         let client = lab.client_of(IspId::Idea);
         let trace = http_tracer(&mut lab, client, ip, &domain, 24);
         let at = trace.censored_at_ttl.expect("censorship located");

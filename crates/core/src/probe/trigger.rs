@@ -280,44 +280,16 @@ pub fn timeout_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::classify::censored_sites;
     use lucent_topology::{India, IndiaConfig, IspId};
-    use lucent_web::SiteId;
-
-    /// A (blocked site, replica ip, allowed domain) triple censored on the
-    /// Idea client's path.
-    fn idea_fixture(lab: &mut Lab) -> (String, Ipv4Addr, String) {
-        let master: Vec<SiteId> =
-            lab.india.truth.http_master[&IspId::Idea].iter().copied().collect();
-        let client = lab.client_of(IspId::Idea);
-        for site in master {
-            let s = lab.india.corpus.site(site);
-            if !s.is_alive() {
-                continue;
-            }
-            let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-            let f = lab.http_get(client, ip, &domain, 3_000);
-            let blocked = f.was_reset()
-                || f.hit_timeout()
-                || f.response.as_ref().map(lucent_middlebox::notice::looks_like_notice).unwrap_or(false);
-            if blocked {
-                let allowed = lab
-                    .india
-                    .corpus
-                    .popular
-                    .iter()
-                    .map(|&p| lab.india.corpus.site(p).domain.clone())
-                    .next()
-                    .unwrap();
-                return (domain, ip, allowed);
-            }
-        }
-        panic!("no censored path found in Idea");
-    }
+    use lucent_web::Site;
 
     #[test]
     fn twin_experiment_rules_out_response_inspection() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let (domain, ip, _) = idea_fixture(&mut lab);
+        let site = censored_sites(&mut lab, IspId::Idea, 1, Site::is_alive)[0];
+        let s = lab.india.corpus.site(site);
+        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
         let client = lab.client_of(IspId::Idea);
         let twin = ttl_twin(&mut lab, client, ip, &domain).expect("path measurable");
         assert!(twin.censored_short, "{twin:?}");
@@ -328,7 +300,10 @@ mod tests {
     #[test]
     fn only_the_host_field_triggers() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let (domain, ip, allowed) = idea_fixture(&mut lab);
+        let site = censored_sites(&mut lab, IspId::Idea, 1, Site::is_alive)[0];
+        let s = lab.india.corpus.site(site);
+        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
+        let allowed = lab.india.corpus.site(lab.india.corpus.popular[0]).domain.clone();
         let client = lab.client_of(IspId::Idea);
         let res = host_field_only(&mut lab, client, ip, &domain, &allowed).unwrap();
         assert!(res.host_blocked, "{res:?}");
@@ -339,7 +314,9 @@ mod tests {
     #[test]
     fn middleboxes_are_stateful() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let (domain, ip, _) = idea_fixture(&mut lab);
+        let site = censored_sites(&mut lab, IspId::Idea, 1, Site::is_alive)[0];
+        let s = lab.india.corpus.site(site);
+        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
         let client = lab.client_of(IspId::Idea);
         let ladder = stateful_ladder(&mut lab, client, ip, &domain).unwrap();
         assert!(ladder.is_stateful(), "{ladder:?}");
@@ -348,7 +325,9 @@ mod tests {
     #[test]
     fn flow_state_times_out_but_refreshes() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
-        let (domain, ip, _) = idea_fixture(&mut lab);
+        let site = censored_sites(&mut lab, IspId::Idea, 1, Site::is_alive)[0];
+        let s = lab.india.corpus.site(site);
+        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
         let client = lab.client_of(IspId::Idea);
         // 150 s timeout: idle 200 s kills state; refresh at 100 s keeps it.
         let (after_idle, after_refresh) =

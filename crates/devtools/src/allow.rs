@@ -1,10 +1,8 @@
 //! The shrink-only allowlist: `lint-allow.toml` at the workspace root.
 //!
-//! Policy: entries may be *removed* or their counts *reduced* as code is
-//! hardened; they must never be added or raised. The gate enforces the
-//! ceiling; review enforces the direction.
-
-use std::collections::BTreeMap;
+//! Policy: files may be *removed* from a list as code is hardened; they
+//! must never be added. The gate enforces the lists; review enforces
+//! the direction.
 
 use lucent_support::toml::{self, Error, Value};
 
@@ -17,21 +15,17 @@ pub struct Allow {
     pub rng_construction: Vec<String>,
     /// Files permitted to hold interior-mutability statics (L8).
     pub shared_state: Vec<String>,
-    /// Per-policy-file ceilings on L11 anomaly findings from the
-    /// symbolic policycheck analyzer.
-    pub policy_anomaly: BTreeMap<String, usize>,
 }
 
 /// The sections `lint-allow.toml` may hold. Any other section is an
 /// error: a table the gate does not read would otherwise look like it
 /// guards something.
-const SECTIONS: [&str; 4] = ["wall_clock", "rng_construction", "shared_state", "policy_anomaly"];
+const SECTIONS: [&str; 3] = ["wall_clock", "rng_construction", "shared_state"];
 
 impl Allow {
     /// Parse `lint-allow.toml` text. Every misread is an error at its
     /// line: an unknown section or key, a `files` value that is not a
-    /// list of strings, a ceiling that is not a non-negative integer,
-    /// and (from the reader) a repeated header or key.
+    /// list of strings, and (from the reader) a repeated header or key.
     pub fn parse(text: &str) -> Result<Allow, Error> {
         let mut allow = Allow::default();
         for sect in toml::parse(text)? {
@@ -40,18 +34,6 @@ impl Allow {
                 (false, "wall_clock") => &mut allow.wall_clock,
                 (false, "rng_construction") => &mut allow.rng_construction,
                 (false, "shared_state") => &mut allow.shared_state,
-                (false, "policy_anomaly") => {
-                    for e in sect.entries {
-                        let Value::Int(n) = e.value else {
-                            return err(e.line, format!("`{}` wants an integer ceiling", e.key));
-                        };
-                        let Ok(n) = usize::try_from(n) else {
-                            return err(e.line, format!("`{}` has a negative ceiling", e.key));
-                        };
-                        allow.policy_anomaly.insert(e.key, n);
-                    }
-                    continue;
-                }
                 (array, name) => {
                     let name = if array { format!("[{name}]") } else { name.to_string() };
                     return err(
@@ -92,42 +74,6 @@ impl Allow {
     pub fn allows_shared_state(&self, path: &str) -> bool {
         self.shared_state.iter().any(|p| p == path)
     }
-
-    /// Ceiling on L11 policy anomalies in the policy file `path`.
-    pub fn policy_anomaly_ceiling(&self, path: &str) -> usize {
-        self.policy_anomaly.get(path).copied().unwrap_or(0)
-    }
-
-    /// Serialize back to TOML (used by `--update-baseline`): the file
-    /// lists in stable sorted order so diffs stay reviewable.
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "# lucent-lint allowlist. SHRINK-ONLY: entries may be removed or\n\
-             # reduced as code is hardened, never added or increased. The gate\n\
-             # (tests/lint_gate.rs) fails the build when a ceiling is exceeded.\n\n",
-        );
-        // One line per array: the TOML reader has no multi-line
-        // arrays.
-        let list = |name: &str, files: &[String]| {
-            let quoted: Vec<String> = files.iter().map(|f| format!("\"{f}\"")).collect();
-            format!("[{name}]\nfiles = [{}]\n\n", quoted.join(", "))
-        };
-        out.push_str(&list("wall_clock", &self.wall_clock));
-        out.push_str(&list("rng_construction", &self.rng_construction));
-        out.push_str("# Files that may hold interior-mutability statics (L8). `static mut`\n");
-        out.push_str("# is forbidden everywhere, allowlist or not.\n");
-        out.push_str(&list("shared_state", &self.shared_state));
-        out.push_str("# Symbolic policy anomalies (L11) per committed policy file —\n");
-        out.push_str("# dead/shadowed rules, conflicting overlaps, unreachable gates,\n");
-        out.push_str("# probability-mass errors. Regenerate with `lucent-lint\n");
-        out.push_str("# --update-baseline`.\n");
-        out.push_str("[policy_anomaly]\n");
-        for (path, n) in &self.policy_anomaly {
-            out.push_str(&format!("\"{path}\" = {n}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -135,24 +81,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trips_through_to_toml() {
-        let mut a = Allow::default();
-        a.wall_clock.push("crates/support/src/bench.rs".into());
-        a.rng_construction.push("crates/netsim/src/time.rs".into());
-        a.shared_state.push("crates/check/src/runner.rs".into());
-        a.policy_anomaly.insert("crates/middlebox/policies/airtel-wm.toml".into(), 1);
-        let b = Allow::parse(&a.to_toml()).expect("round trip");
-        assert_eq!(b.wall_clock, a.wall_clock);
-        assert_eq!(b.rng_construction, a.rng_construction);
-        assert_eq!(b.shared_state, a.shared_state);
-        assert_eq!(b.policy_anomaly, a.policy_anomaly);
+    fn parse_reads_every_files_list() {
+        let a = Allow::parse(
+            "[wall_clock]\nfiles = [\"crates/support/src/bench.rs\"]\n\n\
+             [rng_construction]\nfiles = [\"crates/netsim/src/time.rs\", \"crates/x.rs\"]\n\n\
+             [shared_state]\nfiles = [\"crates/check/src/runner.rs\"]\n",
+        )
+        .expect("parse");
+        assert_eq!(a.wall_clock, ["crates/support/src/bench.rs"]);
+        assert_eq!(a.rng_construction, ["crates/netsim/src/time.rs", "crates/x.rs"]);
+        assert_eq!(a.shared_state, ["crates/check/src/runner.rs"]);
+        assert!(a.allows_rng_construction("crates/x.rs") && !a.allows_wall_clock("crates/x.rs"));
     }
 
     #[test]
     fn missing_sections_default_to_empty() {
         let a = Allow::parse("").expect("empty ok");
         assert!(a.wall_clock.is_empty());
-        assert_eq!(a.policy_anomaly_ceiling("x"), 0);
+        assert!(a.rng_construction.is_empty() && a.shared_state.is_empty());
     }
 
     fn bad(text: &str) -> String {
@@ -160,25 +106,15 @@ mod tests {
     }
 
     #[test]
-    fn negative_ceilings_are_rejected() {
-        assert_eq!(
-            bad("[policy_anomaly]\n\"x.toml\" = -1\n"),
-            "line 2: `x.toml` has a negative ceiling"
-        );
-        assert_eq!(
-            bad("[policy_anomaly]\n\"x.toml\" = 1.5\n"),
-            "line 2: `x.toml` wants an integer ceiling"
-        );
-    }
-
-    #[test]
     fn unknown_sections_are_rejected_by_name() {
         assert_eq!(
             bad("[shared_state]\nfiles = []\n\n[panic_sites]\n\"x.rs\" = 1\n"),
             "line 4: unknown section [panic_sites] — the allowlist reads only [wall_clock], \
-             [rng_construction], [shared_state], [policy_anomaly]",
+             [rng_construction], [shared_state]",
             "a table the gate does not read must not pass silently"
         );
+        // L11 has no allowlist: a leftover anomaly table is retired too.
+        assert!(bad("[policy_anomaly]\n").starts_with("line 1: unknown section [policy_anomaly]"));
         assert!(bad("[[wall_clock]]\nfiles = []\n").starts_with("line 1: unknown section [[wall_clock]]"));
         assert_eq!(bad("files = []\n"), "line 1: `files` before any section header");
     }
@@ -201,10 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn a_duplicated_ceiling_key_is_rejected() {
+    fn a_duplicated_key_is_rejected() {
         assert_eq!(
-            bad("[policy_anomaly]\n\"x.toml\" = 1\n\"x.toml\" = 0\n"),
-            "line 3: duplicate key `x.toml`"
+            bad("[wall_clock]\nfiles = []\nfiles = [\"crates/x.rs\"]\n"),
+            "line 3: duplicate key `files`"
         );
     }
 

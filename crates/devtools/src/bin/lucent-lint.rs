@@ -1,7 +1,7 @@
 //! The lint gate CLI.
 //!
 //! ```text
-//! lucent-lint [--root <dir>] [--update-baseline] [--json] [--threads <n>] [--verbose]
+//! lucent-lint [--root <dir>] [--json] [--threads <n>] [--verbose]
 //! ```
 //!
 //! Exit status 0 when the tree is clean, 1 on violations, 2 on usage or
@@ -18,11 +18,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: lucent-lint [--root <dir>] [--update-baseline] [--json] [--threads <n>] [--verbose]";
+    "usage: lucent-lint [--root <dir>] [--json] [--threads <n>] [--verbose]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut update = false;
     let mut verbose = false;
     let mut json = false;
     let mut opts = lucent_devtools::Options::default();
@@ -37,7 +36,6 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => opts.threads = n,
                 _ => return usage("--threads needs a positive integer"),
             },
-            "--update-baseline" => update = true,
             "--json" => json = true,
             "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => {
@@ -55,12 +53,7 @@ fn main() -> ExitCode {
         None => return usage("no workspace root found; pass --root"),
     };
 
-    let result = if update {
-        lucent_devtools::update_baseline(&root)
-    } else {
-        lucent_devtools::run_root_with(&root, &opts)
-    };
-    let report = match result {
+    let report = match lucent_devtools::run_root_with(&root, &opts) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lucent-lint: i/o error: {e}");
@@ -68,7 +61,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if json && !update {
+    if json {
         print!("{}", report.to_json());
         return if report.ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
@@ -80,13 +73,6 @@ fn main() -> ExitCode {
         for w in &report.warnings {
             println!("note: {w}");
         }
-    }
-    if update && report.ok() {
-        println!(
-            "lucent-lint: baseline rewritten ({} policy anomalies)",
-            report.policy_anomaly.values().sum::<usize>()
-        );
-        return ExitCode::SUCCESS;
     }
     if report.ok() {
         println!(

@@ -31,8 +31,8 @@
 //!   (`crates/*/policies/*.toml`) are compiled to the middlebox rule IR
 //!   and symbolically analyzed ([`policycheck`]): dead rules,
 //!   conflicting overlaps, unreachable `after` gates, and
-//!   probability-mass errors are capped per file by the shrink-only
-//!   `[policy_anomaly]` baseline.
+//!   probability-mass errors are each a violation at the rule's line,
+//!   with no allowlist.
 //! - **L12 policy coverage** — the policy set is cross-checked against
 //!   the simulator's ground truth: both mechanism families present,
 //!   emitted telemetry labels known, literal host sets resolvable
@@ -139,13 +139,12 @@ pub fn run_root_with(root: &Path, opts: &Options) -> io::Result<Report> {
     // deterministic, so `opts.threads` cannot perturb the report.
     let policy_paths = policy_sources(root)?;
     report.policy_files = policy_paths.len();
-    let policy_out = policycheck::check_policy_files(root, &policy_paths, &allow)?;
+    let policy_out = policycheck::check_policy_files(root, &policy_paths)?;
     report.merge(policy_out.violations);
-    report.warnings.extend(policy_out.warnings);
     report.policy_anomaly = policy_out.anomaly_counts;
 
-    // Baseline hygiene: entries for files that no longer exist are
-    // violations — a stale ceiling looks live while guarding nothing.
+    // Allowlist hygiene: entries for files that no longer exist are
+    // violations — a stale entry looks live while guarding nothing.
     let lists: [(&str, Rule, &[String]); 3] = [
         ("wall_clock", Rule::Determinism, &allow.wall_clock),
         ("rng_construction", Rule::Determinism, &allow.rng_construction),
@@ -162,24 +161,15 @@ pub fn run_root_with(root: &Path, opts: &Options) -> io::Result<Report> {
             }
         }
     }
-    for path in allow.policy_anomaly.keys() {
-        if !root.join(path).is_file() {
-            report.violations.push(Violation::file(
-                Rule::PolicyAnomaly,
-                ALLOW_FILE,
-                format!("stale [policy_anomaly] entry for missing file {path} — remove it"),
-            ));
-        }
-    }
 
     report.violations.sort();
     Ok(report)
 }
 
-/// Read the allowlist. A missing file is a warning (every ceiling is
-/// zero); an unparseable one is a violation, so neither the gate nor
-/// `--update-baseline` proceeds as if it were empty. It is filed under
-/// L3, the first rule the allowlist configures.
+/// Read the allowlist. A missing file is a warning (every list is
+/// empty); an unparseable one is a violation, so the gate does not
+/// proceed as if it were empty. It is filed under L3, the first rule
+/// the allowlist configures.
 fn load_allow(root: &Path, report: &mut Report) -> Allow {
     match fs::read_to_string(root.join(ALLOW_FILE)) {
         Ok(text) => Allow::parse(&text).unwrap_or_else(|e| {
@@ -192,7 +182,7 @@ fn load_allow(root: &Path, report: &mut Report) -> Allow {
             Allow::default()
         }),
         Err(_) => {
-            report.warnings.push(format!("{ALLOW_FILE} missing — all ceilings default to zero"));
+            report.warnings.push(format!("{ALLOW_FILE} missing — every list defaults to empty"));
             Allow::default()
         }
     }
@@ -229,45 +219,6 @@ fn scan_file(root: &Path, rel: &str, allow: &Allow) -> FileScan {
     }
     scan.violations.extend(source::check_unsafe(&file, &lexed));
     scan
-}
-
-/// Rewrite `lint-allow.toml` with current per-policy anomaly counts —
-/// `[policy_anomaly]`, the one generated table — in one deterministic
-/// sorted pass. Ceilings only ever move down: an attempt to raise a
-/// prior ceiling is refused (the prior value is kept and a violation
-/// recorded) and nothing is written.
-pub fn update_baseline(root: &Path) -> io::Result<Report> {
-    let mut report = Report::default();
-    let old = load_allow(root, &mut report);
-    let policy_paths = policy_sources(root)?;
-    report.policy_files = policy_paths.len();
-    let counts = policycheck::check_policy_files(root, &policy_paths, &old)?.anomaly_counts;
-
-    let mut new = old.clone();
-    new.policy_anomaly.clear();
-    for (path, &count) in &counts {
-        let ceiling = match old.policy_anomaly.get(path) {
-            Some(&prior) if count > prior => {
-                report.violations.push(Violation::file(
-                    Rule::PolicyAnomaly,
-                    path,
-                    format!(
-                        "refusing to raise the [policy_anomaly] baseline for `{path}` from \
-                         {prior} to {count} — shrink the count or edit {ALLOW_FILE} \
-                         explicitly in review"
-                    ),
-                ));
-                prior
-            }
-            _ => count,
-        };
-        new.policy_anomaly.insert(path.clone(), ceiling);
-    }
-    report.policy_anomaly = counts;
-    if report.ok() {
-        fs::write(root.join(ALLOW_FILE), new.to_toml())?;
-    }
-    Ok(report)
 }
 
 /// Locate the workspace root by walking up from `start` until a

@@ -53,7 +53,6 @@ use std::path::Path;
 use lucent_middlebox::compile::compile_with_lines;
 use lucent_middlebox::policy::{Action, Family, HostSet, Policy, Rule as PolicyRule};
 
-use crate::allow::Allow;
 use crate::report::{Rule, Violation};
 
 /// One L11 finding against a single policy program.
@@ -383,13 +382,11 @@ fn well_formed_host(host: &str) -> bool {
 /// Outcome of the policy phase of a gate run.
 #[derive(Debug, Default)]
 pub struct PolicyCheckOut {
-    /// L11 violations (over-ceiling anomalies) and L12 violations
-    /// (coverage breaks, always fatal).
+    /// L11 violations (one per anomaly) and L12 violations (coverage
+    /// breaks).
     pub violations: Vec<Violation>,
-    /// Shrinkable-ceiling notes.
-    pub warnings: Vec<String>,
     /// Policy file → L11 anomaly count (files with zero findings are
-    /// omitted) — the census `[policy_anomaly]` ratchets against.
+    /// omitted), the report's census.
     pub anomaly_counts: BTreeMap<String, usize>,
 }
 
@@ -397,11 +394,7 @@ pub struct PolicyCheckOut {
 /// are root-relative and pre-sorted; the pass is single-threaded and
 /// deterministic by construction, so `--threads` cannot perturb the
 /// report bytes.
-pub fn check_policy_files(
-    root: &Path,
-    paths: &[String],
-    allow: &Allow,
-) -> io::Result<PolicyCheckOut> {
+pub fn check_policy_files(root: &Path, paths: &[String]) -> io::Result<PolicyCheckOut> {
     let mut out = PolicyCheckOut::default();
     let mut seen_families = BTreeSet::new();
     for rel in paths {
@@ -423,27 +416,19 @@ pub fn check_policy_files(
             Family::Interceptive => "interceptive",
         });
         let anomalies = probe_policy(&policy, &rule_lines);
-        let count = anomalies.len();
-        let ceiling = allow.policy_anomaly_ceiling(rel);
-        if count > 0 {
-            out.anomaly_counts.insert(rel.clone(), count);
+        if !anomalies.is_empty() {
+            out.anomaly_counts.insert(rel.clone(), anomalies.len());
         }
-        if count > ceiling {
-            for a in &anomalies {
-                out.violations.push(Violation::at(Rule::PolicyAnomaly, rel, a.line, a.msg.clone()));
-            }
-        } else if count < ceiling {
-            out.warnings.push(format!(
-                "{rel}: {count} policy anomaly(ies), baseline {ceiling} — shrink the entry"
-            ));
+        for a in anomalies {
+            out.violations.push(Violation::at(Rule::PolicyAnomaly, rel, a.line, a.msg));
         }
         for c in coverage_findings(&policy, &rule_lines) {
             out.violations.push(Violation::at(Rule::PolicyCoverage, rel, c.line, c.msg));
         }
     }
     // Family coverage: once any policy is committed, both mechanism
-    // families the topology can instantiate need a program — otherwise
-    // half the ISP profiles silently fall back to hardcoded defaults.
+    // families the topology can instantiate need a program — an ISP
+    // whose program is missing is left out of the world, uncensored.
     if let Some(first) = paths.first() {
         for family in ["interceptive", "wiretap"] {
             if !seen_families.contains(family) {

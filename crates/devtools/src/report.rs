@@ -22,7 +22,7 @@ pub enum Rule {
     SharedState,
     /// L11 — symbolic anomalies in compiled censor policies (dead
     /// rules, conflicting overlaps, unreachable gates, probability-mass
-    /// errors) stay within the shrink-only `[policy_anomaly]` baseline.
+    /// errors); each is a violation, with no allowlist.
     PolicyAnomaly,
     /// L12 — the committed policy set covers the simulator's ground
     /// truth: both mechanism families, known telemetry labels,
@@ -79,7 +79,7 @@ impl fmt::Display for Violation {
 #[derive(Debug, Default)]
 pub struct Report {
     pub violations: Vec<Violation>,
-    /// Non-fatal notes (e.g. a baseline entry that can now shrink).
+    /// Non-fatal notes (e.g. a missing allowlist file).
     pub warnings: Vec<String>,
     pub files_scanned: usize,
     /// Total panic sites counted in non-test library code.

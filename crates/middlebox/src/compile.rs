@@ -698,7 +698,7 @@ mod tests {
 
     #[test]
     fn wrong_airtel_fixture_compiles_but_differs() {
-        // The CI negative control: one flipped action must compile fine
+        // The planted negative control: one flipped action must compile fine
         // (the divergence is caught behaviorally, not syntactically).
         let wrong = compile(include_str!("../policies/fixtures/wrong-airtel.toml")).unwrap();
         let right = compile(include_str!("../policies/fixtures/right-airtel.toml")).unwrap();

@@ -37,8 +37,7 @@ pub enum ParseError {
     },
     /// DNS name decompression exceeded limits (loop or over-long name).
     BadName,
-    /// The bytes are not a syntactically valid HTTP message in the
-    /// requested parse mode.
+    /// The bytes are not a syntactically valid HTTP message.
     BadHttp {
         /// Human-readable reason, static so errors stay allocation-free.
         reason: &'static str,

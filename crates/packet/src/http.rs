@@ -5,27 +5,14 @@
 //! strict `"Host: "` pattern), while RFC 2616-compliant origin servers
 //! accept any header-name case and tolerate extra whitespace around values.
 //! A request is therefore represented as its raw bytes, built by
-//! [`RequestBuilder`] and *interpreted* by parsers of configurable
-//! strictness — the same bytes can legitimately parse differently for a
-//! server and a middlebox, which is exactly the gap evasion exploits.
+//! [`RequestBuilder`] and *interpreted* twice: by the RFC-tolerant
+//! [`HttpRequest::parse`] here, as an origin server reads it, and by each
+//! middlebox's own Host matcher. The same bytes can legitimately mean
+//! different things to the two, which is exactly the gap evasion exploits.
 
 use std::fmt::Write as _;
 
 use crate::error::ParseError;
-
-/// How tolerant a request parser is. Origin servers in the simulator use
-/// [`RequestParseMode::Rfc`]; test fixtures use `Strict` to assert builders
-/// emit canonical messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestParseMode {
-    /// RFC 2616/7230 semantics: header names case-insensitive, optional
-    /// whitespace (spaces and tabs) around values, first-header-wins for
-    /// `Host` lookup.
-    Rfc,
-    /// Canonical-form only: exactly one space after the colon, title-case
-    /// irrelevant but no leading/trailing value whitespace.
-    Strict,
-}
 
 /// A parsed HTTP request. Header names and values are kept exactly as they
 /// appeared on the wire; semantic lookups normalize on the fly.
@@ -38,18 +25,20 @@ pub struct HttpRequest {
     /// Protocol version string, e.g. `HTTP/1.1`.
     pub version: String,
     /// Headers in wire order: (raw name, raw value with surrounding
-    /// whitespace already trimmed per the parse mode).
+    /// spaces and tabs already trimmed).
     pub headers: Vec<(String, String)>,
 }
 
 impl HttpRequest {
-    /// Parse one request head from `buf`.
+    /// Parse one request head from `buf` with RFC 2616/7230 semantics:
+    /// header names are case-insensitive, optional whitespace (spaces and
+    /// tabs) around values is dropped, and the first `Host` wins.
     ///
     /// Returns the request and the number of bytes consumed (up to and
     /// including the terminating blank line). Trailing bytes belong to the
     /// next pipelined message — the covert-interceptive-middlebox evasion
     /// depends on servers honoring this framing.
-    pub fn parse(buf: &[u8], mode: RequestParseMode) -> Result<(HttpRequest, usize), ParseError> {
+    pub fn parse(buf: &[u8]) -> Result<(HttpRequest, usize), ParseError> {
         let end = find_head_end(buf).ok_or(ParseError::BadHttp { reason: "no blank line" })?;
         let head = &buf[..end - 4]; // without the \r\n\r\n
         let mut lines = head.split(|&b| b == b'\n').map(|l| l.strip_suffix(b"\r").unwrap_or(l));
@@ -77,20 +66,7 @@ impl HttpRequest {
                 .map_err(|_| ParseError::BadHttp { reason: "header not utf-8" })?;
             let colon = text.find(':').ok_or(ParseError::BadHttp { reason: "header missing colon" })?;
             let name = &text[..colon];
-            let value_raw = &text[colon + 1..];
-            let value = match mode {
-                RequestParseMode::Rfc => value_raw.trim_matches([' ', '\t']),
-                RequestParseMode::Strict => {
-                    let v = value_raw
-                        .strip_prefix(' ')
-                        .ok_or(ParseError::BadHttp { reason: "strict: need single space" })?;
-                    if v.starts_with(' ') || v.starts_with('\t') || v.ends_with(' ') || v.ends_with('\t')
-                    {
-                        return Err(ParseError::BadHttp { reason: "strict: extra whitespace" });
-                    }
-                    v
-                }
-            };
+            let value = text[colon + 1..].trim_matches([' ', '\t']);
             if name.is_empty() || name.contains(' ') {
                 return Err(ParseError::BadHttp { reason: "bad header name" });
             }
@@ -339,11 +315,15 @@ mod tests {
     #[test]
     fn browser_request_builds_canonically() {
         let bytes = RequestBuilder::browser("blocked.example.in", "/").build();
-        let text = String::from_utf8(bytes.clone()).unwrap();
-        assert!(text.starts_with("GET / HTTP/1.1\r\n"));
-        assert!(text.contains("Host: blocked.example.in\r\n"));
-        assert!(text.ends_with("\r\n\r\n"));
-        let (req, used) = HttpRequest::parse(&bytes, RequestParseMode::Strict).unwrap();
+        assert_eq!(
+            bytes,
+            b"GET / HTTP/1.1\r\n\
+              Host: blocked.example.in\r\n\
+              User-Agent: Mozilla/5.0 (X11; Linux x86_64) lucent/0.1\r\n\
+              Accept: text/html,application/xhtml+xml\r\n\
+              Connection: keep-alive\r\n\r\n"
+        );
+        let (req, used) = HttpRequest::parse(&bytes).unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(req.host(), Some("blocked.example.in"));
         assert_eq!(req.method, "GET");
@@ -356,7 +336,7 @@ mod tests {
             let bytes = RequestBuilder::get("/")
                 .raw_line(&format!("{fudge}: blocked.example.in"))
                 .build();
-            let (req, _) = HttpRequest::parse(&bytes, RequestParseMode::Rfc).unwrap();
+            let (req, _) = HttpRequest::parse(&bytes).unwrap();
             assert_eq!(req.host(), Some("blocked.example.in"), "fudge {fudge}");
         }
     }
@@ -372,17 +352,9 @@ mod tests {
             "Host:   blocked.example.in\t",
         ] {
             let bytes = RequestBuilder::get("/").raw_line(line).build();
-            let (req, _) = HttpRequest::parse(&bytes, RequestParseMode::Rfc).unwrap();
+            let (req, _) = HttpRequest::parse(&bytes).unwrap();
             assert_eq!(req.host(), Some("blocked.example.in"), "line {line:?}");
         }
-    }
-
-    #[test]
-    fn strict_parse_rejects_whitespace_fudging() {
-        let bytes = RequestBuilder::get("/").raw_line("Host:  two.spaces").build();
-        assert!(HttpRequest::parse(&bytes, RequestParseMode::Strict).is_err());
-        let bytes = RequestBuilder::get("/").raw_line("Host: trailing ").build();
-        assert!(HttpRequest::parse(&bytes, RequestParseMode::Strict).is_err());
     }
 
     #[test]
@@ -391,7 +363,7 @@ mod tests {
             .header("Host", "first.example")
             .header("Host", "second.example")
             .build();
-        let (req, _) = HttpRequest::parse(&bytes, RequestParseMode::Rfc).unwrap();
+        let (req, _) = HttpRequest::parse(&bytes).unwrap();
         assert_eq!(req.host(), Some("first.example"));
     }
 
@@ -403,18 +375,18 @@ mod tests {
         let mut bytes = RequestBuilder::get("/").header("Host", "blocked.example.in").build();
         let tail = b"Host: allowed.example.com\r\n\r\n";
         bytes.extend_from_slice(tail);
-        let (req, used) = HttpRequest::parse(&bytes, RequestParseMode::Rfc).unwrap();
+        let (req, used) = HttpRequest::parse(&bytes).unwrap();
         assert_eq!(req.host(), Some("blocked.example.in"));
         assert_eq!(&bytes[used..], tail);
         // The leftover does not parse as a valid request (no request line).
-        assert!(HttpRequest::parse(&bytes[used..], RequestParseMode::Rfc).is_err());
+        assert!(HttpRequest::parse(&bytes[used..]).is_err());
     }
 
     #[test]
     fn incomplete_head_reports_no_blank_line() {
         let partial = b"GET / HTTP/1.1\r\nHost: x";
         assert_eq!(
-            HttpRequest::parse(partial, RequestParseMode::Rfc),
+            HttpRequest::parse(partial),
             Err(ParseError::BadHttp { reason: "no blank line" })
         );
     }
@@ -455,7 +427,7 @@ mod tests {
     #[test]
     fn http2_version_token_is_carried() {
         let bytes = RequestBuilder::get("/").version("HTTP/2.0").header("Host", "x.com").build();
-        let (req, _) = HttpRequest::parse(&bytes, RequestParseMode::Rfc).unwrap();
+        let (req, _) = HttpRequest::parse(&bytes).unwrap();
         assert_eq!(req.version, "HTTP/2.0");
     }
 
@@ -465,7 +437,7 @@ mod tests {
             .header("User-Agent", "x")
             .header("Host", "h.example")
             .build();
-        let (req, _) = HttpRequest::parse(&bytes, RequestParseMode::Rfc).unwrap();
+        let (req, _) = HttpRequest::parse(&bytes).unwrap();
         assert_eq!(req.header("user-agent"), Some("x"));
         assert_eq!(req.header("USER-AGENT"), Some("x"));
         assert_eq!(req.header("absent"), None);

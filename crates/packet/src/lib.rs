@@ -39,7 +39,7 @@ pub mod wire;
 pub use dns::{DnsFlags, DnsMessage, DnsQuestion, DnsRecord, DnsType, Name, Rcode};
 pub use lucent_support::Bytes;
 pub use error::ParseError;
-pub use http::{HttpRequest, HttpResponse, RequestParseMode};
+pub use http::{HttpRequest, HttpResponse};
 pub use icmp::IcmpMessage;
 pub use ipv4::Ipv4Header;
 pub use tcp::{TcpFlags, TcpHeader};

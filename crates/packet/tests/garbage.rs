@@ -13,7 +13,7 @@ use lucent_packet::error::ParseError;
 use lucent_packet::http::RequestBuilder;
 use lucent_packet::tcp::{TcpFlags, TcpHeader};
 use lucent_packet::{
-    DnsMessage, HttpRequest, HttpResponse, IcmpMessage, Ipv4Header, Packet, RequestParseMode,
+    DnsMessage, HttpRequest, HttpResponse, IcmpMessage, Ipv4Header, Packet,
     UdpHeader,
 };
 
@@ -143,8 +143,7 @@ fn http_head_with_invalid_utf8_is_rejected_not_panicked() {
     let mut bytes = b"GET / HTTP/1.1\r\nHost: ".to_vec();
     bytes.extend_from_slice(&[0xff, 0xfe, 0x80]);
     bytes.extend_from_slice(b"\r\n\r\n");
-    assert!(HttpRequest::parse(&bytes, RequestParseMode::Rfc).is_err());
-    assert!(HttpRequest::parse(&bytes, RequestParseMode::Strict).is_err());
+    assert!(HttpRequest::parse(&bytes).is_err());
 
     let mut resp = b"HTTP/1.1 200 ".to_vec();
     resp.extend_from_slice(&[0xff, 0x00, 0xc3]);
@@ -155,7 +154,7 @@ fn http_head_with_invalid_utf8_is_rejected_not_panicked() {
 #[test]
 fn http_without_header_terminator_is_rejected() {
     let bytes = b"GET / HTTP/1.1\r\nHost: x.com\r\n"; // no blank line
-    assert!(HttpRequest::parse(bytes, RequestParseMode::Rfc).is_err());
+    assert!(HttpRequest::parse(bytes).is_err());
     assert!(HttpResponse::parse(b"HTTP/1.1 200 OK\r\n").is_err());
 }
 
@@ -169,7 +168,7 @@ fn http_mangled_request_lines_are_rejected() {
         &b"\x00\x01\x02 / HTTP/1.1\r\n\r\n"[..],    // binary method
     ] {
         assert!(
-            HttpRequest::parse(bad, RequestParseMode::Rfc).is_err(),
+            HttpRequest::parse(bad).is_err(),
             "{:?} must not parse",
             String::from_utf8_lossy(bad)
         );

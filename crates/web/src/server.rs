@@ -14,7 +14,7 @@
 //!   `404` (the controlled-remote-host corroboration experiments).
 
 use lucent_dns::RegionId;
-use lucent_packet::http::{find_head_end, HttpRequest, RequestParseMode};
+use lucent_packet::http::{find_head_end, HttpRequest};
 use lucent_tcp::{SocketApp, SocketEvent, SocketIo};
 
 use crate::content;
@@ -78,7 +78,7 @@ impl WebServerApp {
             let Some(end) = find_head_end(&self.buf) else {
                 return; // incomplete head: wait for more bytes
             };
-            let out = match HttpRequest::parse(&self.buf[..end], RequestParseMode::Rfc) {
+            let out = match HttpRequest::parse(&self.buf[..end]) {
                 Ok((req, used)) => {
                     debug_assert_eq!(used, end);
                     self.respond(io, &req)

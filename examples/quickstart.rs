@@ -6,6 +6,7 @@
 //! ```
 
 use lucent_core::lab::{Lab, FETCH_TIMEOUT_MS};
+use lucent_core::probe::classify::censored_sites;
 use lucent_topology::{India, IndiaConfig, IspId};
 
 fn main() {
@@ -16,32 +17,19 @@ fn main() {
 
     // Pick a site Idea Cellular censors *on this client's path* (each
     // destination rides its own ECMP path; ~90% are covered in Idea).
-    let client = lab.client_of(IspId::Idea);
-    let candidates: Vec<_> = lab.india.truth.http_master[&IspId::Idea]
-        .iter()
-        .copied()
-        .filter(|&s| lab.india.corpus.site(s).is_alive())
-        .collect();
-    let mut chosen = None;
-    for site in candidates {
-        let domain = lab.india.corpus.site(site).domain.clone();
-        let ip = lab.india.corpus.site(site).replicas[0];
-        let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-        let blocked = f.was_reset()
-            || f.hit_timeout()
-            || f.response.as_ref().map(lucent_middlebox::notice::looks_like_notice).unwrap_or(false);
-        if blocked {
-            chosen = Some((site, domain, ip));
-            break;
-        }
-    }
-    let (_, domain, ip) = chosen.expect("Idea censors something on this path");
+    let site = censored_sites(&mut lab, IspId::Idea, 1, |s| s.is_alive())
+        .into_iter()
+        .next()
+        .expect("Idea censors something on this path");
+    let s = lab.india.corpus.site(site);
+    let (domain, ip) = (s.domain.clone(), s.replicas[0]);
     println!("target: http://{domain}/ at {ip}\n");
 
     // 1. From the Idea client.
+    let client = lab.client_of(IspId::Idea);
     let censored = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
     match &censored.response {
-        Some(resp) if lucent_middlebox::notice::looks_like_notice(resp) => {
+        Some(resp) if censored.shows_notice() => {
             println!("from Idea: BLOCKED — censorship notification ({} bytes)", resp.body.len());
         }
         Some(resp) => println!("from Idea: got status {} (uncovered path?)", resp.status),

@@ -1,54 +1,41 @@
 //! Evasion integration: the Section-5 matrix, checked against the
 //! matcher semantics each deployment uses.
 
+use std::collections::BTreeSet;
+
 use lucent_core::anticensor::{attempt, Technique};
 use lucent_core::lab::{Lab, FETCH_TIMEOUT_MS};
-use lucent_middlebox::notice::looks_like_notice;
+use lucent_core::probe::classify::censored_sites;
 use lucent_topology::{India, IndiaConfig, IspId};
-use lucent_web::SiteId;
+use lucent_web::{Site, SiteId, SiteKind};
 
 fn lab() -> Lab {
     Lab::new(India::build(IndiaConfig::small()))
 }
 
-fn censored_site(lab: &mut Lab, isp: IspId) -> Option<SiteId> {
-    let master: Vec<SiteId> = lab.india.truth.http_master[&isp].iter().copied().collect();
-    let client = lab.client_of(isp);
-    for site in master {
-        let s = lab.india.corpus.site(site);
-        if !s.is_alive() || s.kind != lucent_web::SiteKind::Normal {
-            continue;
-        }
-        // The matrix checks *this* deployment's matcher semantics, so the
-        // site must not also sit on another censor's blocklist — a second
-        // middlebox on the path would mix its semantics into the result.
-        let shared = lab
-            .india
-            .truth
-            .http_master
-            .iter()
-            .any(|(&other, bl)| other != isp && bl.contains(&site));
-        if shared {
-            continue;
-        }
-        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-        for _ in 0..2 {
-            let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-            if f.was_reset()
-                || f.hit_timeout()
-                || f.response.as_ref().map(looks_like_notice).unwrap_or(false)
-            {
-                return Some(site);
-            }
-        }
-    }
-    None
+/// The matrix checks *this* deployment's matcher semantics, so a site
+/// must not also sit on another censor's blocklist — a second middlebox
+/// on the path would mix its semantics into the result.
+fn sole_censor(lab: &Lab, isp: IspId) -> impl Fn(&Site) -> bool {
+    let shared: BTreeSet<SiteId> = lab
+        .india
+        .truth
+        .http_master
+        .iter()
+        .filter(|(&other, _)| other != isp)
+        .flat_map(|(_, bl)| bl.iter().copied())
+        .collect();
+    move |s| s.is_alive() && s.kind == SiteKind::Normal && !shared.contains(&s.id)
 }
 
 #[test]
 fn idea_full_matrix_matches_strict_pattern_semantics() {
     let mut lab = lab();
-    let site = censored_site(&mut lab, IspId::Idea).expect("a censored site in Idea");
+    let keep = sole_censor(&lab, IspId::Idea);
+    let site = censored_sites(&mut lab, IspId::Idea, 1, keep)
+        .into_iter()
+        .next()
+        .expect("a censored site in Idea");
     // Works: anything the rigid `Host: value` parser chokes on.
     for tech in [
         Technique::ExtraSpaceBeforeValue,
@@ -76,7 +63,8 @@ fn idea_full_matrix_matches_strict_pattern_semantics() {
 #[test]
 fn vodafone_matrix_matches_last_host_semantics() {
     let mut lab = lab();
-    let Some(site) = censored_site(&mut lab, IspId::Vodafone) else {
+    let keep = sole_censor(&lab, IspId::Vodafone);
+    let Some(&site) = censored_sites(&mut lab, IspId::Vodafone, 1, keep).first() else {
         return; // 11% coverage may miss the small-world client entirely
     };
     assert!(attempt(&mut lab, IspId::Vodafone, site, Technique::DuplicateHostDecoy).success);
@@ -93,7 +81,8 @@ fn vodafone_matrix_matches_last_host_semantics() {
 #[test]
 fn airtel_matrix_matches_exact_token_semantics() {
     let mut lab = lab();
-    let Some(site) = censored_site(&mut lab, IspId::Airtel) else {
+    let keep = sole_censor(&lab, IspId::Airtel);
+    let Some(&site) = censored_sites(&mut lab, IspId::Airtel, 1, keep).first() else {
         return;
     };
     for tech in [

@@ -85,9 +85,7 @@ fn ideas_list_is_censored_exactly_where_devices_sit() {
         let core = core_ifaces.iter().position(|&i| i == chosen).expect("a core iface");
         let predicted = devices.iter().any(|(c, _, bl)| *c == core && bl.contains(&site));
         let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-        let observed = f.was_reset()
-            || f.hit_timeout()
-            || f.response.as_ref().map(looks_like_notice).unwrap_or(false);
+        let observed = f.censored();
         assert_eq!(observed, predicted, "site {site:?} via core {core}");
         censored += usize::from(observed);
     }

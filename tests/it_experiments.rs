@@ -10,7 +10,7 @@ use lucent_core::experiments::{
     dns_mechanism, evasion, fig2, mechanism, race, table1, table2, table3, tracer_demo,
 };
 use lucent_core::lab::Lab;
-use lucent_core::probe::classify::render_rate;
+use lucent_core::probe::classify::{censored_sites, render_rate};
 use lucent_obs::Telemetry;
 use lucent_topology::{India, IndiaConfig, IspId};
 
@@ -153,7 +153,7 @@ fn airtel_race_renders_exactly_as_often_as_its_slow_path_fires() {
     // program: without it every injection wins, always taken the real
     // page gets through. Sites are found once, under the committed
     // program, as `repro ablate-race` does.
-    let sites = race::censored_sites(&mut lab(), IspId::Airtel, 2);
+    let sites = censored_sites(&mut lab(), IspId::Airtel, 2, race::raceable);
     assert!(!sites.is_empty(), "no censored Airtel path");
     let rendered = |p: f64| {
         let mut cfg = IndiaConfig::tiny();

@@ -2,39 +2,16 @@
 //! exercised through the built India rather than hand-wired rigs.
 
 use lucent_core::lab::{Lab, FETCH_TIMEOUT_MS};
-use lucent_core::probe::classify::{classify_by_remote_hosts, MeasuredKind};
+use lucent_core::probe::classify::{censored_sites, classify_by_remote_hosts, MeasuredKind};
 use lucent_middlebox::notice::{looks_like_notice, NoticeStyle};
 use lucent_middlebox::{Policy, PolicyBox};
 use lucent_netsim::NodeId;
 use lucent_packet::tcp::TcpFlags;
 use lucent_topology::{India, IndiaConfig, IspId};
-use lucent_web::SiteId;
+use lucent_web::Site;
 
 fn lab() -> Lab {
     Lab::new(India::build(IndiaConfig::tiny()))
-}
-
-/// A (site, ip, domain) censored on the client's direct path.
-fn censored_fixture(lab: &mut Lab, isp: IspId) -> Option<(SiteId, std::net::Ipv4Addr, String)> {
-    let master: Vec<SiteId> = lab.india.truth.http_master[&isp].iter().copied().collect();
-    let client = lab.client_of(isp);
-    for site in master {
-        let s = lab.india.corpus.site(site);
-        if !s.is_alive() {
-            continue;
-        }
-        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-        for _ in 0..2 {
-            let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-            if f.was_reset()
-                || f.hit_timeout()
-                || f.response.as_ref().map(looks_like_notice).unwrap_or(false)
-            {
-                return Some((site, ip, domain));
-            }
-        }
-    }
-    None
 }
 
 #[test]
@@ -63,7 +40,12 @@ fn deployed_kinds_match_config() {
 #[test]
 fn idea_notice_page_carries_idea_signature() {
     let mut lab = lab();
-    let (_, ip, domain) = censored_fixture(&mut lab, IspId::Idea).expect("censored path");
+    let site = censored_sites(&mut lab, IspId::Idea, 1, Site::is_alive)
+        .into_iter()
+        .next()
+        .expect("censored path");
+    let s = lab.india.corpus.site(site);
+    let (domain, ip) = (s.domain.clone(), s.replicas[0]);
     let client = lab.client_of(IspId::Idea);
     let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
     let resp = f.response.expect("notice");
@@ -97,9 +79,11 @@ fn remote_host_classification_agrees_with_deployment() {
 #[test]
 fn wiretap_injections_carry_the_airtel_ip_id() {
     let mut lab = lab();
-    let Some((_, ip, domain)) = censored_fixture(&mut lab, IspId::Airtel) else {
+    let Some(&site) = censored_sites(&mut lab, IspId::Airtel, 1, Site::is_alive).first() else {
         return; // tiny world: the Airtel client may dodge all devices
     };
+    let s = lab.india.corpus.site(site);
+    let (domain, ip) = (s.domain.clone(), s.replicas[0]);
     let client = lab.client_of(IspId::Airtel);
     // The wiretap races the real response and its slow tail (30% of
     // flows) can lose outright, so one fetch may see no injection at
@@ -124,14 +108,15 @@ fn wiretap_injections_carry_the_airtel_ip_id() {
 #[test]
 fn covert_vodafone_resets_without_a_page() {
     let mut lab = lab();
-    let Some((_, ip, domain)) = censored_fixture(&mut lab, IspId::Vodafone) else {
+    let Some(&site) = censored_sites(&mut lab, IspId::Vodafone, 1, Site::is_alive).first() else {
         return; // 11% coverage: often unobserved in the tiny world
     };
+    let s = lab.india.corpus.site(site);
+    let (domain, ip) = (s.domain.clone(), s.replicas[0]);
     let client = lab.client_of(IspId::Vodafone);
     let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
     assert!(f.was_reset(), "covert devices reset");
-    let got_notice = f.response.as_ref().map(looks_like_notice).unwrap_or(false);
-    assert!(!got_notice, "no notification page from a covert device");
+    assert!(!f.shows_notice(), "no notification page from a covert device");
 }
 
 #[test]
@@ -140,7 +125,12 @@ fn non_port_80_flows_are_never_inspected() {
     // listener on 8080 at a hosting node, then request a blocked domain
     // through Idea's (92%-covered) network: content must flow.
     let mut lab = lab();
-    let (_, ip, domain) = censored_fixture(&mut lab, IspId::Idea).expect("censored path");
+    let site = censored_sites(&mut lab, IspId::Idea, 1, Site::is_alive)
+        .into_iter()
+        .next()
+        .expect("censored path");
+    let s = lab.india.corpus.site(site);
+    let (domain, ip) = (s.domain.clone(), s.replicas[0]);
     let server_node = lab
         .india
         .hosting

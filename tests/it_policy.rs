@@ -118,29 +118,12 @@ fn the_planted_wrong_policy_diverges_from_the_recording() {
         compile(include_str!("../crates/middlebox/policies/fixtures/wrong-airtel.toml")).unwrap();
     let msg = run_diff(wrong, &spec, &steps, &recorded)
         .expect_err("wrong-airtel.toml (one flipped action) must diverge from the recording");
-    assert!(msg.contains("diverged"), "CI greps for 'diverged': {msg}");
+    assert!(msg.contains("diverged"), "the failure names the divergence: {msg}");
     // The green twin is the same program with the action restored:
     // passing proves the red above is the flip's fault, not the rig's.
     let right =
         compile(include_str!("../crates/middlebox/policies/fixtures/right-airtel.toml")).unwrap();
     run_diff(right, &spec, &steps, &recorded).unwrap();
-}
-
-/// CI's negative-control hook: when `LUCENT_POLICY_UNDER_TEST` names a
-/// policy file (relative to the workspace root), it must replay the
-/// recorded Airtel transcript byte-for-byte. CI feeds it the planted
-/// `wrong-airtel.toml` and demands the red, then the byte-equivalent
-/// `right-airtel.toml` and demands the green. Without the variable the
-/// test is a no-op.
-#[test]
-fn policy_file_under_test_matches_the_airtel_recording() {
-    let Some(rel) = std::env::var_os("LUCENT_POLICY_UNDER_TEST") else { return };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join(rel);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let policy = compile(&text).unwrap();
-    let spec = airtel_spec();
-    let recorded = recorded_transcript("mb-airtel.transcript", "airtel-wm", &spec);
-    run_diff(policy, &spec, &canned_script(&spec), &recorded).unwrap();
 }
 
 #[test]

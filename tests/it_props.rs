@@ -10,7 +10,7 @@ use lucent_check::{check, packets, Config, Source};
 
 use lucent_core::lab::{Lab, FETCH_TIMEOUT_MS};
 use lucent_middlebox::HostMatcher;
-use lucent_packet::http::{HttpRequest, RequestBuilder, RequestParseMode};
+use lucent_packet::http::{HttpRequest, RequestBuilder};
 use lucent_packet::Packet;
 use lucent_topology::{India, IndiaConfig, IspId};
 
@@ -43,7 +43,7 @@ fn matchers_and_server_agree_on_canonical_requests() {
         let host = packets::host_name(s);
         let path = packets::url_path(s);
         let bytes = RequestBuilder::browser(&host, &path).build();
-        let (req, _) = HttpRequest::parse(&bytes, RequestParseMode::Rfc).unwrap();
+        let (req, _) = HttpRequest::parse(&bytes).unwrap();
         let server_view = req.host().map(|h| h.to_ascii_lowercase());
         for matcher in [HostMatcher::ExactToken, HostMatcher::StrictPattern, HostMatcher::LastHost]
         {
@@ -63,8 +63,8 @@ fn rfc_server_parse_is_whitespace_invariant() {
         let canonical = RequestBuilder::get("/").header("Host", &host).build();
         let fudged =
             RequestBuilder::get("/").raw_line(&format!("Host:{lead}{host}{trail}")).build();
-        let (a, _) = HttpRequest::parse(&canonical, RequestParseMode::Rfc).unwrap();
-        let (b, _) = HttpRequest::parse(&fudged, RequestParseMode::Rfc).unwrap();
+        let (a, _) = HttpRequest::parse(&canonical).unwrap();
+        let (b, _) = HttpRequest::parse(&fudged).unwrap();
         assert_eq!(a.host(), b.host());
     });
 }

@@ -8,8 +8,8 @@
 //! byte-identical across runs and across `--threads` values (CI diffs
 //! it against `tests/golden/lint-report.json`), the L4/L8/L11 and
 //! allowlist fixtures under `crates/devtools/fixtures/` must go
-//! red/green exactly as designed, and `--update-baseline` must refuse to raise
-//! a generated ceiling.
+//! red/green exactly as designed, and a retired allowlist table must be
+//! an error.
 
 use std::path::{Path, PathBuf};
 
@@ -130,8 +130,7 @@ fn copy_tree(src: &Path, dst: &Path) {
 
 /// A throwaway copy of the `policy-red` workspace — one anomaly in
 /// `shadowed.toml` — under the cargo-managed tmpdir, with a
-/// caller-chosen allowlist, for exercising `--update-baseline` (which
-/// rewrites the allowlist in place).
+/// caller-chosen allowlist.
 fn scratch_workspace(name: &str, allow: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let _ = std::fs::remove_dir_all(&dir);
@@ -141,73 +140,34 @@ fn scratch_workspace(name: &str, allow: &str) -> PathBuf {
 }
 
 #[test]
-fn update_baseline_refuses_to_raise_a_generated_ceiling() {
-    let allow = format!("[policy_anomaly]\n\"{SHADOWED}\" = 0\n");
-    let dir = scratch_workspace("ratchet-raise", &allow);
-    let report = lucent_devtools::update_baseline(&dir).expect("update");
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.msg.contains("refusing to raise the [policy_anomaly] baseline")),
-        "{:?}",
-        report.violations
-    );
-    let after = std::fs::read_to_string(dir.join("lint-allow.toml")).expect("read");
-    assert_eq!(after, allow, "a refused update must not rewrite the allowlist");
-}
-
-#[test]
-fn update_baseline_leaves_an_allowlist_with_a_retired_table_alone() {
-    // A leftover `[panic_sites]` table is an error, not an empty
-    // section: the rewrite must not silently drop it.
-    let allow = "[panic_sites]\n\"crates/isp/src/lib.rs\" = 1\n";
-    let dir = scratch_workspace("ratchet-retired", allow);
-    let report = lucent_devtools::update_baseline(&dir).expect("update");
+fn a_leftover_policy_anomaly_table_is_an_unknown_section() {
+    // L11 has no allowlist. A leftover ceiling table is an error, not a
+    // silent empty section, and it excuses nothing: the anomaly it
+    // names still surfaces at its rule line.
+    let allow = format!("[policy_anomaly]\n\"{SHADOWED}\" = 1\n");
+    let dir = scratch_workspace("retired-policy-anomaly", &allow);
+    let report = run_root(&dir).expect("scan");
     let v = report
         .violations
         .iter()
-        .find(|v| v.msg.contains("unknown section [panic_sites]"))
+        .find(|v| v.msg.contains("unknown section [policy_anomaly]"))
         .unwrap_or_else(|| panic!("{:?}", report.violations));
-    // Filed under L3, a rule the allowlist configures (L4 has none).
+    // Filed under L3, a rule the allowlist configures (L11 has none).
     assert_eq!((v.rule.code(), v.path.as_str(), v.line), ("L3-determinism", "lint-allow.toml", 1));
-    let after = std::fs::read_to_string(dir.join("lint-allow.toml")).expect("read");
-    assert_eq!(after, allow, "an unparseable allowlist must not be rewritten");
+    let excused = !report.violations.iter().any(|v| v.rule.code() == "L11-policy-anomaly");
+    assert!(!excused, "the anomaly in {SHADOWED} must still surface: {:?}", report.violations);
 }
 
 #[test]
-fn allowlist_fixture_goes_red_on_a_repeated_ceiling_key() {
-    // A repeated `[policy_anomaly]` key is an error at its line, not a
-    // silent last-one-wins overwrite.
+fn allowlist_fixture_goes_red_on_a_repeated_key() {
+    // A repeated key is an error at its line, not a silent
+    // last-one-wins overwrite.
     let report = run_root(&fixture("allow-red")).expect("fixture scan");
     assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
     assert_eq!(
         report.violations[0].to_string(),
-        "L3-determinism: lint-allow.toml:5: unparseable allowlist: \
-         duplicate key `crates/isp/policies/shadowed.toml`"
+        "L3-determinism: lint-allow.toml:5: unparseable allowlist: duplicate key `files`"
     );
-}
-
-#[test]
-fn update_baseline_emits_all_generated_tables_in_one_pass() {
-    let allow = format!(
-        "[shared_state]\nfiles = [\"crates/isp/src/lib.rs\"]\n\n\
-         [policy_anomaly]\n\"{SHADOWED}\" = 5\n"
-    );
-    let dir = scratch_workspace("ratchet-shrink", &allow);
-    let report = lucent_devtools::update_baseline(&dir).expect("update");
-    assert!(report.ok(), "{:?}", report.violations);
-    let after = std::fs::read_to_string(dir.join("lint-allow.toml")).expect("read");
-    // `[policy_anomaly]`, the one generated table, ratcheted down to the
-    // real count, and the [shared_state] configuration survived.
-    assert!(after.contains(&format!("[policy_anomaly]\n\"{SHADOWED}\" = 1\n")), "{after}");
-    assert!(after.contains("files = [\"crates/isp/src/lib.rs\"]"), "shared_state lost: {after}");
-    assert!(!after.contains("= 5"), "stale ceiling survived: {after}");
-    // Idempotent: a second pass writes the same bytes.
-    let report2 = lucent_devtools::update_baseline(&dir).expect("update");
-    assert!(report2.ok(), "{:?}", report2.violations);
-    let again = std::fs::read_to_string(dir.join("lint-allow.toml")).expect("read");
-    assert_eq!(after, again);
 }
 
 #[test]
