@@ -6,11 +6,12 @@
 //! CI proves byte-identical is exactly what users run.
 
 use lucent_core::experiments::{anonymity, evasion, fig2, race, table1, triggers};
+use lucent_core::lab::Lab;
 use lucent_core::probe::dns_scan::{survey_batch, ResolverScan};
 use lucent_obs::Telemetry;
 use lucent_topology::IspId;
 
-use crate::shard::{Job, Pool, ShardOut};
+use crate::shard::{Job, Pool, ShardCtx, ShardOut};
 use crate::Scale;
 
 /// Resolver-chunk size for the Figure 2 survey phase. Fixed (never a
@@ -73,29 +74,35 @@ impl Driver {
             .collect()
     }
 
+    /// Run `job` once per ISP in `isps`, one shard each, under `tag`;
+    /// the rows come back in `isps` order.
+    fn per_isp<T: Send>(
+        &self,
+        hub: &Telemetry,
+        tag: &str,
+        isps: &[IspId],
+        job: impl Fn(&mut Lab, IspId) -> T + Sync,
+    ) -> Vec<T> {
+        let job = &job;
+        let jobs: Vec<Job<'_, T>> = isps
+            .iter()
+            .map(|&isp| Box::new(move |ctx: &mut ShardCtx| job(&mut ctx.lab, isp)) as _)
+            .collect();
+        self.merge(hub, self.run_pool(tag, jobs))
+    }
+
     /// X2, one shard per ISP.
     pub fn race(&self, hub: &Telemetry, opts: &race::RaceOptions) -> race::Race {
-        let jobs: Vec<Job<'_, race::RaceRow>> = opts
-            .isps
-            .iter()
-            .map(|&isp| Box::new(move |ctx: &mut crate::shard::ShardCtx| race::run_isp(&mut ctx.lab, isp, opts)) as _)
-            .collect();
-        race::Race { rows: self.merge(hub, self.run_pool("race", jobs)) }
+        let rows = self.per_isp(hub, "race", &opts.isps, |lab, isp| race::run_isp(lab, isp, opts));
+        race::Race { rows }
     }
 
     /// Table 1, one shard per ISP.
     pub fn table1(&self, hub: &Telemetry, opts: &table1::Table1Options) -> table1::Table1 {
-        let jobs: Vec<Job<'_, (table1::IspAccuracy, usize)>> = opts
-            .isps
-            .iter()
-            .map(|&isp| {
-                Box::new(move |ctx: &mut crate::shard::ShardCtx| {
-                    let sites = table1::site_sample(&ctx.lab, opts.max_sites);
-                    (table1::run_isp(&mut ctx.lab, isp, &sites), sites.len())
-                }) as _
-            })
-            .collect();
-        let rows = self.merge(hub, self.run_pool("table1", jobs));
+        let rows = self.per_isp(hub, "table1", &opts.isps, |lab, isp| {
+            let sites = table1::site_sample(lab, opts.max_sites);
+            (table1::run_isp(lab, isp, &sites), sites.len())
+        });
         let sites_tested = rows.first().map(|(_, n)| *n).unwrap_or(0);
         table1::Table1 { rows: rows.into_iter().map(|(r, _)| r).collect(), sites_tested }
     }
@@ -104,16 +111,9 @@ impl Driver {
     /// uncensored reference), then per-(ISP, resolver-chunk) surveys
     /// whose scans concatenate in submission order.
     pub fn fig2(&self, hub: &Telemetry, opts: &fig2::Fig2Options) -> fig2::Fig2 {
-        let prep_jobs: Vec<Job<'_, fig2::IspPrep>> = opts
-            .isps
-            .iter()
-            .map(|&isp| {
-                Box::new(move |ctx: &mut crate::shard::ShardCtx| {
-                    fig2::prepare_isp(&mut ctx.lab, isp, opts)
-                }) as _
-            })
-            .collect();
-        let prep = self.merge(hub, self.run_pool("fig2.prepare", prep_jobs));
+        let prep = self.per_isp(hub, "fig2.prepare", &opts.isps, |lab, isp| {
+            fig2::prepare_isp(lab, isp, opts)
+        });
 
         let mut chunk_jobs: Vec<Job<'_, Vec<ResolverScan>>> = Vec::new();
         let mut chunks_per_isp = Vec::new();
@@ -122,7 +122,7 @@ impl Driver {
             for chunk in resolvers.chunks(RESOLVER_CHUNK) {
                 chunks += 1;
                 let max_sites = opts.max_sites;
-                chunk_jobs.push(Box::new(move |ctx: &mut crate::shard::ShardCtx| {
+                chunk_jobs.push(Box::new(move |ctx: &mut ShardCtx| {
                     let pbw = fig2::pbw_sample(&ctx.lab, max_sites);
                     survey_batch(&mut ctx.lab, isp, chunk, &pbw, reference)
                 }) as _);
@@ -144,16 +144,8 @@ impl Driver {
 
     /// X4, one shard per ISP.
     pub fn evasion(&self, hub: &Telemetry, opts: &evasion::EvasionOptions) -> evasion::Evasion {
-        let jobs: Vec<Job<'_, (std::collections::BTreeMap<String, evasion::EvasionCell>, bool)>> =
-            opts.isps
-                .iter()
-                .map(|&isp| {
-                    Box::new(move |ctx: &mut crate::shard::ShardCtx| {
-                        evasion::run_isp(&mut ctx.lab, isp, opts)
-                    }) as _
-                })
-                .collect();
-        let cells = self.merge(hub, self.run_pool("evasion", jobs));
+        let cells =
+            self.per_isp(hub, "evasion", &opts.isps, |lab, isp| evasion::run_isp(lab, isp, opts));
         let mut matrix = std::collections::BTreeMap::new();
         let mut fully = std::collections::BTreeMap::new();
         for (&isp, (per_technique, full)) in opts.isps.iter().zip(cells) {
@@ -165,11 +157,7 @@ impl Driver {
 
     /// X3, one shard per ISP.
     pub fn triggers(&self, hub: &Telemetry, isps: &[IspId]) -> triggers::Triggers {
-        let jobs: Vec<Job<'_, triggers::TriggerRow>> = isps
-            .iter()
-            .map(|&isp| Box::new(move |ctx: &mut crate::shard::ShardCtx| triggers::run_isp(&mut ctx.lab, isp)) as _)
-            .collect();
-        triggers::Triggers { rows: self.merge(hub, self.run_pool("triggers", jobs)) }
+        triggers::Triggers { rows: self.per_isp(hub, "triggers", isps, triggers::run_isp) }
     }
 
     /// §6.1, one shard per ISP.
@@ -179,15 +167,9 @@ impl Driver {
         isps: &[IspId],
         max_paths: usize,
     ) -> anonymity::Anonymity {
-        let jobs: Vec<Job<'_, anonymity::AnonymityRow>> = isps
-            .iter()
-            .map(|&isp| {
-                Box::new(move |ctx: &mut crate::shard::ShardCtx| {
-                    anonymity::run_isp(&mut ctx.lab, isp, max_paths)
-                }) as _
-            })
-            .collect();
-        anonymity::Anonymity { rows: self.merge(hub, self.run_pool("anonymity", jobs)) }
+        let rows =
+            self.per_isp(hub, "anonymity", isps, |lab, isp| anonymity::run_isp(lab, isp, max_paths));
+        anonymity::Anonymity { rows }
     }
 }
 

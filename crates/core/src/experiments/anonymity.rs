@@ -10,12 +10,10 @@
 
 use std::fmt;
 
-
-use lucent_packet::http::RequestBuilder;
-use lucent_packet::tcp::TcpFlags;
 use lucent_topology::IspId;
 
 use crate::lab::Lab;
+use crate::probe::coverage::probe_path;
 use crate::report;
 
 /// Per-ISP asterisk statistics.
@@ -77,29 +75,7 @@ pub fn run_isp(lab: &mut Lab, isp: IspId, max_paths: usize) -> AnonymityRow {
             row.with_asterisk += 1;
         }
         // Canary: replay blocked Hosts on this path until a trigger.
-        let mut conn = lab.raw_connect(client, target, 80, None);
-        let mut censored = false;
-        if conn.established {
-            for host in &hosts {
-                let req = RequestBuilder::browser(host, "/").build();
-                lab.raw_send(&mut conn, &req, None);
-                let packets = lab.raw_observe(&mut conn, 120);
-                if packets.iter().any(|p| {
-                    p.as_tcp()
-                        .map(|(h, b)| h.flags.contains(TcpFlags::RST) || !b.is_empty() && {
-                            lucent_packet::HttpResponse::parse(b)
-                                .map(|r| lucent_middlebox::notice::looks_like_notice(&r))
-                                .unwrap_or(false)
-                        })
-                        .unwrap_or(false)
-                }) {
-                    censored = true;
-                    break;
-                }
-            }
-            lab.raw_close(&conn);
-        }
-        if censored {
+        if probe_path(lab, client, target, &hosts, 0).poisoned {
             row.censored += 1;
             if asterisk {
                 row.censored_and_asterisk += 1;

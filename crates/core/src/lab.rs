@@ -10,7 +10,7 @@ use lucent_netsim::{NodeId, SimDuration, SimTime};
 use lucent_packet::dns::DnsMessage;
 use lucent_packet::http::{find_head_end, RequestBuilder};
 use lucent_packet::tcp::{TcpFlags, TcpHeader};
-use lucent_packet::{HttpResponse, Packet, UdpHeader};
+use lucent_packet::{Bytes, HttpResponse, IcmpMessage, Packet, UdpHeader};
 use lucent_tcp::{SocketEvent, SocketId, TcpHost, TcpState};
 use lucent_topology::{India, IspId};
 
@@ -22,6 +22,8 @@ pub const FETCH_TIMEOUT_MS: u64 = 4_000;
 pub const DNS_WINDOW_MS: u64 = 1_500;
 /// Per-hop traceroute wait.
 pub const HOP_WINDOW_MS: u64 = 600;
+/// The port every raw connection targets.
+const HTTP_PORT: u16 = 80;
 
 /// Outcome of a full-stack HTTP fetch.
 #[derive(Debug, Clone)]
@@ -105,8 +107,8 @@ impl Traceroute {
     }
 }
 
-/// A raw (stack-bypassing) TCP connection, as the paper's crafted-packet
-/// scripts used.
+/// A raw (stack-bypassing) TCP connection to port 80, as the paper's
+/// crafted-packet scripts used.
 #[derive(Debug, Clone)]
 pub struct RawConn {
     /// Client node.
@@ -117,14 +119,60 @@ pub struct RawConn {
     pub local_port: u16,
     /// Server address.
     pub dst: Ipv4Addr,
-    /// Server port.
-    pub dst_port: u16,
     /// Next sequence number we will send.
     pub seq: u32,
     /// Next sequence number we expect from the server.
     pub ack: u32,
     /// Whether the 3-way handshake completed.
     pub established: bool,
+}
+
+impl RawConn {
+    /// A header on this connection's ports carrying its cursors.
+    fn header(&self, flags: TcpFlags) -> TcpHeader {
+        let mut h = TcpHeader::new(self.local_port, HTTP_PORT, flags);
+        h.seq = self.seq;
+        h.ack = self.ack;
+        h
+    }
+}
+
+/// What a crafted request drew within its observation window.
+///
+/// Pick the verdict by the request's TTL. Below the destination only a
+/// middlebox can answer, so [`RawReply::answered`] is the test; at full
+/// TTL the origin answers too, so ask [`RawReply::censored`].
+#[derive(Debug, Clone)]
+pub struct RawReply {
+    /// TCP arrivals on the connection's raw port, in arrival order.
+    pub packets: Vec<Packet>,
+    /// Source of the first ICMP Time-Exceeded that arrived between the
+    /// request going out and the end of the window.
+    pub expired_at: Option<Ipv4Addr>,
+}
+
+impl RawReply {
+    /// The first RST or payload-bearing segment.
+    pub(crate) fn first_answer(&self) -> Option<&Packet> {
+        self.packets.iter().find(|p| {
+            p.as_tcp().is_some_and(|(h, b)| h.flags.contains(TcpFlags::RST) || !b.is_empty())
+        })
+    }
+
+    /// Did anything answer the request: a RST or any payload?
+    pub fn answered(&self) -> bool {
+        self.first_answer().is_some()
+    }
+
+    /// Did a censor answer the request: a RST or a notification page?
+    pub fn censored(&self) -> bool {
+        self.packets.iter().any(|p| {
+            p.as_tcp().is_some_and(|(h, b)| {
+                h.flags.contains(TcpFlags::RST)
+                    || HttpResponse::parse(b).is_ok_and(|r| looks_like_notice(&r))
+            })
+        })
+    }
 }
 
 /// The lab: owns the world and a virtual clock.
@@ -465,6 +513,14 @@ impl Lab {
 
     // ------------------------------------------------------------------
     // Raw TCP
+    //
+    // The paper's crafted-packet scripts. `crafted` is the one
+    // crafted-request probe: a full-TTL handshake, one request at a
+    // chosen TTL, an observation window, a close. Probes that need their
+    // own pre-send work (a TTL-limited SYN, a bare SYN+ACK opener, an
+    // idle wait, a keep-alive) open the connection themselves and share
+    // its tail, `raw_request`. Which `RawReply` verdict fits depends on
+    // the request's TTL; see its doc.
     // ------------------------------------------------------------------
 
     fn next_raw_seq(&mut self) -> u32 {
@@ -472,55 +528,62 @@ impl Lab {
         self.raw_seq
     }
 
+    /// Queue one segment on `conn` with `payload`, optionally
+    /// TTL-limited, and wake the client.
+    fn raw_emit(
+        &mut self,
+        conn: &RawConn,
+        h: TcpHeader,
+        payload: impl Into<Bytes>,
+        ttl: Option<u8>,
+    ) {
+        let mut pkt = Packet::tcp(conn.client_ip, conn.dst, h, payload);
+        if let Some(t) = ttl {
+            pkt.ip.ttl = t;
+        }
+        if let Some(host) = self.host_mut(conn.client) {
+            host.raw_send(pkt);
+        }
+        self.india.net.wake(conn.client);
+    }
+
+    /// Claim a raw port on `from` toward `dst` with the given cursors and
+    /// send nothing: the start of a connection whose opening the caller
+    /// crafts by hand (or skips).
+    pub(crate) fn raw_unopened(&mut self, from: NodeId, dst: Ipv4Addr, seq: u32, ack: u32) -> RawConn {
+        let client_ip = self.host_ip(from);
+        // No host behind `from`: nothing is claimed or sent, and every
+        // later observation window stays silent, which is exactly what a
+        // caller probing a dead address observes.
+        let local_port = self
+            .host_mut(from)
+            .map(|host| {
+                let p = host.alloc_port();
+                host.raw_claim_port(p);
+                p
+            })
+            .unwrap_or(0);
+        RawConn { client: from, client_ip, local_port, dst, seq, ack, established: false }
+    }
+
     /// Hand-run a 3-way handshake on a raw port. `syn_ttl` limits the SYN
     /// (for the stateful-middlebox experiments); with a limited SYN the
     /// handshake cannot complete and the returned connection has
     /// `established == false`.
-    pub fn raw_connect(
-        &mut self,
-        from: NodeId,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        syn_ttl: Option<u8>,
-    ) -> RawConn {
-        let client_ip = self.host_ip(from);
+    pub fn raw_connect(&mut self, from: NodeId, dst: Ipv4Addr, syn_ttl: Option<u8>) -> RawConn {
         let iss = self.next_raw_seq();
-        let local_port = match self.host_mut(from) {
-            Some(host) => {
-                let p = host.alloc_port();
-                host.raw_claim_port(p);
-                let mut syn = TcpHeader::new(p, dst_port, TcpFlags::SYN);
-                syn.seq = iss;
-                syn.mss = Some(1400);
-                let mut pkt = Packet::tcp(client_ip, dst, syn, lucent_support::Bytes::new());
-                if let Some(t) = syn_ttl {
-                    pkt.ip.ttl = t;
-                }
-                host.raw_send(pkt);
-                p
-            }
-            // No host behind `from`: the SYN is never sent and the
-            // handshake below times out, which is exactly what a caller
-            // probing a dead address observes.
-            None => 0,
-        };
-        self.india.net.wake(from);
-        let mut conn = RawConn {
-            client: from,
-            client_ip,
-            local_port,
-            dst,
-            dst_port,
-            seq: iss.wrapping_add(1),
-            ack: 0,
-            established: false,
-        };
+        let mut conn = self.raw_unopened(from, dst, iss, 0);
+        let mut syn = conn.header(TcpFlags::SYN);
+        syn.mss = Some(1400);
+        self.raw_emit(&conn, syn, Bytes::new(), syn_ttl);
+        conn.seq = iss.wrapping_add(1);
+        let local_port = conn.local_port;
         let mut synack: Option<TcpHeader> = None;
         self.run_until_ms(CONNECT_TIMEOUT_MS, |lab| {
             for (_, pkt) in lab.host_mut(from).map(|h| h.raw_take_inbox()).unwrap_or_default() {
                 let Some((h, _)) = pkt.as_tcp() else { continue };
                 if h.dst_port == local_port
-                    && h.src_port == dst_port
+                    && h.src_port == HTTP_PORT
                     && h.flags.contains(TcpFlags::SYN)
                     && h.flags.contains(TcpFlags::ACK)
                     && h.ack == iss.wrapping_add(1)
@@ -535,48 +598,79 @@ impl Lab {
             conn.ack = sa.seq.wrapping_add(1);
             conn.established = true;
             // Final ACK of the handshake.
-            let mut ack = TcpHeader::new(local_port, dst_port, TcpFlags::ACK);
-            ack.seq = conn.seq;
-            ack.ack = conn.ack;
-            let pkt = Packet::tcp(client_ip, dst, ack, lucent_support::Bytes::new());
-            if let Some(h) = self.host_mut(from) {
-                h.raw_send(pkt);
-            }
-            self.india.net.wake(from);
+            self.raw_segment(&conn, TcpFlags::ACK, None);
             self.run_ms(1);
         }
         conn
     }
 
-    /// Send payload bytes on a raw connection, optionally TTL-limited.
-    /// Advances the connection's send cursor.
-    pub fn raw_send(&mut self, conn: &mut RawConn, payload: &[u8], ttl: Option<u8>) {
-        let mut h = TcpHeader::new(conn.local_port, conn.dst_port, TcpFlags::ACK | TcpFlags::PSH);
-        h.seq = conn.seq;
-        h.ack = conn.ack;
-        conn.seq = conn.seq.wrapping_add(payload.len() as u32);
-        let mut pkt = Packet::tcp(conn.client_ip, conn.dst, h, payload.to_vec());
-        if let Some(t) = ttl {
-            pkt.ip.ttl = t;
+    /// A full-TTL handshake to `dst`; `None` when it fails, in which case
+    /// the claimed port is released and nothing more is sent.
+    pub(crate) fn raw_open(&mut self, from: NodeId, dst: Ipv4Addr) -> Option<RawConn> {
+        let conn = self.raw_connect(from, dst, None);
+        if !conn.established {
+            if let Some(host) = self.host_mut(from) {
+                host.raw_release_port(conn.local_port);
+            }
+            return None;
         }
-        if let Some(host) = self.host_mut(conn.client) {
-            host.raw_send(pkt);
-        }
-        self.india.net.wake(conn.client);
+        Some(conn)
     }
 
-    /// Send an arbitrary crafted packet from a node.
-    pub fn raw_packet(&mut self, from: NodeId, pkt: Packet) {
-        if let Some(host) = self.host_mut(from) {
-            host.raw_send(pkt);
+    /// The crafted-request probe: open a connection to `dst` at full
+    /// TTL, send `request` at `ttl`, observe for `window_ms` and close.
+    /// `None` when the handshake fails.
+    pub fn crafted(
+        &mut self,
+        from: NodeId,
+        dst: Ipv4Addr,
+        request: &[u8],
+        ttl: Option<u8>,
+        window_ms: u64,
+    ) -> Option<RawReply> {
+        let conn = self.raw_open(from, dst)?;
+        Some(self.raw_request(conn, request, ttl, window_ms))
+    }
+
+    /// Send `request` on `conn` at `ttl`, observe for `window_ms`, and
+    /// close: the tail every crafted-request probe shares.
+    pub(crate) fn raw_request(
+        &mut self,
+        mut conn: RawConn,
+        request: &[u8],
+        ttl: Option<u8>,
+        window_ms: u64,
+    ) -> RawReply {
+        self.raw_send(&mut conn, request, ttl);
+        let reply = self.raw_observe(&mut conn, window_ms);
+        self.raw_close(&conn);
+        reply
+    }
+
+    /// Send one bare segment with `flags` on `conn` at its cursors,
+    /// optionally TTL-limited: a hand-crafted opener or keep-alive.
+    pub(crate) fn raw_segment(&mut self, conn: &RawConn, flags: TcpFlags, ttl: Option<u8>) {
+        self.raw_emit(conn, conn.header(flags), Bytes::new(), ttl);
+    }
+
+    /// Send payload bytes on a raw connection, optionally TTL-limited.
+    /// Advances the connection's send cursor. ICMP that arrived earlier
+    /// is drained first, so the reply's `expired_at` belongs to this
+    /// request.
+    pub fn raw_send(&mut self, conn: &mut RawConn, payload: &[u8], ttl: Option<u8>) {
+        if let Some(host) = self.host_mut(conn.client) {
+            host.take_icmp_inbox();
         }
-        self.india.net.wake(from);
+        let h = conn.header(TcpFlags::ACK | TcpFlags::PSH);
+        conn.seq = conn.seq.wrapping_add(payload.len() as u32);
+        self.raw_emit(conn, h, payload.to_vec(), ttl);
     }
 
     /// Collect raw-port arrivals for `conn` during `window_ms`, acking
-    /// received data (to suppress server retransmissions).
-    pub fn raw_observe(&mut self, conn: &mut RawConn, window_ms: u64) -> Vec<Packet> {
-        let mut got = Vec::new();
+    /// received data (to suppress server retransmissions), and the first
+    /// ICMP Time-Exceeded heard by the end of the window.
+    pub fn raw_observe(&mut self, conn: &mut RawConn, window_ms: u64) -> RawReply {
+        let mut packets = Vec::new();
         let deadline = self.now() + SimDuration::from_millis(window_ms);
         loop {
             let inbox =
@@ -590,16 +684,9 @@ impl Lab {
                     payload.len() as u32 + u32::from(h.flags.contains(TcpFlags::FIN));
                 if advance > 0 && h.seq == conn.ack {
                     conn.ack = conn.ack.wrapping_add(advance);
-                    let mut ack = TcpHeader::new(conn.local_port, conn.dst_port, TcpFlags::ACK);
-                    ack.seq = conn.seq;
-                    ack.ack = conn.ack;
-                    let out = Packet::tcp(conn.client_ip, conn.dst, ack, lucent_support::Bytes::new());
-                    if let Some(host) = self.host_mut(conn.client) {
-                        host.raw_send(out);
-                    }
-                    self.india.net.wake(conn.client);
+                    self.raw_segment(conn, TcpFlags::ACK, None);
                 }
-                got.push(pkt);
+                packets.push(pkt);
             }
             if self.now() >= deadline {
                 break;
@@ -607,19 +694,23 @@ impl Lab {
             let next = self.now() + SimDuration::from_millis(10);
             self.india.net.run_until(next.min(deadline));
         }
-        got
+        let expired_at = self
+            .host_mut(conn.client)
+            .map(|h| h.take_icmp_inbox())
+            .unwrap_or_default()
+            .into_iter()
+            .find(|(_, p)| matches!(p.as_icmp(), Some(IcmpMessage::TimeExceeded { .. })))
+            .map(|(_, p)| p.src());
+        RawReply { packets, expired_at }
     }
 
     /// Abort a raw connection (RST) and release the port.
     pub fn raw_close(&mut self, conn: &RawConn) {
-        let mut rst = TcpHeader::new(conn.local_port, conn.dst_port, TcpFlags::RST);
-        rst.seq = conn.seq;
-        let pkt = Packet::tcp(conn.client_ip, conn.dst, rst, lucent_support::Bytes::new());
+        let rst = TcpHeader { ack: 0, ..conn.header(TcpFlags::RST) };
+        self.raw_emit(conn, rst, Bytes::new(), None);
         if let Some(host) = self.host_mut(conn.client) {
-            host.raw_send(pkt);
             host.raw_release_port(conn.local_port);
         }
-        self.india.net.wake(conn.client);
         self.run_ms(2);
     }
 }
@@ -655,6 +746,7 @@ fn parse_quote(original: &[u8]) -> (Option<u16>, Option<Ipv4Addr>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::classify::censored_sites;
     use lucent_topology::IndiaConfig;
 
     fn lab() -> Lab {
@@ -730,15 +822,45 @@ mod tests {
         let mut lab = lab();
         let client = lab.client_of(IspId::Nkn);
         let (edge_ip, _) = lab.india.isps[&IspId::Nkn].edge_hosts[0];
-        let mut conn = lab.raw_connect(client, edge_ip, 80, None);
-        assert!(conn.established);
         // A GET draws the edge host's 404.
         let req = RequestBuilder::browser("nosuch.example", "/").build();
-        lab.raw_send(&mut conn, &req, None);
-        let pkts = lab.raw_observe(&mut conn, 500);
-        let any_payload = pkts.iter().any(|p| p.as_tcp().map(|(_, b)| !b.is_empty()).unwrap_or(false));
+        let reply = lab.crafted(client, edge_ip, &req, None, 500).expect("handshake completes");
+        let any_payload =
+            reply.packets.iter().any(|p| p.as_tcp().is_some_and(|(_, b)| !b.is_empty()));
         assert!(any_payload, "edge host answered");
-        lab.raw_close(&conn);
+    }
+
+    #[test]
+    fn answered_and_censored_differ_only_at_full_ttl() {
+        let mut lab = lab();
+        let client = lab.client_of(IspId::Idea);
+        // Full TTL, unlisted Host at a live popular site: the origin
+        // answers, and nothing about that answer is a censor's.
+        let ip = lab
+            .india
+            .corpus
+            .popular
+            .iter()
+            .map(|&s| lab.india.corpus.site(s))
+            .find(|s| s.is_alive())
+            .expect("a live popular site")
+            .replicas[0];
+        let req = RequestBuilder::browser("definitely-not-blocked.example", "/").build();
+        let reply = lab.crafted(client, ip, &req, None, 800).expect("handshake completes");
+        assert!(reply.answered(), "{reply:?}");
+        assert!(!reply.censored(), "{reply:?}");
+
+        // Penultimate TTL, Idea-blocked Host: only the middlebox can
+        // answer, and its answer is a censor's.
+        let site = censored_sites(&mut lab, IspId::Idea, 1, lucent_web::Site::is_alive)[0];
+        let s = lab.india.corpus.site(site);
+        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
+        let penultimate = lab.hops_to(client, ip, 30).expect("path measured") - 1;
+        let req = RequestBuilder::browser(&domain, "/").build();
+        let reply =
+            lab.crafted(client, ip, &req, Some(penultimate), 800).expect("handshake completes");
+        assert!(reply.answered(), "{reply:?}");
+        assert!(reply.censored(), "{reply:?}");
     }
 
     #[test]
@@ -746,7 +868,7 @@ mod tests {
         let mut lab = lab();
         let client = lab.client_of(IspId::Airtel);
         let (edge_ip, _) = lab.india.isps[&IspId::Airtel].edge_hosts.last().copied().unwrap();
-        let conn = lab.raw_connect(client, edge_ip, 80, Some(2));
+        let conn = lab.raw_connect(client, edge_ip, Some(2));
         assert!(!conn.established);
     }
 }

@@ -11,7 +11,6 @@
 
 use std::net::Ipv4Addr;
 
-
 use lucent_middlebox::notice::looks_like_notice;
 use lucent_packet::http::RequestBuilder;
 use lucent_packet::tcp::TcpFlags;
@@ -122,10 +121,12 @@ pub fn classify_by_remote_hosts(
 
 /// Is `site` censored on the `isp` client's direct path to its first
 /// replica? Two fetches at 3 s each, stopping at the first that shows a
-/// block (see the module doc for why one is not enough).
+/// block (see the module doc for why one is not enough). A site with no
+/// replica is not censored, and no fetch is issued.
 pub fn censored_on_path(lab: &mut Lab, isp: IspId, site: SiteId) -> bool {
     let s = lab.india.corpus.site(site);
-    let (domain, ip) = (s.domain.clone(), s.replicas[0]);
+    let Some(&ip) = s.replicas.first() else { return false };
+    let domain = s.domain.clone();
     let client = lab.client_of(isp);
     (0..2).any(|_| lab.http_get(client, ip, &domain, 3_000).censored())
 }
@@ -154,10 +155,12 @@ pub fn censored_sites(
 
 /// The render-rate race (§4.2.1): fraction of attempts on which the real
 /// site renders despite censorship. Wiretaps lose ~3/10 races;
-/// interceptive devices never do.
+/// interceptive devices never do. A site with no replica gets `(0, 0)`,
+/// and no fetch is issued.
 pub fn render_rate(lab: &mut Lab, isp: IspId, site: SiteId, attempts: usize) -> (usize, usize) {
     let s = lab.india.corpus.site(site);
-    let (domain, ip) = (s.domain.clone(), s.replicas[0]);
+    let Some(&ip) = s.replicas.first() else { return (0, 0) };
+    let domain = s.domain.clone();
     let client = lab.client_of(isp);
     let mut rendered = 0;
     for _ in 0..attempts {
@@ -215,43 +218,18 @@ pub fn icmp_consumption(
     let mut out = IcmpConsumption { blocked_icmp: 0, blocked_censored: 0, control_icmp: 0 };
     for domain_is_blocked in [true, false] {
         let domain = if domain_is_blocked { blocked_domain } else { allowed_domain };
+        let req = RequestBuilder::browser(domain, "/").build();
+        // The ladder stops below the measured path length, so any
+        // answer is the middlebox's.
         for ttl in (mb_ttl + 1)..path_len {
-            let mut conn = lab.raw_connect(client, dst, 80, None);
-            if !conn.established {
-                continue;
-            }
-            let _ = lab
-                .india
-                .net
-                .node_mut::<lucent_tcp::TcpHost>(client)
-                .map(|h| h.take_icmp_inbox());
-            let req = RequestBuilder::browser(domain, "/").build();
-            lab.raw_send(&mut conn, &req, Some(ttl));
-            let packets = lab.raw_observe(&mut conn, 700);
-            let censored = packets.iter().any(|p| {
-                p.as_tcp()
-                    .map(|(h, b)| h.flags.contains(TcpFlags::RST) || !b.is_empty())
-                    .unwrap_or(false)
-            });
-            let icmp = lab
-                .india
-                .net
-                .node_mut::<lucent_tcp::TcpHost>(client)
-                .map(|h| h.take_icmp_inbox())
-                .unwrap_or_default()
-                .iter()
-                .any(|(_, p)| matches!(p.as_icmp(), Some(lucent_packet::IcmpMessage::TimeExceeded { .. })));
+            let Some(reply) = lab.crafted(client, dst, &req, Some(ttl), 700) else { continue };
+            let icmp = usize::from(reply.expired_at.is_some());
             if domain_is_blocked {
-                if censored {
-                    out.blocked_censored += 1;
-                }
-                if icmp {
-                    out.blocked_icmp += 1;
-                }
-            } else if icmp {
-                out.control_icmp += 1;
+                out.blocked_censored += usize::from(reply.answered());
+                out.blocked_icmp += icmp;
+            } else {
+                out.control_icmp += icmp;
             }
-            lab.raw_close(&conn);
         }
     }
     out
@@ -287,6 +265,17 @@ mod tests {
         let (domain, ip) = (s.domain.clone(), s.replicas[0]);
         let res = icmp_consumption(&mut lab, IspId::Airtel, ip, &domain, "top0000.com", 3);
         assert_eq!(res.verdict(), Some(MeasuredKind::Wiretap), "{res:?}");
+    }
+
+    #[test]
+    fn a_dead_site_is_neither_censored_nor_rendered() {
+        let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
+        let dead = *lab.india.truth.http_master[&IspId::Idea].first().expect("a blocklist");
+        assert!(lab.india.corpus.site(dead).replicas.is_empty(), "the first entry must be dead");
+        let found = censored_sites(&mut lab, IspId::Idea, 1, |_| true);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_ne!(found[0], dead);
+        assert_eq!(render_rate(&mut lab, IspId::Idea, dead, 10), (0, 0));
     }
 
     #[test]

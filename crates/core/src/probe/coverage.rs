@@ -9,12 +9,8 @@
 
 use std::net::Ipv4Addr;
 
-
-use lucent_middlebox::notice::looks_like_notice;
 use lucent_netsim::NodeId;
 use lucent_packet::http::RequestBuilder;
-use lucent_packet::tcp::TcpFlags;
-use lucent_packet::{HttpResponse, Packet};
 use lucent_topology::IspId;
 use lucent_web::SiteId;
 
@@ -57,50 +53,36 @@ impl CoverageScan {
     }
 }
 
-/// Is this observed packet a censorship response (notice page or reset)
-/// rather than an ordinary server answer?
-fn censorship_response(pkt: &Packet) -> bool {
-    let Some((h, payload)) = pkt.as_tcp() else {
-        return false;
-    };
-    if h.flags.contains(TcpFlags::RST) {
-        return true;
-    }
-    if payload.is_empty() {
-        return false;
-    }
-    HttpResponse::parse(payload).map(|r| looks_like_notice(&r)).unwrap_or(false)
-}
+/// Observation window after each replayed Host.
+const PER_HOST_WINDOW_MS: u64 = 120;
 
-/// Probe one path: raw-connect to `target`, replay `hosts` until a
-/// censorship response appears or the list is exhausted.
+/// Probe one path: raw-connect to `target`, replay `hosts` on the one
+/// connection until a censorship response appears or the list is
+/// exhausted, then wait `tail_ms` more for slow wiretap injections still
+/// in flight (0 skips the wait).
 pub fn probe_path(
     lab: &mut Lab,
     from: NodeId,
     target: Ipv4Addr,
     hosts: &[String],
-    per_host_window_ms: u64,
+    tail_ms: u64,
 ) -> PathProbe {
-    let mut conn = lab.raw_connect(from, target, 80, None);
-    if !conn.established {
+    let Some(mut conn) = lab.raw_open(from, target) else {
         return PathProbe { target, poisoned: false, tried: 0 };
-    }
+    };
     let mut poisoned = false;
     let mut tried = 0;
     for host in hosts {
         tried += 1;
         let req = RequestBuilder::browser(host, "/").build();
         lab.raw_send(&mut conn, &req, None);
-        let packets = lab.raw_observe(&mut conn, per_host_window_ms);
-        if packets.iter().any(censorship_response) {
+        if lab.raw_observe(&mut conn, PER_HOST_WINDOW_MS).censored() {
             poisoned = true;
             break;
         }
     }
-    // Catch slow wiretap injections still in flight.
-    if !poisoned {
-        let packets = lab.raw_observe(&mut conn, 500);
-        poisoned = packets.iter().any(censorship_response);
+    if !poisoned && tail_ms > 0 {
+        poisoned = lab.raw_observe(&mut conn, tail_ms).censored();
     }
     lab.raw_close(&conn);
     PathProbe { target, poisoned, tried }
@@ -128,7 +110,7 @@ pub fn inside_scan(lab: &mut Lab, isp: IspId, max_targets: usize, max_hosts: usi
         .collect();
     let mut paths = Vec::new();
     for target in targets {
-        paths.push(probe_path(lab, client, target, &hosts, 120));
+        paths.push(probe_path(lab, client, target, &hosts, 500));
     }
     CoverageScan { isp: isp.name().to_string(), inside: true, paths }
 }
@@ -149,7 +131,7 @@ pub fn outside_scan(lab: &mut Lab, isp: IspId, vp_index: usize, max_hosts: usize
         .collect();
     let mut paths = Vec::new();
     for target in targets {
-        paths.push(probe_path(lab, vp_node, target, &hosts, 120));
+        paths.push(probe_path(lab, vp_node, target, &hosts, 500));
     }
     CoverageScan { isp: isp.name().to_string(), inside: false, paths }
 }
@@ -167,17 +149,10 @@ pub fn per_path_blocklists(
     for &target in poisoned_targets {
         let mut blocked = Vec::new();
         for (site, domain) in candidates {
-            let mut conn = lab.raw_connect(from, target, 80, None);
-            if !conn.established {
-                continue;
-            }
             let req = RequestBuilder::browser(domain, "/").build();
-            lab.raw_send(&mut conn, &req, None);
-            let packets = lab.raw_observe(&mut conn, 600);
-            if packets.iter().any(censorship_response) {
+            if lab.crafted(from, target, &req, None, 600).is_some_and(|r| r.censored()) {
                 blocked.push(*site);
             }
-            lab.raw_close(&conn);
         }
         out.push((target, blocked));
     }

@@ -35,7 +35,7 @@ pub fn tcp_ip_filtered(lab: &mut Lab, isp: IspId, site: SiteId) -> bool {
         return false;
     };
     let tor = lab.india.tor;
-    let tor_conn = lab.raw_connect(tor, ip, 80, None);
+    let tor_conn = lab.raw_connect(tor, ip, None);
     let tor_ok = tor_conn.established;
     lab.raw_close(&tor_conn);
     if !tor_ok {
@@ -43,7 +43,7 @@ pub fn tcp_ip_filtered(lab: &mut Lab, isp: IspId, site: SiteId) -> bool {
     }
     let client = lab.client_of(isp);
     for _ in 0..5 {
-        let conn = lab.raw_connect(client, ip, 80, None);
+        let conn = lab.raw_connect(client, ip, None);
         let ok = conn.established;
         lab.raw_close(&conn);
         if ok {

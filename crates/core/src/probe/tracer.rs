@@ -4,10 +4,9 @@
 
 use std::net::Ipv4Addr;
 
-
 use lucent_netsim::NodeId;
 use lucent_packet::http::RequestBuilder;
-use lucent_packet::tcp::TcpFlags;
+use lucent_packet::Packet;
 
 use crate::lab::Lab;
 
@@ -55,65 +54,28 @@ pub fn http_tracer(
 ) -> HttpTrace {
     let path_len = lab.hops_to(client, dst, max_ttl);
     let limit = path_len.map(|n| n.saturating_add(1)).unwrap_or(max_ttl).min(max_ttl);
+    let request = RequestBuilder::browser(host_header, "/").build();
     let mut rungs = Vec::new();
     let mut censored_at_ttl = None;
     for ttl in 1..=limit {
-        let mut conn = lab.raw_connect(client, dst, 80, None);
-        if !conn.established {
-            lab.raw_close(&conn); // release the claimed port
+        let Some(reply) = lab.crafted(client, dst, &request, Some(ttl), 700) else {
             rungs.push(Rung::Silent);
             continue;
-        }
-        // Drain stale ICMP.
-        let _ = lab
-            .india
-            .net
-            .node_mut::<lucent_tcp::TcpHost>(client)
-            .map(|h| h.take_icmp_inbox());
-        let request = RequestBuilder::browser(host_header, "/").build();
-        lab.raw_send(&mut conn, &request, Some(ttl));
-        let packets = lab.raw_observe(&mut conn, 700);
-        let mut rung = Rung::Silent;
-        for pkt in &packets {
-            let Some((h, payload)) = pkt.as_tcp() else { continue };
-            // Injected packets forge the destination as source, so source
-            // filtering cannot help; what gives the middlebox away is a
-            // TCP response to a request whose TTL could not have reached
-            // the destination.
-            let is_payload = !payload.is_empty();
-            let is_rst = h.flags.contains(TcpFlags::RST);
-            if !is_payload && !is_rst {
-                continue; // bare ACKs
-            }
-            let below_dst = path_len.map(|n| ttl < n).unwrap_or(false);
-            rung = if below_dst {
-                Rung::Censored { notice: is_payload }
-            } else {
-                Rung::ServerResponse
-            };
-            break;
-        }
-        if rung == Rung::Silent {
-            // Check ICMP expiries.
-            for (_, pkt) in lab
-                .india
-                .net
-                .node_mut::<lucent_tcp::TcpHost>(client)
-                .map(|h| h.take_icmp_inbox())
-                .unwrap_or_default()
-            {
-                if let Some(lucent_packet::IcmpMessage::TimeExceeded { .. }) = pkt.as_icmp() {
-                    rung = Rung::IcmpExpired(Some(pkt.src()));
-                    break;
-                }
-            }
-        }
-        if matches!(rung, Rung::Censored { .. }) && censored_at_ttl.is_none() {
-            censored_at_ttl = Some(ttl);
-        }
+        };
+        // Injected packets forge the destination as source, so source
+        // filtering cannot help; what gives the middlebox away is a TCP
+        // answer to a request whose TTL could not have reached the
+        // destination.
+        let below_dst = path_len.is_some_and(|n| ttl < n);
+        let rung = match reply.first_answer().and_then(Packet::as_tcp) {
+            Some((_, payload)) if below_dst => Rung::Censored { notice: !payload.is_empty() },
+            Some(_) => Rung::ServerResponse,
+            None => reply.expired_at.map_or(Rung::Silent, |router| Rung::IcmpExpired(Some(router))),
+        };
+        let located = matches!(rung, Rung::Censored { .. });
         rungs.push(rung);
-        lab.raw_close(&conn);
-        if censored_at_ttl.is_some() {
+        if located {
+            censored_at_ttl = Some(ttl);
             break; // located — the paper stops here too
         }
     }

@@ -4,21 +4,20 @@
 
 use std::net::Ipv4Addr;
 
-
 use lucent_netsim::NodeId;
 use lucent_packet::http::RequestBuilder;
-use lucent_packet::tcp::{TcpFlags, TcpHeader};
-use lucent_packet::Packet;
+use lucent_packet::tcp::TcpFlags;
 
 use crate::lab::Lab;
 
-/// Did a crafted request draw a censorship response in the window?
-fn censored(packets: &[Packet]) -> bool {
-    packets.iter().any(|p| {
-        p.as_tcp()
-            .map(|(h, payload)| h.flags.contains(TcpFlags::RST) || !payload.is_empty())
-            .unwrap_or(false)
-    })
+/// Observation window after each crafted request.
+const WINDOW_MS: u64 = 800;
+
+/// Did a crafted `request` at `ttl` draw any answer? A failed handshake
+/// counts as none. Below the destination only a middlebox can answer;
+/// the twin experiment's TTL-n rung reports the same any-answer test.
+fn answered(lab: &mut Lab, client: NodeId, dst: Ipv4Addr, request: &[u8], ttl: u8) -> bool {
+    lab.crafted(client, dst, request, Some(ttl), WINDOW_MS).is_some_and(|r| r.answered())
 }
 
 /// §3.4-III: the request-vs-response discrimination experiment.
@@ -45,19 +44,9 @@ impl TwinResult {
 /// uses a fresh connection (interceptive devices black-hole flows).
 pub fn ttl_twin(lab: &mut Lab, client: NodeId, dst: Ipv4Addr, blocked_domain: &str) -> Option<TwinResult> {
     let n = lab.hops_to(client, dst, 30)?;
-    let mut run = |ttl: u8| -> bool {
-        let mut conn = lab.raw_connect(client, dst, 80, None);
-        if !conn.established {
-            return false;
-        }
-        let req = RequestBuilder::browser(blocked_domain, "/").build();
-        lab.raw_send(&mut conn, &req, Some(ttl));
-        let got = censored(&lab.raw_observe(&mut conn, 800));
-        lab.raw_close(&conn);
-        got
-    };
-    let censored_short = run(n - 1);
-    let censored_full = run(n);
+    let req = RequestBuilder::browser(blocked_domain, "/").build();
+    let censored_short = answered(lab, client, dst, &req, n - 1);
+    let censored_full = answered(lab, client, dst, &req, n);
     Some(TwinResult { path_len: n, censored_short, censored_full })
 }
 
@@ -82,18 +71,8 @@ pub fn host_field_only(
     blocked_domain: &str,
     allowed_domain: &str,
 ) -> Option<HostFieldResult> {
-    let n = lab.hops_to(client, dst, 30)?;
-    let penultimate = n - 1;
-    let mut run = |req: Vec<u8>| -> bool {
-        let mut conn = lab.raw_connect(client, dst, 80, None);
-        if !conn.established {
-            return false;
-        }
-        lab.raw_send(&mut conn, &req, Some(penultimate));
-        let got = censored(&lab.raw_observe(&mut conn, 800));
-        lab.raw_close(&conn);
-        got
-    };
+    let penultimate = lab.hops_to(client, dst, 30)? - 1;
+    let mut run = |req: Vec<u8>| answered(lab, client, dst, &req, penultimate);
     let host_blocked = run(RequestBuilder::browser(blocked_domain, "/").build());
     let domain_elsewhere = run(
         RequestBuilder::get(&format!("/{blocked_domain}/index.html"))
@@ -132,99 +111,33 @@ pub fn stateful_ladder(
     dst: Ipv4Addr,
     blocked_domain: &str,
 ) -> Option<StatefulLadder> {
-    let n = lab.hops_to(client, dst, 30)?;
-    let penultimate = n - 1;
+    let penultimate = lab.hops_to(client, dst, 30)? - 1;
     let req = RequestBuilder::browser(blocked_domain, "/").build();
-    let client_ip = lab
-        .india
-        .net
-        .node_ref::<lucent_tcp::TcpHost>(client)
-        .map(|h| h.ip)
-        .unwrap_or(std::net::Ipv4Addr::UNSPECIFIED);
 
     // Baseline: full handshake, TTL-limited GET (so only the middlebox
     // can answer).
-    let full_handshake = {
-        let mut conn = lab.raw_connect(client, dst, 80, None);
-        if !conn.established {
-            return None;
-        }
-        lab.raw_send(&mut conn, &req, Some(penultimate));
-        let got = censored(&lab.raw_observe(&mut conn, 800));
-        lab.raw_close(&conn);
-        got
-    };
+    let full_handshake = lab.crafted(client, dst, &req, Some(penultimate), WINDOW_MS)?.answered();
 
     // SYN never answered (TTL-limited), then the GET.
     let syn_only = {
-        let mut conn = lab.raw_connect(client, dst, 80, Some(penultimate));
+        let conn = lab.raw_connect(client, dst, Some(penultimate));
         debug_assert!(!conn.established);
-        lab.raw_send(&mut conn, &req, Some(penultimate));
-        let got = censored(&lab.raw_observe(&mut conn, 800));
-        lab.raw_close(&conn);
-        got
+        lab.raw_request(conn, &req, Some(penultimate), WINDOW_MS).answered()
     };
 
     // A bare SYN+ACK opener (no SYN ever), then the GET.
     let syn_ack_first = {
-        let port = match lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-            Some(host) => {
-                let port = host.alloc_port();
-                host.raw_claim_port(port);
-                let mut synack = TcpHeader::new(port, 80, TcpFlags::SYN | TcpFlags::ACK);
-                synack.seq = 0x4000_0000;
-                synack.ack = 0x1111_1111;
-                let mut pkt = Packet::tcp(client_ip, dst, synack, lucent_support::Bytes::new());
-                pkt.ip.ttl = penultimate;
-                host.raw_send(pkt);
-                port
-            }
-            // No host: nothing goes on the wire and the observation
-            // window below stays silent.
-            None => 0,
-        };
-        let mut conn = crate::lab::RawConn {
-            client,
-            client_ip,
-            local_port: port,
-            dst,
-            dst_port: 80,
-            seq: 0x4000_0001,
-            ack: 0x1111_1111,
-            established: false,
-        };
-        lab.india.net.wake(client);
+        let mut conn = lab.raw_unopened(client, dst, 0x4000_0000, 0x1111_1111);
+        lab.raw_segment(&conn, TcpFlags::SYN | TcpFlags::ACK, Some(penultimate));
+        conn.seq += 1;
         lab.run_ms(50);
-        lab.raw_send(&mut conn, &req, Some(penultimate));
-        let got = censored(&lab.raw_observe(&mut conn, 800));
-        lab.raw_close(&conn);
-        got
+        lab.raw_request(conn, &req, Some(penultimate), WINDOW_MS).answered()
     };
 
     // No handshake at all.
     let no_handshake = {
-        let port = match lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-            Some(host) => {
-                let port = host.alloc_port();
-                host.raw_claim_port(port);
-                port
-            }
-            None => 0,
-        };
-        let mut conn = crate::lab::RawConn {
-            client,
-            client_ip,
-            local_port: port,
-            dst,
-            dst_port: 80,
-            seq: 0x5000_0000,
-            ack: 0x2222_2222,
-            established: false,
-        };
-        lab.raw_send(&mut conn, &req, Some(penultimate));
-        let got = censored(&lab.raw_observe(&mut conn, 800));
-        lab.raw_close(&conn);
-        got
+        let conn = lab.raw_unopened(client, dst, 0x5000_0000, 0x2222_2222);
+        lab.raw_request(conn, &req, Some(penultimate), WINDOW_MS).answered()
     };
 
     Some(StatefulLadder { full_handshake, syn_only, syn_ack_first, no_handshake })
@@ -239,40 +152,20 @@ pub fn timeout_probe(
     blocked_domain: &str,
     idle_secs: u64,
 ) -> Option<(bool, bool)> {
-    let n = lab.hops_to(client, dst, 30)?;
-    let penultimate = n - 1;
+    let penultimate = lab.hops_to(client, dst, 30)? - 1;
     let req = RequestBuilder::browser(blocked_domain, "/").build();
 
     // Plain idle: handshake, wait, GET.
-    let after_idle = {
-        let mut conn = lab.raw_connect(client, dst, 80, None);
-        if !conn.established {
-            return None;
-        }
-        lab.run_ms(idle_secs * 1_000);
-        lab.raw_send(&mut conn, &req, Some(penultimate));
-        let got = censored(&lab.raw_observe(&mut conn, 800));
-        lab.raw_close(&conn);
-        got
-    };
+    let conn = lab.raw_open(client, dst)?;
+    lab.run_ms(idle_secs * 1_000);
+    let after_idle = lab.raw_request(conn, &req, Some(penultimate), WINDOW_MS).answered();
 
     // Refreshed: send a keep-alive ACK halfway through the idle period.
-    let after_refresh = {
-        let mut conn = lab.raw_connect(client, dst, 80, None);
-        if !conn.established {
-            return None;
-        }
-        lab.run_ms(idle_secs * 500);
-        let mut ka = TcpHeader::new(conn.local_port, 80, TcpFlags::ACK);
-        ka.seq = conn.seq;
-        ka.ack = conn.ack;
-        lab.raw_packet(client, Packet::tcp(conn.client_ip, dst, ka, lucent_support::Bytes::new()));
-        lab.run_ms(idle_secs * 500);
-        lab.raw_send(&mut conn, &req, Some(penultimate));
-        let got = censored(&lab.raw_observe(&mut conn, 800));
-        lab.raw_close(&conn);
-        got
-    };
+    let conn = lab.raw_open(client, dst)?;
+    lab.run_ms(idle_secs * 500);
+    lab.raw_segment(&conn, TcpFlags::ACK, None);
+    lab.run_ms(idle_secs * 500);
+    let after_refresh = lab.raw_request(conn, &req, Some(penultimate), WINDOW_MS).answered();
 
     Some((after_idle, after_refresh))
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use lucent_obs::Telemetry;
-use lucent_packet::{Bytes, Packet};
+use lucent_packet::Packet;
 
 use crate::node::{IfaceId, Node, NodeCtx, NodeId, WAKE};
 use crate::sched::{CalendarQueue, Scheduled};
@@ -17,9 +17,6 @@ use crate::trace::{Dir, TraceHandle};
 pub enum DropReason {
     /// Sent out an interface with no link attached.
     UnconnectedIface,
-    /// Wire-fidelity mode could not re-parse the packet's own octets —
-    /// the structured and on-the-wire views disagree.
-    WireFidelity,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -50,7 +47,6 @@ pub(crate) struct Inner {
     drops: BTreeMap<DropReason, u64>,
     events_processed: u64,
     queue_hwm: u64,
-    wire_fidelity: bool,
 }
 
 impl Inner {
@@ -76,31 +72,6 @@ impl Inner {
         extra_delay: SimDuration,
     ) {
         self.trace.record(self.now, from, label, Dir::Tx, &pkt);
-        // Wire-fidelity mode: serialize to octets and reparse at every
-        // link, proving the structured fast path hides nothing (and
-        // measuring what that fidelity costs — see the substrate bench).
-        // The reparse borrows payload bytes out of the emitted buffer
-        // zero-copy rather than copying them back out.
-        let pkt = if self.wire_fidelity {
-            let wire = Bytes::from(pkt.emit());
-            match Packet::parse_bytes(&wire) {
-                Ok(p) => {
-                    debug_assert_eq!(p, pkt);
-                    p
-                }
-                Err(_) => {
-                    // A packet whose own octets do not round-trip cannot
-                    // exist on a real wire: count it and drop it instead
-                    // of taking the whole simulation down.
-                    *self.drops.entry(DropReason::WireFidelity).or_insert(0) += 1;
-                    self.telemetry.counter_inc("netsim.dropped", "wire-fidelity");
-                    self.trace.record(self.now, from, label, Dir::Drop("wire-fidelity"), &pkt);
-                    return;
-                }
-            }
-        } else {
-            pkt
-        };
         let ep = self
             .links
             .get(from.0 as usize)
@@ -175,7 +146,6 @@ impl Network {
                 drops: BTreeMap::new(),
                 events_processed: 0,
                 queue_hwm: 0,
-                wire_fidelity: false,
             },
             nodes: Vec::new(),
             labels: Vec::new(),
@@ -245,13 +215,6 @@ impl Network {
     /// The label a node was added with.
     pub fn label_of(&self, id: NodeId) -> &str {
         self.labels.get(id.0 as usize).map(String::as_str).unwrap_or("")
-    }
-
-    /// Enable wire-fidelity mode: every transmitted packet is serialized
-    /// to octets and re-parsed (checksums verified) before delivery.
-    /// Slower; used by fidelity tests and the substrate ablation bench.
-    pub fn set_wire_fidelity(&mut self, on: bool) {
-        self.inner.wire_fidelity = on;
     }
 
     /// Number of nodes in the network.
@@ -598,25 +561,6 @@ mod tests {
         let n = net.run_until_idle(2);
         assert_eq!(n, 2);
         assert!(net.peek_time().is_some());
-    }
-
-    #[test]
-    fn wire_fidelity_mode_preserves_behaviour() {
-        let run = |fidelity: bool| {
-            let (mut net, a, b) = {
-                let (net, a, b) = two_node_net(5, 2);
-                (net, a, b)
-            };
-            net.set_wire_fidelity(fidelity);
-            net.wake(a);
-            net.run_until_idle(100);
-            (
-                net.node_ref::<Echo>(b).unwrap().seen,
-                net.node_ref::<Probe>(a).unwrap().got.clone(),
-                net.events_processed(),
-            )
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -219,9 +219,9 @@ impl TraceHandle {
             node,
             label: label.to_string(),
             dir,
-            // Under wire fidelity the payloads are `Bytes` views into
-            // one shared buffer, so this capture clone is a handful of
-            // `Arc` bumps, not a deep copy of the packet body.
+            // Payloads are `Arc`-backed `Bytes`, so this capture clone
+            // is a handful of reference-count bumps, not a deep copy of
+            // the packet body.
             packet: pkt.clone(),
         });
     }

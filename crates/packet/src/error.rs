@@ -5,8 +5,8 @@ use core::fmt;
 /// Error returned by every `parse` function in this crate.
 ///
 /// Parsing untrusted bytes must never panic; every failure mode is reported
-/// through this enum so callers (the simulator's wire-fidelity mode, fuzz
-/// tests, middlebox scanners) can distinguish truncation from corruption.
+/// through this enum so callers (fuzz tests, middlebox scanners) can
+/// distinguish truncation from corruption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
     /// The buffer is shorter than the fixed header of the protocol.

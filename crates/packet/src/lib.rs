@@ -15,8 +15,8 @@
 //!   relevant to the paper's experiments (TTL, flags, sequence numbers,
 //!   exact HTTP bytes are all preserved verbatim).
 //! * **Wire** — [`Packet::emit`] / [`Packet::parse`] round-trip through real
-//!   octets, exercised by property tests and by the simulator's optional
-//!   wire-fidelity mode, proving the structured layer hides nothing.
+//!   octets, exercised by the round-trip property tests and by re-parsing
+//!   live simulated traffic, proving the structured layer hides nothing.
 //!
 //! HTTP is deliberately kept as *raw bytes plus lenient/strict parsers*: the
 //! censorship-evasion tricks reproduced from the paper (Host keyword case

@@ -156,8 +156,8 @@ impl Packet {
     /// Parse a packet from wire octets held in a shared buffer,
     /// verifying every checksum. Unlike [`Packet::parse`], transport
     /// payloads come back as zero-copy [`Bytes::slice`] views into
-    /// `buf`'s allocation — the hot wire-fidelity reparse path moves
-    /// no payload bytes.
+    /// `buf`'s allocation — a reparse of a shared buffer moves no
+    /// payload bytes.
     pub fn parse_bytes(buf: &Bytes) -> Result<Packet, ParseError> {
         let octets: &[u8] = buf;
         let (ip, l4) = Ipv4Header::parse(octets)?;

@@ -11,7 +11,6 @@ use lucent_check::Source;
 
 use lucent_core::lab::Lab;
 use lucent_packet::http::RequestBuilder;
-use lucent_packet::tcp::TcpFlags;
 use lucent_topology::{India, IndiaConfig, IspId};
 
 /// The §5 invariant on the full India build: an interceptive ISP's
@@ -33,16 +32,9 @@ fn india_middlebox_verdicts_ignore_innocuous_headers() {
 
     // Did the middlebox answer a request the origin can never see?
     let mut probe = |req: &[u8]| -> bool {
-        let mut conn = lab.raw_connect(client, ip, 80, None);
-        assert!(conn.established, "handshake to an alive site must succeed");
-        lab.raw_send(&mut conn, req, Some(penultimate));
-        let got = lab.raw_observe(&mut conn, 800);
-        lab.raw_close(&conn);
-        got.iter().any(|p| {
-            p.as_tcp()
-                .map(|(h, payload)| h.flags.contains(TcpFlags::RST) || !payload.is_empty())
-                .unwrap_or(false)
-        })
+        lab.crafted(client, ip, req, Some(penultimate), 800)
+            .expect("handshake to an alive site must succeed")
+            .answered()
     };
 
     let canonical = RequestBuilder::browser(&domain, "/").build();
