@@ -1,8 +1,18 @@
 //! Deterministic shard scheduler: independent work units (one per ISP,
-//! or per resolver batch) each build their own seeded [`Lab`] and drain
+//! or per resolver batch) each run on their own seeded [`Lab`] and drain
 //! their own telemetry; a pool of OS threads runs the queue and results
 //! come back **in submission order**, so every artifact derived from
 //! them is byte-identical between `--threads 1` and `--threads N`.
+//!
+//! A job's world is not built for it. Each worker builds one pristine
+//! template on its first job and runs every job on a copy-on-write
+//! clone of it ([`India`]'s `clone`); its last job takes the template
+//! itself. A clone is indistinguishable from a fresh build, so a
+//! `run_tagged` call builds `min(threads, jobs)` worlds instead of
+//! `jobs` and nothing a job can observe changes. The template is per
+//! worker, not per pool, because a world holds `Rc`s and a `Telemetry`
+//! and so cannot cross threads: each template lives and dies on the
+//! thread that built it.
 //!
 //! This module is the only sanctioned home of `std::thread` in the
 //! workspace (enforced by lucent-lint L3): determinism is an argument
@@ -16,13 +26,13 @@ use lucent_obs::TelemetryDump;
 use lucent_support::rng::{derive, Rng64};
 use lucent_topology::{India, IndiaConfig};
 
-/// Everything a shard job may touch: a private world built from the
-/// shared config, and an RNG stream derived as `seed ⊕ shard_id` so no
-/// two shards ever share randomness.
+/// Everything a shard job may touch: a private world equal to a fresh
+/// build of the shared config, and an RNG stream derived as
+/// `seed ⊕ shard_id` so no two shards ever share randomness.
 pub struct ShardCtx {
     /// Index of this work unit in submission order.
     pub shard_id: u64,
-    /// Private world; never shared across shards.
+    /// Private world; nothing a job does to it is visible to another.
     pub lab: Lab,
     /// Per-shard RNG stream (`derive(config.seed, shard_id)`).
     pub rng: Rng64,
@@ -47,10 +57,10 @@ pub struct ShardOut<T> {
     pub busy_secs: f64,
 }
 
-/// The scheduler: a config every shard rebuilds its world from, a
-/// thread budget, and an optional trace filter installed on each
-/// shard's registry *after* the world is built (hub parity: `repro`
-/// installs its filter only after `Scale::lab()` returns).
+/// The scheduler: the config of every shard's world, a thread budget,
+/// and an optional trace filter installed on each shard's registry
+/// *after* the world is made (hub parity: `repro` installs its filter
+/// only after `Scale::lab()` returns).
 pub struct Pool {
     config: IndiaConfig,
     threads: usize,
@@ -79,6 +89,7 @@ impl Pool {
     /// finished first. With `threads == 1` (or a single job) everything
     /// runs inline on the caller's thread — no spawn, identical
     /// semantics, which is what makes the determinism claim testable.
+    /// Builds at most `min(threads, jobs)` worlds (see the module docs).
     ///
     /// Per-shard profiler samples are labelled `tag/shard-NN`. The label
     /// depends only on the tag and the submission index, never on a
@@ -87,10 +98,11 @@ impl Pool {
     pub fn run_tagged<T: Send>(&self, tag: &str, jobs: Vec<Job<'_, T>>) -> Vec<ShardOut<T>> {
         let n = jobs.len();
         if self.threads == 1 || n <= 1 {
+            let mut template = None;
             return jobs
                 .into_iter()
                 .enumerate()
-                .map(|(i, job)| self.run_one(tag, i as u64, job))
+                .map(|(i, job)| self.run_one(&mut template, i + 1 == n, tag, i as u64, job))
                 .collect();
         }
         let queue: Mutex<VecDeque<(usize, Job<'_, T>)>> =
@@ -99,19 +111,46 @@ impl Pool {
             Mutex::new((0..n).map(|_| None).collect());
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(n) {
-                scope.spawn(|| loop {
-                    let next = lock(&queue).pop_front();
-                    let Some((i, job)) = next else { break };
-                    let out = self.run_one(tag, i as u64, job);
-                    lock(&results)[i] = Some(out);
+                scope.spawn(|| {
+                    let mut template = None;
+                    loop {
+                        // Popping the queue empty makes this the worker's
+                        // last job, which may then take the template.
+                        let next = {
+                            let mut q = lock(&queue);
+                            q.pop_front().map(|job| (job, q.is_empty()))
+                        };
+                        let Some(((i, job), last)) = next else { break };
+                        let out = self.run_one(&mut template, last, tag, i as u64, job);
+                        lock(&results)[i] = Some(out);
+                    }
                 });
             }
         });
         results.into_inner().unwrap_or_else(|p| p.into_inner()).into_iter().flatten().collect()
     }
 
-    fn run_one<T>(&self, tag: &str, shard_id: u64, job: Job<'_, T>) -> ShardOut<T> {
-        let lab = Lab::new(India::build(self.config.clone()));
+    /// A job's world: a clone of the worker's `template`, which is
+    /// built on first use; the worker's `last` job takes the template.
+    fn world(&self, template: &mut Option<India>, last: bool) -> India {
+        let pristine = template.take().unwrap_or_else(|| India::build(self.config.clone()));
+        if last {
+            return pristine;
+        }
+        let world = pristine.clone();
+        *template = Some(pristine);
+        world
+    }
+
+    fn run_one<T>(
+        &self,
+        template: &mut Option<India>,
+        last: bool,
+        tag: &str,
+        shard_id: u64,
+        job: Job<'_, T>,
+    ) -> ShardOut<T> {
+        let lab = Lab::new(self.world(template, last));
         let obs = lab.india.net.telemetry();
         if let Some(spec) = &self.trace {
             let _ = obs.set_filter_spec(spec);

@@ -385,6 +385,7 @@ pub fn canned_script(spec: &MbSpec) -> Vec<Step> {
 }
 
 /// A recording tap: every packet's arrival instant and exact wire bytes.
+#[derive(Clone)]
 struct Tap {
     rows: Vec<(u64, Vec<u8>)>,
     tag: &'static str,

@@ -1,7 +1,7 @@
 //! The lint gate CLI.
 //!
 //! ```text
-//! lucent-lint [--root <dir>] [--json] [--threads <n>] [--verbose]
+//! lucent-lint [--root <dir>] [--json] [--verbose]
 //! ```
 //!
 //! Exit status 0 when the tree is clean, 1 on violations, 2 on usage or
@@ -9,32 +9,26 @@
 //! by walking up to the `[workspace]` manifest.
 //!
 //! `--json` prints the machine-readable report (schema `lucent-lint/6`)
-//! to stdout and nothing else; the bytes are identical across runs and
-//! `--threads` values, so CI diffs them against a committed golden.
+//! to stdout and nothing else; the bytes are identical across runs, so
+//! CI diffs them against a committed golden.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: lucent-lint [--root <dir>] [--json] [--threads <n>] [--verbose]";
+const USAGE: &str = "usage: lucent-lint [--root <dir>] [--json] [--verbose]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut verbose = false;
     let mut json = false;
-    let mut opts = lucent_devtools::Options::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root needs a directory"),
-            },
-            "--threads" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => opts.threads = n,
-                _ => return usage("--threads needs a positive integer"),
             },
             "--json" => json = true,
             "--verbose" | "-v" => verbose = true,
@@ -53,7 +47,7 @@ fn main() -> ExitCode {
         None => return usage("no workspace root found; pass --root"),
     };
 
-    let report = match lucent_devtools::run_root_with(&root, &opts) {
+    let report = match lucent_devtools::run_root(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lucent-lint: i/o error: {e}");

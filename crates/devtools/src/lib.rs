@@ -46,10 +46,6 @@
 //! `lucent-middlebox`, linked so L11/L12 analyze the *compiled* policy
 //! IR — the exact programs the interpreter executes — rather than
 //! re-parsing policy TOML with a second grammar.
-//!
-//! The per-file pass runs on the deterministic [`pool`]: files are
-//! partitioned round-robin and merged in path order, so the report —
-//! including its `--json` form — is byte-identical at any thread count.
 
 #![forbid(unsafe_code)]
 
@@ -57,7 +53,6 @@ pub mod allow;
 pub mod lex;
 pub mod manifest;
 pub mod policycheck;
-pub mod pool;
 pub mod report;
 pub mod source;
 
@@ -74,28 +69,9 @@ use source::{Lexed, SourceFile};
 /// Name of the allowlist file at the workspace root.
 pub const ALLOW_FILE: &str = "lint-allow.toml";
 
-/// Gate options.
-#[derive(Debug, Clone)]
-pub struct Options {
-    /// Worker threads for the per-file scan. The output is identical at
-    /// any value; >1 only changes wall-clock time.
-    pub threads: usize,
-}
-
-impl Default for Options {
-    fn default() -> Options {
-        Options { threads: 1 }
-    }
-}
-
-/// Run the whole gate against a workspace root with default options.
-pub fn run_root(root: &Path) -> io::Result<Report> {
-    run_root_with(root, &Options::default())
-}
-
 /// Run the whole gate against a workspace root. I/O errors (an
 /// unreadable tree) surface as `Err`; rule findings land in the report.
-pub fn run_root_with(root: &Path, opts: &Options) -> io::Result<Report> {
+pub fn run_root(root: &Path) -> io::Result<Report> {
     let mut report = Report::default();
     let allow = load_allow(root, &mut report);
 
@@ -117,26 +93,15 @@ pub fn run_root_with(root: &Path, opts: &Options) -> io::Result<Report> {
         }
     }
 
-    // L3, L4, L6 and L8 over library source trees, on the
-    // deterministic pool; L5 additionally over test and bench code
-    // (unsafe needs a justification wherever it appears).
-    let paths = rust_sources(root)?;
-    let mut scans = pool::map_indexed(paths.len(), opts.threads, |i| scan_file(root, &paths[i], &allow));
-    for s in &mut scans {
-        if let Some(e) = s.read_err.take() {
-            return Err(e);
-        }
-        report.files_scanned += 1;
-        report.merge(std::mem::take(&mut s.violations));
-        if s.panic_sites > 0 {
-            report.panic_by_file.insert(s.rel.clone(), s.panic_sites);
-        }
-        report.panic_total += s.panic_sites;
+    // L3, L4, L6 and L8 over library source trees, in path order; L5
+    // additionally over test and bench code (unsafe needs a
+    // justification wherever it appears).
+    for rel in rust_sources(root)? {
+        scan_file(root, &rel, &allow, &mut report)?;
     }
 
     // L11/L12: compile and symbolically analyze the committed censor
-    // policies. The pass is single-threaded and file-order
-    // deterministic, so `opts.threads` cannot perturb the report.
+    // policies, in file order.
     let policy_paths = policy_sources(root)?;
     report.policy_files = policy_paths.len();
     let policy_out = policycheck::check_policy_files(root, &policy_paths)?;
@@ -188,37 +153,27 @@ fn load_allow(root: &Path, report: &mut Report) -> Allow {
     }
 }
 
-/// Everything the per-file pass extracts; merged in path order.
-struct FileScan {
-    rel: String,
-    read_err: Option<io::Error>,
-    violations: Vec<Violation>,
-    /// Panic sites in non-test library code (each also an L4 violation).
-    panic_sites: usize,
-}
-
-fn scan_file(root: &Path, rel: &str, allow: &Allow) -> FileScan {
-    let mut scan =
-        FileScan { rel: rel.to_string(), read_err: None, violations: Vec::new(), panic_sites: 0 };
-    let text = match fs::read_to_string(root.join(rel)) {
-        Ok(t) => t,
-        Err(e) => {
-            scan.read_err = Some(e);
-            return scan;
-        }
-    };
+/// The per-file pass over one source file, merged into `report`.
+fn scan_file(root: &Path, rel: &str, allow: &Allow, report: &mut Report) -> io::Result<()> {
+    let text = fs::read_to_string(root.join(rel))?;
     let file = SourceFile { path: rel, text: &text };
     let lexed = Lexed::new(&text);
+    report.files_scanned += 1;
     if in_library_tree(rel) {
-        scan.violations.extend(source::check_determinism(&file, &lexed, allow));
-        scan.violations.extend(source::check_print_hygiene(&file, &lexed));
-        scan.violations.extend(source::check_shared_state(&file, &lexed, allow));
+        report.merge(source::check_determinism(&file, &lexed, allow));
+        report.merge(source::check_print_hygiene(&file, &lexed));
+        report.merge(source::check_shared_state(&file, &lexed, allow));
+        // Panic sites in non-test library code, each also an L4
+        // violation.
         let panics = source::check_panic_budget(&file, &lexed);
-        scan.panic_sites = panics.len();
-        scan.violations.extend(panics);
+        if !panics.is_empty() {
+            report.panic_by_file.insert(rel.to_string(), panics.len());
+            report.panic_total += panics.len();
+        }
+        report.merge(panics);
     }
-    scan.violations.extend(source::check_unsafe(&file, &lexed));
-    scan
+    report.merge(source::check_unsafe(&file, &lexed));
+    Ok(())
 }
 
 /// Locate the workspace root by walking up from `start` until a

@@ -391,9 +391,8 @@ pub struct PolicyCheckOut {
 }
 
 /// Run L11 + L12 over a workspace's committed policy files. `paths`
-/// are root-relative and pre-sorted; the pass is single-threaded and
-/// deterministic by construction, so `--threads` cannot perturb the
-/// report bytes.
+/// are root-relative and pre-sorted; the pass is deterministic by
+/// construction.
 pub fn check_policy_files(root: &Path, paths: &[String]) -> io::Result<PolicyCheckOut> {
     let mut out = PolicyCheckOut::default();
     let mut seen_families = BTreeSet::new();

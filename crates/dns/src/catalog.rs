@@ -6,7 +6,6 @@
 //! The catalog models this: a site may be *regional*, in which case a
 //! resolver in region `r` sees only the replica slice assigned to `r`.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -73,16 +72,16 @@ impl DnsCatalog {
     /// replica assigned to the region — the steering behaviour that makes
     /// "the answers differ" useless as a censorship signal (§3.1 of the
     /// paper); global sites return all replicas.
-    pub fn resolve(&self, name: &Name, region: RegionId) -> Option<Vec<Ipv4Addr>> {
+    pub fn resolve(&self, name: &Name, region: RegionId) -> Option<&[Ipv4Addr]> {
         let e = self.entries.get(name)?;
         if e.dead || e.replicas.is_empty() {
             return None;
         }
         if !e.regional || e.replicas.len() < 2 {
-            return Some(e.replicas.clone());
+            return Some(&e.replicas);
         }
         let n = e.replicas.len();
-        Some(vec![e.replicas[usize::from(region) % n]])
+        e.replicas.get(usize::from(region) % n).map(std::slice::from_ref)
     }
 
     /// All replica addresses of a name, regardless of region (ground
@@ -102,12 +101,13 @@ impl DnsCatalog {
     }
 }
 
-/// Shared handle: the simulator is single-threaded, resolvers clone this.
-pub type SharedCatalog = Rc<RefCell<DnsCatalog>>;
+/// Shared, read-only handle: every resolver of a world (and of its
+/// clones) holds one. Nothing mutates a catalog once it is shared.
+pub type SharedCatalog = Rc<DnsCatalog>;
 
 /// Wrap a catalog for sharing.
 pub fn shared(catalog: DnsCatalog) -> SharedCatalog {
-    Rc::new(RefCell::new(catalog))
+    Rc::new(catalog)
 }
 
 #[cfg(test)]

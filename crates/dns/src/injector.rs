@@ -23,6 +23,7 @@ pub const CLIENT_SIDE: IfaceId = IfaceId(0);
 pub const RESOLVER_SIDE: IfaceId = IfaceId(1);
 
 /// An inline DNS injector with a per-device blocklist.
+#[derive(Clone)]
 pub struct DnsInjectorNode {
     blocklist: BTreeSet<Name>,
     /// Address placed in forged A records.

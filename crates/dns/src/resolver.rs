@@ -119,6 +119,7 @@ impl Blocklist {
 /// poisoned, and *which* names each poisons — lives entirely in the
 /// per-resolver bitsets, which is how the coverage/consistency spread of
 /// Figure 2 arises.
+#[derive(Clone)]
 pub struct ResolverApp {
     catalog: SharedCatalog,
     region: RegionId,
@@ -173,8 +174,8 @@ impl ResolverApp {
                 None => DnsMessage::error(query, Rcode::NxDomain),
             };
         }
-        match self.catalog.borrow().resolve(&q.name, self.region) {
-            Some(ips) => DnsMessage::answer_a(query, &ips, 300),
+        match self.catalog.resolve(&q.name, self.region) {
+            Some(ips) => DnsMessage::answer_a(query, ips, 300),
             None => DnsMessage::error(query, Rcode::NxDomain),
         }
     }

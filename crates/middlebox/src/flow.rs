@@ -64,7 +64,7 @@ pub struct Inspectable {
 }
 
 /// The flow table.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowTable {
     flows: BTreeMap<FlowKey, FlowState>,
     /// Idle timeout (the paper observes 2–3 minutes).

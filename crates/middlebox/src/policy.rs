@@ -282,6 +282,7 @@ fn flip(iface: IfaceId) -> IfaceId {
 /// families: a [`Family::Wiretap`] box is wired to a router mirror port
 /// (single interface), a [`Family::Interceptive`] box sits inline with
 /// two interfaces, packets arriving on one leaving on the other.
+#[derive(Clone)]
 pub struct PolicyBox {
     /// The compiled program.
     pub policy: Policy,
@@ -629,6 +630,7 @@ mod tests {
     const SERVER: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
 
     /// A sink node that records every packet it receives.
+    #[derive(Clone)]
     struct Sink {
         got: Vec<Packet>,
     }

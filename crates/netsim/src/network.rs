@@ -1,6 +1,7 @@
 //! The [`Network`]: nodes, links, the event queue and the virtual clock.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use lucent_obs::Telemetry;
 use lucent_packet::Packet;
@@ -26,6 +27,7 @@ struct Endpoint {
     latency: SimDuration,
 }
 
+#[derive(Clone)]
 enum EventKind {
     /// Delivery of a packet held in the slab; the event owns the slot
     /// and exactly one `reclaim` happens when it pops.
@@ -34,14 +36,15 @@ enum EventKind {
 }
 
 /// Engine internals shared with [`NodeCtx`]; lives in its own struct so a
-/// node callback can enqueue effects while its own box is temporarily out
-/// of the node table.
+/// node callback can enqueue effects while the node itself is borrowed
+/// from the node table.
 pub(crate) struct Inner {
     pub(crate) now: SimTime,
     sched: CalendarQueue<EventKind>,
     packets: PacketSlab,
     seq: u64,
-    links: Vec<Vec<Option<Endpoint>>>,
+    /// Wiring, fixed once the world is built; clones share it.
+    links: Rc<Vec<Vec<Option<Endpoint>>>>,
     pub(crate) trace: TraceHandle,
     pub(crate) telemetry: Telemetry,
     drops: BTreeMap<DropReason, u64>,
@@ -102,6 +105,14 @@ impl Inner {
 /// A simulated network: a set of [`Node`]s wired by point-to-point links,
 /// advanced one event at a time.
 ///
+/// `clone` is copy-on-write: the clone shares every node (and the
+/// wiring) with the original, and the first mutable access to a node —
+/// an event dispatched to it, or [`Network::node_mut`] — gives that
+/// network its own copy. The clock, sequence counter, event queue,
+/// packet slab, counters and telemetry are copied outright, so a clone
+/// behaves exactly like the network it was taken from, and nothing
+/// either one does afterwards is visible to the other.
+///
 /// ```
 /// use lucent_netsim::{Network, RouterNode, SimDuration, IfaceId};
 /// use lucent_netsim::routing::Cidr;
@@ -116,8 +127,52 @@ impl Inner {
 /// ```
 pub struct Network {
     inner: Inner,
-    nodes: Vec<Option<Box<dyn Node>>>,
-    labels: Vec<String>,
+    nodes: Vec<Rc<dyn Node>>,
+    labels: Rc<Vec<String>>,
+}
+
+impl Clone for Network {
+    fn clone(&self) -> Network {
+        let telemetry = self.inner.telemetry.fork();
+        let trace = self.inner.trace.fork(Telemetry::clone(&telemetry));
+        Network {
+            inner: Inner {
+                now: self.inner.now,
+                sched: self.inner.sched.clone(),
+                packets: self.inner.packets.clone(),
+                seq: self.inner.seq,
+                links: Rc::clone(&self.inner.links),
+                trace,
+                telemetry,
+                drops: self.inner.drops.clone(),
+                events_processed: self.inner.events_processed,
+                queue_hwm: self.inner.queue_hwm,
+            },
+            nodes: self.nodes.clone(),
+            labels: Rc::clone(&self.labels),
+        }
+    }
+}
+
+/// The node in `slot`, made private to this network first: a node still
+/// shared with another clone is replaced by a copy of its own.
+fn unshare(slot: &mut Rc<dyn Node>) -> Option<&mut dyn Node> {
+    if Rc::get_mut(slot).is_none() {
+        *slot = (**slot).clone_node();
+    }
+    Rc::get_mut(slot)
+}
+
+/// An event's destination node, private to this network, and its label.
+/// Takes the two tables rather than the network so the caller can lend
+/// the engine internals to the node at the same time.
+fn target<'a>(
+    nodes: &'a mut [Rc<dyn Node>],
+    labels: &'a [String],
+    node: NodeId,
+) -> Option<(&'a mut dyn Node, &'a str)> {
+    let i = node.0 as usize;
+    Some((unshare(nodes.get_mut(i)?)?, labels.get(i)?))
 }
 
 impl Default for Network {
@@ -140,7 +195,7 @@ impl Network {
                 sched: CalendarQueue::fresh(),
                 packets: PacketSlab::default(),
                 seq: 0,
-                links: Vec::new(),
+                links: Rc::default(),
                 trace,
                 telemetry,
                 drops: BTreeMap::new(),
@@ -148,7 +203,7 @@ impl Network {
                 queue_hwm: 0,
             },
             nodes: Vec::new(),
-            labels: Vec::new(),
+            labels: Rc::default(),
         }
     }
 
@@ -165,9 +220,9 @@ impl Network {
         );
         let id = NodeId(count as u32);
         self.inner.telemetry.set_thread_name(u64::from(id.0), node.label());
-        self.labels.push(node.label().to_string());
-        self.nodes.push(Some(node));
-        self.inner.links.push(Vec::new());
+        Rc::make_mut(&mut self.labels).push(node.label().to_string());
+        self.nodes.push(Rc::from(node));
+        Rc::make_mut(&mut self.inner.links).push(Vec::new());
         id
     }
 
@@ -176,10 +231,11 @@ impl Network {
     /// Panics if either interface is already connected: topology bugs must
     /// fail loudly at build time, not silently misroute packets later.
     pub fn connect(&mut self, a: NodeId, ai: IfaceId, b: NodeId, bi: IfaceId, latency: SimDuration) {
-        let slot_a = Self::iface_slot(&mut self.inner.links, a, ai);
+        let links = Rc::make_mut(&mut self.inner.links);
+        let slot_a = Self::iface_slot(links, a, ai);
         assert!(slot_a.is_none(), "iface {ai:?} of node {a:?} already connected");
         *slot_a = Some(Endpoint { peer: b, peer_iface: bi, latency });
-        let slot_b = Self::iface_slot(&mut self.inner.links, b, bi);
+        let slot_b = Self::iface_slot(links, b, bi);
         assert!(slot_b.is_none(), "iface {bi:?} of node {b:?} already connected");
         *slot_b = Some(Endpoint { peer: a, peer_iface: ai, latency });
     }
@@ -249,24 +305,20 @@ impl Network {
     }
 
     /// Borrow a node, downcast to its concrete type. `None` when the id
-    /// is unknown, the node's box is temporarily out of the table
-    /// (mid-dispatch), or the node is not a `T`.
+    /// is unknown or the node is not a `T`.
     pub fn node_ref<T: Node>(&self, id: NodeId) -> Option<&T> {
-        self.nodes
-            .get(id.0 as usize)?
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        self.nodes.get(id.0 as usize)?.as_any().downcast_ref::<T>()
     }
 
     /// Borrow a node mutably, downcast to its concrete type. `None`
-    /// under the same conditions as [`Network::node_ref`].
+    /// under the same conditions as [`Network::node_ref`]. A node still
+    /// shared with a clone of this network is copied first.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> Option<&mut T> {
-        self.nodes
-            .get_mut(id.0 as usize)?
-            .as_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
+        let slot = self.nodes.get_mut(id.0 as usize)?;
+        if !slot.as_any().is::<T>() {
+            return None;
+        }
+        unshare(slot)?.as_any_mut().downcast_mut::<T>()
     }
 
     /// Enqueue a [`crate::WAKE`] timer for `node` at the current instant —
@@ -340,31 +392,19 @@ impl Network {
                 let Some(pkt) = self.inner.packets.reclaim(slot) else {
                     return; // not live: already treated as dropped
                 };
-                let Some(mut boxed) = self.nodes.get_mut(node.0 as usize).and_then(Option::take)
-                else {
-                    return; // node removed or mid-dispatch: drop
+                let Some((target, label)) = target(&mut self.nodes, &self.labels, node) else {
+                    return; // unknown node: drop
                 };
-                let label = std::mem::take(&mut self.labels[node.0 as usize]);
-                self.inner.trace.record(self.inner.now, node, &label, Dir::Rx, &pkt);
-                {
-                    let mut ctx = NodeCtx { inner: &mut self.inner, node, label: &label };
-                    boxed.on_packet(&mut ctx, iface, pkt);
-                }
-                self.labels[node.0 as usize] = label;
-                self.nodes[node.0 as usize] = Some(boxed);
+                self.inner.trace.record(self.inner.now, node, label, Dir::Rx, &pkt);
+                let mut ctx = NodeCtx { inner: &mut self.inner, node, label };
+                target.on_packet(&mut ctx, iface, pkt);
             }
             EventKind::Timer { node, token } => {
-                let Some(mut boxed) = self.nodes.get_mut(node.0 as usize).and_then(Option::take)
-                else {
+                let Some((target, label)) = target(&mut self.nodes, &self.labels, node) else {
                     return;
                 };
-                let label = std::mem::take(&mut self.labels[node.0 as usize]);
-                {
-                    let mut ctx = NodeCtx { inner: &mut self.inner, node, label: &label };
-                    boxed.on_timer(&mut ctx, token);
-                }
-                self.labels[node.0 as usize] = label;
-                self.nodes[node.0 as usize] = Some(boxed);
+                let mut ctx = NodeCtx { inner: &mut self.inner, node, label };
+                target.on_timer(&mut ctx, token);
             }
         }
     }
@@ -424,6 +464,7 @@ mod tests {
 
     /// Echoes every UDP packet back out the interface it came from, after
     /// a configurable think time.
+    #[derive(Clone)]
     struct Echo {
         think: SimDuration,
         seen: u32,
@@ -447,6 +488,7 @@ mod tests {
     }
 
     /// Counts deliveries; on WAKE sends one probe.
+    #[derive(Clone)]
     struct Probe {
         target_iface: IfaceId,
         got: Vec<SimTime>,
@@ -601,6 +643,35 @@ mod tests {
             )
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn writes_to_a_clone_never_reach_the_original() {
+        let (mut net, a, b) = two_node_net(5, 2);
+        net.telemetry().counter_inc("built", "x");
+        let mut copy = net.clone();
+        copy.node_mut::<Echo>(b).unwrap().think = SimDuration::from_millis(9);
+        copy.trace().enable_all();
+        copy.telemetry().counter_inc("built", "x");
+        copy.wake(a);
+        copy.run_until_idle(100);
+        // 5 ms there, the clone's 9 ms think time, 5 ms back.
+        let at = |ms| vec![SimTime::ZERO + SimDuration::from_millis(ms)];
+        assert_eq!(copy.node_ref::<Probe>(a).unwrap().got, at(19));
+        assert_eq!(copy.trace().len(), 4);
+
+        // The original's nodes, clock, queue, trace and registry are as
+        // they were before the clone ran.
+        assert_eq!(net.node_ref::<Echo>(b).unwrap().think, SimDuration::from_millis(2));
+        assert_eq!(net.node_ref::<Echo>(b).unwrap().seen, 0);
+        assert!(net.node_ref::<Probe>(a).unwrap().got.is_empty());
+        assert_eq!((net.events_processed(), net.now(), net.peek_time()), (0, SimTime::ZERO, None));
+        assert!(net.trace().is_empty());
+        assert_eq!(net.telemetry().counter("built", "x"), 1);
+        assert_eq!(copy.telemetry().counter("built", "x"), 2);
+        net.wake(a);
+        net.run_until_idle(100);
+        assert_eq!(net.node_ref::<Probe>(a).unwrap().got, at(12));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use std::any::Any;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use lucent_obs::Telemetry;
 use lucent_packet::Packet;
@@ -32,8 +33,11 @@ pub const WAKE: u64 = u64::MAX;
 /// A simulated network element.
 ///
 /// Implementations must be deterministic: any randomness comes from an RNG
-/// the node owns, seeded at construction.
-pub trait Node: Any {
+/// the node owns, seeded at construction. They must also be `Clone` (see
+/// [`CloneNode`]), with no interior mutability behind anything a clone
+/// shares: a cloned [`crate::Network`] shares every node until its first
+/// write to it.
+pub trait Node: Any + CloneNode {
     /// A packet has arrived on `iface`.
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, pkt: Packet);
 
@@ -51,6 +55,19 @@ pub trait Node: Any {
 
     /// Upcast (mutable) for driver-side downcasting.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// Copy-on-write support for [`Node`]: a deep copy of the node in its
+/// own allocation. Implemented for every `Node + Clone`.
+pub trait CloneNode {
+    /// A copy of this node that shares no mutable state with it.
+    fn clone_node(&self) -> Rc<dyn Node>;
+}
+
+impl<T: Node + Clone> CloneNode for T {
+    fn clone_node(&self) -> Rc<dyn Node> {
+        Rc::new(self.clone())
+    }
 }
 
 /// The capabilities a node has while handling an event.

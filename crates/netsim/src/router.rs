@@ -24,7 +24,7 @@ use crate::time::SimDuration;
 ///   visibility semantics.
 /// * **Echo replies** to pings addressed to the router itself, and ICMP
 ///   port-unreachable for stray UDP to the router.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RouterNode {
     /// The router's own address, used as the source of ICMP it originates.
     pub ip: std::net::Ipv4Addr,
@@ -151,6 +151,7 @@ mod tests {
 
     /// A sink host that remembers everything it receives and can send one
     /// prepared packet on WAKE.
+    #[derive(Clone)]
     struct Sink {
         outbox: Option<Packet>,
         inbox: Vec<Packet>,

@@ -48,7 +48,7 @@ pub const SLOT_LOG2: u32 = 10;
 pub const SLOTS: usize = 1024;
 
 /// One scheduled item: the engine's `(time, seq)` key plus payload.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Scheduled<T> {
     /// When the item fires.
     pub at: SimTime,
@@ -79,6 +79,7 @@ impl<T> Ord for Scheduled<T> {
 
 /// A calendar queue over [`Scheduled`] items. See the module docs for
 /// the tier invariants.
+#[derive(Clone)]
 pub struct CalendarQueue<T> {
     due: BinaryHeap<Reverse<Scheduled<T>>>,
     ring: Vec<Vec<Scheduled<T>>>,

@@ -20,7 +20,7 @@ use lucent_packet::Packet;
 pub struct PacketSlot(pub(crate) u32);
 
 /// Slab of in-flight packets with LIFO slot reuse.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct PacketSlab {
     slots: Vec<Option<Packet>>,
     free: Vec<u32>,

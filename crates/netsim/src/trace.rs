@@ -88,7 +88,7 @@ impl fmt::Display for TraceEntry {
     }
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct TraceState {
     enabled: bool,
     /// When `Some`, only these nodes are recorded; `None` records all.
@@ -168,6 +168,14 @@ impl TraceHandle {
     /// stream (target `pkttrace`, level `trace`).
     pub(crate) fn attach_bus(&self, bus: Telemetry) {
         self.state.borrow_mut().bus = Some(bus);
+    }
+
+    /// A new, independent capture holding a copy of this one's state,
+    /// offering its packets to `bus` instead of this capture's bus.
+    pub(crate) fn fork(&self, bus: Telemetry) -> TraceHandle {
+        let mut state = self.state.borrow().clone();
+        state.bus = Some(bus);
+        TraceHandle { state: Rc::new(RefCell::new(state)) }
     }
 
     pub(crate) fn record(&self, time: SimTime, node: NodeId, label: &str, dir: Dir, pkt: &Packet) {

@@ -59,7 +59,7 @@ pub struct Span {
 }
 
 /// A bounded FIFO that evicts the oldest entry when full.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Ring<T> {
     entries: VecDeque<T>,
     cap: usize,

@@ -44,7 +44,7 @@ pub use metrics::Metrics;
 // naming `lucent-support` themselves.
 pub use lucent_support::Json;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct State {
     filter: FilterSpec,
     events: Ring<Event>,
@@ -52,7 +52,9 @@ struct State {
     spans_on: bool,
     prof_on: bool,
     metrics: Metrics,
-    thread_names: BTreeMap<u64, String>,
+    /// Copied on write: a world names one track per node at build
+    /// time, and its forks share the names until one is renamed.
+    thread_names: Rc<BTreeMap<u64, String>>,
 }
 
 /// The telemetry handle. Cloning is cheap and every clone shares the
@@ -87,6 +89,14 @@ impl Telemetry {
     /// A fresh handle: filter off, spans off, empty registry.
     pub fn new() -> Self {
         Telemetry::default()
+    }
+
+    /// A new, independent registry holding a copy of this one's state
+    /// (filter, rings, switches, metrics, track names). Unlike `clone`,
+    /// which shares the registry, nothing recorded on one reaches the
+    /// other.
+    pub fn fork(&self) -> Telemetry {
+        Telemetry { state: Rc::new(RefCell::new(self.state.borrow().clone())) }
     }
 
     // --- tracing --------------------------------------------------------
@@ -163,7 +173,7 @@ impl Telemetry {
 
     /// Name the track a `tid` renders on in the Chrome trace export.
     pub fn set_thread_name(&self, tid: u64, name: &str) {
-        self.state.borrow_mut().thread_names.insert(tid, name.to_string());
+        Rc::make_mut(&mut self.state.borrow_mut().thread_names).insert(tid, name.to_string());
     }
 
     // --- profiling ------------------------------------------------------

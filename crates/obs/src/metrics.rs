@@ -106,7 +106,7 @@ impl Histogram {
 
 /// The registry. Owned by [`crate::Telemetry`]; not usually constructed
 /// directly.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     counters: BTreeMap<String, BTreeMap<String, u64>>,
     gauges: BTreeMap<String, BTreeMap<String, i64>>,

@@ -66,15 +66,36 @@ impl SocketIo<'_> {
 
 /// An application living inside a [`crate::TcpHost`], driven by socket
 /// events. One instance exists per accepted connection (listeners clone a
-/// factory).
-pub trait SocketApp {
+/// factory). Apps are `Clone` so a host — and with it a whole world —
+/// can be copied (see [`CloneSocketApp`]).
+pub trait SocketApp: CloneSocketApp {
     /// Called once per socket event, in order.
     fn on_event(&mut self, io: &mut SocketIo<'_>, event: &SocketEvent);
+}
+
+/// Copy support for [`SocketApp`]: implemented for every
+/// `SocketApp + Clone`.
+pub trait CloneSocketApp {
+    /// A copy of this app in its own box.
+    fn clone_app(&self) -> Box<dyn SocketApp>;
+}
+
+impl<T: SocketApp + Clone + 'static> CloneSocketApp for T {
+    fn clone_app(&self) -> Box<dyn SocketApp> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn SocketApp> {
+    fn clone(&self) -> Self {
+        (**self).clone_app()
+    }
 }
 
 /// A trivial app that answers every received chunk with a fixed response
 /// and closes. Used by tests and by the port-80 "live host" stand-ins the
 /// outside-vantage scans probe.
+#[derive(Clone)]
 pub struct FixedResponder {
     /// Bytes to send when the first data arrives.
     pub response: Vec<u8>,

@@ -78,7 +78,7 @@ impl FilterRule {
 }
 
 /// An ordered rule list applied to inbound packets.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Firewall {
     rules: Vec<FilterRule>,
     /// Packets dropped so far.

@@ -6,6 +6,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::ops::Bound::{Excluded, Unbounded};
+use std::rc::Rc;
 
 use lucent_obs::{Level, Telemetry};
 use lucent_support::{Bytes, ToJson};
@@ -46,10 +47,29 @@ pub struct UdpIo {
     pub obs: Telemetry,
 }
 
-/// An in-node UDP service (DNS resolvers implement this).
-pub trait UdpApp {
+/// An in-node UDP service (DNS resolvers implement this). Like
+/// [`SocketApp`], a `UdpApp` is `Clone` (see [`CloneUdpApp`]).
+pub trait UdpApp: CloneUdpApp {
     /// Handle one datagram; queue replies on `io`.
     fn on_datagram(&mut self, io: &mut UdpIo, src: Ipv4Addr, src_port: u16, payload: &[u8]);
+}
+
+/// Copy support for [`UdpApp`]: implemented for every `UdpApp + Clone`.
+pub trait CloneUdpApp {
+    /// A copy of this app in its own box.
+    fn clone_app(&self) -> Box<dyn UdpApp>;
+}
+
+impl<T: UdpApp + Clone + 'static> CloneUdpApp for T {
+    fn clone_app(&self) -> Box<dyn UdpApp> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn UdpApp> {
+    fn clone(&self) -> Self {
+        (**self).clone_app()
+    }
 }
 
 const TIMER_KIND_RTX: u64 = 1;
@@ -69,6 +89,7 @@ fn decode_timer(token: u64) -> (u64, SocketId, u64) {
 }
 
 /// A general-purpose end host.
+#[derive(Clone)]
 pub struct TcpHost {
     /// The host's address.
     pub ip: Ipv4Addr,
@@ -91,7 +112,7 @@ pub struct TcpHost {
     dispatched: BTreeMap<SocketId, usize>,
     /// (local port, remote ip, remote port) → socket.
     tuples: BTreeMap<(u16, Ipv4Addr, u16), SocketId>,
-    listeners: BTreeMap<u16, Box<dyn Fn() -> Box<dyn SocketApp>>>,
+    listeners: BTreeMap<u16, Rc<dyn Fn() -> Box<dyn SocketApp>>>,
     next_port: u16,
     /// Inbound packet filter (the `iptables` model).
     pub firewall: Firewall,
@@ -170,7 +191,7 @@ impl TcpHost {
     /// Install a listener whose factory creates one app per accepted
     /// connection.
     pub fn listen(&mut self, port: u16, factory: impl Fn() -> Box<dyn SocketApp> + 'static) {
-        self.listeners.insert(port, Box::new(factory));
+        self.listeners.insert(port, Rc::new(factory));
     }
 
     /// Queue bytes on a socket (flushed on next wake or inbound event).

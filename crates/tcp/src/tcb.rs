@@ -65,7 +65,7 @@ pub enum TimerAsk {
 }
 
 /// The connection state machine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tcb {
     /// Current state.
     pub state: TcpState,

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use lucent_netsim::SimRng;
 
@@ -19,7 +20,7 @@ use crate::profile::IndiaConfig;
 use crate::truth::GroundTruth;
 
 /// Handles into one built ISP.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Isp {
     /// Which AS this is.
     pub id: IspId,
@@ -53,13 +54,20 @@ pub struct Isp {
 }
 
 /// The whole built world.
+///
+/// `clone` yields a world indistinguishable from a fresh
+/// [`India::build`] of the same config, at a fraction of the cost: the
+/// network is copied on write (see [`Network`]), and the parts no probe
+/// mutates — the corpus, the DNS catalog and the ground truth — are
+/// shared.
+#[derive(Clone)]
 pub struct India {
     /// The configuration it was built from.
     pub cfg: IndiaConfig,
     /// The simulator.
     pub net: Network,
     /// The website corpus.
-    pub corpus: Corpus,
+    pub corpus: Rc<Corpus>,
     /// The shared DNS catalog.
     pub catalog: SharedCatalog,
     /// Per-ISP handles.
@@ -85,7 +93,7 @@ pub struct India {
     /// Its address.
     pub public_dns_ip: Ipv4Addr,
     /// Ground truth for scoring.
-    pub truth: GroundTruth,
+    pub truth: Rc<GroundTruth>,
 }
 
 /// Deterministic unit-interval hash (SplitMix64 finalizer) — used for
@@ -428,7 +436,7 @@ impl India {
         India {
             cfg,
             net,
-            corpus,
+            corpus: Rc::new(corpus),
             catalog,
             isps,
             hosting_pools,
@@ -440,7 +448,7 @@ impl India {
             control_ip,
             public_dns,
             public_dns_ip,
-            truth,
+            truth: Rc::new(truth),
         }
     }
 
@@ -771,6 +779,16 @@ impl India {
             // One interned name list per ISP; `slots[j]` is the master
             // slot of the j-th site of `dns_master` (ascending SiteId).
             let (master, slots) = Blocklist::intern(dns_master.iter().map(|s| Name::new(&corpus.site(*s).domain)));
+            // Each site's poisoning probability, which does not depend
+            // on the resolver, parallel to `dns_master`.
+            let site_q: Vec<f64> = dns_master
+                .iter()
+                .map(|site| {
+                    dp.consistency_q.0
+                        + (dp.consistency_q.1 - dp.consistency_q.0)
+                            * det_unit(&[cfg.seed ^ 0xd15, u64::from(u32::from(prefix.addr)), site.0 as u64])
+                })
+                .collect();
             // (site, slot) pairs one poisoned resolver blocks, reused.
             let mut picked: Vec<(SiteId, usize)> = Vec::new();
             let mut poisoned_truth = Vec::new();
@@ -782,17 +800,22 @@ impl India {
                 let mut host = TcpHost::new(rip, format!("{}-dns-{rip}", isp_id.name()), cfg.seed ^ 5);
                 let app = if i < dp.poisoned {
                     picked.clear();
-                    picked.extend(dns_master.iter().copied().zip(slots.iter().copied()).filter(|(site, _)| {
-                        let q = dp.consistency_q.0
-                            + (dp.consistency_q.1 - dp.consistency_q.0)
-                                * det_unit(&[cfg.seed ^ 0xd15, u64::from(u32::from(prefix.addr)), site.0 as u64]);
-                        det_unit(&[
-                            cfg.seed ^ 0xd16,
-                            u64::from(u32::from(prefix.addr)),
-                            i as u64,
-                            site.0 as u64,
-                        ]) < q
-                    }));
+                    picked.extend(
+                        dns_master
+                            .iter()
+                            .copied()
+                            .zip(slots.iter().copied())
+                            .zip(&site_q)
+                            .filter(|&((site, _), &q)| {
+                                det_unit(&[
+                                    cfg.seed ^ 0xd16,
+                                    u64::from(u32::from(prefix.addr)),
+                                    i as u64,
+                                    site.0 as u64,
+                                ]) < q
+                            })
+                            .map(|(pair, _)| pair),
+                    );
                     // A poisoned resolver that manipulates nothing is
                     // indistinguishable from an honest one; give each at
                     // least one entry so the deployment counts are real.

@@ -30,6 +30,7 @@ pub struct ServerConfig {
 }
 
 /// Per-connection server application.
+#[derive(Clone)]
 pub struct WebServerApp {
     cfg: ServerConfig,
     buf: Vec<u8>,

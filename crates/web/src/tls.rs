@@ -36,6 +36,7 @@ pub fn is_server_hello(bytes: &[u8]) -> bool {
 }
 
 /// The port-443 application: one per accepted connection.
+#[derive(Clone)]
 pub struct TlsLikeApp {
     responded: bool,
 }

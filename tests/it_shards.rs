@@ -2,14 +2,18 @@
 //! byte-identical JSON results and metrics snapshots at `--threads 1`,
 //! `2`, and `4` for the same seed. This is the contract that lets CI
 //! diff golden artifacts produced at any thread count against each
-//! other.
+//! other. Shard jobs run on clones of a per-worker template world, so
+//! the clone contract is pinned here too.
 
 use lucent_bench::drive::Driver;
 use lucent_bench::Scale;
 use lucent_core::experiments::{evasion, fig2, race, table1};
+use lucent_core::lab::Lab;
+use lucent_middlebox::PolicyBox;
 use lucent_obs::Telemetry;
 use lucent_support::json::to_string_pretty;
-use lucent_topology::IspId;
+use lucent_tcp::{SocketId, TcpHost};
+use lucent_topology::{India, IspId};
 
 /// Run `f` under a fresh driver + hub at each thread count and return
 /// the (result JSON, metrics snapshot) pairs.
@@ -90,4 +94,41 @@ fn anonymity_is_byte_identical_across_thread_counts() {
     let runs =
         at_thread_counts(|drv, hub| to_string_pretty(&drv.anonymity(hub, &HTTP_CENSORS, 30)));
     assert_all_identical(&runs, "anonymity");
+}
+
+/// One Airtel race on `india` with every event target at `trace`, so
+/// the telemetry holds each packet's TCP sequence numbers: the
+/// injection count, the row, the drained telemetry and the event count.
+fn airtel_race(india: India) -> (u64, String, String, u64) {
+    let mut lab = Lab::new(india);
+    let obs = lab.india.net.telemetry();
+    obs.set_filter_spec("trace").expect("valid filter");
+    obs.enable_spans(true);
+    let row = race::run_isp(&mut lab, IspId::Airtel, &race::RaceOptions::default());
+    let dump = format!("{:?}", obs.drain_dump());
+    (row.injections, to_string_pretty(&row), dump, lab.india.net.events_processed())
+}
+
+#[test]
+fn clone_is_indistinguishable_from_a_fresh_build() {
+    let fresh = airtel_race(India::build(Scale::Tiny.config()));
+    assert!(fresh.0 > 0, "the race must exercise the wiretap");
+    let template = India::build(Scale::Tiny.config());
+    let a = airtel_race(template.clone());
+    let b = airtel_race(template.clone());
+    // `assert!`, not `assert_eq!`: the telemetry runs to megabytes.
+    assert!(fresh == a, "a clone ran differently from a fresh build");
+    assert!(fresh == b, "a second clone saw the first clone's writes");
+
+    // Neither job wrote through to the template: its clock never ran,
+    // its client never opened a socket and its devices never fired.
+    assert_eq!(template.net.events_processed(), 0);
+    let airtel = &template.isps[&IspId::Airtel];
+    let client = template.net.node_ref::<TcpHost>(airtel.client).expect("client host");
+    assert_eq!(client.local_addr(SocketId(0)), None, "the template's client has a socket");
+    assert!(!airtel.devices.is_empty());
+    for &(_, node, _) in &airtel.devices {
+        let device = template.net.node_ref::<PolicyBox>(node).expect("policy box");
+        assert_eq!(device.triggers, 0, "a clone's trigger reached the template");
+    }
 }

@@ -5,15 +5,15 @@
 //! `cargo run -p lucent-devtools --bin lucent-lint`.
 //!
 //! Also pins the machine-readable report: `--json` output must be
-//! byte-identical across runs and across `--threads` values (CI diffs
-//! it against `tests/golden/lint-report.json`), the L4/L8/L11 and
+//! byte-identical across runs (CI diffs it against
+//! `tests/golden/lint-report.json`), the L4/L8/L11 and
 //! allowlist fixtures under `crates/devtools/fixtures/` must go
 //! red/green exactly as designed, and a retired allowlist table must be
 //! an error.
 
 use std::path::{Path, PathBuf};
 
-use lucent_devtools::{run_root, run_root_with, Options};
+use lucent_devtools::run_root;
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("workspace root")
@@ -37,13 +37,11 @@ fn workspace_passes_the_lint_gate() {
 }
 
 #[test]
-fn json_report_is_byte_identical_across_runs_and_thread_counts() {
+fn json_report_is_byte_identical_across_runs() {
     let root = workspace_root();
-    let serial = run_root_with(root, &Options { threads: 1 }).expect("scan").to_json();
-    let again = run_root_with(root, &Options { threads: 1 }).expect("scan").to_json();
-    assert_eq!(serial, again, "two serial runs diverged");
-    let wide = run_root_with(root, &Options { threads: 4 }).expect("scan").to_json();
-    assert_eq!(serial, wide, "threads=1 and threads=4 diverged");
+    let serial = run_root(root).expect("scan").to_json();
+    let again = run_root(root).expect("scan").to_json();
+    assert_eq!(serial, again, "two runs diverged");
     assert!(serial.contains("\"schema\": \"lucent-lint/6\""));
     assert!(!serial.contains("\"alloc_"), "schema 6 carries no allocation estimates");
     assert!(!serial.contains("\"call_edges\""), "schema 6 carries no call graph");
