@@ -92,7 +92,7 @@ pub fn dns_answer(s: &mut Source) -> DnsMessage {
     let n = s.len_in(0, 5);
     let ips: Vec<Ipv4Addr> = (0..n).map(|_| ipv4_addr(s)).collect();
     let ttl = s.any_u32();
-    DnsMessage::answer_a(&q, &ips, ttl)
+    DnsMessage::answer_a(q, &ips, ttl)
 }
 
 /// A query or an answer.

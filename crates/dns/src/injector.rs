@@ -72,7 +72,7 @@ impl DnsInjectorNode {
             return;
         }
         self.injections += 1;
-        let forged = DnsMessage::answer_a(&query, &[self.forged_ip], 60);
+        let forged = DnsMessage::answer_a(query, &[self.forged_ip], 60);
         let mut bytes = Vec::new();
         if forged.emit(&mut bytes).is_err() {
             return;
@@ -118,7 +118,7 @@ mod tests {
     use crate::catalog::{shared, DnsCatalog};
     use crate::resolver::ResolverApp;
     use lucent_netsim::Network;
-    use lucent_tcp::TcpHost;
+    use lucent_tcp::{TcpHost, UdpDatagram};
 
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 53, 53);
@@ -145,7 +145,8 @@ mod tests {
         (net, client, resolver)
     }
 
-    fn query(net: &mut Network, client: lucent_netsim::NodeId, name: &str) -> Vec<DnsMessage> {
+    /// Every datagram the client receives after asking for `name`.
+    fn query_datagrams(net: &mut Network, client: lucent_netsim::NodeId, name: &str) -> Vec<UdpDatagram> {
         let q = DnsMessage::query_a(7, name);
         let mut bytes = Vec::new();
         q.emit(&mut bytes).unwrap();
@@ -156,11 +157,27 @@ mod tests {
         }
         net.wake(client);
         net.run_for(SimDuration::from_millis(50));
-        net.node_mut::<TcpHost>(client).unwrap()
-            .take_udp_inbox()
-            .into_iter()
-            .map(|d| DnsMessage::parse(&d.payload).unwrap())
-            .collect()
+        net.node_mut::<TcpHost>(client).unwrap().take_udp_inbox()
+    }
+
+    fn query(net: &mut Network, client: lucent_netsim::NodeId, name: &str) -> Vec<DnsMessage> {
+        query_datagrams(net, client, name).into_iter().map(|d| DnsMessage::parse(&d.payload).unwrap()).collect()
+    }
+
+    #[test]
+    fn the_forged_reply_is_pinned_byte_for_byte() {
+        let (mut net, client, _) = build(&["blocked.example"]);
+        let first = query_datagrams(&mut net, client, "blocked.example").remove(0);
+        assert_eq!((first.src, first.src_port, first.dst_port), (RESOLVER, 53, 5353), "spoofs the resolver");
+        let name: &[u8] = b"\x07blocked\x07example\x00";
+        let expected = [
+            &[0, 7, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0][..], // id 7, response + RD + RA, 1 question, 1 answer
+            name, &[0, 1, 0, 1], // TYPE A, CLASS IN
+            name, &[0, 1, 0, 1, 0, 0, 0, 60, 0, 4], // TTL 60, RDLENGTH 4
+            &FORGED.octets(),
+        ]
+        .concat();
+        assert_eq!(first.payload.as_ref(), &expected[..]);
     }
 
     #[test]

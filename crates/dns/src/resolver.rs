@@ -163,7 +163,7 @@ impl ResolverApp {
         self.members.get(slot / 64).is_some_and(|word| word >> (slot % 64) & 1 == 1)
     }
 
-    fn answer(&mut self, query: &DnsMessage) -> DnsMessage {
+    fn answer(&mut self, query: DnsMessage) -> DnsMessage {
         let Some(q) = query.questions.first() else {
             return DnsMessage::error(query, Rcode::FormErr);
         };
@@ -192,12 +192,12 @@ impl UdpApp for ResolverApp {
         self.queries += 1;
         io.obs.counter_inc("dns.queries", "resolver");
         let poisoned_before = self.poisoned_answers;
-        let response = self.answer(&query);
+        let response = self.answer(query);
         if self.poisoned_answers > poisoned_before {
             io.obs.counter_inc("dns.poisoned_answers", "resolver");
         }
         if io.obs.enabled("dns", Level::Debug) {
-            let name = query.questions.first().map(|q| q.name.to_string()).unwrap_or_default();
+            let name = response.questions.first().map(|q| q.name.to_string()).unwrap_or_default();
             let verdict = if self.poisoned_answers > poisoned_before {
                 "poisoned"
             } else if response.flags.rcode == Rcode::NxDomain {
@@ -228,17 +228,35 @@ mod tests {
         let mut c = DnsCatalog::new();
         c.add_global("ok.example", vec![Ipv4Addr::new(198, 51, 100, 7)]);
         c.add_global("blocked.example", vec![Ipv4Addr::new(198, 51, 100, 8)]);
+        c.add_global("multi.example", vec![Ipv4Addr::new(198, 51, 100, 7), Ipv4Addr::new(198, 51, 100, 9)]);
         shared(c)
     }
 
-    fn ask(app: &mut ResolverApp, name: &str) -> Option<DnsMessage> {
-        let q = DnsMessage::query_a(42, name);
+    /// The reply `app` sends to `query`, as wire bytes.
+    fn reply_bytes(app: &mut ResolverApp, query: &DnsMessage) -> Option<Vec<u8>> {
         let mut bytes = Vec::new();
-        q.emit(&mut bytes).unwrap();
+        query.emit(&mut bytes).unwrap();
         let mut io = UdpIo { out: Vec::new(), now: SimTime::ZERO, obs: lucent_obs::Telemetry::new() };
         app.on_datagram(&mut io, Ipv4Addr::new(10, 0, 0, 9), 5000, &bytes);
-        io.out.pop().map(|(_, _, b)| DnsMessage::parse(&b).unwrap())
+        io.out.pop().map(|(_, _, b)| b)
     }
+
+    fn ask(app: &mut ResolverApp, name: &str) -> Option<DnsMessage> {
+        reply_bytes(app, &DnsMessage::query_a(42, name)).map(|b| DnsMessage::parse(&b).unwrap())
+    }
+
+    /// Header of a reply to id 42: flag bytes 0x81 (QR, RD echoed) and
+    /// 0x80 | RCODE (RA), then QDCOUNT and ANCOUNT.
+    fn header(rcode: u8, qdcount: u8, ancount: u8) -> Vec<u8> {
+        vec![0, 42, 0x81, 0x80 | rcode, 0, qdcount, 0, ancount, 0, 0, 0, 0]
+    }
+
+    /// TYPE A, CLASS IN.
+    const A_IN: [u8; 4] = [0, 1, 0, 1];
+    /// TTL 300, RDLENGTH 4.
+    const TTL_300_RDLEN_4: [u8; 6] = [0, 0, 0x01, 0x2c, 0, 4];
+    const BLOCKED: &[u8] = b"\x07blocked\x07example\x00";
+    const MULTI: &[u8] = b"\x05multi\x07example\x00";
 
     /// A resolver over the master `["blocked.example", "other.example"]`
     /// that blocks `blocked`.
@@ -246,6 +264,44 @@ mod tests {
         let (master, _) = Blocklist::intern(["blocked.example", "other.example"].map(Name::new));
         let bits = master.members(blocked.iter().filter_map(|n| master.slot(&Name::new(n))));
         ResolverApp::poisoned(catalog(), 0, master, bits, mode)
+    }
+
+    #[test]
+    fn replies_are_pinned_byte_for_byte() {
+        let poisoned = |mode| blocking(&["blocked.example"], mode);
+        let cases = [
+            (
+                ResolverApp::honest(catalog(), 0),
+                "multi.example",
+                [
+                    &header(0, 1, 2)[..],
+                    MULTI, &A_IN,
+                    MULTI, &A_IN, &TTL_300_RDLEN_4, &[198, 51, 100, 7],
+                    MULTI, &A_IN, &TTL_300_RDLEN_4, &[198, 51, 100, 9],
+                ]
+                .concat(),
+            ),
+            (
+                poisoned(PoisonMode::StaticIp(Ipv4Addr::new(59, 144, 1, 1))),
+                "blocked.example",
+                [&header(0, 1, 1)[..], BLOCKED, &A_IN, BLOCKED, &A_IN, &TTL_300_RDLEN_4, &[59, 144, 1, 1]]
+                    .concat(),
+            ),
+            (
+                poisoned(PoisonMode::Bogon(Ipv4Addr::new(10, 10, 34, 34))),
+                "blocked.example",
+                [&header(0, 1, 1)[..], BLOCKED, &A_IN, BLOCKED, &A_IN, &TTL_300_RDLEN_4, &[10, 10, 34, 34]]
+                    .concat(),
+            ),
+            (poisoned(PoisonMode::NxDomain), "blocked.example", [&header(3, 1, 0)[..], BLOCKED, &A_IN].concat()),
+        ];
+        for (mut app, name, expected) in cases {
+            assert_eq!(reply_bytes(&mut app, &DnsMessage::query_a(42, name)), Some(expected), "{name}");
+        }
+        // A query without a question is a format error.
+        let mut empty = DnsMessage::query_a(42, "");
+        empty.questions.clear();
+        assert_eq!(reply_bytes(&mut ResolverApp::honest(catalog(), 0), &empty), Some(header(1, 0, 0)));
     }
 
     #[test]
@@ -312,7 +368,7 @@ mod tests {
         assert!(io.out.is_empty());
         // A response message must not be echoed back (loop prevention).
         let q = DnsMessage::query_a(1, "ok.example");
-        let resp = DnsMessage::answer_a(&q, &[Ipv4Addr::new(9, 9, 9, 9)], 60);
+        let resp = DnsMessage::answer_a(q, &[Ipv4Addr::new(9, 9, 9, 9)], 60);
         let mut bytes = Vec::new();
         resp.emit(&mut bytes).unwrap();
         app.on_datagram(&mut io, Ipv4Addr::new(1, 1, 1, 1), 1, &bytes);

@@ -38,8 +38,6 @@ pub struct RouterNode {
     /// Per-packet forwarding latency added on top of link latency.
     pub forward_delay: SimDuration,
     label: String,
-    /// Forwarded-packet counter (diagnostics).
-    pub forwarded: u64,
 }
 
 impl RouterNode {
@@ -52,7 +50,6 @@ impl RouterNode {
             mirrors: Vec::new(),
             forward_delay: SimDuration::from_micros(50),
             label: label.into(),
-            forwarded: 0,
         }
     }
 
@@ -118,7 +115,6 @@ impl Node for RouterNode {
             ctx.trace_drop(&pkt, "hairpin");
             return;
         }
-        self.forwarded += 1;
         ctx.obs().counter_inc("netsim.router.forwarded", ctx.label());
         for &m in &self.mirrors {
             ctx.send(m, pkt.clone());

@@ -37,30 +37,49 @@ impl Name {
         self.0.split('.').filter(|l| !l.is_empty())
     }
 
-    /// Append this name, uncompressed, to `out`.
-    fn emit(&self, out: &mut Vec<u8>) -> Result<(), ParseError> {
+    /// Length of this name on the wire, uncompressed: one zero byte for
+    /// the root, else each label behind its length byte, then the zero.
+    /// Rejects what `emit` cannot encode: an empty label inside a
+    /// non-root name, a label over 63 bytes, or more than
+    /// [`MAX_NAME_LEN`] bytes of length-prefixed labels.
+    fn wire_len(&self) -> Result<usize, ParseError> {
+        if self.0.is_empty() {
+            return Ok(1);
+        }
         let mut total = 0usize;
-        for label in self.labels() {
-            if label.len() > 63 {
+        for label in self.0.split('.') {
+            if label.is_empty() || label.len() > 63 {
                 return Err(ParseError::BadName);
             }
             total += label.len() + 1;
-            if total > MAX_NAME_LEN {
-                return Err(ParseError::BadName);
-            }
+        }
+        if total > MAX_NAME_LEN {
+            return Err(ParseError::BadName);
+        }
+        Ok(total + 1)
+    }
+
+    /// Append this name, uncompressed, to `out`. The caller has checked
+    /// it with [`Name::wire_len`].
+    fn emit(&self, out: &mut Vec<u8>) {
+        for label in self.labels() {
             out.push(label.len() as u8);
             out.extend_from_slice(label.as_bytes());
         }
         out.push(0);
-        Ok(())
     }
 
     /// Decode a (possibly compressed) name starting at `pos` in `msg`.
     ///
     /// Returns the name and the offset just past its *in-place* encoding
-    /// (i.e. past the first pointer if one is used).
+    /// (i.e. past the first pointer if one is used). Each wire byte
+    /// becomes one char (Latin-1), ASCII letters lowercased; the dotted
+    /// text is assembled on the stack and allocated once.
     fn parse(msg: &[u8], pos: usize) -> Result<(Name, usize), ParseError> {
-        let mut labels: Vec<String> = Vec::new();
+        // A char takes at most two UTF-8 bytes, so the text of a name
+        // within MAX_NAME_LEN wire bytes always fits.
+        let mut text = [0u8; 2 * MAX_NAME_LEN];
+        let mut text_len = 0usize;
         let mut cursor = pos;
         let mut end_after: Option<usize> = None;
         let mut hops = 0usize;
@@ -79,8 +98,9 @@ impl Name {
                 }
             } else if len == 0 {
                 let end = end_after.unwrap_or(cursor + 1);
-                let name = Name(labels.join(".")); // already lowercased below
-                return Ok((name, end));
+                let dotted =
+                    std::str::from_utf8(&text[..text_len]).map_err(|_| ParseError::BadName)?;
+                return Ok((Name(dotted.to_owned()), end));
             } else if len & 0xc0 != 0 {
                 return Err(ParseError::BadName); // reserved label types
             } else {
@@ -92,8 +112,14 @@ impl Name {
                 let bytes = msg
                     .get(cursor + 1..cursor + 1 + len)
                     .ok_or(ParseError::BadName)?;
-                let label: String = bytes.iter().map(|b| (*b as char).to_ascii_lowercase()).collect();
-                labels.push(label);
+                if text_len > 0 {
+                    text[text_len] = b'.';
+                    text_len += 1;
+                }
+                for &b in bytes {
+                    let c = char::from(b).to_ascii_lowercase();
+                    text_len += c.encode_utf8(&mut text[text_len..]).len();
+                }
                 cursor += 1 + len;
             }
         }
@@ -247,6 +273,20 @@ impl RecordData {
             RecordData::Other { rtype, .. } => *rtype,
         }
     }
+
+    /// RDLENGTH: the length of this rdata on the wire.
+    fn rdlength(&self) -> Result<u16, ParseError> {
+        match self {
+            RecordData::A(_) => Ok(4),
+            RecordData::Cname(name) => wire_u16(name.wire_len()?),
+            RecordData::Other { bytes, .. } => wire_u16(bytes.len()),
+        }
+    }
+}
+
+/// A count or length as its 16-bit header field; more is unencodable.
+fn wire_u16(n: usize) -> Result<u16, ParseError> {
+    u16::try_from(n).map_err(|_| ParseError::BadLength { what: "dns" })
 }
 
 /// A DNS message: header, one-or-more questions, answers.
@@ -277,26 +317,25 @@ impl DnsMessage {
         }
     }
 
-    /// Build a response to `query` carrying the given A records.
-    pub fn answer_a(query: &DnsMessage, ips: &[Ipv4Addr], ttl: u32) -> Self {
-        let name = query.questions.first().map(|q| q.name.clone()).unwrap_or_else(|| Name::new(""));
-        DnsMessage {
-            id: query.id,
-            flags: DnsFlags { response: true, rd: query.flags.rd, ra: true, aa: false, rcode: Rcode::NoError },
-            questions: query.questions.clone(),
-            answers: ips
-                .iter()
-                .map(|ip| DnsRecord { name: name.clone(), ttl, data: RecordData::A(*ip) })
-                .collect(),
-        }
+    /// Build a response to `query` carrying the given A records. The
+    /// response takes over the query's question section.
+    pub fn answer_a(query: DnsMessage, ips: &[Ipv4Addr], ttl: u32) -> Self {
+        let root = Name::new("");
+        let name = query.questions.first().map_or(&root, |q| &q.name);
+        let answers = ips
+            .iter()
+            .map(|ip| DnsRecord { name: name.clone(), ttl, data: RecordData::A(*ip) })
+            .collect();
+        DnsMessage { answers, ..DnsMessage::error(query, Rcode::NoError) }
     }
 
-    /// Build an NXDOMAIN (or other error) response to `query`.
-    pub fn error(query: &DnsMessage, rcode: Rcode) -> Self {
+    /// Build an NXDOMAIN (or other error) response to `query`, which
+    /// hands over its question section.
+    pub fn error(query: DnsMessage, rcode: Rcode) -> Self {
         DnsMessage {
             id: query.id,
             flags: DnsFlags { response: true, rd: query.flags.rd, ra: true, aa: false, rcode },
-            questions: query.questions.clone(),
+            questions: query.questions,
             answers: Vec::new(),
         }
     }
@@ -312,8 +351,26 @@ impl DnsMessage {
             .collect()
     }
 
-    /// Serialize to wire format (no compression).
+    /// Length of this message on the wire, with every RDLENGTH checked
+    /// to fit its 16-bit field and every name checked as by
+    /// [`Name::wire_len`].
+    fn wire_len(&self) -> Result<usize, ParseError> {
+        let mut len = 12;
+        for q in &self.questions {
+            len += q.name.wire_len()? + 4;
+        }
+        for r in &self.answers {
+            len += r.name.wire_len()? + 10 + usize::from(r.data.rdlength()?);
+        }
+        Ok(len)
+    }
+
+    /// Serialize to wire format (no compression), reserving the exact
+    /// length first. On error nothing is appended to `out`.
     pub fn emit(&self, out: &mut Vec<u8>) -> Result<(), ParseError> {
+        let qdcount = wire_u16(self.questions.len())?;
+        let ancount = wire_u16(self.answers.len())?;
+        out.reserve_exact(self.wire_len()?);
         out.extend_from_slice(&self.id.to_be_bytes());
         let mut flags: u16 = 0;
         if self.flags.response {
@@ -330,35 +387,25 @@ impl DnsMessage {
         }
         flags |= u16::from(self.flags.rcode.code() & 0x0f);
         out.extend_from_slice(&flags.to_be_bytes());
-        out.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
-        out.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
+        out.extend_from_slice(&qdcount.to_be_bytes());
+        out.extend_from_slice(&ancount.to_be_bytes());
         out.extend_from_slice(&0u16.to_be_bytes()); // NSCOUNT
         out.extend_from_slice(&0u16.to_be_bytes()); // ARCOUNT
         for q in &self.questions {
-            q.name.emit(out)?;
+            q.name.emit(out);
             out.extend_from_slice(&q.qtype.code().to_be_bytes());
             out.extend_from_slice(&1u16.to_be_bytes()); // class IN
         }
         for r in &self.answers {
-            r.name.emit(out)?;
+            r.name.emit(out);
             out.extend_from_slice(&r.data.rtype().to_be_bytes());
             out.extend_from_slice(&1u16.to_be_bytes());
             out.extend_from_slice(&r.ttl.to_be_bytes());
+            out.extend_from_slice(&r.data.rdlength()?.to_be_bytes());
             match &r.data {
-                RecordData::A(ip) => {
-                    out.extend_from_slice(&4u16.to_be_bytes());
-                    out.extend_from_slice(&ip.octets());
-                }
-                RecordData::Cname(name) => {
-                    let mut rdata = Vec::new();
-                    name.emit(&mut rdata)?;
-                    out.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
-                    out.extend_from_slice(&rdata);
-                }
-                RecordData::Other { bytes, .. } => {
-                    out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-                    out.extend_from_slice(bytes);
-                }
+                RecordData::A(ip) => out.extend_from_slice(&ip.octets()),
+                RecordData::Cname(name) => name.emit(out),
+                RecordData::Other { bytes, .. } => out.extend_from_slice(bytes),
             }
         }
         Ok(())
@@ -449,7 +496,7 @@ mod tests {
     fn answer_roundtrip_with_multiple_a() {
         let q = DnsMessage::query_a(7, "cdn.example.com");
         let ips = ["1.2.3.4".parse().unwrap(), "5.6.7.8".parse().unwrap()];
-        let a = DnsMessage::answer_a(&q, &ips, 300);
+        let a = DnsMessage::answer_a(q, &ips, 300);
         let mut out = Vec::new();
         a.emit(&mut out).unwrap();
         let parsed = DnsMessage::parse(&out).unwrap();
@@ -460,7 +507,7 @@ mod tests {
     #[test]
     fn nxdomain_roundtrip() {
         let q = DnsMessage::query_a(9, "gone.example.com");
-        let e = DnsMessage::error(&q, Rcode::NxDomain);
+        let e = DnsMessage::error(q, Rcode::NxDomain);
         let mut out = Vec::new();
         e.emit(&mut out).unwrap();
         let parsed = DnsMessage::parse(&out).unwrap();
@@ -471,7 +518,7 @@ mod tests {
     #[test]
     fn cname_roundtrip() {
         let q = DnsMessage::query_a(3, "www.example.com");
-        let mut a = DnsMessage::answer_a(&q, &["9.9.9.9".parse().unwrap()], 60);
+        let mut a = DnsMessage::answer_a(q, &["9.9.9.9".parse().unwrap()], 60);
         a.answers.insert(
             0,
             DnsRecord {
@@ -542,7 +589,7 @@ mod tests {
         // One answer + nscount 1: second record must be skipped, not parsed
         // into answers.
         let q = DnsMessage::query_a(2, "s.com");
-        let a = DnsMessage::answer_a(&q, &["1.1.1.1".parse().unwrap()], 30);
+        let a = DnsMessage::answer_a(q, &["1.1.1.1".parse().unwrap()], 30);
         let mut out = Vec::new();
         a.emit(&mut out).unwrap();
         // Patch NSCOUNT to 1 and append a minimal NS-ish record.
@@ -551,6 +598,132 @@ mod tests {
         out.extend_from_slice(&[0, 2, 0, 1, 0, 0, 0, 10, 0, 1, b'x']);
         let parsed = DnsMessage::parse(&out).unwrap();
         assert_eq!(parsed.answers.len(), 1);
+    }
+
+    /// A response to `query_a(1, "q.example")` carrying `answers`.
+    fn response_with(answers: Vec<DnsRecord>) -> DnsMessage {
+        DnsMessage { answers, ..DnsMessage::answer_a(DnsMessage::query_a(1, "q.example"), &[], 60) }
+    }
+
+    #[test]
+    fn wire_len_is_the_emitted_length() {
+        let other = DnsRecord {
+            name: Name::new(""),
+            ttl: 5,
+            data: RecordData::Other { rtype: 16, bytes: b"txt".to_vec() },
+        };
+        let cname = DnsRecord {
+            name: Name::new("q.example"),
+            ttl: 5,
+            data: RecordData::Cname(Name::new("edge.cdn.example.net")),
+        };
+        let messages = [
+            DnsMessage::query_a(1, "blocked.example.in"),
+            DnsMessage::query_a(1, ""),
+            DnsMessage::answer_a(DnsMessage::query_a(2, "a.b"), &[Ipv4Addr::LOCALHOST; 3], 9),
+            DnsMessage::error(DnsMessage::query_a(3, "gone.example"), Rcode::NxDomain),
+            response_with(vec![cname, other]),
+        ];
+        for msg in messages {
+            let mut out = vec![0xaa];
+            msg.emit(&mut out).unwrap();
+            assert_eq!(msg.wire_len(), Ok(out.len() - 1), "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn emit_rejects_counts_and_rdlengths_past_u16() {
+        let big = DnsRecord {
+            name: Name::new("q.example"),
+            ttl: 5,
+            data: RecordData::Other { rtype: 16, bytes: vec![7; 70_000] },
+        };
+        let too_long = Err(ParseError::BadLength { what: "dns" });
+        let mut out = Vec::new();
+        assert_eq!(response_with(vec![big]).emit(&mut out), too_long);
+        assert!(out.is_empty(), "a failed emit appends nothing");
+        let root = DnsQuestion { name: Name::new(""), qtype: DnsType::A };
+        let mut many = DnsMessage::query_a(1, "");
+        many.questions = vec![root; 65_536];
+        assert_eq!(many.emit(&mut out), too_long);
+        many.questions.pop();
+        assert_eq!(many.emit(&mut out), Ok(()));
+        assert_eq!(out[4..6], [0xff, 0xff]);
+        let record = DnsRecord { name: Name::new(""), ttl: 5, data: RecordData::A(Ipv4Addr::LOCALHOST) };
+        assert_eq!(response_with(vec![record; 65_536]).emit(&mut Vec::new()), too_long);
+    }
+
+    #[test]
+    fn emit_rejects_empty_labels_but_not_the_root() {
+        for dotted in ["a..b", ".a", "..a", "x.a..b."] {
+            let mut out = Vec::new();
+            assert_eq!(DnsMessage::query_a(1, dotted).emit(&mut out), Err(ParseError::BadName), "{dotted}");
+            assert!(out.is_empty());
+        }
+        for root in ["", "."] {
+            let mut out = Vec::new();
+            DnsMessage::query_a(1, root).emit(&mut out).unwrap();
+            assert_eq!(out[12..], [0, 0, 1, 0, 1], "the root is one zero byte");
+        }
+    }
+
+    /// A one-question message whose question name is the raw `name`.
+    fn with_wire_name(name: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+        buf.extend_from_slice(name);
+        buf.extend_from_slice(&[0, 1, 0, 1]);
+        buf
+    }
+
+    #[test]
+    fn wire_label_bytes_decode_as_lowercased_latin1() {
+        for b in 0..=u8::MAX {
+            let msg = DnsMessage::parse(&with_wire_name(&[2, b, b'X', 1, b'Z', 0])).unwrap();
+            let c = char::from(b).to_ascii_lowercase();
+            assert_eq!(msg.questions[0].name.as_str(), format!("{c}x.z"), "byte {b:#04x}");
+        }
+        let msg = DnsMessage::parse(&with_wire_name(&[4, b'A', 0xc9, 0xe9, 0xff, 0])).unwrap();
+        assert_eq!(msg.questions[0].name.as_str(), "a\u{c9}\u{e9}\u{ff}");
+    }
+
+    #[test]
+    fn names_may_hold_255_bytes_of_length_prefixed_labels() {
+        // The limit counts each label and its length byte, not the
+        // root's closing zero byte: three 63-byte labels and one of 62
+        // make 255 and parse; a 63-byte fourth label makes 256.
+        for (last, ok) in [(62, true), (63, false)] {
+            let mut wire = Vec::new();
+            for len in [63, 63, 63, last] {
+                wire.push(len as u8);
+                wire.resize(wire.len() + len, b'k');
+            }
+            wire.push(0);
+            let parsed = DnsMessage::parse(&with_wire_name(&wire));
+            assert_eq!(parsed.is_ok(), ok, "fourth label of {last}");
+            if let Ok(msg) = parsed {
+                assert_eq!(msg.questions[0].name.as_str().len(), 254);
+                let mut out = Vec::new();
+                msg.emit(&mut out).unwrap();
+                assert_eq!(out, with_wire_name(&wire), "the longest name re-emits unchanged");
+            } else {
+                assert_eq!(parsed, Err(ParseError::BadName));
+            }
+        }
+    }
+
+    #[test]
+    fn a_name_split_across_two_pointers_is_one_dotted_name() {
+        // Question "a.b" at 12; a second question "x" + pointer to "b"
+        // at 21; the answer is "y" + pointer to that second name.
+        let mut buf = vec![0, 1, 0x81, 0x80, 0, 2, 0, 1, 0, 0, 0, 0];
+        buf.extend_from_slice(&[1, b'a', 1, b'b', 0, 0, 1, 0, 1]); // 12..21
+        buf.extend_from_slice(&[1, b'x', 0xc0, 14, 0, 1, 0, 1]); // 21..29
+        buf.extend_from_slice(&[1, b'Y', 0xc0, 21]);
+        buf.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 10, 0, 0, 1]);
+        let msg = DnsMessage::parse(&buf).unwrap();
+        assert_eq!(msg.questions[1].name.as_str(), "x.b");
+        assert_eq!(msg.answers[0].name.as_str(), "y.x.b");
+        assert_eq!(msg.a_records(), vec![Ipv4Addr::new(10, 0, 0, 1)]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn every_truncation_of_a_full_packet_is_rejected() {
 fn every_truncation_of_a_dns_answer_is_rejected() {
     let q = DnsMessage::query_a(77, "a.very.long.domain.example.in");
     let ips = [Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(5, 6, 7, 8)];
-    let a = DnsMessage::answer_a(&q, &ips, 3600);
+    let a = DnsMessage::answer_a(q, &ips, 3600);
     let mut wire = Vec::new();
     a.emit(&mut wire).expect("emit");
     for cut in 0..wire.len() {
@@ -75,7 +75,7 @@ fn dns_pointer_past_end_is_rejected() {
 #[test]
 fn dns_rdlen_overrunning_buffer_is_rejected() {
     let q = DnsMessage::query_a(9, "x.com");
-    let a = DnsMessage::answer_a(&q, &[Ipv4Addr::new(9, 9, 9, 9)], 60);
+    let a = DnsMessage::answer_a(q, &[Ipv4Addr::new(9, 9, 9, 9)], 60);
     let mut wire = Vec::new();
     a.emit(&mut wire).expect("emit");
     // The A rdata (4 bytes) sits at the tail; claim 400 bytes instead.

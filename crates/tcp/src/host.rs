@@ -482,7 +482,7 @@ impl TcpHost {
 
     fn handle_udp(&mut self, ctx: &mut NodeCtx<'_>, pkt: &Packet) {
         let Some((h, payload)) = pkt.as_udp() else { return };
-        if let Some(mut app) = self.udp_apps.remove(&h.dst_port) {
+        if let Some(app) = self.udp_apps.get_mut(&h.dst_port) {
             let mut io = UdpIo { out: Vec::new(), now: ctx.now(), obs: ctx.obs().clone() };
             app.on_datagram(&mut io, pkt.src(), h.src_port, payload);
             for (dst, dst_port, bytes) in io.out {
@@ -491,7 +491,6 @@ impl TcpHost {
                 reply.ip.ttl = self.default_ttl;
                 ctx.send(IfaceId::PRIMARY, reply);
             }
-            self.udp_apps.insert(h.dst_port, app);
             return;
         }
         if self.udp_ports.contains(&h.dst_port) {
