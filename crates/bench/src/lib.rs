@@ -1,9 +1,10 @@
 //! # lucent-bench
 //!
 //! The reproduction harness: the `repro` binary regenerates every table
-//! and figure of the paper (at a configurable scale) through the sharded
-//! experiment driver. Performance is measured by the separate
-//! `benchmark/` workspace, which builds on [`Scale`] and [`shard`].
+//! and figure of the paper (at a configurable scale) by walking the
+//! experiment [`suite`], whose per-ISP steps run on the sharded driver
+//! ([`drive`]). Performance is measured by the separate `benchmark/`
+//! workspace, which builds on [`Scale`] and [`shard`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -13,6 +14,7 @@ use lucent_topology::{India, IndiaConfig};
 
 pub mod drive;
 pub mod shard;
+pub mod suite;
 
 /// Scale presets for the simulated world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,6 +1,6 @@
 //! Deterministic shard scheduler: independent work units (one per ISP,
-//! or per resolver batch) each run on their own seeded [`Lab`] and drain
-//! their own telemetry; a pool of OS threads runs the queue and results
+//! or per resolver batch) each run on a private [`Lab`] and drain their
+//! own telemetry; a pool of OS threads runs the queue and results
 //! come back **in submission order**, so every artifact derived from
 //! them is byte-identical between `--threads 1` and `--threads N`.
 //!
@@ -23,19 +23,14 @@ use std::sync::Mutex;
 
 use lucent_core::lab::Lab;
 use lucent_obs::TelemetryDump;
-use lucent_support::rng::{derive, Rng64};
 use lucent_topology::{India, IndiaConfig};
 
 /// Everything a shard job may touch: a private world equal to a fresh
-/// build of the shared config, and an RNG stream derived as
-/// `seed ⊕ shard_id` so no two shards ever share randomness.
+/// build of the shared config. A job has no identity or randomness of
+/// its own; whatever it draws comes from that world's seed.
 pub struct ShardCtx {
-    /// Index of this work unit in submission order.
-    pub shard_id: u64,
     /// Private world; nothing a job does to it is visible to another.
     pub lab: Lab,
-    /// Per-shard RNG stream (`derive(config.seed, shard_id)`).
-    pub rng: Rng64,
 }
 
 /// A unit of work: runs against its own [`ShardCtx`], returns a row.
@@ -102,7 +97,7 @@ impl Pool {
             return jobs
                 .into_iter()
                 .enumerate()
-                .map(|(i, job)| self.run_one(&mut template, i + 1 == n, tag, i as u64, job))
+                .map(|(i, job)| self.run_one(&mut template, i + 1 == n, tag, i, job))
                 .collect();
         }
         let queue: Mutex<VecDeque<(usize, Job<'_, T>)>> =
@@ -121,7 +116,7 @@ impl Pool {
                             q.pop_front().map(|job| (job, q.is_empty()))
                         };
                         let Some(((i, job), last)) = next else { break };
-                        let out = self.run_one(&mut template, last, tag, i as u64, job);
+                        let out = self.run_one(&mut template, last, tag, i, job);
                         lock(&results)[i] = Some(out);
                     }
                 });
@@ -147,7 +142,7 @@ impl Pool {
         template: &mut Option<India>,
         last: bool,
         tag: &str,
-        shard_id: u64,
+        index: usize,
         job: Job<'_, T>,
     ) -> ShardOut<T> {
         let lab = Lab::new(self.world(template, last));
@@ -160,7 +155,7 @@ impl Pool {
             obs.enable_prof(true);
         }
         let sw = lucent_support::bench::Stopwatch::start();
-        let mut ctx = ShardCtx { shard_id, rng: derive(self.config.seed, shard_id), lab };
+        let mut ctx = ShardCtx { lab };
         let value = job(&mut ctx);
         let busy_secs = sw.elapsed_secs();
         let events = ctx.lab.india.net.events_processed();
@@ -168,7 +163,7 @@ impl Pool {
             // Shard-local totals under a (tag, submission-index) label:
             // unique per shard, so counter merge and last-writer-wins
             // gauge merge are both order-insensitive.
-            let label = format!("{tag}/shard-{shard_id:02}");
+            let label = format!("{tag}/shard-{index:02}");
             obs.counter_add(lucent_obs::prof::SHARD_EVENTS, &label, events);
             obs.gauge_set(
                 lucent_obs::prof::SHARD_QUEUE_HWM,
@@ -203,7 +198,7 @@ mod tests {
 
     fn isp_client_row(ctx: &mut ShardCtx, isp: IspId) -> String {
         let client = ctx.lab.client_of(isp);
-        format!("{}:{client:?}:{}", isp.name(), ctx.rng.next_u64())
+        format!("{}:{client:?}", isp.name())
     }
 
     fn rows_at(threads: usize) -> (Vec<String>, String) {
@@ -230,12 +225,5 @@ mod tests {
         assert_eq!(r1, r4);
         assert_eq!(m1, m4);
         assert!(r1[0].starts_with("MTNL:"), "{r1:?}");
-    }
-
-    #[test]
-    fn shard_rngs_are_distinct_streams() {
-        let mut a = derive(7, 0);
-        let mut b = derive(7, 1);
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

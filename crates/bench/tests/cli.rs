@@ -1,12 +1,13 @@
 //! CLI contract tests for the `repro` binary: flag validation exits 2
 //! with usage, a flag is never read as another flag's value, `--help`
-//! exits 0, `--json` creates its output directory (nested paths
-//! included) before writing result files, and an output that cannot be
-//! written exits 1.
+//! exits 0 listing exactly the suite's experiments, `--json` creates its
+//! output directory (nested paths included) before writing result files,
+//! and an output that cannot be written exits 1.
 
 use std::path::PathBuf;
 use std::process::Command;
 
+use lucent_bench::suite;
 use lucent_support::Json;
 
 fn repro() -> Command {
@@ -36,6 +37,44 @@ fn unknown_experiments_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown experiment"), "{stderr}");
+    assert_eq!(experiments_listed(&stderr), suite_names(), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+}
+
+/// The experiment names on the usage text's `EXPERIMENT:` line.
+fn experiments_listed(usage: &str) -> Vec<String> {
+    let line = usage.lines().find_map(|l| l.strip_prefix("EXPERIMENT: ")).unwrap_or_default();
+    line.split(" | ").map(str::to_string).collect()
+}
+
+fn suite_names() -> Vec<String> {
+    suite::SUITE.iter().map(|e| e.name.to_string()).collect()
+}
+
+#[test]
+fn help_lists_exactly_the_suites_experiments() {
+    let out = repro().arg("--help").output().expect("spawn repro");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(experiments_listed(&stdout), suite_names(), "{stdout}");
+}
+
+#[test]
+fn json_without_a_directory_exits_2_and_writes_nothing() {
+    let root = scratch("json-bare");
+    std::fs::create_dir_all(&root).expect("scratch dir");
+    let out = repro()
+        .args(["fig1", "--scale", "tiny", "--json"])
+        .current_dir(&root)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(2), "a trailing --json must not default to the cwd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--json needs a directory"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+    let files = std::fs::read_dir(&root).expect("scratch dir").count();
+    assert_eq!(files, 0, "repro wrote into the working directory");
+    let _ = std::fs::remove_dir_all(root);
 }
 
 #[test]

@@ -7,15 +7,14 @@
 //! detects a seeded defect.
 //!
 //! ```text
-//! fuzz-smoke [--cases N] [--seed S] [--threads N]
+//! fuzz-smoke [--cases N] [--seed S]
 //! ```
 
 use std::process::exit;
 
-const USAGE: &str = "fuzz-smoke [--cases N] [--seed S] [--threads N]
+const USAGE: &str = "fuzz-smoke [--cases N] [--seed S]
   --cases N    cases per oracle, 1 to 4294967295 (default 64)
-  --seed S     campaign seed, decimal or 0x-hex (default lucent-check's)
-  --threads N  thread count exercised by the shard-invariance check (default 4)";
+  --seed S     campaign seed, decimal or 0x-hex (default lucent-check's)";
 
 fn bad(msg: &str) -> ! {
     eprintln!("{msg}\nusage: {USAGE}");
@@ -37,7 +36,6 @@ fn parse_u64(flag: &str, value: Option<String>) -> u64 {
 fn main() {
     let mut cases: u32 = 64;
     let mut seed: u64 = lucent_check::runner::DEFAULT_SEED;
-    let mut threads: usize = 4;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -49,12 +47,6 @@ fn main() {
                 };
             }
             "--seed" => seed = parse_u64("--seed", args.next()),
-            "--threads" => {
-                threads = parse_u64("--threads", args.next()) as usize;
-                if threads == 0 {
-                    bad("--threads needs a positive integer");
-                }
-            }
             "--help" | "-h" => {
                 println!("usage: {USAGE}");
                 exit(0);
@@ -62,7 +54,7 @@ fn main() {
             other => bad(&format!("unknown flag {other:?}")),
         }
     }
-    let (transcript, findings) = lucent_check::report::campaign(cases, seed, threads, true);
+    let (transcript, findings) = lucent_check::report::campaign(cases, seed, true);
     lucent_check::report::print_report(&transcript);
     if findings > 0 {
         exit(1);

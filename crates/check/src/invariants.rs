@@ -9,26 +9,17 @@
 //!   policy-interpreted wiretap ([`PolicyBox`]) on a mirror port.
 //! - **Blocklist monotonicity** — growing a blocklist can only grow the
 //!   set of censored domains, never unblock one.
-//! - **Shard invariance** — the sharded experiment driver produces
-//!   byte-identical JSON and metrics artifacts at any thread count
-//!   (the contract behind the golden-artifact diffs in CI).
 
 use std::net::Ipv4Addr;
 
-use lucent_bench::drive::Driver;
-use lucent_bench::Scale;
-use lucent_core::experiments::race::RaceOptions;
 use lucent_middlebox::notice::looks_like_notice;
 use lucent_middlebox::compile::compile;
 use lucent_middlebox::{HostMatcher, Instance, PolicyBox};
 use lucent_netsim::routing::Cidr;
 use lucent_netsim::{IfaceId, Network, NodeId, RouterNode, SimDuration};
-use lucent_obs::Telemetry;
 use lucent_packet::http::RequestBuilder;
 use lucent_packet::HttpResponse;
-use lucent_support::json::to_string_pretty;
 use lucent_tcp::{FixedResponder, TcpHost};
-use lucent_topology::IspId;
 
 use crate::packets;
 use crate::source::Source;
@@ -221,30 +212,6 @@ pub fn wiretap_verdicts_are_header_invariant(s: &mut Source) {
     assert_eq!(notice_big, notice_canon, "growing the blocklist changed the outcome");
 }
 
-/// Run the race experiment on the tiny topology at `--threads 1` and
-/// `--threads max(2, threads)` and demand byte-identical result JSON and
-/// metrics snapshots — the sharding layer must be observationally
-/// invisible (extends `tests/it_shards.rs` into the fuzz campaign).
-pub fn shard_invariance(threads: usize) -> Result<(), String> {
-    let opts =
-        RaceOptions { isps: vec![IspId::Airtel, IspId::Idea], attempts: 3, sites_per_isp: 1 };
-    let at = |t: usize| {
-        let drv = Driver::new(Scale::Tiny, t, None);
-        let hub = Telemetry::new();
-        let json = to_string_pretty(&drv.race(&hub, &opts));
-        (json, hub.metrics_snapshot_pretty())
-    };
-    let threads = threads.max(2);
-    let one = at(1);
-    let many = at(threads);
-    if one != many {
-        return Err(format!(
-            "race artifacts differ between --threads 1 and --threads {threads}"
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,10 +230,5 @@ mod tests {
     #[test]
     fn the_live_wiretap_rig_is_permutation_invariant() {
         check(&Config::cases(6), wiretap_verdicts_are_header_invariant);
-    }
-
-    #[test]
-    fn sharding_is_observationally_invisible() {
-        shard_invariance(4).unwrap();
     }
 }

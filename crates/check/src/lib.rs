@@ -26,12 +26,12 @@
 //!   `lucent-devtools` lexer (fed by [`rustish`]);
 //! - [`rustish`] — Rust-ish token soup (raw strings, nested block
 //!   comments, escaped literals) for the lint lexer totality oracle;
-//! - [`diffmb`] — the differential equivalence harness holding the
-//!   declarative policy engine byte-identical to the legacy
-//!   middleboxes (random spec → rendered policy TOML → twin rigs);
+//! - [`diffmb`] — the policy-engine transcript harness: it renders a
+//!   policy device's run through a packet script as one canonical text,
+//!   replays the recorded `tests/golden/mb-*.transcript` files against
+//!   today's interpreter, and holds any spec to replay determinism;
 //! - [`invariants`] — metamorphic properties through the real simulation
-//!   stack (header-permutation invariance, blocklist monotonicity,
-//!   shard-count invariance);
+//!   stack (header-permutation invariance, blocklist monotonicity);
 //! - [`report`] — the deterministic `fuzz-smoke` campaign transcript;
 //! - [`planted`] — a feature-gated seeded defect proving the
 //!   find → shrink → replay loop end to end.

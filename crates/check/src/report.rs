@@ -1,12 +1,11 @@
 //! Campaign assembly and the sanctioned console reporter.
 //!
 //! [`campaign`] runs the whole oracle catalogue plus the simulation
-//! invariants at a fixed seed and returns a deterministic transcript:
-//! byte-identical across runs at the same seed, and independent of the
-//! thread count handed to the shard-invariance check (that is the very
-//! property it verifies). [`print_report`] is the single place the
-//! crate writes to stdout — it is allowlisted as an L6 print sink in
-//! `lucent-devtools`; everything else returns strings to the caller.
+//! invariants at a fixed seed and returns a deterministic transcript,
+//! byte-identical across runs at the same seed. [`print_report`] is the
+//! single place the crate writes to stdout — it is allowlisted as an L6
+//! print sink in `lucent-devtools`; everything else returns strings to
+//! the caller.
 
 use std::fmt::Write as _;
 
@@ -35,10 +34,9 @@ fn run_one(out: &mut String, name: &str, cfg: &Config, prop: fn(&mut Source)) ->
 
 /// Run the bounded campaign: every oracle in
 /// [`oracles::all`] at `cases` cases, then (unless `with_sim` is off)
-/// the metamorphic simulation invariants, including the shard-count
-/// invariance check at `threads` threads. Returns the transcript and
+/// the metamorphic simulation invariants. Returns the transcript and
 /// the number of findings.
-pub fn campaign(cases: u32, seed: u64, threads: usize, with_sim: bool) -> (String, u32) {
+pub fn campaign(cases: u32, seed: u64, with_sim: bool) -> (String, u32) {
     let mut out = String::new();
     let mut findings = 0u32;
     let _ = writeln!(out, "lucent-check campaign: seed {seed:#x}, {cases} case(s) per oracle");
@@ -68,16 +66,6 @@ pub fn campaign(cases: u32, seed: u64, threads: usize, with_sim: bool) -> (Strin
             &Config::cases((cases / 16).max(1)).with_seed(seed),
             invariants::wiretap_verdicts_are_header_invariant,
         );
-        match invariants::shard_invariance(threads) {
-            Ok(()) => {
-                let _ = writeln!(out, "  ok   shard_invariance");
-            }
-            Err(e) => {
-                findings += 1;
-                let _ = writeln!(out, "  FAIL shard_invariance");
-                let _ = writeln!(out, "       {e}");
-            }
-        }
     }
     let _ = writeln!(
         out,
@@ -100,7 +88,7 @@ mod tests {
 
     #[test]
     fn a_clean_campaign_reports_zero_findings() {
-        let (transcript, findings) = campaign(8, DEFAULT_SEED, 2, false);
+        let (transcript, findings) = campaign(8, DEFAULT_SEED, false);
         assert_eq!(findings, 0, "{transcript}");
         assert!(transcript.contains("ok   checksum_split"), "{transcript}");
         assert!(transcript.contains("campaign finished: 0 finding(s)"), "{transcript}");
@@ -108,8 +96,8 @@ mod tests {
 
     #[test]
     fn transcripts_are_byte_identical_across_runs() {
-        let a = campaign(8, 0xFEED, 2, false);
-        let b = campaign(8, 0xFEED, 2, false);
+        let a = campaign(8, 0xFEED, false);
+        let b = campaign(8, 0xFEED, false);
         assert_eq!(a, b);
     }
 }

@@ -64,7 +64,7 @@ fn the_fixed_code_passes_the_same_property() {
 #[cfg(feature = "planted-bug")]
 #[test]
 fn the_campaign_goes_red_under_the_planted_feature() {
-    let (transcript, findings) = lucent_check::report::campaign(64, 0xBAD_5EED, 1, false);
+    let (transcript, findings) = lucent_check::report::campaign(64, 0xBAD_5EED, false);
     assert!(findings > 0, "campaign must find the planted bug:\n{transcript}");
     assert!(transcript.contains("FAIL planted_cap_is_bounded"), "{transcript}");
 }

@@ -62,10 +62,7 @@ pub struct Fig2 {
 /// The PBW sample a Figure 2 run queries, as a function of the cap
 /// alone — every shard derives the same list from its own corpus.
 pub fn pbw_sample(lab: &Lab, max_sites: Option<usize>) -> Vec<SiteId> {
-    match max_sites {
-        Some(n) => lab.india.corpus.pbw.iter().copied().take(n).collect(),
-        None => lab.india.corpus.pbw.clone(),
-    }
+    lab.india.corpus.pbw_sample(max_sites)
 }
 
 /// Phase A output for one ISP: its open resolvers plus the uncensored

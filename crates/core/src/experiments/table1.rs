@@ -66,10 +66,7 @@ pub struct Table1 {
 /// every shard computes the same list from its own (identically seeded)
 /// corpus.
 pub fn site_sample(lab: &Lab, max_sites: Option<usize>) -> Vec<SiteId> {
-    match max_sites {
-        Some(n) => lab.india.corpus.pbw.iter().copied().take(n).collect(),
-        None => lab.india.corpus.pbw.clone(),
-    }
+    lab.india.corpus.pbw_sample(max_sites)
 }
 
 /// Audit one ISP over `sites`.
@@ -170,10 +167,7 @@ impl ThresholdAudit {
 
 /// Run the threshold audit for one ISP.
 pub fn threshold_audit(lab: &mut Lab, isp: IspId, max_sites: Option<usize>) -> ThresholdAudit {
-    let sites: Vec<SiteId> = match max_sites {
-        Some(n) => lab.india.corpus.pbw.iter().copied().take(n).collect(),
-        None => lab.india.corpus.pbw.clone(),
-    };
+    let sites = lab.india.corpus.pbw_sample(max_sites);
     let mut flagged = 0;
     let mut cleared = 0;
     for site in sites {

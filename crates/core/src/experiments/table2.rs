@@ -68,10 +68,7 @@ pub struct HttpScan {
 /// the one path its server address hashes to; the per-path enumeration
 /// below recovers the rest, as the paper's path scans did.
 pub fn direct_blocked_set(lab: &mut Lab, isp: IspId, max_sites: Option<usize>) -> Vec<SiteId> {
-    let sites: Vec<SiteId> = match max_sites {
-        Some(n) => lab.india.corpus.pbw.iter().copied().take(n).collect(),
-        None => lab.india.corpus.pbw.clone(),
-    };
+    let sites = lab.india.corpus.pbw_sample(max_sites);
     let client = lab.client_of(isp);
     let public_dns = lab.india.public_dns_ip;
     let mut blocked = Vec::new();
@@ -112,15 +109,13 @@ pub fn scan_isp(lab: &mut Lab, isp: IspId, opts: &Table2Options) -> HttpScan {
         .into_iter()
         .take(opts.consistency_paths)
         .collect();
-    let candidates: Vec<(SiteId, String)> = {
-        let pbw: Vec<SiteId> = match opts.max_sites {
-            Some(n) => lab.india.corpus.pbw.iter().copied().take(n).collect(),
-            None => lab.india.corpus.pbw.clone(),
-        };
-        pbw.into_iter()
-            .map(|s| (s, lab.india.corpus.site(s).domain.clone()))
-            .collect()
-    };
+    let candidates: Vec<(SiteId, String)> = lab
+        .india
+        .corpus
+        .pbw_sample(opts.max_sites)
+        .into_iter()
+        .map(|s| (s, lab.india.corpus.site(s).domain.clone()))
+        .collect();
     let path_blocklists_raw =
         crate::probe::coverage::per_path_blocklists(lab, client, &targets, &candidates);
     let direct_confirmed = direct.clone();

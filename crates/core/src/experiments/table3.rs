@@ -11,7 +11,6 @@ use std::net::Ipv4Addr;
 use lucent_middlebox::notice::looks_like_notice;
 use lucent_packet::HttpResponse;
 use lucent_topology::IspId;
-use lucent_web::SiteId;
 
 use crate::lab::{Lab, FETCH_TIMEOUT_MS};
 use crate::probe::tracer::http_tracer;
@@ -86,10 +85,7 @@ fn attribute_by_path(lab: &mut Lab, victim: IspId, ip: Ipv4Addr, domain: &str) -
 
 /// Run the experiment.
 pub fn run(lab: &mut Lab, opts: &Table3Options) -> Table3 {
-    let sites: Vec<SiteId> = match opts.max_sites {
-        Some(n) => lab.india.corpus.pbw.iter().copied().take(n).collect(),
-        None => lab.india.corpus.pbw.clone(),
-    };
+    let sites = lab.india.corpus.pbw_sample(opts.max_sites);
     let public_dns = lab.india.public_dns_ip;
     let mut rows = Vec::new();
     for &victim in &opts.victims {

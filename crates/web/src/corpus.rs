@@ -208,6 +208,12 @@ impl Corpus {
         &self.sites
     }
 
+    /// The first `max` PBWs in corpus order (all of them when `None`):
+    /// an experiment's site sample as a function of its cap alone.
+    pub fn pbw_sample(&self, max: Option<usize>) -> Vec<SiteId> {
+        self.pbw.iter().copied().take(max.unwrap_or(usize::MAX)).collect()
+    }
+
     /// The shared directory server apps consult.
     pub fn directory(&self) -> SharedDirectory {
         Rc::clone(&self.directory)

@@ -53,14 +53,12 @@ fn india_middlebox_verdicts_ignore_innocuous_headers() {
 }
 
 /// The whole campaign — oracles plus live-rig simulation invariants —
-/// prints a byte-identical transcript at the same seed regardless of the
-/// run or the `--threads` value, and finds nothing on a clean tree.
+/// prints a byte-identical transcript at the same seed on every run,
+/// and finds nothing on a clean tree.
 #[test]
-fn campaign_transcripts_are_byte_identical_across_runs_and_threads() {
-    let (t1, f1) = campaign(4, DEFAULT_SEED, 1, true);
-    let (t4, f4) = campaign(4, DEFAULT_SEED, 4, true);
-    assert_eq!(t1, t4, "campaign transcript differs between --threads 1 and --threads 4");
-    assert_eq!((f1, f4), (0, 0), "clean tree must produce no findings:\n{t1}");
-    let (again, _) = campaign(4, DEFAULT_SEED, 1, true);
-    assert_eq!(t1, again, "campaign transcript differs between identical runs");
+fn campaign_transcripts_are_byte_identical_across_runs() {
+    let (first, findings) = campaign(4, DEFAULT_SEED, true);
+    assert_eq!(findings, 0, "clean tree must produce no findings:\n{first}");
+    let (again, _) = campaign(4, DEFAULT_SEED, true);
+    assert_eq!(first, again, "campaign transcript differs between identical runs");
 }

@@ -1,99 +1,98 @@
-//! Cross-thread-count determinism: the sharded driver must produce
-//! byte-identical JSON results and metrics snapshots at `--threads 1`,
-//! `2`, and `4` for the same seed. This is the contract that lets CI
-//! diff golden artifacts produced at any thread count against each
-//! other. Shard jobs run on clones of a per-worker template world, so
-//! the clone contract is pinned here too.
+//! Cross-thread-count determinism: every experiment of the suite must
+//! produce byte-identical text, JSON results and metrics snapshots at
+//! `--threads 1`, `2`, and `4` for the same seed. This is the contract
+//! that lets CI diff golden artifacts produced at any thread count
+//! against each other. Shard jobs run on clones of a per-worker
+//! template world, so the clone contract is pinned here too.
 
 use lucent_bench::drive::Driver;
-use lucent_bench::Scale;
-use lucent_core::experiments::{evasion, fig2, race, table1};
+use lucent_bench::{suite, Scale};
+use lucent_core::experiments::race;
 use lucent_core::lab::Lab;
 use lucent_middlebox::PolicyBox;
-use lucent_obs::Telemetry;
 use lucent_support::json::to_string_pretty;
 use lucent_tcp::{SocketId, TcpHost};
 use lucent_topology::{India, IspId};
 
-/// Run `f` under a fresh driver + hub at each thread count and return
-/// the (result JSON, metrics snapshot) pairs.
-fn at_thread_counts<F>(f: F) -> Vec<(String, String)>
-where
-    F: Fn(&Driver, &Telemetry) -> String,
-{
-    [1usize, 2, 4]
-        .into_iter()
-        .map(|threads| {
-            let drv = Driver::new(Scale::Tiny, threads, None);
-            let hub = Telemetry::new();
-            let json = f(&drv, &hub);
-            (json, hub.metrics_snapshot_pretty())
-        })
-        .collect()
+/// One finished step: its file stem, its text and its result JSON.
+type Step = (&'static str, String, Option<String>);
+
+/// Walk the suite entry `name` at tiny scale on `threads` threads:
+/// every step, and the hub's metrics snapshot afterwards.
+fn run_at(name: &str, threads: usize) -> (Vec<Step>, String) {
+    let mut lab = Scale::Tiny.lab();
+    let drv = Driver::new(Scale::Tiny, threads, None);
+    let mut steps = Vec::new();
+    let entry = suite::entry(name).unwrap_or_else(|| panic!("the suite has no `{name}`"));
+    entry.run(&mut lab, &drv, Scale::Tiny, |done| {
+        steps.push((
+            done.file,
+            done.text,
+            done.value.map(|v| to_string_pretty(&*v)),
+        ));
+    });
+    (steps, lab.india.net.telemetry().metrics_snapshot_pretty())
 }
 
-fn assert_all_identical(runs: &[(String, String)], what: &str) {
-    let (json1, metrics1) = &runs[0];
-    for (i, (json, metrics)) in runs.iter().enumerate().skip(1) {
-        let threads = [1, 2, 4][i];
-        assert_eq!(
-            json1, json,
-            "{what}: JSON differs between --threads 1 and --threads {threads}"
-        );
-        assert_eq!(
-            metrics1, metrics,
-            "{what}: metrics snapshot differs between --threads 1 and --threads {threads}"
+/// Assert that `name` runs byte-identically at `--threads 1, 2, 4`,
+/// and return its steps at `--threads 1`.
+fn assert_thread_invariant(name: &str) -> Vec<Step> {
+    let (steps1, metrics1) = run_at(name, 1);
+    for (file, _, json) in &steps1 {
+        assert!(json.is_some(), "{file}: no result at tiny scale");
+    }
+    for threads in [2, 4] {
+        let (steps, metrics) = run_at(name, threads);
+        assert_eq!(steps.len(), steps1.len());
+        for (one, many) in steps1.iter().zip(&steps) {
+            assert!(
+                one == many,
+                "{}: differs between --threads 1 and --threads {threads}",
+                one.0
+            );
+        }
+        assert!(
+            metrics1 == metrics,
+            "{name}: metrics differ between --threads 1 and --threads {threads}"
         );
     }
-    assert!(!json1.is_empty() && !metrics1.is_empty(), "{what}: empty artifacts");
+    steps1
+}
+
+#[test]
+fn the_whole_suite_is_byte_identical_across_thread_counts() {
+    let steps = assert_thread_invariant("all");
+    assert_eq!(steps.len(), 16, "`all` runs sixteen experiments");
 }
 
 #[test]
 fn race_is_byte_identical_across_thread_counts() {
-    let runs = at_thread_counts(|drv, hub| {
-        to_string_pretty(&drv.race(hub, &race::RaceOptions::default()))
-    });
-    assert_all_identical(&runs, "race");
+    assert_thread_invariant("race");
 }
 
 #[test]
 fn table1_is_byte_identical_across_thread_counts() {
-    let runs = at_thread_counts(|drv, hub| {
-        to_string_pretty(&drv.table1(hub, &table1::Table1Options::default()))
-    });
-    assert_all_identical(&runs, "table1");
+    assert_thread_invariant("table1");
 }
 
 #[test]
 fn fig2_is_byte_identical_across_thread_counts() {
-    let runs = at_thread_counts(|drv, hub| {
-        to_string_pretty(&drv.fig2(hub, &fig2::Fig2Options::default()))
-    });
-    assert_all_identical(&runs, "fig2");
+    assert_thread_invariant("fig2");
 }
-
-/// The ISPs `repro` characterizes in the triggers and anonymity runs.
-const HTTP_CENSORS: [IspId; 4] = [IspId::Airtel, IspId::Idea, IspId::Vodafone, IspId::Jio];
 
 #[test]
 fn triggers_is_byte_identical_across_thread_counts() {
-    let runs = at_thread_counts(|drv, hub| to_string_pretty(&drv.triggers(hub, &HTTP_CENSORS)));
-    assert_all_identical(&runs, "triggers");
+    assert_thread_invariant("triggers");
 }
 
 #[test]
 fn evasion_is_byte_identical_across_thread_counts() {
-    let runs = at_thread_counts(|drv, hub| {
-        to_string_pretty(&drv.evasion(hub, &evasion::EvasionOptions::default()))
-    });
-    assert_all_identical(&runs, "evasion");
+    assert_thread_invariant("evasion");
 }
 
 #[test]
 fn anonymity_is_byte_identical_across_thread_counts() {
-    let runs =
-        at_thread_counts(|drv, hub| to_string_pretty(&drv.anonymity(hub, &HTTP_CENSORS, 30)));
-    assert_all_identical(&runs, "anonymity");
+    assert_thread_invariant("anonymity");
 }
 
 /// One Airtel race on `india` with every event target at `trace`, so
@@ -106,7 +105,12 @@ fn airtel_race(india: India) -> (u64, String, String, u64) {
     obs.enable_spans(true);
     let row = race::run_isp(&mut lab, IspId::Airtel, &race::RaceOptions::default());
     let dump = format!("{:?}", obs.drain_dump());
-    (row.injections, to_string_pretty(&row), dump, lab.india.net.events_processed())
+    (
+        row.injections,
+        to_string_pretty(&row),
+        dump,
+        lab.india.net.events_processed(),
+    )
 }
 
 #[test]
@@ -124,11 +128,21 @@ fn clone_is_indistinguishable_from_a_fresh_build() {
     // its client never opened a socket and its devices never fired.
     assert_eq!(template.net.events_processed(), 0);
     let airtel = &template.isps[&IspId::Airtel];
-    let client = template.net.node_ref::<TcpHost>(airtel.client).expect("client host");
-    assert_eq!(client.local_addr(SocketId(0)), None, "the template's client has a socket");
+    let client = template
+        .net
+        .node_ref::<TcpHost>(airtel.client)
+        .expect("client host");
+    assert_eq!(
+        client.local_addr(SocketId(0)),
+        None,
+        "the template's client has a socket"
+    );
     assert!(!airtel.devices.is_empty());
     for &(_, node, _) in &airtel.devices {
-        let device = template.net.node_ref::<PolicyBox>(node).expect("policy box");
+        let device = template
+            .net
+            .node_ref::<PolicyBox>(node)
+            .expect("policy box");
         assert_eq!(device.triggers, 0, "a clone's trigger reached the template");
     }
 }
