@@ -9,7 +9,7 @@ use lucent_core::experiments::{anonymity, evasion, fig2, race, table1, triggers}
 use lucent_core::lab::Lab;
 use lucent_core::probe::dns_scan::{survey_batch, ResolverScan};
 use lucent_obs::Telemetry;
-use lucent_topology::IspId;
+use lucent_topology::{IndiaConfig, IspId};
 
 use crate::shard::{Job, Pool, ShardCtx, ShardOut};
 use crate::Scale;
@@ -65,13 +65,31 @@ impl Driver {
     /// Absorb shard telemetry into `hub` in submission order and return
     /// the values in the same order.
     fn merge<T>(&self, hub: &Telemetry, outs: Vec<ShardOut<T>>) -> Vec<T> {
-        outs.into_iter()
-            .map(|out| {
-                self.shard_events.set(self.shard_events.get().saturating_add(out.events));
-                hub.absorb(out.dump);
-                out.value
-            })
-            .collect()
+        outs.into_iter().map(|out| self.absorb(hub, out)).collect()
+    }
+
+    /// Absorb one shard's telemetry and event count; return its value.
+    fn absorb<T>(&self, hub: &Telemetry, out: ShardOut<T>) -> T {
+        self.shard_events.set(self.shard_events.get().saturating_add(out.events));
+        hub.absorb(out.dump);
+        out.value
+    }
+
+    /// Run `job` on a world of its own, built from `config` rather than
+    /// this `Driver`'s scale, set up like a shard (trace filter, spans,
+    /// profiler; profiled as `tag/shard-00`), and merge its telemetry
+    /// and event count into `hub` before returning its value. For
+    /// experiments that vary the world itself, such as an ablation.
+    pub(crate) fn on_world<T>(
+        &self,
+        hub: &Telemetry,
+        tag: &str,
+        config: IndiaConfig,
+        job: impl FnOnce(&mut Lab) -> T + Send,
+    ) -> T {
+        let pool = Pool::new(config, 1, self.trace.clone()).with_prof(self.prof);
+        let job: Job<'_, T> = Box::new(move |ctx: &mut ShardCtx| job(&mut ctx.lab));
+        self.absorb(hub, pool.run_one(&mut None, true, tag, 0, job))
     }
 
     /// Run `job` once per ISP in `isps`, one shard each, under `tag`;

@@ -137,7 +137,7 @@ impl Pool {
         world
     }
 
-    fn run_one<T>(
+    pub(crate) fn run_one<T>(
         &self,
         template: &mut Option<India>,
         last: bool,

@@ -24,7 +24,7 @@ use lucent_core::probe::manual::inspect;
 use lucent_core::probe::ooni::web_connectivity_with;
 use lucent_obs::Telemetry;
 use lucent_support::ToJson;
-use lucent_topology::{India, IspId};
+use lucent_topology::IspId;
 
 use crate::drive::Driver;
 use crate::{Caps, Scale};
@@ -293,25 +293,30 @@ fn world(b: &mut Bench<'_>) -> Outcome {
 /// measure the render rate (DESIGN.md §5 — the paper's ≈3/10 emerges
 /// from this knob). Each probability gets a world of its own. The
 /// censored sites are found once, under the committed program: probing
-/// under a device that always loses the race would find none.
+/// under a device that always loses the race would find none. Every
+/// world's telemetry and events join the run's, in this order.
 fn ablate_race(b: &mut Bench<'_>) -> Outcome {
     let mut text =
         String::from("Ablation: wiretap slow-path probability → render rate (Airtel model)\n");
-    let india = India::build(b.scale.config());
-    let sites = censored_sites(&mut Lab::new(india), IspId::Airtel, 4, race::raceable);
+    let sites = b.drv.on_world(&b.hub, "ablate-race.sites", b.scale.config(), |lab| {
+        censored_sites(lab, IspId::Airtel, 4, race::raceable)
+    });
     let mut rows = Vec::new();
     for prob in [0.0, 0.15, 0.3, 0.5, 0.8] {
         let mut cfg = b.scale.config();
         if let Some(p) = cfg.http.get_mut(&IspId::Airtel) {
             p.policy.set_slow_path(prob, (150_000, 400_000));
         }
-        let mut lab = Lab::new(India::build(cfg));
-        let (mut rendered, mut attempts) = (0, 0);
-        for &site in &sites {
-            let (r, a) = render_rate(&mut lab, IspId::Airtel, site, 10);
-            rendered += r;
-            attempts += a;
-        }
+        let tag = format!("ablate-race.slow-{prob:.2}");
+        let (rendered, attempts) = b.drv.on_world(&b.hub, &tag, cfg, |lab| {
+            let (mut rendered, mut attempts) = (0, 0);
+            for &site in &sites {
+                let (r, a) = render_rate(lab, IspId::Airtel, site, 10);
+                rendered += r;
+                attempts += a;
+            }
+            (rendered, attempts)
+        });
         let pct = 100.0 * rendered as f64 / attempts.max(1) as f64;
         let _ = writeln!(text, "  slow_prob {prob:.2}: rendered {rendered}/{attempts} ({pct:.0}%)");
         rows.push((prob, rendered, attempts));

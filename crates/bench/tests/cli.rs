@@ -183,3 +183,30 @@ fn metrics_out_creates_parent_directories() {
     assert!(path.is_file(), "metrics snapshot must appear under the new parents");
     let _ = std::fs::remove_dir_all(root);
 }
+
+#[test]
+fn ablate_race_reports_the_telemetry_of_its_own_worlds() {
+    let root = scratch("ablate-race");
+    std::fs::create_dir_all(&root).expect("scratch dir");
+    let path = root.join("metrics.json");
+    let out = repro()
+        .args(["ablate-race", "--scale", "tiny", "--threads", "1", "--metrics-out"])
+        .arg(&path)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let events: u64 = stdout
+        .lines()
+        .find_map(|l| l.split(" wall, ").nth(1)?.split(" simulator events").next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no event count printed:\n{stdout}"));
+    assert!(events > 0, "the ablation's worlds ran no events:\n{stdout}");
+    let snap = Json::parse(&std::fs::read_to_string(&path).expect("snapshot written"))
+        .expect("snapshot is JSON");
+    let forwarded = snap.get("counters").and_then(|c| c.get("netsim.router.forwarded"));
+    assert!(
+        matches!(forwarded, Some(Json::Obj(family)) if !family.is_empty()),
+        "no router hops in the snapshot: {snap:?}"
+    );
+    let _ = std::fs::remove_dir_all(root);
+}

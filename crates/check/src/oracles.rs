@@ -21,6 +21,7 @@
 //! | `lint_lexer_total` | the devtools scrubbing lexer preserves length and newlines on Rust-ish soup |
 //! | `obs_histogram_merge` | telemetry merge is order/grouping-insensitive and conserves histogram buckets under shard splits |
 //! | `sched_matches_heap_model` | the netsim calendar queue pops in exactly the reference binary-heap order, deadline pops included |
+//! | `route_lookup_matches_linear_model` | the netsim route table's indexed longest-prefix match picks the route a linear scan picks |
 //! | `policy_replay_deterministic` | a compiled policy program renders a byte-identical transcript on every replay — the invariant the recorded `tests/golden/mb-*.transcript` goldens rest on |
 //! | `policy_compile_total` | the policy compiler, the lint's allowlist reader and its manifest extraction never panic and are deterministic on soup, garbage, and corrupted programs |
 //! | `policy_anomaly_total` | the L11/L12 symbolic policy analyzer is total (no panic) and deterministic on randomly corrupted policy IRs |
@@ -471,6 +472,82 @@ pub fn sched_matches_heap_model(s: &mut Source) {
     assert_eq!(q.next_at(), None, "drained queue must have no frontier");
 }
 
+/// The netsim route table's indexed longest-prefix match agrees with a
+/// linear scan of its routes, `filter(contains).max_by_key(len)` — the
+/// lookup the index replaced, kept here only as the model — on random
+/// tables with `/0` and `/32` routes, prefixes nested around a few
+/// anchor addresses, re-added prefixes (the later route replaces the
+/// earlier), ECMP routes, and the odd prefix built field by field with
+/// host bits left set (which matches nothing). Every route gets next
+/// hops no other route uses, so the interface a lookup returns names
+/// the route it matched.
+pub fn route_lookup_matches_linear_model(s: &mut Source) {
+    use lucent_netsim::routing::{Cidr, RouteTable};
+    use lucent_netsim::IfaceId;
+
+    // Addresses near an anchor share its high bits, so prefixes nest.
+    let anchors: Vec<u32> = (0..s.len_in(1, 4)).map(|_| s.any_u32()).collect();
+    let near = |s: &mut Source| {
+        let low = s.any_u32().checked_shr(s.range_u64(0, 32) as u32).unwrap_or(0);
+        *s.pick(&anchors) ^ low
+    };
+    let mut table = RouteTable::new();
+    let mut model: Vec<(Cidr, Vec<IfaceId>)> = Vec::new();
+    let mut next_iface = 0u8;
+    for _ in 0..s.len_in(0, 40) {
+        let prefix = if !model.is_empty() && s.chance(1, 5) {
+            s.pick(&model).0
+        } else {
+            let len = match s.below(4) {
+                0 => 0,
+                1 => 32,
+                _ => s.range_u64(0, 32) as u8,
+            };
+            let addr = Ipv4Addr::from(near(s));
+            if s.chance(1, 10) {
+                Cidr { addr, len }
+            } else {
+                Cidr::new(addr, len)
+            }
+        };
+        let ifaces: Vec<IfaceId> = (0..s.len_in(1, 3))
+            .map(|_| {
+                next_iface += 1;
+                IfaceId(next_iface)
+            })
+            .collect();
+        table.add_multi(prefix, ifaces.clone());
+        match model.iter_mut().find(|(p, _)| *p == prefix) {
+            Some(route) => route.1 = ifaces,
+            None => model.push((prefix, ifaces)),
+        }
+    }
+    let routes: Vec<(Cidr, Vec<IfaceId>)> = table.iter().cloned().collect();
+    assert_eq!(routes, model, "route order or replacement diverged");
+    for _ in 0..s.len_in(1, 24) {
+        let dst = match s.below(3) {
+            0 => s.ipv4(),
+            1 if !model.is_empty() => s.pick(&model).0.addr,
+            _ => Ipv4Addr::from(near(s)),
+        };
+        let src = s.ipv4();
+        let want = model
+            .iter()
+            .filter(|(p, _)| p.contains(dst))
+            .max_by_key(|(p, _)| p.len)
+            .map(|(_, ifaces)| ifaces);
+        let got = table.lookup_flow(src, dst);
+        let agrees = match (got, want) {
+            (None, None) => true,
+            (Some(hop), Some(ifaces)) => ifaces.contains(&hop),
+            _ => false,
+        };
+        assert!(agrees, "lookup_flow({src}, {dst}) = {got:?}, the linear model matched {want:?}");
+        let first = want.and_then(|ifaces| ifaces.first().copied());
+        assert_eq!(table.lookup(dst), first, "lookup({dst}) must take the first member");
+    }
+}
+
 /// The declarative policy engine replays deterministically: a random
 /// middlebox specification, rendered to policy TOML, compiled, and
 /// instantiated as a [`lucent_middlebox::PolicyBox`], must render the
@@ -617,6 +694,7 @@ pub fn all() -> Vec<NamedOracle> {
         ("lint_lexer_total", lint_lexer_total),
         ("obs_histogram_merge", obs_histogram_merge),
         ("sched_matches_heap_model", sched_matches_heap_model),
+        ("route_lookup_matches_linear_model", route_lookup_matches_linear_model),
         ("policy_replay_deterministic", policy_replay_deterministic),
         ("policy_compile_total", policy_compile_total),
         ("policy_anomaly_total", policy_anomaly_total),

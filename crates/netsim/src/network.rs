@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use lucent_obs::metrics::Histogram;
 use lucent_obs::Telemetry;
 use lucent_packet::Packet;
 
@@ -11,6 +12,11 @@ use crate::sched::{CalendarQueue, Scheduled};
 use crate::slab::{PacketSlab, PacketSlot};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Dir, TraceHandle};
+
+// The per-hop instruments the engine holds between publishes (see
+// `Network`).
+const FORWARDED: &str = "netsim.router.forwarded";
+const LINK_LATENCY: &str = "netsim.link.latency_us";
 
 /// Why the engine itself discarded a packet (node-level drops are traced by
 /// the nodes; these are wiring-level).
@@ -50,6 +56,12 @@ pub(crate) struct Inner {
     drops: BTreeMap<DropReason, u64>,
     events_processed: u64,
     queue_hwm: u64,
+    /// `netsim.router.forwarded` per node since the last publish, and
+    /// the nodes whose count is nonzero.
+    forwarded: Vec<u64>,
+    forwarded_nodes: Vec<usize>,
+    /// `netsim.link.latency_us` since the last publish.
+    latency: Histogram,
 }
 
 impl Inner {
@@ -84,7 +96,7 @@ impl Inner {
         match ep {
             Some(ep) => {
                 let delay = ep.latency + extra_delay;
-                self.telemetry.histogram_record("netsim.link.latency_us", delay.micros());
+                self.latency.record(delay.micros());
                 let at = self.now + delay;
                 let slot = self.packets.stash(pkt);
                 self.push(at, EventKind::Deliver { node: ep.peer, iface: ep.peer_iface, slot });
@@ -93,6 +105,16 @@ impl Inner {
                 *self.drops.entry(DropReason::UnconnectedIface).or_insert(0) += 1;
                 self.telemetry.counter_inc("netsim.dropped", "unconnected-iface");
             }
+        }
+    }
+
+    pub(crate) fn count_forwarded(&mut self, node: NodeId) {
+        let i = node.0 as usize;
+        if let Some(n) = self.forwarded.get_mut(i) {
+            if *n == 0 {
+                self.forwarded_nodes.push(i);
+            }
+            *n += 1;
         }
     }
 
@@ -112,6 +134,15 @@ impl Inner {
 /// packet slab, counters and telemetry are copied outright, so a clone
 /// behaves exactly like the network it was taken from, and nothing
 /// either one does afterwards is visible to the other.
+///
+/// Two per-hop instruments are held by the engine rather than updated
+/// in the registry on every hop: the `netsim.router.forwarded{router}`
+/// counter ([`NodeCtx::count_forwarded`]) and the
+/// `netsim.link.latency_us` histogram. Every event-processing call
+/// ([`Network::step`], [`Network::step_before`], [`Network::run_until`],
+/// [`Network::run_until_idle`], [`Network::run_for`]) publishes them to
+/// the telemetry registry before it returns, so between calls nothing is
+/// pending and every reader of the registry sees exact values.
 ///
 /// ```
 /// use lucent_netsim::{Network, RouterNode, SimDuration, IfaceId};
@@ -147,6 +178,9 @@ impl Clone for Network {
                 drops: self.inner.drops.clone(),
                 events_processed: self.inner.events_processed,
                 queue_hwm: self.inner.queue_hwm,
+                forwarded: self.inner.forwarded.clone(),
+                forwarded_nodes: self.inner.forwarded_nodes.clone(),
+                latency: self.inner.latency.clone(),
             },
             nodes: self.nodes.clone(),
             labels: Rc::clone(&self.labels),
@@ -201,6 +235,9 @@ impl Network {
                 drops: BTreeMap::new(),
                 events_processed: 0,
                 queue_hwm: 0,
+                forwarded: Vec::new(),
+                forwarded_nodes: Vec::new(),
+                latency: Histogram::default(),
             },
             nodes: Vec::new(),
             labels: Rc::default(),
@@ -223,6 +260,7 @@ impl Network {
         Rc::make_mut(&mut self.labels).push(node.label().to_string());
         self.nodes.push(Rc::from(node));
         Rc::make_mut(&mut self.inner.links).push(Vec::new());
+        self.inner.forwarded.push(0);
         id
     }
 
@@ -348,11 +386,33 @@ impl Network {
 
     /// Process one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
+        let stepped = self.process_next();
+        self.publish();
+        stepped
+    }
+
+    /// Process one event without publishing the engine-held instruments.
+    fn process_next(&mut self) -> bool {
         let Some(ev) = self.inner.sched.pop_next() else {
             return false;
         };
         self.dispatch(ev);
         true
+    }
+
+    /// Move the engine-held instruments into the telemetry registry.
+    fn publish(&mut self) {
+        let inner = &mut self.inner;
+        for i in inner.forwarded_nodes.drain(..) {
+            let (Some(n), Some(label)) = (inner.forwarded.get_mut(i), self.labels.get(i)) else {
+                continue;
+            };
+            inner.telemetry.counter_add(FORWARDED, label, std::mem::take(n));
+        }
+        if inner.latency.count() > 0 {
+            inner.telemetry.absorb_histogram(LINK_LATENCY, &inner.latency);
+            inner.latency.clear();
+        }
     }
 
     fn dispatch(&mut self, ev: Scheduled<EventKind>) {
@@ -418,6 +478,14 @@ impl Network {
     /// pop rather than a read-only peek, so slice-polling drivers never
     /// rescan the wheel.
     pub fn step_before(&mut self, deadline: SimTime) -> bool {
+        let stepped = self.process_next_before(deadline);
+        self.publish();
+        stepped
+    }
+
+    /// [`Network::step_before`] without publishing the engine-held
+    /// instruments.
+    fn process_next_before(&mut self, deadline: SimTime) -> bool {
         match self.inner.sched.pop_next_before(deadline) {
             Some(ev) => {
                 self.dispatch(ev);
@@ -436,16 +504,18 @@ impl Network {
     /// Returns the number of events processed.
     pub fn run_until_idle(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
-        while n < max_events && self.step() {
+        while n < max_events && self.process_next() {
             n += 1;
         }
+        self.publish();
         n
     }
 
     /// Run all events due at or before `deadline`, then advance the clock
     /// to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.step_before(deadline) {}
+        while self.process_next_before(deadline) {}
+        self.publish();
     }
 
     /// Run for `d` of virtual time from now.
@@ -672,6 +742,72 @@ mod tests {
         net.wake(a);
         net.run_until_idle(100);
         assert_eq!(net.node_ref::<Probe>(a).unwrap().got, at(12));
+    }
+
+    /// probe -- 1 ms -- router "r" -- 2 ms -- echo (no think time).
+    fn routed_net() -> (Network, NodeId) {
+        use crate::routing::Cidr;
+        use crate::RouterNode;
+        let mut net = Network::new();
+        let a = net.add_node(Box::new(Probe { target_iface: IfaceId::PRIMARY, got: vec![] }));
+        let mut r = RouterNode::new(Ipv4Addr::new(10, 0, 0, 254), "r");
+        r.table.add(Cidr::host(Ipv4Addr::new(10, 0, 0, 1)), IfaceId(0));
+        r.table.add(Cidr::host(Ipv4Addr::new(10, 0, 0, 2)), IfaceId(1));
+        let r = net.add_node(Box::new(r));
+        let b = net.add_node(Box::new(Echo { think: SimDuration::ZERO, seen: 0 }));
+        net.connect(a, IfaceId::PRIMARY, r, IfaceId(0), SimDuration::from_millis(1));
+        net.connect(r, IfaceId(1), b, IfaceId::PRIMARY, SimDuration::from_millis(2));
+        (net, a)
+    }
+
+    /// The two engine-held instruments as the registry shows them:
+    /// forwarded count at "r", latency sample count and sum.
+    fn instruments(net: &Network) -> (u64, u64, u64) {
+        let t = net.telemetry();
+        let h = t.histogram_json(LINK_LATENCY);
+        let field = |k: &str| match h.as_ref().and_then(|h| h.get(k)) {
+            Some(lucent_obs::Json::UInt(v)) => *v,
+            _ => 0,
+        };
+        (t.counter(FORWARDED, "r"), field("count"), field("sum_us"))
+    }
+
+    #[test]
+    fn hop_instruments_are_published_by_every_processing_call() {
+        // Per event, by hand: the wake sends (1 000 µs link); the router
+        // forwards (2 000 µs link + 50 µs forwarding delay); the echo
+        // replies (2 000 µs); the router forwards (1 000 + 50 µs); the
+        // probe receives.
+        let want = [(0, 1, 1_000), (1, 2, 3_050), (1, 3, 5_050), (2, 4, 6_100), (2, 4, 6_100)];
+        let far = SimTime::ZERO + SimDuration::from_millis(1_000);
+        let calls: [fn(&mut Network, SimTime) -> bool; 3] = [
+            |net, _| net.step(),
+            |net, far| net.step_before(far),
+            |net, _| net.run_until_idle(1) == 1,
+        ];
+        for (c, call) in calls.iter().enumerate() {
+            let (mut net, a) = routed_net();
+            net.wake(a);
+            for (i, &w) in want.iter().enumerate() {
+                assert!(call(&mut net, far), "call {c}: event {i} missing");
+                assert_eq!(instruments(&net), w, "call {c}, after event {i}");
+            }
+            assert!(net.peek_time().is_none());
+        }
+    }
+
+    #[test]
+    fn a_clone_publishes_only_its_own_hops() {
+        let (mut net, a) = routed_net();
+        net.wake(a);
+        net.run_until_idle(2);
+        assert_eq!(instruments(&net), (1, 2, 3_050));
+        let mut copy = net.clone();
+        copy.run_until_idle(100);
+        assert_eq!(instruments(&copy), (2, 4, 6_100));
+        assert_eq!(instruments(&net), (1, 2, 3_050), "the clone's hops reached the original");
+        net.run_until_idle(100);
+        assert_eq!(instruments(&net), (2, 4, 6_100));
     }
 
     #[test]

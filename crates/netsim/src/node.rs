@@ -106,6 +106,13 @@ impl NodeCtx<'_> {
         self.inner.transmit(self.node, self.label, iface, pkt, delay);
     }
 
+    /// Count one packet forwarded by this node in
+    /// `netsim.router.forwarded{label}`. The engine holds the count and
+    /// publishes it before the event-processing call returns.
+    pub fn count_forwarded(&mut self) {
+        self.inner.count_forwarded(self.node);
+    }
+
     /// Arrange for [`Node::on_timer`] with `token` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.inner.schedule_timer(self.node, delay, token);

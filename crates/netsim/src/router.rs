@@ -115,7 +115,7 @@ impl Node for RouterNode {
             ctx.trace_drop(&pkt, "hairpin");
             return;
         }
-        ctx.obs().counter_inc("netsim.router.forwarded", ctx.label());
+        ctx.count_forwarded();
         for &m in &self.mirrors {
             ctx.send(m, pkt.clone());
         }

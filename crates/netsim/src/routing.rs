@@ -5,6 +5,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 use std::str::FromStr;
 
 use crate::node::IfaceId;
@@ -78,10 +79,29 @@ impl FromStr for Cidr {
 }
 
 /// A longest-prefix-match forwarding table mapping prefixes to one or
-/// more out-ifaces (equal-cost multipath, selected by destination hash).
+/// more out-ifaces (equal-cost multipath, selected by a flow hash).
+///
+/// Routes are kept in insertion order, and beside them an index: per
+/// distinct prefix length, longest first, the sorted network addresses
+/// of that length's routes. A lookup is one binary search per length,
+/// and the first hit is the longest match.
+///
+/// Clones share the routes and the index until one of them adds a
+/// route, so the routers of a cloned world copy no table.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
+    shared: Rc<Routes>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Routes {
     routes: Vec<(Cidr, Vec<IfaceId>)>,
+    /// `(prefix length, end)` per distinct length, longest first: the
+    /// length's entries are `nets[previous end..end]`.
+    levels: Vec<(u8, usize)>,
+    /// `(network, index into routes)`, grouped by level and sorted by
+    /// network within one.
+    nets: Vec<(u32, u32)>,
 }
 
 /// Deterministic per-destination hash used for ECMP next-hop selection —
@@ -112,17 +132,41 @@ impl RouteTable {
     /// Install an ECMP route over several interfaces.
     pub fn add_multi(&mut self, prefix: Cidr, ifaces: Vec<IfaceId>) {
         assert!(!ifaces.is_empty(), "route must have at least one next hop");
-        if let Some(slot) = self.routes.iter_mut().find(|(p, _)| *p == prefix) {
-            slot.1 = ifaces;
-        } else {
-            self.routes.push((prefix, ifaces));
+        let t = Rc::make_mut(&mut self.shared);
+        let at = match t.levels.binary_search_by(|&(len, _)| prefix.len.cmp(&len)) {
+            Ok(at) => at,
+            Err(at) => {
+                let start = at.checked_sub(1).map_or(0, |prev| t.levels[prev].1);
+                t.levels.insert(at, (prefix.len, start));
+                at
+            }
+        };
+        let start = at.checked_sub(1).map_or(0, |prev| t.levels[prev].1);
+        let level = &t.nets[start..t.levels[at].1];
+        // The address as given: a `Cidr` built field by field may keep
+        // host bits, and then, as in `Cidr::contains`, nothing matches it.
+        let net = u32::from(prefix.addr);
+        match level.binary_search_by_key(&net, |&(n, _)| n) {
+            Ok(i) => {
+                let route = level[i].1 as usize;
+                t.routes[route].1 = ifaces;
+            }
+            Err(i) => {
+                let route = t.routes.len();
+                assert!(route < u32::MAX as usize, "route table overflow: {route} routes");
+                t.routes.push((prefix, ifaces));
+                t.nets.insert(start + i, (net, route as u32));
+                for level in &mut t.levels[at..] {
+                    level.1 += 1;
+                }
+            }
         }
     }
 
-    /// Longest-prefix-match lookup keyed on the destination alone;
-    /// multipath routes hash the destination. Prefer
-    /// [`RouteTable::lookup_flow`] in forwarding paths — it keeps flows
-    /// symmetric.
+    /// Longest-prefix-match lookup keyed on the destination alone, for
+    /// traffic a router originates. A multipath route always yields its
+    /// first member: this is [`RouteTable::lookup_flow`] with
+    /// `src == dst`, whose flow hash `h(ip) ⊕ h(ip)` is zero.
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<IfaceId> {
         self.lookup_flow(ip, ip)
     }
@@ -135,33 +179,38 @@ impl RouteTable {
     /// ECMP around stateful inspection devices — and it is precisely what
     /// lets the paper's middleboxes observe complete handshakes.
     pub fn lookup_flow(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Option<IfaceId> {
-        self.routes
-            .iter()
-            .filter(|(p, _)| p.contains(dst))
-            .max_by_key(|(p, _)| p.len)
-            .map(|(_, ifaces)| {
-                if ifaces.len() == 1 {
-                    ifaces[0]
-                } else {
-                    let h = ecmp_hash(src) ^ ecmp_hash(dst);
-                    ifaces[h as usize % ifaces.len()]
-                }
-            })
+        let t = &*self.shared;
+        let ip = u32::from(dst);
+        let mut start = 0;
+        let route = t.levels.iter().find_map(|&(len, end)| {
+            let level = t.nets.get(start..end)?;
+            start = end;
+            let key = ip & Cidr::mask(len);
+            let i = level.binary_search_by_key(&key, |&(n, _)| n).ok()?;
+            level.get(i).map(|&(_, route)| route as usize)
+        })?;
+        let ifaces = &t.routes.get(route)?.1;
+        if ifaces.len() == 1 {
+            ifaces.first().copied()
+        } else {
+            let h = ecmp_hash(src) ^ ecmp_hash(dst);
+            ifaces.get(h as usize % ifaces.len()).copied()
+        }
     }
 
     /// Number of installed routes.
     pub fn len(&self) -> usize {
-        self.routes.len()
+        self.shared.routes.len()
     }
 
     /// True when no routes are installed.
     pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
+        self.shared.routes.is_empty()
     }
 
     /// Iterate over installed routes (prefix, next hops).
     pub fn iter(&self) -> impl Iterator<Item = &(Cidr, Vec<IfaceId>)> {
-        self.routes.iter()
+        self.shared.routes.iter()
     }
 }
 
@@ -299,6 +348,23 @@ mod tests {
         t.add("10.0.0.0/8".parse().unwrap(), IfaceId(3));
         assert_eq!(t.len(), 1);
         assert_eq!(t.lookup(Ipv4Addr::new(10, 0, 0, 1)), Some(IfaceId(3)));
+    }
+
+    #[test]
+    fn destination_only_lookup_takes_the_first_ecmp_member() {
+        // `lookup(ip)` is `lookup_flow(ip, ip)`, whose flow hash is zero,
+        // so router-originated traffic always leaves by the first member.
+        let mut t = RouteTable::new();
+        t.add("0.0.0.0/0".parse().unwrap(), IfaceId(9));
+        t.add_multi("10.0.0.0/8".parse().unwrap(), vec![IfaceId(4), IfaceId(5), IfaceId(6)]);
+        let mut flows = std::collections::BTreeSet::new();
+        for i in 0..64u8 {
+            let dst = Ipv4Addr::new(10, i, 7, i);
+            assert_eq!(t.lookup(dst), Some(IfaceId(4)), "{dst}");
+            flows.extend(t.lookup_flow(Ipv4Addr::new(192, 0, 2, i), dst));
+        }
+        // Forwarded flows still spread over every member.
+        assert_eq!(flows.into_iter().collect::<Vec<_>>(), vec![IfaceId(4), IfaceId(5), IfaceId(6)]);
     }
 
     #[test]

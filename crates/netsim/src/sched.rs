@@ -12,24 +12,34 @@
 //! (`at.micros() >> SLOT_LOG2`, i.e. 1024 µs per slot by default)
 //! relative to the wheel's `base_slot`:
 //!
-//! * **due** — a small heap of every item with `slot <= base_slot`,
-//!   including same-instant pushes landing at the current time. Pops
-//!   come from here, so ordering within a slot is exact `(at, seq)`.
+//! * **due** — every item with `slot <= base_slot`, held as a *sorted
+//!   run* plus a small *late heap*. The run is the bucket the wheel
+//!   last advanced to, sorted once by `(at, seq)`; pushes that land at
+//!   or before `base_slot` after that sort (same-instant work at the
+//!   current time) go to the late heap. A pop takes the smaller of the
+//!   two heads, so ordering within a slot is exact `(at, seq)`.
 //! * **ring** — `SLOTS` unsorted buckets covering
 //!   `base_slot < slot <= base_slot + SLOTS` (about one virtual second).
 //!   The slot range is exactly one wheel revolution, so `slot & mask`
 //!   is collision-free.
 //! * **overflow** — a heap of everything beyond the ring horizon.
 //!
+//! Why a sorted run: a bucket is often large and almost always already
+//! in order. The Figure 2 survey sends a resolver's queries at one
+//! instant, so they cross the topology as a wave, and a single 1 ms
+//! bucket can hold thousands of items, pushed in `(at, seq)` order.
+//! Sorting an ordered bucket takes one pass and a reversal, where a
+//! heap paid `O(log n)` per push and per pop (numbers in DESIGN §15).
+//!
 //! Advancing: when `due` drains, the wheel scans forward from
-//! `base_slot + 1` to the first non-empty bucket and dumps it into
-//! `due`; if the whole ring is empty it jumps straight to the earliest
-//! overflow slot. After *every* advance the overflow heap is drained of
-//! items that now fall inside the horizon — skipping this would let a
-//! later ring push overtake an earlier overflow item. `base_slot` is
-//! monotone, and each empty bucket is scanned past at most once per
-//! virtual second of simulated time, so scanning amortizes to a few
-//! comparisons per event.
+//! `base_slot + 1` to the first non-empty bucket, moves its items into
+//! the run and sorts it; if the whole ring is empty it jumps straight
+//! to the earliest overflow slot. After *every* advance the overflow
+//! heap is drained of items that now fall inside the horizon — skipping
+//! this would let a later ring push overtake an earlier overflow item.
+//! `base_slot` is monotone, and each empty bucket is scanned past at
+//! most once per virtual second of simulated time, so scanning
+//! amortizes to a few comparisons per event.
 //!
 //! Determinism: `(at, seq)` is a *strict* total order over live items
 //! (`seq` is unique), and every tier respects the slot partition, so
@@ -81,7 +91,12 @@ impl<T> Ord for Scheduled<T> {
 /// the tier invariants.
 #[derive(Clone)]
 pub struct CalendarQueue<T> {
-    due: BinaryHeap<Reverse<Scheduled<T>>>,
+    /// The sorted run of the `due` tier, latest item first, so the head
+    /// pops off the end.
+    run: Vec<Scheduled<T>>,
+    /// The late heap of the `due` tier: pushes at or before `base_slot`
+    /// made after the run was sorted.
+    late: BinaryHeap<Reverse<Scheduled<T>>>,
     ring: Vec<Vec<Scheduled<T>>>,
     overflow: BinaryHeap<Reverse<Scheduled<T>>>,
     /// Highest slot whose items live in `due`; monotone.
@@ -105,7 +120,8 @@ impl<T> CalendarQueue<T> {
         let mut ring = Vec::new();
         ring.resize_with(slots, Vec::default);
         CalendarQueue {
-            due: BinaryHeap::default(),
+            run: Vec::new(),
+            late: BinaryHeap::default(),
             ring,
             overflow: BinaryHeap::default(),
             base_slot: 0,
@@ -140,7 +156,7 @@ impl<T> CalendarQueue<T> {
         let slot = self.slot_of(item.at);
         self.len += 1;
         if slot <= self.base_slot {
-            self.due.push(Reverse(item));
+            self.late.push(Reverse(item));
         } else if slot - self.base_slot <= self.horizon() {
             self.ring[(slot & self.mask) as usize].push(item);
         } else {
@@ -155,23 +171,34 @@ impl<T> CalendarQueue<T> {
 
     /// Remove and return the earliest item if it fires at or before
     /// `deadline`. The wheel advances eagerly even on a `None` return,
-    /// parking the earliest item in the `due` heap — so a driver
+    /// parking the earliest items in the `due` tier — so a caller
     /// polling in small time slices pays the bucket scan once, not per
     /// slice.
     pub fn pop_next_before(&mut self, deadline: SimTime) -> Option<Scheduled<T>> {
         if self.len == 0 {
             return None;
         }
-        if self.due.is_empty() {
+        if self.run.is_empty() && self.late.is_empty() {
             self.advance();
         }
-        debug_assert!(!self.due.is_empty(), "len > 0 but no tier produced an item");
-        if self.due.peek().is_some_and(|Reverse(i)| i.at <= deadline) {
-            let item = self.due.pop().map(|Reverse(i)| i);
-            self.len -= 1;
-            return item;
+        debug_assert!(
+            !(self.run.is_empty() && self.late.is_empty()),
+            "len > 0 but no tier produced an item"
+        );
+        let from_run = match (self.run.last(), self.late.peek()) {
+            (Some(r), Some(Reverse(l))) => r < l,
+            (r, _) => r.is_some(),
+        };
+        let head = if from_run { self.run.last() } else { self.late.peek().map(|Reverse(i)| i) };
+        if head.is_none_or(|i| i.at > deadline) {
+            return None;
         }
-        None
+        self.len -= 1;
+        if from_run {
+            self.run.pop()
+        } else {
+            self.late.pop().map(|Reverse(i)| i)
+        }
     }
 
     /// The `at` of the earliest item, without removing it.
@@ -179,8 +206,10 @@ impl<T> CalendarQueue<T> {
         // Tier order is total: every `due` time precedes every ring
         // time (slot <= base_slot vs slot > base_slot), and every ring
         // time precedes every overflow time (inside vs beyond horizon).
-        if let Some(Reverse(item)) = self.due.peek() {
-            return Some(item.at);
+        let run = self.run.last().map(|i| i.at);
+        let late = self.late.peek().map(|Reverse(i)| i.at);
+        if let Some(at) = run.into_iter().chain(late).min() {
+            return Some(at);
         }
         for s in self.base_slot + 1..=self.base_slot + self.horizon() {
             let bucket = &self.ring[(s & self.mask) as usize];
@@ -192,16 +221,17 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Move `base_slot` forward to the next occupied slot and refill
-    /// `due`. Caller guarantees `len > 0` and `due` is empty.
+    /// the run. Caller guarantees `len > 0` and the `due` tier is empty.
     fn advance(&mut self) {
         let mut found = false;
         for s in self.base_slot + 1..=self.base_slot + self.horizon() {
             let idx = (s & self.mask) as usize;
             if !self.ring[idx].is_empty() {
                 self.base_slot = s;
-                for item in self.ring[idx].drain(..) {
-                    self.due.push(Reverse(item));
-                }
+                // Moves the items, not the buffers: the bucket keeps its
+                // own capacity instead of inheriting the run's, which
+                // can be large.
+                self.run.append(&mut self.ring[idx]);
                 found = true;
                 break;
             }
@@ -214,7 +244,7 @@ impl<T> CalendarQueue<T> {
         }
         // Restore the tier invariant: anything in overflow that now
         // falls inside the horizon moves into the wheel (or straight
-        // into `due` for the slot we just advanced to). Without this,
+        // into the run for the slot we just advanced to). Without this,
         // a ring push made after the advance could be popped before an
         // earlier overflow item.
         while let Some(Reverse(head)) = self.overflow.peek() {
@@ -226,11 +256,13 @@ impl<T> CalendarQueue<T> {
                 break;
             };
             if slot <= self.base_slot {
-                self.due.push(Reverse(item));
+                self.run.push(item);
             } else {
                 self.ring[(slot & self.mask) as usize].push(item);
             }
         }
+        // Latest first, so the earliest item pops off the end.
+        self.run.sort_unstable_by(|a, b| b.cmp(a));
     }
 }
 
@@ -296,6 +328,47 @@ mod tests {
         q.schedule(item(0, 1));
         q.schedule(item(0, 2));
         assert_eq!(drain_order(&mut q), vec![(0, 1), (0, 2)]);
+    }
+
+    #[test]
+    fn a_bucket_pushed_out_of_order_pops_in_time_then_seq_order() {
+        // Every item lands in slot 1 (1024..2048 µs), in scrambled time
+        // and seq order; the run is sorted once when the wheel reaches it.
+        let mut q = CalendarQueue::fresh();
+        for (at, seq) in [(1_500, 5), (1_100, 7), (1_500, 2), (2_047, 0), (1_024, 9), (1_100, 3)] {
+            q.schedule(item(at, seq));
+        }
+        assert_eq!(
+            drain_order(&mut q),
+            vec![(1_024, 9), (1_100, 3), (1_100, 7), (1_500, 2), (1_500, 5), (2_047, 0)]
+        );
+    }
+
+    #[test]
+    fn pushes_into_a_half_consumed_run_interleave() {
+        let mut q = CalendarQueue::fresh();
+        for (seq, at) in [1_100, 1_300, 1_500, 1_700].into_iter().enumerate() {
+            q.schedule(item(at, seq as u64));
+        }
+        // The first pop sorts slot 1 into the run and takes its head.
+        assert_eq!(q.pop_next().map(|i| (i.at.micros(), i.seq)), Some((1_100, 0)));
+        // Pushes into the current slot, now at 1 100 µs: at the current
+        // instant, ahead of the run's head, tied with a run item, and
+        // between two run items.
+        q.schedule(item(1_300, 4));
+        q.schedule(item(1_200, 5));
+        q.schedule(item(1_600, 6));
+        q.schedule(item(1_100, 7));
+        assert_eq!(q.next_at(), Some(SimTime(1_100)));
+        assert_eq!(q.pop_next().map(|i| (i.at.micros(), i.seq)), Some((1_100, 7)));
+        // A push into the next slot waits for the whole current one.
+        q.schedule(item(2_100, 8));
+        let got = drain_order(&mut q);
+        assert_eq!(
+            got[..6],
+            [(1_200, 5), (1_300, 1), (1_300, 4), (1_500, 2), (1_600, 6), (1_700, 3)]
+        );
+        assert_eq!(got[6..], [(2_100, 8)]);
     }
 
     #[test]

@@ -235,6 +235,12 @@ impl Telemetry {
         self.state.borrow_mut().metrics.histogram_record(name, value_us);
     }
 
+    /// Fold a histogram recorded elsewhere into histogram `name`, as if
+    /// each of its values had been recorded here.
+    pub fn absorb_histogram(&self, name: &str, h: &metrics::Histogram) {
+        self.state.borrow_mut().metrics.merge_histogram(name, h);
+    }
+
     /// Current value of a counter, zero if never touched.
     pub fn counter(&self, name: &str, label: &str) -> u64 {
         self.state.borrow().metrics.counter(name, label)
@@ -447,6 +453,25 @@ mod tests {
         rev.absorb(shard(2));
         rev.absorb(shard(1));
         assert_eq!(fwd.metrics_snapshot_pretty(), rev.metrics_snapshot_pretty());
+    }
+
+    #[test]
+    fn an_absorbed_histogram_equals_recording_in_place() {
+        let values = [0, 10, 11, 5_000, 10_000_000, 10_000_001];
+        let direct = Telemetry::new();
+        let absorbed = Telemetry::new();
+        let mut local = metrics::Histogram::default();
+        for (i, &v) in values.iter().enumerate() {
+            direct.histogram_record("h", v);
+            local.record(v);
+            // Publish in two parts, as the engine does between calls.
+            if i == 2 || i + 1 == values.len() {
+                absorbed.absorb_histogram("h", &local);
+                local.clear();
+            }
+        }
+        assert_eq!(local.count(), 0);
+        assert_eq!(absorbed.metrics_snapshot_pretty(), direct.metrics_snapshot_pretty());
     }
 
     #[test]

@@ -26,6 +26,14 @@ pub struct Histogram {
     count: u64,
 }
 
+/// An empty histogram over [`DEFAULT_BUCKETS_US`], the buckets every
+/// registry histogram has.
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new(&DEFAULT_BUCKETS_US)
+    }
+}
+
 impl Histogram {
     fn new(bounds: &[u64]) -> Self {
         Histogram {
@@ -36,7 +44,8 @@ impl Histogram {
         }
     }
 
-    fn record(&mut self, value_us: u64) {
+    /// Record one value.
+    pub fn record(&mut self, value_us: u64) {
         let slot = self
             .bounds
             .iter()
@@ -57,6 +66,13 @@ impl Histogram {
     /// Sum of recorded values, saturating.
     pub fn sum(&self) -> u64 {
         self.sum
+    }
+
+    /// Forget every recorded value, keeping the buckets.
+    pub fn clear(&mut self) {
+        self.counts.iter_mut().for_each(|c| *c = 0);
+        self.sum = 0;
+        self.count = 0;
     }
 
     /// Per-bucket counts: one per bound, plus the trailing overflow
@@ -143,7 +159,7 @@ impl Metrics {
         match self.histograms.get_mut(name) {
             Some(h) => h.record(value_us),
             None => {
-                let mut h = Histogram::new(&DEFAULT_BUCKETS_US);
+                let mut h = Histogram::default();
                 h.record(value_us);
                 self.histograms.insert(name.to_string(), h);
             }
@@ -212,11 +228,16 @@ impl Metrics {
             }
         }
         for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge_from(h),
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
+            self.merge_histogram(name, h);
+        }
+    }
+
+    /// Fold `h` into the histogram `name`, bucket for bucket.
+    pub(crate) fn merge_histogram(&mut self, name: &str, h: &Histogram) {
+        match self.histograms.get_mut(name) {
+            Some(mine) => mine.merge_from(h),
+            None => {
+                self.histograms.insert(name.to_string(), h.clone());
             }
         }
     }
