@@ -36,7 +36,6 @@ use std::path::PathBuf;
 use lucent_bench::drive::Driver;
 use lucent_bench::suite::{self, Entry};
 use lucent_bench::{shard, Scale};
-use lucent_core::lab::Lab;
 
 const SYNOPSIS: &str = "repro [EXPERIMENT] [--scale tiny|small|paper] [--json DIR] \
                         [--trace SPEC] [--metrics-out PATH] [--profile PATH] [--threads N]";
@@ -85,13 +84,10 @@ fn parse_args() -> Args {
             "--profile" => profile = Some(required(&mut args, "--profile", "a file path").into()),
             "--threads" => {
                 let v = args.next().unwrap_or_default();
-                threads = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--threads needs a positive integer, got {v:?}");
-                        std::process::exit(2);
-                    }
-                };
+                threads = v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
+                    eprintln!("--threads needs a positive integer, got {v:?}");
+                    std::process::exit(2);
+                });
             }
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -137,46 +133,35 @@ fn required(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> 
 
 fn main() {
     let args = parse_args();
-    let caps = args.scale.caps();
     println!(
         "lucent repro — scale {:?} ({} PBWs{}), {} thread(s)\n",
         args.scale,
-        caps.sites.map(|n| n.to_string()).unwrap_or_else(|| "all".into()),
+        args.scale.caps().sites.map(|n| n.to_string()).unwrap_or_else(|| "all".into()),
         if args.json_dir.is_some() { ", writing JSON" } else { "" },
         args.threads,
     );
     let start = lucent_support::bench::Stopwatch::start();
-    let mut lab = args.scale.lab();
-    let obs = lab.india.net.telemetry();
-    if let Some(spec) = &args.trace {
-        if let Err(e) = obs.set_filter_spec(spec) {
-            eprintln!("bad --trace spec {spec:?}: {e}");
+    let trace = args.trace.as_deref();
+    let mut drv = Driver::new(args.scale, args.threads, trace, args.profile.is_some())
+        .unwrap_or_else(|e| {
+            eprintln!("bad --trace spec {:?}: {e}", trace.unwrap_or_default());
             std::process::exit(2);
-        }
-        obs.enable_spans(true);
-        obs.set_thread_name(0, "sim");
-    }
-    if args.profile.is_some() {
-        // After the world is built, matching what each shard does: the
-        // deterministic plane profiles the experiments, not the build.
-        obs.enable_prof(true);
-    }
+        });
     println!(
         "world built: {} sites, {} ISPs, {} events so far ({:.1}s)\n",
-        lab.india.corpus.sites().len(),
-        lab.india.isps.len(),
-        lab.india.net.events_processed(),
+        drv.lab.india.corpus.sites().len(),
+        drv.lab.india.isps.len(),
+        drv.lab.india.net.events_processed(),
         start.elapsed_secs()
     );
-    let drv = Driver::new(args.scale, args.threads, args.trace.clone())
-        .with_prof(args.profile.is_some());
-    args.experiment.run(&mut lab, &drv, args.scale, |done| {
+    args.experiment.run(&mut drv, |done| {
         println!("{}", done.text);
         if let (Some(dir), Some(value)) = (&args.json_dir, &done.value) {
             let path = dir.join(format!("{}.json", done.file));
             write_or_die(&path, &lucent_support::json::to_string_pretty(&**value));
         }
     });
+    let obs = drv.telemetry();
     if args.trace.is_some() {
         let dir = args.json_dir.clone().unwrap_or_else(|| PathBuf::from("."));
         write_or_die(&dir.join("trace-events.jsonl"), &obs.event_log());
@@ -200,24 +185,18 @@ fn main() {
         );
     }
     let wall = start.elapsed_secs();
-    let events = lab.india.net.events_processed() + drv.shard_events();
     if let Some(path) = &args.profile {
-        write_profile(path, &obs, &lab);
+        use lucent_obs::prof;
+        let hwm = drv.lab.india.net.queue_depth_hwm();
+        let profile = lucent_support::Json::Obj(vec![
+            ("deterministic".to_string(), prof::deterministic_json(&obs, hwm)),
+            ("schema".to_string(), lucent_support::Json::Str(prof::SCHEMA.to_string())),
+        ]);
+        write_or_die(path, &profile.to_string_pretty());
+        println!("profile -> {}", path.display());
     }
-    println!("done in {wall:.1}s wall, {events} simulator events, virtual time {}", lab.now());
-}
-
-/// Write the profile to `path`: the deterministic section and the
-/// schema tag.
-fn write_profile(path: &std::path::Path, obs: &lucent_obs::Telemetry, lab: &Lab) {
-    use lucent_obs::prof;
-    use lucent_support::Json;
-    let profile = Json::Obj(vec![
-        ("deterministic".to_string(), prof::deterministic_json(obs, lab.india.net.queue_depth_hwm())),
-        ("schema".to_string(), Json::Str(prof::SCHEMA.to_string())),
-    ]);
-    write_or_die(path, &profile.to_string_pretty());
-    println!("profile -> {}", path.display());
+    let (events, time) = drv.totals();
+    println!("done in {wall:.1}s wall, {events} simulator events, virtual time {time}");
 }
 
 /// Write a requested output file, creating its directory first, and

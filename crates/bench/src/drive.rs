@@ -1,17 +1,18 @@
-//! The sharded experiment driver: turns each experiment's per-ISP (or
-//! per-resolver-chunk) entry points into shard jobs, runs them on a
-//! [`Pool`], and merges rows **and telemetry** back in submission
-//! order. This is the only way a multi-ISP experiment runs: `repro`,
-//! the integration tests and the examples all go through it, so what
-//! CI proves byte-identical is exactly what users run.
+//! The run: one [`Driver`] owns the hub world that serial steps run on,
+//! turns each experiment's per-ISP (or per-resolver-chunk) entry points
+//! into shard jobs on a [`Pool`], and merges rows **and telemetry** back
+//! into the hub in submission order. This is the only way an experiment
+//! runs: `repro`, the integration tests and the examples all go through
+//! it, so what CI proves byte-identical is exactly what users run.
 
 use lucent_core::experiments::{anonymity, evasion, fig2, race, table1, triggers};
 use lucent_core::lab::Lab;
 use lucent_core::probe::dns_scan::{survey_batch, ResolverScan};
-use lucent_obs::Telemetry;
+use lucent_netsim::{SimDuration, SimTime};
+use lucent_obs::{FilterError, Telemetry};
 use lucent_topology::{IndiaConfig, IspId};
 
-use crate::shard::{Job, Pool, ShardCtx, ShardOut};
+use crate::shard::{instrument, Job, Pool, ShardCtx, ShardOut};
 use crate::Scale;
 
 /// Resolver-chunk size for the Figure 2 survey phase. Fixed (never a
@@ -19,84 +20,117 @@ use crate::Scale;
 /// it every derived artifact — is identical at any `--threads N`.
 const RESOLVER_CHUNK: usize = 16;
 
-/// A sharded experiment run: scale, thread budget, optional trace spec
-/// replicated onto every shard registry.
+/// One experiment run: the hub world at a scale, a thread budget for
+/// its shards, and the trace spec and profiler every world of the run
+/// is set up with. It accounts for the hub and every world it ran.
 pub struct Driver {
     scale: Scale,
     threads: usize,
     trace: Option<String>,
     prof: bool,
-    shard_events: std::cell::Cell<u64>,
+    /// The hub world: serial steps run on it, and every other world's
+    /// telemetry is absorbed into its registry.
+    pub lab: Lab,
+    /// Simulator events processed by every world but the hub.
+    shard_events: u64,
+    /// Final clocks of every world but the hub, summed.
+    shard_time: SimDuration,
 }
 
 impl Driver {
-    /// A driver for `scale` over `threads` OS threads; `trace` is a
-    /// filter spec (already validated on the hub) replicated onto every
-    /// shard registry.
-    pub fn new(scale: Scale, threads: usize, trace: Option<String>) -> Driver {
-        Driver {
+    /// A run at `scale` over `threads` OS threads. Builds the hub world,
+    /// then installs on it the `trace` filter spec (with spans) and,
+    /// when `prof`, the profiler, exactly as on every shard. An invalid
+    /// spec is an error.
+    pub fn new(
+        scale: Scale,
+        threads: usize,
+        trace: Option<&str>,
+        prof: bool,
+    ) -> Result<Driver, FilterError> {
+        let lab = scale.lab();
+        let obs = lab.india.net.telemetry();
+        instrument(&obs, trace, prof)?;
+        if trace.is_some() {
+            // Only the hub's Chrome trace is exported, so only its
+            // track 0 needs the name.
+            obs.set_thread_name(0, "sim");
+        }
+        Ok(Driver {
             scale,
             threads,
-            trace,
-            prof: false,
-            shard_events: std::cell::Cell::new(0),
-        }
+            trace: trace.map(str::to_string),
+            prof,
+            lab,
+            shard_events: 0,
+            shard_time: SimDuration::ZERO,
+        })
     }
 
-    /// Enable the profiler on every shard registry.
-    pub fn with_prof(mut self, on: bool) -> Driver {
-        self.prof = on;
-        self
+    /// The run's scale.
+    pub fn scale(&self) -> Scale {
+        self.scale
     }
 
-    /// Simulator events processed by all shards so far — the hub
-    /// network never sees these, so a run's event total needs them.
-    pub fn shard_events(&self) -> u64 {
-        self.shard_events.get()
+    /// The run's telemetry: the hub's registry, holding every world's
+    /// metrics, events and spans absorbed so far.
+    pub fn telemetry(&self) -> Telemetry {
+        self.lab.india.net.telemetry()
     }
 
-    /// Run `jobs` on a fresh pool under `tag`.
-    fn run_pool<T: Send>(&self, tag: &str, jobs: Vec<Job<'_, T>>) -> Vec<ShardOut<T>> {
-        Pool::new(self.scale.config(), self.threads, self.trace.clone())
+    /// The run's totals so far over all of its worlds: simulator
+    /// events, and virtual time as the hub's clock plus each other
+    /// world's final clock.
+    pub fn totals(&self) -> (u64, SimTime) {
+        let hub = &self.lab.india.net;
+        (hub.events_processed() + self.shard_events, hub.now() + self.shard_time)
+    }
+
+    /// Run `jobs` on a fresh pool under `tag`, each returning its
+    /// world's final clock beside its value; absorb each shard in
+    /// submission order and return the values in the same order.
+    fn run_pool<T: Send>(&mut self, tag: &str, jobs: Vec<Job<'_, T>>) -> Vec<T> {
+        let jobs = jobs.into_iter().map(|job| {
+            Box::new(move |ctx: &mut ShardCtx| (job(ctx), ctx.lab.now())) as Job<'_, _>
+        });
+        let outs = Pool::new(self.scale.config(), self.threads, self.trace.clone())
             .with_prof(self.prof)
-            .run_tagged(tag, jobs)
+            .run_tagged(tag, jobs.collect());
+        outs.into_iter().map(|out| self.absorb(out)).collect()
     }
 
-    /// Absorb shard telemetry into `hub` in submission order and return
-    /// the values in the same order.
-    fn merge<T>(&self, hub: &Telemetry, outs: Vec<ShardOut<T>>) -> Vec<T> {
-        outs.into_iter().map(|out| self.absorb(hub, out)).collect()
-    }
-
-    /// Absorb one shard's telemetry and event count; return its value.
-    fn absorb<T>(&self, hub: &Telemetry, out: ShardOut<T>) -> T {
-        self.shard_events.set(self.shard_events.get().saturating_add(out.events));
-        hub.absorb(out.dump);
-        out.value
+    /// Absorb one world's telemetry, event count and final clock into
+    /// the run; return its value.
+    fn absorb<T>(&mut self, out: ShardOut<(T, SimTime)>) -> T {
+        let (value, now) = out.value;
+        self.shard_events = self.shard_events.saturating_add(out.events);
+        self.shard_time = self.shard_time + now.since(SimTime::ZERO);
+        self.lab.india.net.telemetry().absorb(out.dump);
+        value
     }
 
     /// Run `job` on a world of its own, built from `config` rather than
-    /// this `Driver`'s scale, set up like a shard (trace filter, spans,
-    /// profiler; profiled as `tag/shard-00`), and merge its telemetry
-    /// and event count into `hub` before returning its value. For
-    /// experiments that vary the world itself, such as an ablation.
+    /// this run's scale, set up like a shard (trace filter, spans,
+    /// profiler; profiled as `tag/shard-00`), and absorb it into the run
+    /// before returning its value. For experiments that vary the world
+    /// itself, such as an ablation.
     pub(crate) fn on_world<T>(
-        &self,
-        hub: &Telemetry,
+        &mut self,
         tag: &str,
         config: IndiaConfig,
         job: impl FnOnce(&mut Lab) -> T + Send,
     ) -> T {
         let pool = Pool::new(config, 1, self.trace.clone()).with_prof(self.prof);
-        let job: Job<'_, T> = Box::new(move |ctx: &mut ShardCtx| job(&mut ctx.lab));
-        self.absorb(hub, pool.run_one(&mut None, true, tag, 0, job))
+        let job: Job<'_, _> =
+            Box::new(move |ctx: &mut ShardCtx| (job(&mut ctx.lab), ctx.lab.now()));
+        let out = pool.run_one(&mut None, true, tag, 0, job);
+        self.absorb(out)
     }
 
     /// Run `job` once per ISP in `isps`, one shard each, under `tag`;
     /// the rows come back in `isps` order.
     fn per_isp<T: Send>(
-        &self,
-        hub: &Telemetry,
+        &mut self,
         tag: &str,
         isps: &[IspId],
         job: impl Fn(&mut Lab, IspId) -> T + Sync,
@@ -106,18 +140,18 @@ impl Driver {
             .iter()
             .map(|&isp| Box::new(move |ctx: &mut ShardCtx| job(&mut ctx.lab, isp)) as _)
             .collect();
-        self.merge(hub, self.run_pool(tag, jobs))
+        self.run_pool(tag, jobs)
     }
 
     /// X2, one shard per ISP.
-    pub fn race(&self, hub: &Telemetry, opts: &race::RaceOptions) -> race::Race {
-        let rows = self.per_isp(hub, "race", &opts.isps, |lab, isp| race::run_isp(lab, isp, opts));
+    pub fn race(&mut self, opts: &race::RaceOptions) -> race::Race {
+        let rows = self.per_isp("race", &opts.isps, |lab, isp| race::run_isp(lab, isp, opts));
         race::Race { rows }
     }
 
     /// Table 1, one shard per ISP.
-    pub fn table1(&self, hub: &Telemetry, opts: &table1::Table1Options) -> table1::Table1 {
-        let rows = self.per_isp(hub, "table1", &opts.isps, |lab, isp| {
+    pub fn table1(&mut self, opts: &table1::Table1Options) -> table1::Table1 {
+        let rows = self.per_isp("table1", &opts.isps, |lab, isp| {
             let sites = table1::site_sample(lab, opts.max_sites);
             (table1::run_isp(lab, isp, &sites), sites.len())
         });
@@ -128,65 +162,48 @@ impl Driver {
     /// Figure 2 in two phases: per-ISP discovery (open resolvers +
     /// uncensored reference), then per-(ISP, resolver-chunk) surveys
     /// whose scans concatenate in submission order.
-    pub fn fig2(&self, hub: &Telemetry, opts: &fig2::Fig2Options) -> fig2::Fig2 {
-        let prep = self.per_isp(hub, "fig2.prepare", &opts.isps, |lab, isp| {
-            fig2::prepare_isp(lab, isp, opts)
-        });
-
+    pub fn fig2(&mut self, opts: &fig2::Fig2Options) -> fig2::Fig2 {
+        let prep =
+            self.per_isp("fig2.prepare", &opts.isps, |lab, isp| fig2::prepare_isp(lab, isp, opts));
         let mut chunk_jobs: Vec<Job<'_, Vec<ResolverScan>>> = Vec::new();
-        let mut chunks_per_isp = Vec::new();
         for (&isp, (resolvers, reference)) in opts.isps.iter().zip(&prep) {
-            let mut chunks = 0;
             for chunk in resolvers.chunks(RESOLVER_CHUNK) {
-                chunks += 1;
-                let max_sites = opts.max_sites;
                 chunk_jobs.push(Box::new(move |ctx: &mut ShardCtx| {
-                    let pbw = fig2::pbw_sample(&ctx.lab, max_sites);
+                    let pbw = fig2::pbw_sample(&ctx.lab, opts.max_sites);
                     survey_batch(&mut ctx.lab, isp, chunk, &pbw, reference)
                 }) as _);
             }
-            chunks_per_isp.push(chunks);
         }
-        let mut scans = self.merge(hub, self.run_pool("fig2.survey", chunk_jobs)).into_iter();
-
-        let mut rows = Vec::new();
-        for ((&isp, (resolvers, _)), chunks) in
-            opts.isps.iter().zip(prep.iter()).zip(chunks_per_isp)
-        {
-            let poisoned: Vec<ResolverScan> =
-                scans.by_ref().take(chunks).flatten().collect();
-            rows.push(fig2::assemble_row(isp, resolvers.clone(), poisoned));
-        }
-        fig2::Fig2 { rows }
+        let mut scans = self.run_pool("fig2.survey", chunk_jobs).into_iter();
+        let rows = opts.isps.iter().zip(&prep).map(|(&isp, (resolvers, _))| {
+            let chunks = resolvers.len().div_ceil(RESOLVER_CHUNK);
+            let poisoned = scans.by_ref().take(chunks).flatten().collect();
+            fig2::assemble_row(isp, resolvers.clone(), poisoned)
+        });
+        fig2::Fig2 { rows: rows.collect() }
     }
 
     /// X4, one shard per ISP.
-    pub fn evasion(&self, hub: &Telemetry, opts: &evasion::EvasionOptions) -> evasion::Evasion {
+    pub fn evasion(&mut self, opts: &evasion::EvasionOptions) -> evasion::Evasion {
         let cells =
-            self.per_isp(hub, "evasion", &opts.isps, |lab, isp| evasion::run_isp(lab, isp, opts));
-        let mut matrix = std::collections::BTreeMap::new();
-        let mut fully = std::collections::BTreeMap::new();
-        for (&isp, (per_technique, full)) in opts.isps.iter().zip(cells) {
-            matrix.insert(isp.name().to_string(), per_technique);
-            fully.insert(isp.name().to_string(), full);
-        }
-        evasion::Evasion { matrix, fully_evaded: fully }
+            self.per_isp("evasion", &opts.isps, |lab, isp| evasion::run_isp(lab, isp, opts));
+        let rows = opts.isps.iter().zip(cells).map(|(isp, (per_technique, full))| {
+            let name = isp.name().to_string();
+            ((name.clone(), per_technique), (name, full))
+        });
+        let (matrix, fully_evaded) = rows.unzip();
+        evasion::Evasion { matrix, fully_evaded }
     }
 
     /// X3, one shard per ISP.
-    pub fn triggers(&self, hub: &Telemetry, isps: &[IspId]) -> triggers::Triggers {
-        triggers::Triggers { rows: self.per_isp(hub, "triggers", isps, triggers::run_isp) }
+    pub fn triggers(&mut self, isps: &[IspId]) -> triggers::Triggers {
+        triggers::Triggers { rows: self.per_isp("triggers", isps, triggers::run_isp) }
     }
 
     /// §6.1, one shard per ISP.
-    pub fn anonymity(
-        &self,
-        hub: &Telemetry,
-        isps: &[IspId],
-        max_paths: usize,
-    ) -> anonymity::Anonymity {
+    pub fn anonymity(&mut self, isps: &[IspId], max_paths: usize) -> anonymity::Anonymity {
         let rows =
-            self.per_isp(hub, "anonymity", isps, |lab, isp| anonymity::run_isp(lab, isp, max_paths));
+            self.per_isp("anonymity", isps, |lab, isp| anonymity::run_isp(lab, isp, max_paths));
         anonymity::Anonymity { rows }
     }
 }
@@ -195,8 +212,8 @@ impl Driver {
 mod tests {
     use super::*;
 
-    fn driver(threads: usize) -> Driver {
-        Driver::new(Scale::Tiny, threads, None)
+    fn driver(threads: usize, prof: bool) -> Driver {
+        Driver::new(Scale::Tiny, threads, None, prof).expect("no trace spec to reject")
     }
 
     #[test]
@@ -206,12 +223,13 @@ mod tests {
             attempts: 3,
             sites_per_isp: 1,
         };
-        let hub1 = Telemetry::new();
-        let r1 = driver(1).race(&hub1, &opts);
-        let hub4 = Telemetry::new();
-        let r4 = driver(4).race(&hub4, &opts);
+        let mut d1 = driver(1, false);
+        let r1 = d1.race(&opts);
+        let mut d4 = driver(4, false);
+        let r4 = d4.race(&opts);
         assert_eq!(format!("{r1}"), format!("{r4}"));
-        assert_eq!(hub1.metrics_snapshot_pretty(), hub4.metrics_snapshot_pretty());
+        let (m1, m4) = (d1.telemetry(), d4.telemetry());
+        assert_eq!(m1.metrics_snapshot_pretty(), m4.metrics_snapshot_pretty());
     }
 
     #[test]
@@ -222,9 +240,9 @@ mod tests {
             sites_per_isp: 1,
         };
         let prof_snapshot = |threads: usize| {
-            let hub = Telemetry::new();
-            driver(threads).with_prof(true).race(&hub, &opts);
-            lucent_obs::prof::deterministic_json(&hub, 0).to_string_pretty()
+            let mut drv = driver(threads, true);
+            drv.race(&opts);
+            lucent_obs::prof::deterministic_json(&drv.telemetry(), 0).to_string_pretty()
         };
         let det1 = prof_snapshot(1);
         let det4 = prof_snapshot(4);

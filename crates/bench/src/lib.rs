@@ -2,9 +2,10 @@
 //!
 //! The reproduction harness: the `repro` binary regenerates every table
 //! and figure of the paper (at a configurable scale) by walking the
-//! experiment [`suite`], whose per-ISP steps run on the sharded driver
-//! ([`drive`]). Performance is measured by the separate `benchmark/`
-//! workspace, which builds on [`Scale`] and [`shard`].
+//! experiment [`suite`] on one run ([`drive::Driver`]), which owns the
+//! hub world and runs the per-ISP steps on shards. Performance is
+//! measured by the separate `benchmark/` workspace, which builds on
+//! [`Scale`] and [`shard`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

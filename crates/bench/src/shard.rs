@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use lucent_core::lab::Lab;
-use lucent_obs::TelemetryDump;
+use lucent_obs::{FilterError, Telemetry, TelemetryDump};
 use lucent_topology::{India, IndiaConfig};
 
 /// Everything a shard job may touch: a private world equal to a fresh
@@ -53,9 +53,8 @@ pub struct ShardOut<T> {
 }
 
 /// The scheduler: the config of every shard's world, a thread budget,
-/// and an optional trace filter installed on each shard's registry
-/// *after* the world is made (hub parity: `repro` installs its filter
-/// only after `Scale::lab()` returns).
+/// and an optional trace filter and profiler, installed on each shard's
+/// registry by [`instrument`] after its world is made.
 pub struct Pool {
     config: IndiaConfig,
     threads: usize,
@@ -147,13 +146,7 @@ impl Pool {
     ) -> ShardOut<T> {
         let lab = Lab::new(self.world(template, last));
         let obs = lab.india.net.telemetry();
-        if let Some(spec) = &self.trace {
-            let _ = obs.set_filter_spec(spec);
-            obs.enable_spans(true);
-        }
-        if self.prof {
-            obs.enable_prof(true);
-        }
+        let _ = instrument(&obs, self.trace.as_deref(), self.prof);
         let sw = lucent_support::bench::Stopwatch::start();
         let mut ctx = ShardCtx { lab };
         let value = job(&mut ctx);
@@ -174,6 +167,20 @@ impl Pool {
         let dump = obs.drain_dump();
         ShardOut { value, dump, events, busy_secs }
     }
+}
+
+/// Set a freshly built world's registry up for a run: the filter
+/// `spec` with span collection, and the profiler when `prof`. The
+/// [`Driver`](crate::drive::Driver)'s hub and every shard go through
+/// here, so the profiler sees the experiments and not the build.
+pub(crate) fn instrument(
+    obs: &Telemetry,
+    spec: Option<&str>,
+    prof: bool,
+) -> Result<(), FilterError> {
+    obs.enable_spans(spec.is_some());
+    obs.enable_prof(prof);
+    spec.map_or(Ok(()), |spec| obs.set_filter_spec(spec))
 }
 
 /// Lock a mutex, recovering from poisoning (a panicked sibling shard

@@ -4,9 +4,9 @@
 //! Each [`Entry`] of [`SUITE`] is a `repro` name and the fixed list of
 //! steps it runs: `fig5` is Table 2 then Figure 5, and `all` is the
 //! paper's whole battery (§3–§6) in the order it is reported. A step
-//! runs on the shared [`Lab`] or on the sharded [`Driver`] and returns
-//! its text and its result; [`Entry::run`] hands each finished step to
-//! an observer the caller supplies. The library never prints, so the
+//! runs on the [`Driver`]'s hub world or on its shards and returns its
+//! text and its result; [`Entry::run`] hands each finished step to an
+//! observer the caller supplies. The library never prints, so the
 //! caller decides where text and JSON go, and a long run still streams
 //! one step at a time.
 
@@ -17,17 +17,15 @@ use lucent_core::experiments::{
     categories, dns_mechanism, evasion, fig2, fig5, https_note, mechanism, race, table1, table2,
     table3, tracer_demo,
 };
-use lucent_core::lab::Lab;
 use lucent_core::metrics::PrecisionRecall;
 use lucent_core::probe::classify::{censored_sites, render_rate};
 use lucent_core::probe::manual::inspect;
 use lucent_core::probe::ooni::web_connectivity_with;
-use lucent_obs::Telemetry;
 use lucent_support::ToJson;
 use lucent_topology::IspId;
 
 use crate::drive::Driver;
-use crate::{Caps, Scale};
+use crate::Caps;
 
 /// The ISPs whose HTTP censorship the triggers and anonymity runs
 /// characterize.
@@ -128,12 +126,10 @@ pub fn entry(name: &str) -> Option<&'static Entry> {
 }
 
 impl Entry {
-    /// Run this entry's steps in order on `lab` (whose telemetry is the
-    /// hub the sharded steps merge into) and `drv`, at `scale`, handing
-    /// each finished step to the observer `emit`.
-    pub fn run(&self, lab: &mut Lab, drv: &Driver, scale: Scale, mut emit: impl FnMut(Finished)) {
-        let hub = lab.india.net.telemetry();
-        let mut bench = Bench { lab, hub, drv, scale, caps: scale.caps(), table2: None };
+    /// Run this entry's steps in order on `drv`, handing each finished
+    /// step to the observer `emit`.
+    pub fn run(&self, drv: &mut Driver, mut emit: impl FnMut(Finished)) {
+        let mut bench = Bench { caps: drv.scale().caps(), drv, table2: None };
         for step in self.steps {
             let (text, value) = (step.run)(&mut bench);
             emit(Finished { file: step.file, text, value });
@@ -141,14 +137,10 @@ impl Entry {
     }
 }
 
-/// What a step may use: the shared lab and its telemetry hub, the
-/// sharded driver, the scale and its caps, and Table 2 once it has run
-/// (Figure 5 and the categories reuse its scans).
+/// What a step may use: the run, its scale's caps, and Table 2 once it
+/// has run (Figure 5 and the categories reuse its scans).
 struct Bench<'a> {
-    lab: &'a mut Lab,
-    hub: Telemetry,
-    drv: &'a Driver,
-    scale: Scale,
+    drv: &'a mut Driver,
     caps: Caps,
     table2: Option<Rc<table2::Table2>>,
 }
@@ -156,8 +148,8 @@ struct Bench<'a> {
 impl Bench<'_> {
     /// Table 2, run on first use.
     fn table2(&mut self) -> Rc<table2::Table2> {
-        let opts = table2_options(self.caps);
-        Rc::clone(self.table2.get_or_insert_with(|| Rc::new(table2::run(self.lab, &opts))))
+        let (opts, lab) = (table2_options(self.caps), &mut self.drv.lab);
+        Rc::clone(self.table2.get_or_insert_with(|| Rc::new(table2::run(lab, &opts))))
     }
 }
 
@@ -188,7 +180,7 @@ fn missing(text: &str) -> Outcome {
 }
 
 fn fig1(b: &mut Bench<'_>) -> Outcome {
-    match tracer_demo::run(b.lab, IspId::Idea) {
+    match tracer_demo::run(&mut b.drv.lab, IspId::Idea) {
         Some(demo) => shown(demo),
         None => missing("fig1: no censored path found (unexpected)"),
     }
@@ -196,7 +188,7 @@ fn fig1(b: &mut Bench<'_>) -> Outcome {
 
 fn table1(b: &mut Bench<'_>) -> Outcome {
     let opts = table1::Table1Options { max_sites: b.caps.sites, ..Default::default() };
-    shown(b.drv.table1(&b.hub, &opts))
+    shown(b.drv.table1(&opts))
 }
 
 fn threshold_audit(b: &mut Bench<'_>) -> Outcome {
@@ -205,7 +197,7 @@ fn threshold_audit(b: &mut Bench<'_>) -> Outcome {
     );
     let mut audits = Vec::new();
     for isp in [IspId::Airtel, IspId::Idea, IspId::Vodafone] {
-        let audit = table1::threshold_audit(b.lab, isp, b.caps.sites);
+        let audit = table1::threshold_audit(&mut b.drv.lab, isp, b.caps.sites);
         let (flagged, cleared, pct) =
             (audit.flagged, audit.cleared, audit.cleared_fraction() * 100.0);
         let _ = writeln!(text, "  {}: flagged {flagged}, cleared {cleared} ({pct:.0}%)", audit.isp);
@@ -227,66 +219,66 @@ fn fig5(b: &mut Bench<'_>) -> Outcome {
         .zip(&t.scans)
         // The paper's Figure 5 plots Airtel, Vodafone, Idea.
         .filter(|&(isp, _)| isp != IspId::Jio)
-        .map(|(isp, scan)| fig5::from_scan(b.lab, isp, scan, b.caps.consistency_paths))
+        .map(|(isp, scan)| fig5::from_scan(&mut b.drv.lab, isp, scan, b.caps.consistency_paths))
         .collect();
     shown(fig5::Fig5 { rows })
 }
 
 fn categories(b: &mut Bench<'_>) -> Outcome {
     let t = b.table2();
-    shown(categories::from_scans(b.lab, &t.scans))
+    shown(categories::from_scans(&b.drv.lab, &t.scans))
 }
 
 fn table3(b: &mut Bench<'_>) -> Outcome {
     let opts = table3::Table3Options { max_sites: b.caps.sites, ..Default::default() };
-    shown(table3::run(b.lab, &opts))
+    shown(table3::run(&mut b.drv.lab, &opts))
 }
 
 fn fig2(b: &mut Bench<'_>) -> Outcome {
     let opts = fig2::Fig2Options { max_sites: b.caps.sites, ..Default::default() };
-    shown(b.drv.fig2(&b.hub, &opts))
+    shown(b.drv.fig2(&opts))
 }
 
 fn fig3(b: &mut Bench<'_>) -> Outcome {
-    match mechanism::figure3(b.lab) {
+    match mechanism::figure3(&mut b.drv.lab) {
         Some(m) => titled("Figure 3 (interceptive mechanism, Idea):\n", m),
         None => missing("fig3: no covered remote path (unexpected for Idea)"),
     }
 }
 
 fn fig4(b: &mut Bench<'_>) -> Outcome {
-    match mechanism::figure4(b.lab) {
+    match mechanism::figure4(&mut b.drv.lab) {
         Some(m) => titled("Figure 4 (wiretap mechanism, Airtel):\n", m),
         None => missing("fig4: no covered remote path from the Airtel client"),
     }
 }
 
 fn race(b: &mut Bench<'_>) -> Outcome {
-    shown(b.drv.race(&b.hub, &race::RaceOptions::default()))
+    shown(b.drv.race(&race::RaceOptions::default()))
 }
 
 fn triggers(b: &mut Bench<'_>) -> Outcome {
-    shown(b.drv.triggers(&b.hub, &HTTP_CENSORS))
+    shown(b.drv.triggers(&HTTP_CENSORS))
 }
 
 fn evasion(b: &mut Bench<'_>) -> Outcome {
-    shown(b.drv.evasion(&b.hub, &evasion::EvasionOptions::default()))
+    shown(b.drv.evasion(&evasion::EvasionOptions::default()))
 }
 
 fn dns_mechanism(b: &mut Bench<'_>) -> Outcome {
-    shown(dns_mechanism::run(b.lab, DNS_MECHANISM_RESOLVERS))
+    shown(dns_mechanism::run(&mut b.drv.lab, DNS_MECHANISM_RESOLVERS))
 }
 
 fn https(b: &mut Bench<'_>) -> Outcome {
-    shown(https_note::run(b.lab, &HTTPS_ISPS, HTTPS_SITES_PER_ISP))
+    shown(https_note::run(&mut b.drv.lab, &HTTPS_ISPS, HTTPS_SITES_PER_ISP))
 }
 
 fn anonymity(b: &mut Bench<'_>) -> Outcome {
-    shown(b.drv.anonymity(&b.hub, &HTTP_CENSORS, ANONYMITY_PATHS))
+    shown(b.drv.anonymity(&HTTP_CENSORS, ANONYMITY_PATHS))
 }
 
 fn world(b: &mut Bench<'_>) -> Outcome {
-    (b.lab.india.summary(), None)
+    (b.drv.lab.india.summary(), None)
 }
 
 /// Ablation: sweep the slow-path probability of Airtel's program and
@@ -298,17 +290,18 @@ fn world(b: &mut Bench<'_>) -> Outcome {
 fn ablate_race(b: &mut Bench<'_>) -> Outcome {
     let mut text =
         String::from("Ablation: wiretap slow-path probability → render rate (Airtel model)\n");
-    let sites = b.drv.on_world(&b.hub, "ablate-race.sites", b.scale.config(), |lab| {
+    let scale = b.drv.scale();
+    let sites = b.drv.on_world("ablate-race.sites", scale.config(), |lab| {
         censored_sites(lab, IspId::Airtel, 4, race::raceable)
     });
     let mut rows = Vec::new();
     for prob in [0.0, 0.15, 0.3, 0.5, 0.8] {
-        let mut cfg = b.scale.config();
+        let mut cfg = scale.config();
         if let Some(p) = cfg.http.get_mut(&IspId::Airtel) {
             p.policy.set_slow_path(prob, (150_000, 400_000));
         }
         let tag = format!("ablate-race.slow-{prob:.2}");
-        let (rendered, attempts) = b.drv.on_world(&b.hub, &tag, cfg, |lab| {
+        let (rendered, attempts) = b.drv.on_world(&tag, cfg, |lab| {
             let (mut rendered, mut attempts) = (0, 0);
             for &site in &sites {
                 let (r, a) = render_rate(lab, IspId::Airtel, site, 10);
@@ -330,14 +323,15 @@ fn ablate_ooni(b: &mut Bench<'_>) -> Outcome {
     let mut text =
         String::from("Ablation: OONI body-proportion threshold → precision/recall (Idea)\n");
     let cap = b.caps.sites.map_or(200, |n| n.min(60));
-    let sites = b.lab.india.corpus.pbw_sample(Some(cap));
+    let sites = b.drv.lab.india.corpus.pbw_sample(Some(cap));
     // Manual verdicts once.
-    let manual: Vec<bool> = sites.iter().map(|&s| inspect(b.lab, IspId::Idea, s).blocked).collect();
+    let manual: Vec<bool> =
+        sites.iter().map(|&s| inspect(&mut b.drv.lab, IspId::Idea, s).blocked).collect();
     let mut rows = Vec::new();
     for threshold in [0.3, 0.5, 0.7, 0.9] {
         let mut pr = PrecisionRecall::default();
         for (&site, &actual) in sites.iter().zip(&manual) {
-            let m = web_connectivity_with(b.lab, IspId::Idea, site, threshold);
+            let m = web_connectivity_with(&mut b.drv.lab, IspId::Idea, site, threshold);
             pr.record(m.verdict.is_some(), actual);
         }
         let (p, r) = (pr.precision(), pr.recall());

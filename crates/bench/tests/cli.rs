@@ -2,7 +2,8 @@
 //! with usage, a flag is never read as another flag's value, `--help`
 //! exits 0 listing exactly the suite's experiments, `--json` creates its
 //! output directory (nested paths included) before writing result files,
-//! and an output that cannot be written exits 1.
+//! an output that cannot be written exits 1, and the closing line's
+//! totals count every world of the run at any thread count.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -196,9 +197,10 @@ fn ablate_race_reports_the_telemetry_of_its_own_worlds() {
         .expect("spawn repro");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let events: u64 = stdout
-        .lines()
-        .find_map(|l| l.split(" wall, ").nth(1)?.split(" simulator events").next()?.parse().ok())
+    let events: u64 = totals(&stdout)
+        .split(" simulator events")
+        .next()
+        .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no event count printed:\n{stdout}"));
     assert!(events > 0, "the ablation's worlds ran no events:\n{stdout}");
     let snap = Json::parse(&std::fs::read_to_string(&path).expect("snapshot written"))
@@ -209,4 +211,46 @@ fn ablate_race_reports_the_telemetry_of_its_own_worlds() {
         "no router hops in the snapshot: {snap:?}"
     );
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// The closing line's run totals, after its wall seconds: `N simulator
+/// events, virtual time T`.
+fn totals(stdout: &str) -> String {
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("done in ")?.split(" wall, ").nth(1))
+        .unwrap_or_else(|| panic!("no closing line:\n{stdout}"))
+        .to_string()
+}
+
+#[test]
+fn the_closing_line_sums_every_worlds_clock_at_any_thread_count() {
+    let run = |threads: &str| {
+        let out = repro()
+            .args(["race", "--scale", "tiny", "--threads", threads])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        totals(&String::from_utf8_lossy(&out.stdout))
+    };
+    let one = run("1");
+    let seconds: f64 = one
+        .split("virtual time ")
+        .nth(1)
+        .and_then(|t| t.strip_suffix('s')?.parse().ok())
+        .unwrap_or_else(|| panic!("no virtual time in {one:?}"));
+    // `race` runs only on per-ISP shards; the hub's clock never moves.
+    assert!(seconds > 0.0, "the shards' clocks are missing from {one:?}");
+    assert_eq!(one, run("4"), "the run's totals depend on the thread count");
+}
+
+#[test]
+fn a_bad_trace_spec_exits_2() {
+    let out = repro()
+        .args(["world", "--scale", "tiny", "--trace", "wiretap=loud"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(2), "an invalid --trace spec must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad --trace spec \"wiretap=loud\""), "{stderr}");
 }

@@ -137,9 +137,7 @@ impl MbSpec {
 
     fn client_cidrs(&self) -> Option<Vec<Cidr>> {
         if self.filtered_clients {
-            let mut v = Vec::new();
-            v.push(Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 8));
-            Some(v)
+            Some(vec![Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 8)])
         } else {
             None
         }
@@ -190,11 +188,7 @@ pub fn airtel_spec() -> MbSpec {
         any_ports: false,
         filtered_clients: false,
         flow_timeout_secs: 150,
-        blocklist: {
-            let mut v = Vec::new();
-            v.push("blocked-0.example".to_string());
-            v
-        },
+        blocklist: vec!["blocked-0.example".to_string()],
         seed: 7,
     }
 }
@@ -213,11 +207,7 @@ pub fn idea_spec() -> MbSpec {
         any_ports: false,
         filtered_clients: false,
         flow_timeout_secs: 150,
-        blocklist: {
-            let mut v = Vec::new();
-            v.push("blocked-0.example".to_string());
-            v
-        },
+        blocklist: vec!["blocked-0.example".to_string()],
         seed: 11,
     }
 }

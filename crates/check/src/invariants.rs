@@ -200,8 +200,8 @@ pub fn wiretap_verdicts_are_header_invariant(s: &mut Source) {
         (injections(&rig), notice)
     };
 
-    let (inj_canon, notice_canon) = observe(&[target.clone()], &canonical);
-    let (inj_perm, notice_perm) = observe(&[target.clone()], &permuted);
+    let (inj_canon, notice_canon) = observe(std::slice::from_ref(&target), &canonical);
+    let (inj_perm, notice_perm) = observe(std::slice::from_ref(&target), &permuted);
     assert_eq!(inj_canon, inj_perm, "injection count changed under header permutation");
     assert_eq!(notice_canon, notice_perm, "client outcome changed under header permutation");
     assert_eq!(inj_canon > 0, blocked, "the wiretap fired iff the host was listed");

@@ -11,11 +11,11 @@
 //! consumers: the structured event log and the legacy in-memory capture.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
-use lucent_obs::{Json, Level, Telemetry};
+use lucent_obs::{Json, Level, Ring, Telemetry};
 use lucent_packet::Packet;
 
 use crate::node::NodeId;
@@ -88,16 +88,26 @@ impl fmt::Display for TraceEntry {
     }
 }
 
-#[derive(Clone, Default)]
+#[derive(Clone)]
 struct TraceState {
     enabled: bool,
     /// When `Some`, only these nodes are recorded; `None` records all.
     filter: Option<BTreeSet<NodeId>>,
-    entries: VecDeque<TraceEntry>,
-    cap: usize,
-    evicted: u64,
+    /// The capture; its drop count is the number of evicted entries.
+    entries: Ring<TraceEntry>,
     /// The obs event bus; every recorded packet is offered to it.
     bus: Option<Telemetry>,
+}
+
+impl Default for TraceState {
+    fn default() -> Self {
+        TraceState {
+            enabled: false,
+            filter: None,
+            entries: Ring::new(DEFAULT_TRACE_CAP),
+            bus: None,
+        }
+    }
 }
 
 /// Shared handle to the capture buffer. Cheap to clone; single-threaded
@@ -110,9 +120,7 @@ pub struct TraceHandle {
 impl TraceHandle {
     /// New, disabled trace with the default ring capacity.
     pub fn new() -> Self {
-        let t = TraceHandle::default();
-        t.state.borrow_mut().cap = DEFAULT_TRACE_CAP;
-        t
+        TraceHandle::default()
     }
 
     /// Start recording every node.
@@ -131,17 +139,12 @@ impl TraceHandle {
 
     /// Bound the capture ring to `cap` entries, evicting oldest first.
     pub fn set_cap(&self, cap: usize) {
-        let mut s = self.state.borrow_mut();
-        s.cap = cap;
-        while s.entries.len() > cap {
-            s.entries.pop_front();
-            s.evicted += 1;
-        }
+        self.state.borrow_mut().entries.set_cap(cap);
     }
 
     /// How many entries have been evicted from the ring so far.
     pub fn evicted(&self) -> u64 {
-        self.state.borrow().evicted
+        self.state.borrow().entries.dropped()
     }
 
     /// Discard all captured entries.
@@ -214,15 +217,7 @@ impl TraceHandle {
                 return;
             }
         }
-        if s.cap == 0 {
-            s.evicted += 1;
-            return;
-        }
-        if s.entries.len() >= s.cap {
-            s.entries.pop_front();
-            s.evicted += 1;
-        }
-        s.entries.push_back(TraceEntry {
+        s.entries.push(TraceEntry {
             time,
             node,
             label: label.to_string(),

@@ -9,14 +9,14 @@
 use lucent_bench::drive::Driver;
 use lucent_bench::{shard, Scale};
 use lucent_core::experiments::evasion::EvasionOptions;
-use lucent_obs::Telemetry;
 
 fn main() {
     let sites: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(3);
     println!("evading every censoring ISP, each measured on its own simulated India…");
     let opts = EvasionOptions { sites_per_isp: sites, ..Default::default() };
-    let drv = Driver::new(Scale::Small, shard::default_threads(), None);
-    let e = drv.evasion(&Telemetry::new(), &opts);
+    let mut drv = Driver::new(Scale::Small, shard::default_threads(), None, false)
+        .expect("no trace spec to reject");
+    let e = drv.evasion(&opts);
     println!("{e}");
     println!("Reading the matrix:");
     println!("  host-case works on wiretaps (Airtel, Jio): their devices match `Host` case-sensitively;");

@@ -11,7 +11,6 @@ use lucent_core::experiments::{
 };
 use lucent_core::lab::Lab;
 use lucent_core::probe::classify::{censored_sites, render_rate};
-use lucent_obs::Telemetry;
 use lucent_topology::{India, IndiaConfig, IspId};
 
 fn lab() -> Lab {
@@ -21,7 +20,7 @@ fn lab() -> Lab {
 /// A one-thread driver at `scale`; results are the same at any thread
 /// count.
 fn driver(scale: Scale) -> Driver {
-    Driver::new(scale, 1, None)
+    Driver::new(scale, 1, None, false).expect("no trace spec to reject")
 }
 
 #[test]
@@ -35,13 +34,10 @@ fn tracer_demo_always_locates_the_idea_device_before_the_server() {
 
 #[test]
 fn table1_mtnl_is_the_only_isp_with_dns_positives() {
-    let t = driver(Scale::Tiny).table1(
-        &Telemetry::new(),
-        &table1::Table1Options {
-            isps: vec![IspId::Mtnl, IspId::Idea, IspId::Jio],
-            max_sites: Some(20),
-        },
-    );
+    let t = driver(Scale::Tiny).table1(&table1::Table1Options {
+        isps: vec![IspId::Mtnl, IspId::Idea, IspId::Jio],
+        max_sites: Some(20),
+    });
     let by_name = |n: &str| t.rows.iter().find(|r| r.isp == n).unwrap().clone();
     assert!(by_name("MTNL").dns.tp + by_name("MTNL").dns.fp > 0 || by_name("MTNL").manual_blocked == 0);
     assert_eq!(by_name("Idea").dns.tp, 0);
@@ -124,7 +120,7 @@ fn table3_victims_never_attribute_blocks_to_themselves() {
 
 #[test]
 fn fig2_counts_match_deployment() {
-    let f = driver(Scale::Tiny).fig2(&Telemetry::new(), &fig2::Fig2Options::default());
+    let f = driver(Scale::Tiny).fig2(&fig2::Fig2Options::default());
     let lab = lab();
     for row in &f.rows {
         let isp = IspId::ALL.into_iter().find(|i| i.name() == row.isp).unwrap();
@@ -140,10 +136,11 @@ fn figure3_and_race_agree_interceptive_never_loses() {
     let mut lab = lab();
     let fig3 = mechanism::figure3(&mut lab).expect("covered Idea path");
     assert!(!fig3.get_reached_remote);
-    let r = driver(Scale::Tiny).race(
-        &Telemetry::new(),
-        &race::RaceOptions { isps: vec![IspId::Idea], attempts: 6, sites_per_isp: 2 },
-    );
+    let r = driver(Scale::Tiny).race(&race::RaceOptions {
+        isps: vec![IspId::Idea],
+        attempts: 6,
+        sites_per_isp: 2,
+    });
     assert_eq!(r.rows[0].rendered, 0, "{r}");
 }
 
@@ -167,21 +164,18 @@ fn airtel_race_renders_exactly_as_often_as_its_slow_path_fires() {
 
 #[test]
 fn triggers_report_statefulness_everywhere_applicable() {
-    let t = driver(Scale::Tiny).triggers(&Telemetry::new(), &[IspId::Idea]);
+    let t = driver(Scale::Tiny).triggers(&[IspId::Idea]);
     let ladder = t.rows[0].ladder.as_ref().expect("ladder ran");
     assert!(ladder.is_stateful());
 }
 
 #[test]
 fn evasion_and_dns_mechanism_reports_are_serializable() {
-    let e = driver(Scale::Tiny).evasion(
-        &Telemetry::new(),
-        &evasion::EvasionOptions {
-            isps: vec![IspId::Idea],
-            sites_per_isp: 1,
-            techniques: vec![Technique::ExtraSpaceBeforeValue, Technique::SegmentedRequest],
-        },
-    );
+    let e = driver(Scale::Tiny).evasion(&evasion::EvasionOptions {
+        isps: vec![IspId::Idea],
+        sites_per_isp: 1,
+        techniques: vec![Technique::ExtraSpaceBeforeValue, Technique::SegmentedRequest],
+    });
     assert!(!lucent_support::json::to_string(&e).is_empty());
     let d = dns_mechanism::run(&mut lab(), 1);
     assert!(!lucent_support::json::to_string(&d).is_empty());
@@ -199,7 +193,7 @@ fn https_audit_and_anonymity_shapes() {
     assert_eq!(mtnl.https_blocked, mtnl.dns_caused, "{h}");
 
     // Anonymity: censored paths always cross an asterisked hop.
-    let a = driver(Scale::Tiny).anonymity(&Telemetry::new(), &[IspId::Idea], 8);
+    let a = driver(Scale::Tiny).anonymity(&[IspId::Idea], 8);
     let row = &a.rows[0];
     assert_eq!(row.censored, row.censored_and_asterisk, "{a}");
 }
@@ -225,10 +219,11 @@ fn category_breakdown_covers_all_seven() {
 
 #[test]
 fn wiretaps_lose_races_interceptive_never_do() {
-    let race = driver(Scale::Small).race(
-        &Telemetry::new(),
-        &race::RaceOptions { isps: vec![IspId::Airtel, IspId::Idea], attempts: 10, sites_per_isp: 3 },
-    );
+    let race = driver(Scale::Small).race(&race::RaceOptions {
+        isps: vec![IspId::Airtel, IspId::Idea],
+        attempts: 10,
+        sites_per_isp: 3,
+    });
     let airtel = &race.rows[0];
     let idea = &race.rows[1];
     assert!(idea.attempts > 0, "{race}");
@@ -253,7 +248,7 @@ fn wiretaps_lose_races_interceptive_never_do() {
 #[test]
 fn table1_shapes_hold_in_a_small_world() {
     let opts = table1::Table1Options { isps: vec![IspId::Mtnl, IspId::Idea], max_sites: Some(24) };
-    let t = driver(Scale::Tiny).table1(&Telemetry::new(), &opts);
+    let t = driver(Scale::Tiny).table1(&opts);
     assert_eq!(t.rows.len(), 2);
     let mtnl = &t.rows[0];
     let idea = &t.rows[1];
@@ -272,7 +267,7 @@ fn table1_shapes_hold_in_a_small_world() {
 
 #[test]
 fn mtnl_dominates_bsnl_on_coverage() {
-    let fig = driver(Scale::Tiny).fig2(&Telemetry::new(), &fig2::Fig2Options::default());
+    let fig = driver(Scale::Tiny).fig2(&fig2::Fig2Options::default());
     let mtnl = &fig.rows[0];
     let bsnl = &fig.rows[1];
     // Deployment: MTNL 8 resolvers (6 poisoned) + honest default,
@@ -305,7 +300,7 @@ fn every_censor_is_fully_evaded_by_some_technique() {
             Technique::PublicResolver,
         ],
     };
-    let e = driver(Scale::Small).evasion(&Telemetry::new(), &opts);
+    let e = driver(Scale::Small).evasion(&opts);
     assert_eq!(e.fully_evaded.get("Idea"), Some(&true), "{e}");
     assert_eq!(e.fully_evaded.get("MTNL"), Some(&true), "{e}");
     // Idea (overt IM, case-insensitive): case fudging must fail.
@@ -316,7 +311,7 @@ fn every_censor_is_fully_evaded_by_some_technique() {
 
 #[test]
 fn idea_characterization_matches_the_paper() {
-    let t = driver(Scale::Tiny).triggers(&Telemetry::new(), &[IspId::Idea]);
+    let t = driver(Scale::Tiny).triggers(&[IspId::Idea]);
     let row = &t.rows[0];
     let twin = row.twin.as_ref().expect("censored path exists in Idea");
     assert!(twin.censored_short && twin.censored_full);
@@ -331,7 +326,7 @@ fn idea_characterization_matches_the_paper() {
 
 #[test]
 fn censored_paths_always_have_an_asterisked_hop() {
-    let a = driver(Scale::Tiny).anonymity(&Telemetry::new(), &[IspId::Idea], 10);
+    let a = driver(Scale::Tiny).anonymity(&[IspId::Idea], 10);
     let row = &a.rows[0];
     assert!(row.paths > 0);
     assert!(row.censored > 0, "{a}");

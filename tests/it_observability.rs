@@ -5,7 +5,6 @@ use lucent_bench::drive::Driver;
 use lucent_bench::Scale;
 use lucent_core::experiments::{mechanism, race};
 use lucent_core::lab::Lab;
-use lucent_obs::Telemetry;
 use lucent_support::ToJson;
 use lucent_topology::{India, IndiaConfig, IspId};
 
@@ -21,21 +20,19 @@ fn race_opts() -> race::RaceOptions {
     }
 }
 
-/// A one-thread driver whose shards trace with `spec`, as `repro
-/// --trace SPEC` runs them.
+/// A one-thread run whose worlds trace with `spec`, as `repro --trace
+/// SPEC` runs them.
 fn driver(trace: Option<&str>) -> Driver {
-    Driver::new(Scale::Tiny, 1, trace.map(str::to_string))
+    Driver::new(Scale::Tiny, 1, trace, false).expect("valid spec")
 }
 
-/// Run fig4 + a small race with full tracing on and hand back the
-/// deterministic exporter artifacts.
+/// Run fig4 on the hub + a small race on shards with full tracing on
+/// and hand back the deterministic exporter artifacts.
 fn traced_run() -> (String, String, String) {
-    let mut lab = lab();
-    let obs: Telemetry = lab.india.net.telemetry();
-    obs.set_filter_spec("trace").expect("blanket spec parses");
-    obs.enable_spans(true);
-    mechanism::figure4(&mut lab);
-    driver(Some("trace")).race(&obs, &race_opts());
+    let mut drv = driver(Some("trace"));
+    mechanism::figure4(&mut drv.lab);
+    drv.race(&race_opts());
+    let obs = drv.telemetry();
     (obs.event_log(), obs.metrics_snapshot_pretty(), obs.chrome_trace())
 }
 
@@ -52,19 +49,16 @@ fn same_seed_runs_produce_byte_identical_telemetry() {
 #[test]
 fn telemetry_on_or_off_does_not_change_experiment_results() {
     // Quiet run: default telemetry (events off, spans off).
-    let mut quiet = lab();
-    let quiet_fig4 = mechanism::figure4(&mut quiet).expect("fig4 path exists");
-    let quiet_race = driver(None).race(&quiet.india.net.telemetry(), &race_opts());
+    let mut quiet = driver(None);
+    let quiet_fig4 = mechanism::figure4(&mut quiet.lab).expect("fig4 path exists");
+    let quiet_race = quiet.race(&race_opts());
 
     // Loud run: everything on.
-    let mut loud = lab();
-    let obs = loud.india.net.telemetry();
-    obs.set_filter_spec("trace").expect("blanket spec parses");
-    obs.enable_spans(true);
-    let loud_fig4 = mechanism::figure4(&mut loud).expect("fig4 path exists");
-    let loud_race = driver(Some("trace")).race(&obs, &race_opts());
+    let mut loud = driver(Some("trace"));
+    let loud_fig4 = mechanism::figure4(&mut loud.lab).expect("fig4 path exists");
+    let loud_race = loud.race(&race_opts());
 
-    assert!(obs.event_count() > 0, "the loud run must actually have traced");
+    assert!(loud.telemetry().event_count() > 0, "the loud run must actually have traced");
     assert_eq!(
         quiet_fig4.to_json().to_string_pretty(),
         loud_fig4.to_json().to_string_pretty(),

@@ -10,8 +10,9 @@
 //! implementations were still alive. This suite proves:
 //!
 //! 1. the committed tiny goldens (`tests/golden/*-tiny-metrics.json`),
-//!    produced before the policy engine existed, still reproduce
-//!    byte-for-byte at `--threads 1` and `4`;
+//!    the first three produced before the policy engine existed, still
+//!    reproduce byte-for-byte at `--threads 1` and `4`, each run through
+//!    its suite entry on a [`Driver`] exactly as `repro` runs it;
 //! 2. the committed Airtel and Idea programs replay their recorded
 //!    transcripts byte-for-byte — one recording per middlebox family;
 //! 3. the planted `wrong-airtel.toml` fixture (one flipped action) must
@@ -24,44 +25,33 @@
 use std::path::{Path, PathBuf};
 
 use lucent_bench::drive::Driver;
-use lucent_bench::Scale;
+use lucent_bench::{suite, Scale};
 use lucent_check::diffmb::{airtel_spec, canned_script, idea_spec, render_transcript, run_diff, MbSpec};
-use lucent_core::experiments::{fig2, race, table1};
 use lucent_middlebox::compile::{builtin, builtin_names, compile};
 use lucent_middlebox::policy::Family;
-use lucent_obs::Telemetry;
-use lucent_support::json::to_string_pretty;
 
-const TRACE: &str = "wiretap=debug";
-
-/// Run one experiment the exact way `repro` produces the goldens:
-/// trace spec on the hub and replicated to the shards, tiny scale.
-fn tiny_run(exp: &str, threads: usize) -> (String, String) {
-    let drv = Driver::new(Scale::Tiny, threads, Some(TRACE.to_string()));
-    let hub = Telemetry::new();
-    hub.set_filter_spec(TRACE).unwrap();
-    let json = match exp {
-        "race" => to_string_pretty(&drv.race(&hub, &race::RaceOptions::default())),
-        "table1" => to_string_pretty(&drv.table1(&hub, &table1::Table1Options::default())),
-        _ => to_string_pretty(&drv.fig2(&hub, &fig2::Fig2Options::default())),
-    };
-    (json, hub.metrics_snapshot_pretty())
-}
+/// Every committed tiny metrics golden: the suite entry that produces
+/// it and the `--trace` spec CI runs it with.
+const GOLDENS: [(&str, Option<&str>, &str); 5] = [
+    ("race", Some("wiretap=debug"), include_str!("golden/race-tiny-metrics.json")),
+    ("table1", Some("wiretap=debug"), include_str!("golden/table1-tiny-metrics.json")),
+    ("fig2", Some("wiretap=debug"), include_str!("golden/fig2-tiny-metrics.json")),
+    ("dns-mechanism", Some("dns=debug"), include_str!("golden/dns-mechanism-tiny-metrics.json")),
+    ("ablate-race", None, include_str!("golden/ablate-race-tiny-metrics.json")),
+];
 
 #[test]
 fn policy_engine_reproduces_the_committed_goldens() {
-    let goldens = [
-        ("race", include_str!("golden/race-tiny-metrics.json")),
-        ("table1", include_str!("golden/table1-tiny-metrics.json")),
-        ("fig2", include_str!("golden/fig2-tiny-metrics.json")),
-    ];
-    for (exp, golden) in goldens {
+    for (name, trace, golden) in GOLDENS {
+        let entry = suite::entry(name).unwrap_or_else(|| panic!("the suite has no `{name}`"));
         for threads in [1usize, 4] {
-            let (_, metrics) = tiny_run(exp, threads);
+            let mut drv = Driver::new(Scale::Tiny, threads, trace, false).expect("valid spec");
+            entry.run(&mut drv, |_| {});
             assert_eq!(
-                metrics, golden,
-                "{exp} metrics under the policy engine at --threads {threads} \
-                 diverged from the pre-policy golden"
+                drv.telemetry().metrics_snapshot_pretty(),
+                golden,
+                "{name} metrics under the policy engine at --threads {threads} \
+                 diverged from the committed golden"
             );
         }
     }

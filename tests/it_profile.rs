@@ -11,31 +11,32 @@
 use lucent_bench::drive::Driver;
 use lucent_bench::Scale;
 use lucent_core::experiments::race;
-use lucent_obs::{prof, Telemetry};
+use lucent_obs::prof;
 use lucent_support::json::to_string_pretty;
 
 fn race_opts() -> race::RaceOptions {
     race::RaceOptions::default()
 }
 
+/// A race-only run on `threads` threads, profiled when `prof`.
+fn driver(threads: usize, prof: bool) -> Driver {
+    Driver::new(Scale::Tiny, threads, None, prof).expect("no trace spec to reject")
+}
+
 /// Run the race experiment under a profiled driver; return the result
-/// JSON, the deterministic profile, and the hub for further inspection.
-fn profiled_race(threads: usize) -> (String, String, Telemetry) {
-    let drv = Driver::new(Scale::Tiny, threads, None).with_prof(true);
-    let hub = Telemetry::new();
-    let json = to_string_pretty(&drv.race(&hub, &race_opts()));
-    let det = prof::deterministic_json(&hub, 0).to_string_pretty();
-    (json, det, hub)
+/// JSON and the deterministic profile.
+fn profiled_race(threads: usize) -> (String, String) {
+    let mut drv = driver(threads, true);
+    let json = to_string_pretty(&drv.race(&race_opts()));
+    let det = prof::deterministic_json(&drv.telemetry(), 0).to_string_pretty();
+    (json, det)
 }
 
 #[test]
 fn deterministic_plane_is_byte_identical_across_thread_counts() {
-    let (json1, det1, _) = profiled_race(1);
+    let (json1, det1) = profiled_race(1);
     for threads in [2usize, 4] {
-        let (json, det) = {
-            let (j, d, _) = profiled_race(threads);
-            (j, d)
-        };
+        let (json, det) = profiled_race(threads);
         assert_eq!(json1, json, "results differ between --threads 1 and --threads {threads}");
         assert_eq!(
             det1, det,
@@ -49,12 +50,8 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn profiling_is_observation_only() {
-    let plain = {
-        let drv = Driver::new(Scale::Tiny, 2, None);
-        let hub = Telemetry::new();
-        to_string_pretty(&drv.race(&hub, &race_opts()))
-    };
-    let (profiled, _, _) = profiled_race(2);
+    let plain = to_string_pretty(&driver(2, false).race(&race_opts()));
+    let (profiled, _) = profiled_race(2);
     assert_eq!(plain, profiled, "turning the profiler on changed an experiment result");
 }
 

@@ -18,20 +18,19 @@ use lucent_topology::{India, IspId};
 type Step = (&'static str, String, Option<String>);
 
 /// Walk the suite entry `name` at tiny scale on `threads` threads:
-/// every step, and the hub's metrics snapshot afterwards.
+/// every step, and the run's metrics snapshot afterwards.
 fn run_at(name: &str, threads: usize) -> (Vec<Step>, String) {
-    let mut lab = Scale::Tiny.lab();
-    let drv = Driver::new(Scale::Tiny, threads, None);
+    let mut drv = Driver::new(Scale::Tiny, threads, None, false).expect("no trace spec to reject");
     let mut steps = Vec::new();
     let entry = suite::entry(name).unwrap_or_else(|| panic!("the suite has no `{name}`"));
-    entry.run(&mut lab, &drv, Scale::Tiny, |done| {
+    entry.run(&mut drv, |done| {
         steps.push((
             done.file,
             done.text,
             done.value.map(|v| to_string_pretty(&*v)),
         ));
     });
-    (steps, lab.india.net.telemetry().metrics_snapshot_pretty())
+    (steps, drv.telemetry().metrics_snapshot_pretty())
 }
 
 /// Assert that `name` runs byte-identically at `--threads 1, 2, 4`,
