@@ -167,9 +167,11 @@ fn main() {
         write_or_die(&dir.join("trace-events.jsonl"), &obs.event_log());
         write_or_die(&dir.join("chrome-trace.json"), &obs.chrome_trace());
         println!(
-            "trace: {} event(s) recorded ({} dropped at the ring cap) -> {}",
+            "trace: {} event(s) recorded ({} dropped at the ring cap), {} span(s) ({} dropped) -> {}",
             obs.event_count(),
             obs.events_dropped(),
+            obs.span_count(),
+            obs.spans_dropped(),
             dir.display()
         );
     }
@@ -177,12 +179,13 @@ fn main() {
         write_or_die(path, &obs.metrics_snapshot_pretty());
         println!("metrics snapshot -> {}", path.display());
     }
-    if obs.events_dropped() > 0 {
-        eprintln!(
-            "warn: {} telemetry event(s) dropped at the ring cap — event-derived \
-             artifacts are incomplete; narrow --trace or run a smaller scale",
-            obs.events_dropped()
-        );
+    for (dropped, what) in [(obs.events_dropped(), "event"), (obs.spans_dropped(), "span")] {
+        if dropped > 0 {
+            eprintln!(
+                "warn: {dropped} telemetry {what}(s) dropped at the ring cap — {what}-derived \
+                 artifacts are incomplete; narrow --trace or run a smaller scale"
+            );
+        }
     }
     let wall = start.elapsed_secs();
     if let Some(path) = &args.profile {

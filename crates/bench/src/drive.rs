@@ -49,13 +49,7 @@ impl Driver {
         prof: bool,
     ) -> Result<Driver, FilterError> {
         let lab = scale.lab();
-        let obs = lab.india.net.telemetry();
-        instrument(&obs, trace, prof)?;
-        if trace.is_some() {
-            // Only the hub's Chrome trace is exported, so only its
-            // track 0 needs the name.
-            obs.set_thread_name(0, "sim");
-        }
+        instrument(&lab.india.net.telemetry(), trace, prof)?;
         Ok(Driver {
             scale,
             threads,
@@ -211,9 +205,24 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lucent_netsim::NodeId;
+    use lucent_support::Json;
 
     fn driver(threads: usize, prof: bool) -> Driver {
         Driver::new(Scale::Tiny, threads, None, prof).expect("no trace spec to reject")
+    }
+
+    #[test]
+    fn the_chrome_trace_names_track_0_after_node_0() {
+        let drv = Driver::new(Scale::Tiny, 1, Some("wiretap=debug"), false).expect("valid spec");
+        let trace = Json::parse(&drv.telemetry().chrome_trace()).expect("the trace is JSON");
+        let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap_or_default();
+        let track0 = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+            .find(|e| e.get("tid").and_then(Json::as_i64) == Some(0))
+            .and_then(|e| e.get("args")?.get("name")?.as_str());
+        assert_eq!(track0, Some(drv.lab.india.net.label_of(NodeId(0))));
     }
 
     #[test]

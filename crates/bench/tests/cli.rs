@@ -2,8 +2,9 @@
 //! with usage, a flag is never read as another flag's value, `--help`
 //! exits 0 listing exactly the suite's experiments, `--json` creates its
 //! output directory (nested paths included) before writing result files,
-//! an output that cannot be written exits 1, and the closing line's
-//! totals count every world of the run at any thread count.
+//! an output that cannot be written exits 1, the closing line's totals
+//! count every world of the run at any thread count, and span drops
+//! are reported like event drops.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -253,4 +254,31 @@ fn a_bad_trace_spec_exits_2() {
     assert_eq!(out.status.code(), Some(2), "an invalid --trace spec must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad --trace spec \"wiretap=loud\""), "{stderr}");
+}
+
+#[test]
+fn span_drops_are_reported_like_event_drops() {
+    let root = scratch("span-drops");
+    let out = repro()
+        .args(["table2", "--scale", "tiny", "--trace", "wiretap=debug", "--json"])
+        .arg(&root)
+        .arg("--metrics-out")
+        .arg(root.join("metrics.json"))
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let snap = Json::parse(&std::fs::read_to_string(root.join("metrics.json")).expect("snapshot"))
+        .expect("snapshot is JSON");
+    let dropped = snap
+        .get("ring")
+        .and_then(|r| r.get("spans_dropped"))
+        .and_then(Json::as_i64)
+        .expect("ring.spans_dropped");
+    assert!(dropped > 0, "table2 overflows the span ring at tiny scale");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let trace_line = stdout.lines().find(|l| l.starts_with("trace: ")).unwrap_or_default();
+    assert!(trace_line.contains(&format!("span(s) ({dropped} dropped)")), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("warn: {dropped} telemetry span(s) dropped")), "{stderr}");
+    let _ = std::fs::remove_dir_all(root);
 }

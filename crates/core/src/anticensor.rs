@@ -218,70 +218,40 @@ fn run_attempts(
     req: Vec<u8>,
     inspect_wire: bool,
 ) -> bool {
-    if inspect_wire {
-        if let Some(host) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-            host.enable_pcap();
-            let _ = host.take_pcap();
+    use lucent_packet::tcp::TcpFlags;
+    (0..2).all(|_| {
+        let ((f, rendered), [wire]) = lab.captured([client], |lab| {
+            let f = lab.http_fetch(client, ip, 80, req.clone(), FETCH_TIMEOUT_MS);
+            let rendered = f
+                .response
+                .as_ref()
+                .is_some_and(|r| !looks_like_notice(r) && (r.status == 200 || r.status == 302));
+            if rendered {
+                // Wait out any slow injection tail before judging.
+                lab.run_ms(600);
+            }
+            (f, rendered)
+        });
+        if !rendered {
+            return false;
         }
-    }
-    let mut evaded = true;
-    for _ in 0..2 {
-        let f = lab.http_fetch(client, ip, 80, req.clone(), FETCH_TIMEOUT_MS);
-        let ok = f
-            .response
-            .as_ref()
-            .map(|r| !looks_like_notice(r) && (r.status == 200 || r.status == 302))
-            .unwrap_or(false);
-        if !ok {
-            evaded = false;
-            break;
-        }
-        // Wait out any slow injection tail before judging.
-        lab.run_ms(600);
         if inspect_wire {
-            let pcap = lab
-                .india
-                .net
-                .node_mut::<lucent_tcp::TcpHost>(client)
-                .map(|h| h.take_pcap())
-                .unwrap_or_default();
-            let injected = pcap.iter().any(|(_, p)| {
-                if p.src() != ip {
-                    return false;
-                }
-                let Some((h, payload)) = p.as_tcp() else { return false };
-                use lucent_packet::tcp::TcpFlags;
-                // An orderly server close is a bare FIN; the middlebox
-                // notice is FIN-with-payload, and nothing legitimate
-                // RSTs a healthy exchange.
-                (h.flags.contains(TcpFlags::FIN) && !payload.is_empty())
-                    || h.flags.contains(TcpFlags::RST)
-            });
-            if injected {
-                evaded = false;
-                break;
-            }
+            // An orderly server close is a bare FIN; the middlebox notice
+            // is FIN-with-payload, and nothing legitimate RSTs a healthy
+            // exchange.
+            !wire.iter().any(|(_, p)| {
+                p.src() == ip
+                    && p.as_tcp().is_some_and(|(h, payload)| {
+                        (h.flags.contains(TcpFlags::FIN) && !payload.is_empty())
+                            || h.flags.contains(TcpFlags::RST)
+                    })
+            })
         } else {
-            let reset = lab
-                .india
-                .net
-                .node_ref::<lucent_tcp::TcpHost>(client)
-                .map(|h| {
-                    h.events(f.sock).iter().any(|e| e.event == lucent_tcp::SocketEvent::Reset)
-                })
-                .unwrap_or(false);
-            if reset {
-                evaded = false;
-                break;
-            }
+            !lab.india.net.node_ref::<lucent_tcp::TcpHost>(client).is_some_and(|h| {
+                h.events(f.sock).iter().any(|e| e.event == lucent_tcp::SocketEvent::Reset)
+            })
         }
-    }
-    if inspect_wire {
-        if let Some(host) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-            host.disable_pcap();
-        }
-    }
-    evaded
+    })
 }
 
 /// The TCB-teardown evasion: locate the middlebox with the tracer, then

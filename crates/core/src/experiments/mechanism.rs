@@ -1,17 +1,19 @@
 //! **Figures 3 & 4** — the packet-level mechanism of each middlebox
-//! family, reconstructed from client- and remote-side captures exactly as
-//! the paper's controlled-remote-host experiments did.
+//! family, read off the client- and remote-side captures of the
+//! controlled-remote-host experiment (§4.2.1), the same run
+//! Table 2's classifier draws its WM/IM verdict from
+//! ([`remote_host_experiment`]).
 
 use std::fmt;
 
-
 use lucent_middlebox::notice::looks_like_notice;
-use lucent_packet::http::RequestBuilder;
+use lucent_netsim::SimTime;
 use lucent_packet::tcp::TcpFlags;
-use lucent_packet::HttpResponse;
+use lucent_packet::{HttpResponse, Packet, TcpHeader};
 use lucent_topology::IspId;
 
-use crate::lab::{Lab, FETCH_TIMEOUT_MS};
+use crate::lab::{Capture, Lab};
+use crate::probe::classify::{remote_host_experiment, RemoteHostObservation};
 
 /// The observable sequence of one censored connection.
 #[derive(Debug, Clone)]
@@ -45,125 +47,82 @@ pub struct MechanismReport {
     pub transcript: String,
 }
 
-/// Exercise the mechanism against controlled remotes, trying `domains`
-/// until some (VP path, domain) combination is covered by a device that
-/// blocks it.
-pub fn observe(lab: &mut Lab, isp: IspId, domains: &[String]) -> Option<MechanismReport> {
-    for domain in domains {
-        if let Some(r) = observe_one(lab, isp, domain) {
-            return Some(r);
+/// Exercise `isp`'s mechanism against the controlled remotes, trying
+/// the first eight domains of its blocklist until some (VP path,
+/// domain) combination is covered by a device that blocks it.
+pub fn observe(lab: &mut Lab, isp: IspId) -> Option<MechanismReport> {
+    let master = lab.india.truth.http_master.get(&isp).cloned().unwrap_or_default();
+    let domains: Vec<String> =
+        master.iter().take(8).map(|&s| lab.india.corpus.site(s).domain.clone()).collect();
+    let vps = lab.india.external_vps.clone();
+    for domain in &domains {
+        for &(remote, remote_node) in &vps {
+            let seen = remote_host_experiment(lab, isp, remote, remote_node, domain);
+            if let Some(report) = mechanism_of(isp, &seen) {
+                return Some(report);
+            }
         }
     }
     None
 }
 
-fn observe_one(lab: &mut Lab, isp: IspId, blocked_domain: &str) -> Option<MechanismReport> {
-    let client = lab.client_of(isp);
-    let vps = lab.india.external_vps.clone();
-    let obs = lab.india.net.telemetry();
-    for (remote_ip, remote_node) in vps {
-        let remote_label = lab.india.net.label_of(remote_node).to_string();
-        let payload_before = obs.counter("tcp.payload_bytes_rx", &remote_label);
-        if let Some(host) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-            host.enable_pcap();
-            let _ = host.take_pcap();
-        }
-        if let Some(remote) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(remote_node) {
-            remote.enable_pcap();
-            let _ = remote.take_pcap();
-        }
-        let request = RequestBuilder::browser(blocked_domain, "/").build();
-        let fetch = lab.http_fetch(client, remote_ip, 80, request, FETCH_TIMEOUT_MS);
-        lab.run_ms(30_000); // let the black-holed teardown play out
-        let (snd_nxt, _) = lab
-            .india
-            .net
-            .node_ref::<lucent_tcp::TcpHost>(client)
-            .and_then(|h| h.seq_cursors(fetch.sock))
-            .unwrap_or((0, 0));
-
-        let client_pcap = lab
-            .india
-            .net
-            .node_mut::<lucent_tcp::TcpHost>(client)
-            .map(|h| h.take_pcap())
-            .unwrap_or_default();
-        let remote_pcap = lab
-            .india
-            .net
-            .node_mut::<lucent_tcp::TcpHost>(remote_node)
-            .map(|h| h.take_pcap())
-            .unwrap_or_default();
-
-        let client_got_notice = fetch.shows_notice();
-        let client_got_rst = fetch.was_reset()
-            || client_pcap.iter().any(|(_, p)| {
-                p.as_tcp().map(|(h, _)| h.flags.contains(TcpFlags::RST)).unwrap_or(false)
-            });
-        let censored = client_got_notice || client_got_rst || fetch.hit_timeout();
-        if !censored {
-            continue; // this VP's path is not covered; try the next
-        }
-        let handshake_at_remote = remote_pcap.iter().any(|(_, p)| {
-            p.as_tcp().map(|(h, _)| h.flags.contains(TcpFlags::SYN)).unwrap_or(false)
-        });
-        // Metric-based, not capture-based: what the remote's TCP stack
-        // *accepted* is the paper's "the server never receives the GET".
-        let payload_bytes_at_remote =
-            obs.counter("tcp.payload_bytes_rx", &remote_label).saturating_sub(payload_before);
-        let get_reached_remote = payload_bytes_at_remote > 0;
-        let forged_rst_at_remote = remote_pcap.iter().any(|(_, p)| {
-            p.as_tcp()
-                .map(|(h, _)| h.flags.contains(TcpFlags::RST) && h.seq != snd_nxt)
-                .unwrap_or(false)
-        });
-        let notice_had_fin = client_pcap.iter().any(|(_, p)| {
-            p.as_tcp()
-                .map(|(h, b)| h.flags.contains(TcpFlags::FIN) && !b.is_empty())
-                .unwrap_or(false)
-        });
-        // The remote (wiretap case) answered; did the client RST it? The
-        // client's RST to a late response appears in the client pcap as
-        // an outbound... pcap records inbound only, so infer from the
-        // remote side: a RST at the remote matching the client's cursor.
-        let late_response_rst_by_client = get_reached_remote
-            && remote_pcap.iter().any(|(_, p)| {
-                p.as_tcp().map(|(h, _)| h.flags.contains(TcpFlags::RST)).unwrap_or(false)
-            });
-        let transcript = client_pcap
-            .iter()
-            .map(|(at, p)| {
-                let (h, b) = p.as_tcp().map(|(h, b)| (h.clone(), b.len())).unwrap_or_else(|| {
-                    (lucent_packet::TcpHeader::new(0, 0, TcpFlags::empty()), 0)
-                });
-                let kind = if b > 0 {
-                    match HttpResponse::parse(p.as_tcp().map(|(_, b)| &b[..]).unwrap_or(&[])) {
-                        Ok(r) if looks_like_notice(&r) => "NOTICE",
-                        Ok(_) => "HTTP",
-                        Err(_) => "DATA",
-                    }
-                } else {
-                    ""
-                };
-                format!("{at} <- {} [{}] seq={} ack={} len={b} ip_id={} {kind}", p.src(), h.flags, h.seq, h.ack, p.ip.identification)
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        return Some(MechanismReport {
-            isp: isp.name().to_string(),
-            remote: remote_ip.to_string(),
-            handshake_at_remote,
-            get_reached_remote,
-            payload_bytes_at_remote,
-            client_got_notice,
-            notice_had_fin,
-            client_got_rst,
-            forged_rst_at_remote,
-            late_response_rst_by_client,
-            transcript,
-        });
+/// The mechanism one remote-host run shows; `None` when the client saw
+/// no notice, no reset and no timeout (this VP's path is not covered).
+fn mechanism_of(isp: IspId, seen: &RemoteHostObservation) -> Option<MechanismReport> {
+    let fetch = &seen.fetch;
+    let tcp_with = |capture: &Capture, flag: TcpFlags| {
+        capture.iter().any(|(_, p)| p.as_tcp().is_some_and(|(h, _)| h.flags.contains(flag)))
+    };
+    let client_got_notice = fetch.shows_notice();
+    let client_got_rst = fetch.was_reset() || tcp_with(&seen.client_capture, TcpFlags::RST);
+    if !(client_got_notice || client_got_rst || fetch.hit_timeout()) {
+        return None;
     }
-    None
+    // Metric-based, not capture-based: what the remote's TCP stack
+    // *accepted* is the paper's "the server never receives the GET".
+    let get_reached_remote = seen.payload_bytes_at_remote > 0;
+    let notice_had_fin = seen.client_capture.iter().any(|(_, p)| {
+        p.as_tcp().is_some_and(|(h, b)| h.flags.contains(TcpFlags::FIN) && !b.is_empty())
+    });
+    // Captures hold inbound packets only, so the client's RST of the
+    // remote's late response shows up as a RST at the remote.
+    let late_response_rst_by_client =
+        get_reached_remote && tcp_with(&seen.remote_capture, TcpFlags::RST);
+    let transcript = seen
+        .client_capture
+        .iter()
+        .map(|(at, p)| transcript_line(at, p))
+        .collect::<Vec<_>>()
+        .join("\n");
+    Some(MechanismReport {
+        isp: isp.name().to_string(),
+        remote: seen.remote.to_string(),
+        handshake_at_remote: tcp_with(&seen.remote_capture, TcpFlags::SYN),
+        get_reached_remote,
+        payload_bytes_at_remote: seen.payload_bytes_at_remote,
+        client_got_notice,
+        notice_had_fin,
+        client_got_rst,
+        forged_rst_at_remote: seen.forged_rst_at_remote(),
+        late_response_rst_by_client,
+        transcript,
+    })
+}
+
+/// One captured packet as a transcript line: arrival time, source, TCP
+/// flags and cursors, payload length, IP-ID, and what the payload is.
+fn transcript_line(at: &SimTime, p: &Packet) -> String {
+    let none = TcpHeader::new(0, 0, TcpFlags::empty());
+    let (h, body) = p.as_tcp().map_or((&none, &[][..]), |(h, b)| (h, &b[..]));
+    let kind = match HttpResponse::parse(body) {
+        Ok(r) if looks_like_notice(&r) => "NOTICE",
+        Ok(_) => "HTTP",
+        Err(_) if body.is_empty() => "",
+        Err(_) => "DATA",
+    };
+    let (len, ip_id) = (body.len(), p.ip.identification);
+    let (src, flags) = (p.src(), &h.flags);
+    format!("{at} <- {src} [{flags}] seq={} ack={} len={len} ip_id={ip_id} {kind}", h.seq, h.ack)
 }
 
 impl fmt::Display for MechanismReport {
@@ -189,29 +148,12 @@ impl fmt::Display for MechanismReport {
 
 /// Figure 3: the interceptive mechanism, observed in Idea.
 pub fn figure3(lab: &mut Lab) -> Option<MechanismReport> {
-    let domains = pick_blocked_domains(lab, IspId::Idea, 8);
-    observe(lab, IspId::Idea, &domains)
+    observe(lab, IspId::Idea)
 }
 
 /// Figure 4: the wiretap mechanism, observed in Airtel.
 pub fn figure4(lab: &mut Lab) -> Option<MechanismReport> {
-    let domains = pick_blocked_domains(lab, IspId::Airtel, 8);
-    observe(lab, IspId::Airtel, &domains)
-}
-
-fn pick_blocked_domains(lab: &Lab, isp: IspId, n: usize) -> Vec<String> {
-    lab.india
-        .truth
-        .http_master
-        .get(&isp)
-        .map(|master| {
-            master
-                .iter()
-                .take(n)
-                .map(|&s| lab.india.corpus.site(s).domain.clone())
-                .collect()
-        })
-        .unwrap_or_default()
+    observe(lab, IspId::Airtel)
 }
 
 #[cfg(test)]

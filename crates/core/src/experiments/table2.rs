@@ -4,12 +4,11 @@
 
 use std::fmt;
 
-
 use lucent_topology::IspId;
 use lucent_web::SiteId;
 
 use crate::lab::{Lab, FETCH_TIMEOUT_MS};
-use crate::probe::classify::{classify_by_remote_hosts, MeasuredKind};
+use crate::probe::classify::{blocked_on_retries, classify_by_remote_hosts, MeasuredKind};
 use crate::probe::coverage::{inside_scan, outside_scan, CoverageScan};
 use crate::report;
 
@@ -76,19 +75,7 @@ pub fn direct_blocked_set(lab: &mut Lab, isp: IspId, max_sites: Option<usize>) -
         let domain = lab.india.corpus.site(site).domain.clone();
         let dns = lab.resolve(client, public_dns, &domain);
         let Some(&ip) = dns.ips.first() else { continue };
-        let mut hits = 0;
-        let mut notice = false;
-        for _ in 0..2 {
-            let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-            if f.shows_notice() {
-                notice = true;
-                break;
-            }
-            if !f.connect_failed && (f.was_reset() || f.hit_timeout()) {
-                hits += 1;
-            }
-        }
-        if notice || hits == 2 {
+        if blocked_on_retries(lab, client, ip, &domain, 2).is_some() {
             blocked.push(site);
         }
     }

@@ -7,12 +7,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-
-use lucent_middlebox::notice::looks_like_notice;
 use lucent_packet::HttpResponse;
 use lucent_topology::IspId;
 
-use crate::lab::{Lab, FETCH_TIMEOUT_MS};
+use crate::lab::Lab;
+use crate::probe::classify::{blocked_on_retries, Blocked};
 use crate::probe::tracer::http_tracer;
 use crate::report;
 
@@ -98,28 +97,15 @@ pub fn run(lab: &mut Lab, opts: &Table3Options) -> Table3 {
             // must not interfere.
             let dns = lab.resolve(client, public_dns, &domain);
             let Some(&ip) = dns.ips.first() else { continue };
-            // Retry like a human would: a wiretap loses ~3/10 races, so a
-            // single rendered page does not clear a site.
-            let mut notice_attr = None;
-            let mut kills = 0;
-            const TRIES: usize = 3;
-            for _ in 0..TRIES {
-                let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-                if let Some(resp) = &f.response {
-                    if looks_like_notice(resp) {
-                        notice_attr = attribute_by_notice(lab, resp);
-                        break;
-                    }
-                }
-                if !f.connect_failed && (f.was_reset() || f.hit_timeout()) {
-                    kills += 1;
-                }
-            }
-            let censored = notice_attr.is_some() || kills == TRIES;
-            if !censored {
-                continue;
-            }
-            let censor = notice_attr.or_else(|| attribute_by_path(lab, victim, ip, &domain));
+            let censor = match blocked_on_retries(lab, client, ip, &domain, 3) {
+                None => continue,
+                Some(Blocked::Killed) => attribute_by_path(lab, victim, ip, &domain),
+                // A notice no censor's signature matches is not counted.
+                Some(Blocked::Notice(resp)) => match attribute_by_notice(lab, &resp) {
+                    None => continue,
+                    found => found,
+                },
+            };
             let name = censor.map(|c| c.name().to_string()).unwrap_or_else(|| "?".into());
             *by_censor.entry(name).or_insert(0) += 1;
         }

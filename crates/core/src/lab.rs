@@ -25,6 +25,10 @@ pub const HOP_WINDOW_MS: u64 = 600;
 /// The port every raw connection targets.
 const HTTP_PORT: u16 = 80;
 
+/// What a host captured: every inbound packet with its arrival time,
+/// oldest first.
+pub type Capture = Vec<(SimTime, Packet)>;
+
 /// Outcome of a full-stack HTTP fetch.
 #[derive(Debug, Clone)]
 pub struct Fetch {
@@ -320,6 +324,30 @@ impl Lab {
     pub fn http_get(&mut self, from: NodeId, dst: Ipv4Addr, host_header: &str, timeout_ms: u64) -> Fetch {
         let request = RequestBuilder::browser(host_header, "/").build();
         self.http_fetch(from, dst, 80, request, timeout_ms)
+    }
+
+    // ------------------------------------------------------------------
+    // Capture
+    // ------------------------------------------------------------------
+
+    /// Run `f` with a fresh capture at each of `hosts` and return its
+    /// value with what each host received meanwhile, in `hosts` order.
+    /// Every capture is off again on return, so nothing outside `f` is
+    /// captured. A node that is not a TCP host captures nothing.
+    pub(crate) fn captured<R, const N: usize>(
+        &mut self,
+        hosts: [NodeId; N],
+        f: impl FnOnce(&mut Lab) -> R,
+    ) -> (R, [Capture; N]) {
+        for host in hosts {
+            if let Some(h) = self.host_mut(host) {
+                h.enable_pcap();
+            }
+        }
+        let value = f(self);
+        let captures =
+            hosts.map(|host| self.host_mut(host).map(TcpHost::disable_pcap).unwrap_or_default());
+        (value, captures)
     }
 
     // ------------------------------------------------------------------

@@ -1,23 +1,30 @@
 //! Interceptive vs wiretap classification (§4.2.1): the controlled
-//! remote-host corroboration, the render-rate race, and the
-//! ICMP-consumption test.
+//! remote-host experiment, the render-rate race, and the
+//! ICMP-consumption test. [`remote_host_experiment`] is the only code
+//! that runs the remote-host experiment; Table 2's classifier and
+//! Figures 3–4 read their verdicts off what it returns.
 //!
 //! It also holds the direct-path check every experiment runs first:
 //! is this site censored on the client's own path? [`censored_on_path`]
 //! is the only copy of that check, and [`censored_sites`] scans an
 //! ISP's blocklist with it. The check fetches twice and stops at the
 //! first block. A wiretap loses about 3/10 injection races, so one
-//! clean fetch proves nothing.
+//! clean fetch proves nothing. Table 2's and Table 3's site scans retry
+//! through [`blocked_on_retries`] instead, which also requires every
+//! fetch to fail when none shows a notice.
 
 use std::net::Ipv4Addr;
 
 use lucent_middlebox::notice::looks_like_notice;
+use lucent_netsim::NodeId;
 use lucent_packet::http::RequestBuilder;
 use lucent_packet::tcp::TcpFlags;
+use lucent_packet::HttpResponse;
+use lucent_tcp::TcpHost;
 use lucent_topology::IspId;
 use lucent_web::{Site, SiteId};
 
-use crate::lab::{Lab, FETCH_TIMEOUT_MS};
+use crate::lab::{Capture, Fetch, Lab, FETCH_TIMEOUT_MS};
 
 /// What the classifier concluded about an ISP's middleboxes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,13 +35,80 @@ pub enum MeasuredKind {
     Interceptive,
 }
 
-/// Result of the controlled-remote-host experiment against one remote.
+/// What one run of the controlled-remote-host experiment saw; see
+/// [`remote_host_experiment`].
+#[derive(Debug, Clone)]
+pub struct RemoteHostObservation {
+    /// The controlled remote.
+    pub remote: Ipv4Addr,
+    /// The client's fetch.
+    pub fetch: Fetch,
+    /// Packets that reached the client during the fetch and teardown.
+    pub client_capture: Capture,
+    /// Packets that reached the remote.
+    pub remote_capture: Capture,
+    /// The client's send cursor after the teardown.
+    pub client_snd_nxt: u32,
+    /// Payload bytes the remote's TCP stack accepted: the delta of its
+    /// `tcp.payload_bytes_rx` counter.
+    pub payload_bytes_at_remote: u64,
+}
+
+impl RemoteHostObservation {
+    /// A RST reached the remote whose sequence number differs from the
+    /// client's own cursor: the middlebox sent it, not the client.
+    pub fn forged_rst_at_remote(&self) -> bool {
+        self.remote_capture.iter().any(|(_, p)| {
+            p.as_tcp().is_some_and(|(h, _)| {
+                h.flags.contains(TcpFlags::RST) && h.seq != self.client_snd_nxt
+            })
+        })
+    }
+}
+
+/// The controlled-remote-host experiment (§4.2.1): from inside `isp`, a
+/// browser GET for `blocked_domain` to the controlled host `remote`
+/// (node `remote_node`), with both ends captured through the fetch and
+/// a 30 s window in which a black-holed teardown plays out. Table 2's
+/// classifier ([`classify_by_remote_hosts`]) and Figures 3–4
+/// (`experiments::mechanism`) are two verdicts over what it returns.
+pub fn remote_host_experiment(
+    lab: &mut Lab,
+    isp: IspId,
+    remote: Ipv4Addr,
+    remote_node: NodeId,
+    blocked_domain: &str,
+) -> RemoteHostObservation {
+    let client = lab.client_of(isp);
+    let obs = lab.india.net.telemetry();
+    let remote_label = lab.india.net.label_of(remote_node).to_string();
+    let payload_before = obs.counter("tcp.payload_bytes_rx", &remote_label);
+    let (fetch, [client_capture, remote_capture]) = lab.captured([client, remote_node], |lab| {
+        let fetch = lab.http_get(client, remote, blocked_domain, FETCH_TIMEOUT_MS);
+        lab.run_ms(30_000);
+        fetch
+    });
+    let (client_snd_nxt, _) = lab
+        .india
+        .net
+        .node_ref::<TcpHost>(client)
+        .and_then(|h| h.seq_cursors(fetch.sock))
+        .unwrap_or((0, 0));
+    RemoteHostObservation {
+        remote,
+        fetch,
+        client_capture,
+        remote_capture,
+        client_snd_nxt,
+        payload_bytes_at_remote: obs
+            .counter("tcp.payload_bytes_rx", &remote_label)
+            .saturating_sub(payload_before),
+    }
+}
+
+/// Table 2's verdict from the remote-host experiment against one remote.
 #[derive(Debug, Clone)]
 pub struct RemoteHostReport {
-    /// The remote used.
-    pub remote: Ipv4Addr,
-    /// The client observed censorship on this path at all.
-    pub censored: bool,
     /// The crafted GET arrived at the remote (wiretap signature).
     pub get_reached_remote: bool,
     /// The client saw a notification page (overt) vs a bare reset.
@@ -45,60 +119,9 @@ pub struct RemoteHostReport {
     pub forged_rst_at_remote: bool,
 }
 
-/// Run the remote-host experiment from inside `isp` against the
-/// controlled host `remote`, requesting `blocked_domain`.
-pub fn remote_host_experiment(
-    lab: &mut Lab,
-    isp: IspId,
-    remote: Ipv4Addr,
-    remote_node: lucent_netsim::NodeId,
-    blocked_domain: &str,
-) -> RemoteHostReport {
-    let client = lab.client_of(isp);
-    {
-        // Enable and clear: stale packets from earlier attempts against
-        // the same remote must not contaminate this observation.
-        if let Some(host) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(remote_node) {
-            host.enable_pcap();
-            let _ = host.take_pcap();
-        }
-    }
-    // Full-stack fetch so the client behaves like a browser.
-    let request = RequestBuilder::browser(blocked_domain, "/").build();
-    let fetch = lab.http_fetch(client, remote, 80, request, FETCH_TIMEOUT_MS);
-    // Allow the black-holed teardown to play out.
-    lab.run_ms(30_000);
-    let (snd_nxt, _) = lab
-        .india
-        .net
-        .node_ref::<lucent_tcp::TcpHost>(client)
-        .and_then(|h| h.seq_cursors(fetch.sock))
-        .unwrap_or((0, 0));
-    let pcap = lab
-        .india
-        .net
-        .node_mut::<lucent_tcp::TcpHost>(remote_node)
-        .map(|h| h.take_pcap())
-        .unwrap_or_default();
-    let get_reached_remote = pcap
-        .iter()
-        .any(|(_, p)| p.as_tcp().map(|(_, b)| !b.is_empty()).unwrap_or(false));
-    let forged_rst_at_remote = pcap.iter().any(|(_, p)| {
-        p.as_tcp()
-            .map(|(h, _)| h.flags.contains(TcpFlags::RST) && h.seq != snd_nxt)
-            .unwrap_or(false)
-    });
-    RemoteHostReport {
-        remote,
-        censored: fetch.censored(),
-        get_reached_remote,
-        client_saw_notice: fetch.shows_notice(),
-        forged_rst_at_remote,
-    }
-}
-
-/// Try the remote-host experiment against every external VP until one
-/// path turns out to be covered; classify from it.
+/// Run the remote-host experiment against every external VP until the
+/// client's fetch shows a block (the path is covered); classify from
+/// that run: wiretap when the GET reached the remote, else interceptive.
 pub fn classify_by_remote_hosts(
     lab: &mut Lab,
     isp: IspId,
@@ -106,15 +129,24 @@ pub fn classify_by_remote_hosts(
 ) -> Option<(MeasuredKind, RemoteHostReport)> {
     let vps = lab.india.external_vps.clone();
     for (ip, node) in vps {
-        let report = remote_host_experiment(lab, isp, ip, node, blocked_domain);
-        if report.censored {
-            let kind = if report.get_reached_remote {
-                MeasuredKind::Wiretap
-            } else {
-                MeasuredKind::Interceptive
-            };
-            return Some((kind, report));
+        let seen = remote_host_experiment(lab, isp, ip, node, blocked_domain);
+        if !seen.fetch.censored() {
+            continue;
         }
+        let report = RemoteHostReport {
+            get_reached_remote: seen
+                .remote_capture
+                .iter()
+                .any(|(_, p)| p.as_tcp().is_some_and(|(_, b)| !b.is_empty())),
+            client_saw_notice: seen.fetch.shows_notice(),
+            forged_rst_at_remote: seen.forged_rst_at_remote(),
+        };
+        let kind = if report.get_reached_remote {
+            MeasuredKind::Wiretap
+        } else {
+            MeasuredKind::Interceptive
+        };
+        return Some((kind, report));
     }
     None
 }
@@ -129,6 +161,40 @@ pub fn censored_on_path(lab: &mut Lab, isp: IspId, site: SiteId) -> bool {
     let domain = s.domain.clone();
     let client = lab.client_of(isp);
     (0..2).any(|_| lab.http_get(client, ip, &domain, 3_000).censored())
+}
+
+/// Why [`blocked_on_retries`] judged a site blocked.
+#[derive(Debug, Clone)]
+pub enum Blocked {
+    /// A try drew this notification page.
+    Notice(HttpResponse),
+    /// Every try was reset or timed out after connecting.
+    Killed,
+}
+
+/// Fetch `domain` at `ip` from `client` up to `tries` times, the way a
+/// person retries a page a wiretap may fail to block (it loses about
+/// 3/10 races, so one rendered page does not clear a site). A notice
+/// page stops the tries and blocks; otherwise the site is blocked only
+/// if every try was reset or timed out after connecting.
+pub fn blocked_on_retries(
+    lab: &mut Lab,
+    client: NodeId,
+    ip: Ipv4Addr,
+    domain: &str,
+    tries: usize,
+) -> Option<Blocked> {
+    let mut kills = 0;
+    for _ in 0..tries {
+        let f = lab.http_get(client, ip, domain, FETCH_TIMEOUT_MS);
+        if f.shows_notice() {
+            return f.response.map(Blocked::Notice);
+        }
+        if !f.connect_failed && (f.was_reset() || f.hit_timeout()) {
+            kills += 1;
+        }
+    }
+    (kills == tries).then_some(Blocked::Killed)
 }
 
 /// The first `want` sites (at least one) of `isp`'s blocklist, in
@@ -278,23 +344,52 @@ mod tests {
         assert_eq!(render_rate(&mut lab, IspId::Idea, dead, 10), (0, 0));
     }
 
+    /// The domain of the first site on Idea's blocklist.
+    fn idea_blocked_domain(lab: &Lab) -> String {
+        let first = lab.india.truth.http_master[&IspId::Idea].first().expect("a blocklist");
+        lab.india.corpus.site(*first).domain.clone()
+    }
+
     #[test]
     fn remote_host_distinguishes_kinds_when_paths_are_covered() {
         let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
         // Idea: 92% coverage means the VP paths are nearly surely covered.
-        let blocked = lab.india.truth.http_master[&IspId::Idea]
-            .iter()
-            .map(|&s| lab.india.corpus.site(s).domain.clone())
-            .next()
-            .unwrap();
+        let blocked = idea_blocked_domain(&lab);
         let got = classify_by_remote_hosts(&mut lab, IspId::Idea, &blocked);
         let (kind, report) = got.expect("some VP path is covered in Idea");
         assert_eq!(kind, MeasuredKind::Interceptive);
         assert!(!report.get_reached_remote);
         assert!(report.forged_rst_at_remote, "{report:?}");
     }
+
+    /// Packets the Idea client and the VPs capture during five later
+    /// fetches from the client to each VP.
+    fn captured_by_later_fetches(lab: &mut Lab) -> usize {
+        let client = lab.client_of(IspId::Idea);
+        let vps = lab.india.external_vps.clone();
+        for &(ip, _) in &vps {
+            for _ in 0..5 {
+                lab.http_get(client, ip, "top0000.com", FETCH_TIMEOUT_MS);
+            }
+        }
+        std::iter::once(client)
+            .chain(vps.iter().map(|&(_, node)| node))
+            .map(|node| {
+                lab.india.net.node_mut::<TcpHost>(node).map_or(0, |h| h.disable_pcap().len())
+            })
+            .sum()
+    }
+
+    #[test]
+    fn the_remote_host_experiment_leaves_no_capture_running() {
+        let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
+        crate::experiments::mechanism::figure3(&mut lab).expect("a covered Idea path to some VP");
+        assert_eq!(captured_by_later_fetches(&mut lab), 0, "capture left on by Figure 3");
+        let blocked = idea_blocked_domain(&lab);
+        classify_by_remote_hosts(&mut lab, IspId::Idea, &blocked).expect("a covered Idea path");
+        assert_eq!(captured_by_later_fetches(&mut lab), 0, "capture left on by the classifier");
+    }
 }
 
 lucent_support::json_enum!(MeasuredKind { Wiretap, Interceptive });
-lucent_support::json_object!(RemoteHostReport { remote, censored, get_reached_remote, client_saw_notice, forged_rst_at_remote });
 lucent_support::json_object!(IcmpConsumption { blocked_icmp, blocked_censored, control_icmp });

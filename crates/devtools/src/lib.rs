@@ -35,8 +35,8 @@
 //!   with no allowlist.
 //! - **L12 policy coverage** — the policy set is cross-checked against
 //!   the simulator's ground truth: both mechanism families present,
-//!   emitted telemetry labels known, literal host sets resolvable
-//!   against the blocklist corpus, every program compilable.
+//!   literal host sets resolvable against the blocklist corpus, every
+//!   program compilable.
 //!
 //! The lint's *language frontend* is dependency-free by construction:
 //! it ships its own Rust scrubbing lexer ([`lex`]) and reads

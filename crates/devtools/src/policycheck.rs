@@ -33,11 +33,8 @@
 //!
 //! **L12 policy-coverage** cross-checks the committed policy set
 //! against the simulator's ground truth: every mechanism family the
-//! topology can instantiate has a program, every telemetry label a
-//! program can emit is one the metric assertions and taps know (the
-//! table is pinned to the interpreter source by a unit test), and
-//! every literal host resolves against a TLD the blocklist corpus can
-//! generate. A committed policy that fails to compile is itself an L12
+//! topology can instantiate has a program, and every literal host
+//! resolves against a TLD the blocklist corpus can generate. A committed policy that fails to compile is itself an L12
 //! finding, pinned to the compiler's error line.
 //!
 //! The analyzer is **total**: any IR, including fuzzer-corrupted ones,
@@ -66,19 +63,6 @@ pub struct Anomaly {
     /// byte-for-byte.
     pub msg: String,
 }
-
-/// Telemetry labels the interpreter can emit, per concern. Ground
-/// truth for L12: the `known_labels_appear_in_the_interpreter` test
-/// pins every entry verbatim to `crates/middlebox/src/policy.rs`, so
-/// this table cannot rot away from the code it describes.
-const KNOWN_TELEMETRY: [&str; 6] = [
-    "wm.injections",
-    "wm.race.slow",
-    "wm.race.fast",
-    "im.interceptions",
-    "mb.flow.evictions",
-    "mb.flow.size",
-];
 
 /// TLDs a literal host can resolve against: the blocklist corpus
 /// generator's five TLDs (`crates/web/src/corpus.rs`) plus the RFC 2606
@@ -304,41 +288,10 @@ pub fn probe_policy(policy: &Policy, rule_lines: &[usize]) -> Vec<Anomaly> {
     out
 }
 
-/// Telemetry labels a compiled program can cause the interpreter to
-/// emit, derived from its family and actions.
-fn emitted_labels(policy: &Policy) -> Vec<&'static str> {
-    let mut out = Vec::new();
-    out.push("mb.flow.evictions");
-    out.push("mb.flow.size");
-    match policy.family {
-        Family::Wiretap => {
-            out.push("wm.injections");
-            out.push("wm.race.fast");
-            let has_slow_tail = policy.rules.iter().any(|r| match &r.action {
-                Action::Fire(act) => act.delay.slow.is_some(),
-                Action::Pass => false,
-            });
-            if has_slow_tail {
-                out.push("wm.race.slow");
-            }
-        }
-        Family::Interceptive => out.push("im.interceptions"),
-    }
-    out
-}
-
-/// L12 per-policy findings: unknown telemetry labels and literal hosts
-/// that cannot resolve against the blocklist corpus.
+/// L12 per-policy findings: literal hosts that cannot resolve against
+/// the blocklist corpus.
 pub fn coverage_findings(policy: &Policy, rule_lines: &[usize]) -> Vec<Anomaly> {
     let mut out = Vec::new();
-    for label in emitted_labels(policy) {
-        if !KNOWN_TELEMETRY.contains(&label) {
-            out.push(Anomaly {
-                line: 0,
-                msg: format!("policy emits telemetry label `{label}` unknown to the simulator"),
-            });
-        }
-    }
     for (i, rule) in policy.rules.iter().enumerate() {
         let HostSet::Listed(hosts) = &rule.hosts else { continue };
         let line = pinned_line(rule_lines, i);
@@ -542,21 +495,6 @@ mod tests {
             assert_eq!(findings.len(), 1, "{name}: exactly one finding, got {findings:?}");
             assert_eq!(findings[0].line, want_line, "{name}");
             assert_eq!(findings[0].msg, msg, "{name}");
-        }
-    }
-
-    #[test]
-    fn known_labels_appear_in_the_interpreter() {
-        // Anti-rot: the L12 ground-truth table must track the code. If
-        // the interpreter renames a counter, this fails before any
-        // metric assertion silently stops seeing data.
-        let interpreter = include_str!("../../middlebox/src/policy.rs");
-        for label in KNOWN_TELEMETRY {
-            let quoted = format!("\"{label}\"");
-            assert!(
-                interpreter.contains(&quoted),
-                "label {label} is not emitted by crates/middlebox/src/policy.rs"
-            );
         }
     }
 

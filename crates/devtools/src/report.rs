@@ -25,8 +25,8 @@ pub enum Rule {
     /// errors); each is a violation, with no allowlist.
     PolicyAnomaly,
     /// L12 — the committed policy set covers the simulator's ground
-    /// truth: both mechanism families, known telemetry labels,
-    /// corpus-resolvable host sets, and compilable programs.
+    /// truth: both mechanism families, corpus-resolvable host sets,
+    /// and compilable programs.
     PolicyCoverage,
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The paper's methodology leans on inspecting captures ("Inspecting the
 //! network traffic for the said message exchanges through pcap ...");
-//! [`TraceHandle`] is the equivalent: a shared, filterable record of every
-//! packet a selected set of nodes sent, received or dropped.
+//! [`TraceHandle`] is the equivalent: a shared record of every packet
+//! the network's nodes sent, received or dropped.
 //!
 //! The capture buffer is a bounded ring (oldest entries evict first), and
 //! every recorded packet is also offered to the `lucent-obs` event bus
@@ -11,7 +11,6 @@
 //! consumers: the structured event log and the legacy in-memory capture.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
@@ -91,8 +90,6 @@ impl fmt::Display for TraceEntry {
 #[derive(Clone)]
 struct TraceState {
     enabled: bool,
-    /// When `Some`, only these nodes are recorded; `None` records all.
-    filter: Option<BTreeSet<NodeId>>,
     /// The capture; its drop count is the number of evicted entries.
     entries: Ring<TraceEntry>,
     /// The obs event bus; every recorded packet is offered to it.
@@ -103,7 +100,6 @@ impl Default for TraceState {
     fn default() -> Self {
         TraceState {
             enabled: false,
-            filter: None,
             entries: Ring::new(DEFAULT_TRACE_CAP),
             bus: None,
         }
@@ -125,16 +121,7 @@ impl TraceHandle {
 
     /// Start recording every node.
     pub fn enable_all(&self) {
-        let mut s = self.state.borrow_mut();
-        s.enabled = true;
-        s.filter = None;
-    }
-
-    /// Start recording only the given nodes.
-    pub fn enable_nodes(&self, nodes: impl IntoIterator<Item = NodeId>) {
-        let mut s = self.state.borrow_mut();
-        s.enabled = true;
-        s.filter = Some(nodes.into_iter().collect());
+        self.state.borrow_mut().enabled = true;
     }
 
     /// Bound the capture ring to `cap` entries, evicting oldest first.
@@ -184,7 +171,7 @@ impl TraceHandle {
     pub(crate) fn record(&self, time: SimTime, node: NodeId, label: &str, dir: Dir, pkt: &Packet) {
         let mut s = self.state.borrow_mut();
         // The event bus sees every packet the obs filter asks for,
-        // independent of the legacy capture's enable/filter state.
+        // whether or not the legacy capture is enabled.
         if let Some(bus) = &s.bus {
             if bus.enabled("pkttrace", Level::Trace) {
                 // One exact-capacity field vector per event: 6 common
@@ -211,11 +198,6 @@ impl TraceHandle {
         }
         if !s.enabled {
             return;
-        }
-        if let Some(filter) = &s.filter {
-            if !filter.contains(&node) {
-                return;
-            }
         }
         s.entries.push(TraceEntry {
             time,
@@ -260,16 +242,6 @@ mod tests {
         let t = TraceHandle::new();
         t.record(SimTime::ZERO, NodeId(0), "n", Dir::Tx, &pkt());
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn filter_restricts_nodes() {
-        let t = TraceHandle::new();
-        t.enable_nodes([NodeId(1)]);
-        t.record(SimTime::ZERO, NodeId(0), "a", Dir::Tx, &pkt());
-        t.record(SimTime::ZERO, NodeId(1), "b", Dir::Rx, &pkt());
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.entries()[0].node, NodeId(1));
     }
 
     #[test]

@@ -161,6 +161,16 @@ impl Telemetry {
         self.state.borrow().spans_on
     }
 
+    /// Number of spans currently held.
+    pub fn span_count(&self) -> usize {
+        self.state.borrow().spans.len()
+    }
+
+    /// Spans evicted from the ring so far.
+    pub fn spans_dropped(&self) -> u64 {
+        self.state.borrow().spans.dropped()
+    }
+
     /// Record a completed virtual-time interval; a no-op when spans are
     /// off.
     pub fn span(&self, name: &'static str, cat: &'static str, ts_us: u64, dur_us: u64, tid: u64) {

@@ -116,8 +116,8 @@ pub struct TcpHost {
     next_port: u16,
     /// Inbound packet filter (the `iptables` model).
     pub firewall: Firewall,
-    pcap_enabled: bool,
-    pcap: Vec<(SimTime, Packet)>,
+    /// The inbound capture while one runs.
+    pcap: Option<Vec<(SimTime, Packet)>>,
     raw_ports: BTreeSet<u16>,
     raw_tcp_inbox: Vec<(SimTime, Packet)>,
     raw_outbox: Vec<Packet>,
@@ -145,8 +145,7 @@ impl TcpHost {
             listeners: BTreeMap::new(),
             next_port: 40_000,
             firewall: Firewall::new(),
-            pcap_enabled: false,
-            pcap: Vec::new(),
+            pcap: None,
             raw_ports: BTreeSet::new(),
             raw_tcp_inbox: Vec::new(),
             raw_outbox: Vec::new(),
@@ -258,20 +257,16 @@ impl TcpHost {
     // Driver API: pcap / raw / UDP / ICMP
     // ------------------------------------------------------------------
 
-    /// Start capturing every inbound packet (pre-firewall, like tcpdump).
+    /// Start a fresh capture of every inbound packet (pre-firewall, like
+    /// tcpdump), dropping anything an earlier capture still held.
     pub fn enable_pcap(&mut self) {
-        self.pcap_enabled = true;
+        self.pcap = Some(Vec::new());
     }
 
-    /// Drain the capture.
-    pub fn take_pcap(&mut self) -> Vec<(SimTime, Packet)> {
-        std::mem::take(&mut self.pcap)
-    }
-
-    /// Stop capturing (and drop anything captured so far).
-    pub fn disable_pcap(&mut self) {
-        self.pcap_enabled = false;
-        self.pcap.clear();
+    /// Stop capturing and return what was captured, oldest first (empty
+    /// when no capture was running).
+    pub fn disable_pcap(&mut self) -> Vec<(SimTime, Packet)> {
+        self.pcap.take().unwrap_or_default()
     }
 
     /// Claim a local TCP port for raw use: inbound segments to it bypass
@@ -527,8 +522,8 @@ impl TcpHost {
 
 impl Node for TcpHost {
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _iface: IfaceId, pkt: Packet) {
-        if self.pcap_enabled {
-            self.pcap.push((ctx.now(), pkt.clone()));
+        if let Some(pcap) = &mut self.pcap {
+            pcap.push((ctx.now(), pkt.clone()));
         }
         if self.firewall.check(&pkt).is_some() {
             ctx.trace_drop(&pkt, "firewall");

@@ -103,7 +103,7 @@ fn late_segment_after_close_draws_rst() {
     let stray = Packet::tcp(SERVER_IP, CLIENT_IP, TcpHeader { src_port: 80, dst_port: 4999, ..h }, &b"late"[..]);
     t.net.inject(t.client, IfaceId::PRIMARY, stray);
     run(&mut t.net, 100);
-    let pcap = t.net.node_mut::<TcpHost>(t.server).unwrap().take_pcap();
+    let pcap = t.net.node_mut::<TcpHost>(t.server).unwrap().disable_pcap();
     assert_eq!(pcap.len(), 1);
     let (hdr, _) = pcap[0].1.as_tcp().unwrap();
     assert!(hdr.flags.contains(TcpFlags::RST));
@@ -168,7 +168,7 @@ fn aged_client_still_aborts_rejects_and_keeps_logs() {
     t.net.node_mut::<TcpHost>(t.client).unwrap().abort(fresh);
     t.net.wake(t.client);
     run(&mut t.net, 50);
-    let pcap = t.net.node_mut::<TcpHost>(t.server).unwrap().take_pcap();
+    let pcap = t.net.node_mut::<TcpHost>(t.server).unwrap().disable_pcap();
     let rsts = pcap
         .iter()
         .filter(|(_, p)| p.as_tcp().is_some_and(|(h, _)| h.flags.contains(TcpFlags::RST)))
@@ -180,9 +180,10 @@ fn aged_client_still_aborts_rejects_and_keeps_logs() {
     let mut h = TcpHeader::new(80, first_port, TcpFlags::ACK | TcpFlags::PSH);
     h.seq = 777;
     h.ack = 888;
+    t.net.node_mut::<TcpHost>(t.server).unwrap().enable_pcap();
     t.net.inject(t.client, IfaceId::PRIMARY, Packet::tcp(SERVER_IP, CLIENT_IP, h, &b"late"[..]));
     run(&mut t.net, 50);
-    let pcap = t.net.node_mut::<TcpHost>(t.server).unwrap().take_pcap();
+    let pcap = t.net.node_mut::<TcpHost>(t.server).unwrap().disable_pcap();
     assert_eq!(pcap.len(), 1);
     let (hdr, _) = pcap[0].1.as_tcp().unwrap();
     assert!(hdr.flags.contains(TcpFlags::RST));
@@ -289,7 +290,7 @@ fn pcap_sees_packets_firewall_drops() {
     t.net.inject(t.client, IfaceId::PRIMARY, pkt);
     run(&mut t.net, 10);
     let c = t.net.node_mut::<TcpHost>(t.client).unwrap();
-    assert_eq!(c.take_pcap().len(), 1, "tcpdump-style capture precedes the filter");
+    assert_eq!(c.disable_pcap().len(), 1, "tcpdump-style capture precedes the filter");
     assert_eq!(c.firewall.dropped, 1);
 }
 

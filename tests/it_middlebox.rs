@@ -92,7 +92,7 @@ fn wiretap_injections_carry_the_airtel_ip_id() {
     for _ in 0..5 {
         lab.india.net.node_mut::<lucent_tcp::TcpHost>(client).unwrap().enable_pcap();
         let _ = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-        let pcap = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client).unwrap().take_pcap();
+        let pcap = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client).unwrap().disable_pcap();
         stamped.extend(pcap.into_iter().filter(|(_, p)| p.ip.identification == 242));
     }
     assert!(!stamped.is_empty(), "Airtel middlebox packets are stamped 242");

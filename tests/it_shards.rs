@@ -2,7 +2,8 @@
 //! produce byte-identical text, JSON results and metrics snapshots at
 //! `--threads 1`, `2`, and `4` for the same seed. This is the contract
 //! that lets CI diff golden artifacts produced at any thread count
-//! against each other. Shard jobs run on clones of a per-worker
+//! against each other, and a sharded entry must give the same step
+//! alone as inside `all`. Shard jobs run on clones of a per-worker
 //! template world, so the clone contract is pinned here too.
 
 use lucent_bench::drive::Driver;
@@ -62,6 +63,12 @@ fn assert_thread_invariant(name: &str) -> Vec<Step> {
 fn the_whole_suite_is_byte_identical_across_thread_counts() {
     let steps = assert_thread_invariant("all");
     assert_eq!(steps.len(), 16, "`all` runs sixteen experiments");
+    // A sharded entry's worlds are built fresh, so it runs alone exactly
+    // as inside `all` (hub steps do not; DESIGN §10).
+    for name in ["race", "table1", "fig2", "triggers", "evasion", "anonymity"] {
+        let (alone, _) = run_at(name, 1);
+        assert!(steps.contains(&alone[0]), "{name}: alone differs from its step in `all`");
+    }
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! `cargo run -p lucent-devtools --bin lucent-lint`.
 //!
 //! Also pins the machine-readable report: `--json` output must be
-//! byte-identical across runs (CI diffs it against
-//! `tests/golden/lint-report.json`), the L4/L8/L11 and
+//! byte-identical across runs and to `tests/golden/lint-report.json`,
+//! the L4/L8/L11 and
 //! allowlist fixtures under `crates/devtools/fixtures/` must go
 //! red/green exactly as designed, and a retired allowlist table must be
 //! an error.
@@ -42,6 +42,7 @@ fn json_report_is_byte_identical_across_runs() {
     let serial = run_root(root).expect("scan").to_json();
     let again = run_root(root).expect("scan").to_json();
     assert_eq!(serial, again, "two runs diverged");
+    assert_eq!(serial, include_str!("golden/lint-report.json"), "the report left its golden");
     assert!(serial.contains("\"schema\": \"lucent-lint/6\""));
     assert!(!serial.contains("\"alloc_"), "schema 6 carries no allocation estimates");
     assert!(!serial.contains("\"call_edges\""), "schema 6 carries no call graph");
