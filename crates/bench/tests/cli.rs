@@ -3,10 +3,11 @@
 //! exits 0 listing exactly the suite's experiments, `--json` creates its
 //! output directory (nested paths included) before writing result files,
 //! an output that cannot be written exits 1, the closing line's totals
-//! count every world of the run at any thread count, and span drops
-//! are reported like event drops.
+//! count every world of the run at any thread count, span drops are
+//! reported like event drops, and the profile and `dns-mechanism`'s
+//! outputs match their committed goldens at `--threads 1` and `4`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use lucent_bench::suite;
@@ -143,31 +144,91 @@ fn unwritable_json_dir_exits_1() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// The committed golden `file` under the workspace's `tests/golden/`.
+fn golden(file: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(file);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// `json` with every object's members sorted by key: JSON equality,
+/// whatever order each document writes its keys in.
+fn canonical(json: Json) -> Json {
+    match json {
+        Json::Obj(mut members) => {
+            members.sort_by(|a, b| a.0.cmp(&b.0));
+            Json::Obj(members.into_iter().map(|(k, v)| (k, canonical(v))).collect())
+        }
+        Json::Arr(items) => Json::Arr(items.into_iter().map(canonical).collect()),
+        other => other,
+    }
+}
+
 #[test]
 fn profile_needs_a_path_and_writes_only_the_deterministic_profile() {
     let out = repro().args(["race", "--scale", "tiny", "--profile"]).output().expect("spawn");
     assert_eq!(out.status.code(), Some(2), "--profile without a path must exit 2");
 
+    let want = Json::parse(&golden("race-tiny-profile.json")).expect("the golden is JSON");
+    let want = canonical(want);
     let root = scratch("profile");
     std::fs::create_dir_all(&root).expect("scratch dir");
-    let path = root.join("prof").join("profile.json");
-    let out = repro()
-        .args(["race", "--scale", "tiny", "--threads", "2", "--profile"])
-        .arg(&path)
-        .current_dir(&root)
-        .output()
-        .expect("spawn repro");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = std::fs::read_to_string(&path).expect("profile written");
-    let Ok(Json::Obj(top)) = Json::parse(&text) else { panic!("profile is not a JSON object: {text}") };
-    let keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(keys, ["deterministic", "schema"], "{text}");
-    assert!(text.contains("\"schema\": \"lucent-prof/1\""), "{text}");
-    let files: Vec<_> = std::fs::read_dir(root.join("prof"))
-        .expect("profile dir")
-        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
-        .collect();
-    assert_eq!(files, ["profile.json"], "the profile is the only file written");
+    for threads in ["1", "4"] {
+        let dir = root.join(format!("prof-t{threads}"));
+        let path = dir.join("profile.json");
+        let out = repro()
+            .args(["race", "--scale", "tiny", "--threads", threads, "--profile"])
+            .arg(&path)
+            .current_dir(&root)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = std::fs::read_to_string(&path).expect("profile written");
+        let Ok(Json::Obj(top)) = Json::parse(&text) else { panic!("profile is not a JSON object: {text}") };
+        let keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["deterministic", "schema"], "{text}");
+        assert!(text.contains("\"schema\": \"lucent-prof/1\""), "{text}");
+        // Compared as JSON values, key order aside, so a key the golden
+        // does not carry fails too.
+        assert!(
+            canonical(Json::Obj(top)) == want,
+            "the profile at --threads {threads} differs from tests/golden/race-tiny-profile.json"
+        );
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("profile dir")
+            .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+            .collect();
+        assert_eq!(files, ["profile.json"], "the profile is the only file written");
+    }
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn dns_mechanism_reproduces_its_goldens_at_any_thread_count() {
+    let root = scratch("dns-mechanism");
+    for threads in ["1", "4"] {
+        let dir = root.join(format!("t{threads}"));
+        let out = repro()
+            .args(["dns-mechanism", "--scale", "tiny", "--threads", threads])
+            .args(["--trace", "dns=debug", "--json"])
+            .arg(&dir)
+            .arg("--metrics-out")
+            .arg(dir.join("metrics.json"))
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        for (written, committed) in [
+            ("trace-events.jsonl", "dns-mechanism-tiny-events.jsonl"),
+            ("dns_mechanism.json", "dns_mechanism-tiny.json"),
+            ("metrics.json", "dns-mechanism-tiny-metrics.json"),
+        ] {
+            let text = std::fs::read_to_string(dir.join(written)).expect("output written");
+            // `assert!`, not `assert_eq!`: the event log runs long.
+            assert!(
+                text == golden(committed),
+                "{written} at --threads {threads} differs from tests/golden/{committed}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(root);
 }
 

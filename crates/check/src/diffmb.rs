@@ -27,7 +27,6 @@
 //! fixture to prove the suite *can* go red, and its green twin to prove
 //! the red is the fixture's fault.
 
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 use lucent_middlebox::compile::compile;
@@ -387,12 +386,6 @@ impl Node for Tap {
     }
     fn label(&self) -> &str {
         self.tag
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -5,10 +5,14 @@
 //! server accepts, or filter the middlebox's injected packets at the
 //! client.
 
+use std::net::Ipv4Addr;
 
 use lucent_middlebox::notice::looks_like_notice;
+use lucent_netsim::NodeId;
 use lucent_packet::http::RequestBuilder;
-use lucent_tcp::FilterRule;
+use lucent_packet::tcp::TcpFlags;
+use lucent_packet::HttpResponse;
+use lucent_tcp::{FilterRule, SocketEvent, SocketId, TcpState};
 use lucent_topology::IspId;
 use lucent_web::SiteId;
 
@@ -150,47 +154,22 @@ pub fn attempt(lab: &mut Lab, isp: IspId, site: SiteId, technique: Technique) ->
     };
 
     let success = match technique {
-        Technique::SegmentedRequest => {
-            let req = RequestBuilder::browser(&domain, "/").build();
-            let mid = req.windows(5).position(|w| w == b"Host:").map(|i| i + 2).unwrap_or(10);
-            fetch_segmented(lab, client, ip, &req, mid)
-        }
+        Technique::SegmentedRequest => fetch_segmented(lab, client, ip, &domain),
         Technique::FirewallByIpId | Technique::FirewallBySource => {
             let rule = if technique == Technique::FirewallByIpId {
                 FilterRule::drop_fin_rst_with_ip_id(242)
             } else {
                 FilterRule::drop_fin_rst_from(ip)
             };
-            let dropped_before = match lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-                Some(host) => {
-                    host.firewall.add(rule);
-                    host.firewall.dropped
-                }
-                None => return Attempt { technique, success: false },
-            };
             let req = RequestBuilder::browser(&domain, "/").build();
-            let mut ok = run_attempts(lab, client, ip, req, false);
+            let (ok, dropped) =
+                lab.firewalled(client, rule, |lab| run_attempts(lab, client, ip, req, false));
             // The rule must actually be what saved the fetches: content
             // rendering while injected teardown packets sailed past the
             // filter is a race win, not an evasion. The wire inspection
             // inside run_attempts is disabled for firewall techniques
             // (pcap is pre-filter), so check the filter's own counter.
-            if ok {
-                let dropped = lab
-                    .india
-                    .net
-                    .node_ref::<lucent_tcp::TcpHost>(client)
-                    .map(|h| h.firewall.dropped)
-                    .unwrap_or(dropped_before)
-                    - dropped_before;
-                if dropped == 0 {
-                    ok = false;
-                }
-            }
-            if let Some(host) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-                host.firewall.clear();
-            }
-            ok
+            ok && dropped > 0
         }
         Technique::PublicResolver => {
             let req = RequestBuilder::browser(&domain, "/").build();
@@ -205,6 +184,12 @@ pub fn attempt(lab: &mut Lab, isp: IspId, site: SiteId, technique: Technique) ->
     Attempt { technique, success }
 }
 
+/// Did `resp` render the site: real content (200) or its redirect
+/// (302), not a notification page?
+fn renders(resp: &HttpResponse) -> bool {
+    !looks_like_notice(resp) && (resp.status == 200 || resp.status == 302)
+}
+
 /// Repeated fetches must all render real content with *no injected
 /// packet on the wire at all*: a wiretap that lost the race still fires
 /// its notification-FIN and RST after the content, so the client's pcap
@@ -213,19 +198,15 @@ pub fn attempt(lab: &mut Lab, isp: IspId, site: SiteId, technique: Technique) ->
 /// whose whole mechanism is that injected packets exist but get dropped.
 fn run_attempts(
     lab: &mut Lab,
-    client: lucent_netsim::NodeId,
-    ip: std::net::Ipv4Addr,
+    client: NodeId,
+    ip: Ipv4Addr,
     req: Vec<u8>,
     inspect_wire: bool,
 ) -> bool {
-    use lucent_packet::tcp::TcpFlags;
     (0..2).all(|_| {
         let ((f, rendered), [wire]) = lab.captured([client], |lab| {
             let f = lab.http_fetch(client, ip, 80, req.clone(), FETCH_TIMEOUT_MS);
-            let rendered = f
-                .response
-                .as_ref()
-                .is_some_and(|r| !looks_like_notice(r) && (r.status == 200 || r.status == 302));
+            let rendered = f.response.as_ref().is_some_and(renders);
             if rendered {
                 // Wait out any slow injection tail before judging.
                 lab.run_ms(600);
@@ -247,149 +228,68 @@ fn run_attempts(
                     })
             })
         } else {
-            !lab.india.net.node_ref::<lucent_tcp::TcpHost>(client).is_some_and(|h| {
-                h.events(f.sock).iter().any(|e| e.event == lucent_tcp::SocketEvent::Reset)
-            })
+            !lab.tcp_events(client, f.sock).contains(&SocketEvent::Reset)
         }
     })
 }
 
+/// Connect to `ip:80` and wait `settle_ms`: the socket, if it is
+/// established by then.
+fn settled(lab: &mut Lab, client: NodeId, ip: Ipv4Addr, settle_ms: u64) -> Option<SocketId> {
+    let sock = lab.tcp_connect(client, ip, 80)?;
+    lab.run_ms(settle_ms);
+    (lab.tcp_state(client, sock) == TcpState::Established).then_some(sock)
+}
+
 /// The TCB-teardown evasion: locate the middlebox with the tracer, then
 /// for each fetch inject a TTL-limited RST that desyncs only the device.
-fn tcb_teardown(
-    lab: &mut Lab,
-    client: lucent_netsim::NodeId,
-    ip: std::net::Ipv4Addr,
-    domain: &str,
-) -> bool {
-    use lucent_packet::tcp::{TcpFlags, TcpHeader};
+fn tcb_teardown(lab: &mut Lab, client: NodeId, ip: Ipv4Addr, domain: &str) -> bool {
     let Some(mb_ttl) = crate::probe::tracer::http_tracer(lab, client, ip, domain, 24).censored_at_ttl
     else {
         return false; // nothing to desync (or nothing censoring this path)
     };
-    let Some(client_ip) = lab.india.net.node_ref::<lucent_tcp::TcpHost>(client).map(|h| h.ip)
-    else {
-        return false;
-    };
-    for _ in 0..3 {
-        let Some(sock) =
-            lab.india.net.node_mut::<lucent_tcp::TcpHost>(client).map(|h| h.connect(ip, 80))
-        else {
+    let req = RequestBuilder::browser(domain, "/").build();
+    (0..3).all(|_| {
+        let Some(sock) = settled(lab, client, ip, 400) else {
             return false;
         };
-        lab.india.net.wake(client);
-        lab.run_ms(400);
-        let Some(host) = lab.india.net.node_ref::<lucent_tcp::TcpHost>(client) else {
-            return false;
-        };
-        if host.state(sock) != lucent_tcp::TcpState::Established {
-            return false;
-        }
-        // Both lookups are on the connection we just watched establish;
-        // a miss means it raced closed — no teardown to attempt.
-        let (Some((snd_nxt, rcv_nxt)), Some((_, local_port))) =
-            (host.seq_cursors(sock), host.local_addr(sock))
-        else {
+        // The socket we just watched establish; a miss means it raced
+        // closed — no teardown to attempt.
+        let Some(conn) = lab.tcp_as_raw(client, sock, ip) else {
             return false;
         };
         // The desync RST: in-window for the middlebox, dead before the
         // server.
-        let mut rst = TcpHeader::new(local_port, 80, TcpFlags::RST);
-        rst.seq = snd_nxt;
-        rst.ack = rcv_nxt;
-        let mut pkt = lucent_packet::Packet::tcp(client_ip, ip, rst, lucent_support::Bytes::new());
-        pkt.ip.ttl = mb_ttl;
-        if let Some(host) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-            host.raw_send(pkt);
-        }
-        lab.india.net.wake(client);
+        lab.raw_segment(&conn, TcpFlags::RST, Some(mb_ttl));
         lab.run_ms(60);
         // Now the ordinary browser request on the (still live) connection.
-        let req = RequestBuilder::browser(domain, "/").build();
-        if let Some(host) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-            host.send(sock, &req);
-        }
-        lab.india.net.wake(client);
+        lab.tcp_send(client, sock, &req);
         lab.run_ms(3_000);
-        let bytes = lab
-            .india
-            .net
-            .node_mut::<lucent_tcp::TcpHost>(client)
-            .map(|h| h.take_received(sock))
-            .unwrap_or_default();
-        let reset = lab
-            .india
-            .net
-            .node_ref::<lucent_tcp::TcpHost>(client)
-            .map(|h| h.events(sock).iter().any(|e| e.event == lucent_tcp::SocketEvent::Reset))
-            .unwrap_or(false);
-        let ok = !reset
-            && lucent_packet::HttpResponse::parse(&bytes)
-                .map(|r| !looks_like_notice(&r) && (r.status == 200 || r.status == 302))
-                .unwrap_or(false);
-        if !ok {
-            return false;
-        }
-    }
-    true
+        let f = lab.tcp_collect(client, sock);
+        !f.was_reset() && f.response.as_ref().is_some_and(renders)
+    })
 }
 
-fn fetch_segmented(
-    lab: &mut Lab,
-    client: lucent_netsim::NodeId,
-    ip: std::net::Ipv4Addr,
-    req: &[u8],
-    split: usize,
-) -> bool {
-    for _ in 0..3 {
-        let Some(sock) =
-            lab.india.net.node_mut::<lucent_tcp::TcpHost>(client).map(|h| h.connect(ip, 80))
-        else {
+/// The segmented-request evasion: each fetch sends the browser GET in
+/// two segments split inside the `Host:` keyword.
+fn fetch_segmented(lab: &mut Lab, client: NodeId, ip: Ipv4Addr, domain: &str) -> bool {
+    let req = RequestBuilder::browser(domain, "/").build();
+    let split = req.windows(5).position(|w| w == b"Host:").map(|i| i + 2).unwrap_or(10);
+    (0..3).all(|_| {
+        let Some(sock) = settled(lab, client, ip, 300) else {
             return false;
         };
-        lab.india.net.wake(client);
-        lab.run_ms(300);
-        if lab
-            .india
-            .net
-            .node_ref::<lucent_tcp::TcpHost>(client)
-            .map(|h| h.state(sock))
-            .unwrap_or(lucent_tcp::TcpState::Closed)
-            != lucent_tcp::TcpState::Established
-        {
-            return false;
-        }
-        if let Some(host) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-            host.send(sock, &req[..split]);
-        }
-        lab.india.net.wake(client);
+        lab.tcp_send(client, sock, &req[..split]);
         lab.run_ms(60);
-        if let Some(host) = lab.india.net.node_mut::<lucent_tcp::TcpHost>(client) {
-            host.send(sock, &req[split..]);
-        }
-        lab.india.net.wake(client);
+        lab.tcp_send(client, sock, &req[split..]);
         lab.run_ms(2_000);
-        let bytes = lab
-            .india
-            .net
-            .node_mut::<lucent_tcp::TcpHost>(client)
-            .map(|h| h.take_received(sock))
-            .unwrap_or_default();
-        let reset = lab
-            .india
-            .net
-            .node_ref::<lucent_tcp::TcpHost>(client)
-            .map(|h| h.events(sock).iter().any(|e| e.event == lucent_tcp::SocketEvent::Reset))
-            .unwrap_or(false);
-        let ok = !reset
-            && lucent_packet::HttpResponse::parse(&bytes)
-                .map(|r| !looks_like_notice(&r) && r.status == 200)
-                .unwrap_or(false);
-        if !ok {
-            return false;
-        }
-    }
-    true
+        let f = lab.tcp_collect(client, sock);
+        // Only a 200 counts here, where every other technique also
+        // counts a 302 (`renders`): a redirect-only site never renders
+        // segmented. Counting the 302 moves a published `evasion.json`
+        // cell, so the rule stays until those outputs are re-recorded.
+        !f.was_reset() && f.response.is_some_and(|r| !looks_like_notice(&r) && r.status == 200)
+    })
 }
 
 #[cfg(test)]
@@ -436,6 +336,29 @@ mod tests {
         assert!(attempt(&mut lab, IspId::Vodafone, site, Technique::DuplicateHostDecoy).success);
         // The strict-pattern trick does nothing against LastHost.
         assert!(!attempt(&mut lab, IspId::Vodafone, site, Technique::ExtraSpaceBeforeValue).success);
+    }
+
+    #[test]
+    fn segmented_counts_only_a_200_as_rendered() {
+        // Every other technique renders on a 200 or a 302; `segmented`
+        // keeps a 200-only rule, so a redirect-only site that renders for
+        // the plain GET does not render split, even uncensored.
+        let mut lab = Lab::new(India::build(IndiaConfig::tiny()));
+        let client = lab.client_of(IspId::Nkn);
+        let site = lab
+            .india
+            .corpus
+            .sites()
+            .iter()
+            .find(|s| {
+                s.kind == lucent_web::SiteKind::RedirectOnly
+                    && !lab.india.truth.blocked_for_client(IspId::Nkn, s.id)
+            })
+            .expect("an unblocked redirect-only site");
+        let (domain, ip) = (site.domain.clone(), site.replicas[0]);
+        let req = RequestBuilder::browser(&domain, "/").build();
+        assert!(run_attempts(&mut lab, client, ip, req, true));
+        assert!(!fetch_segmented(&mut lab, client, ip, &domain));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use lucent_packet::dns::DnsMessage;
 use lucent_packet::http::{find_head_end, RequestBuilder};
 use lucent_packet::tcp::{TcpFlags, TcpHeader};
 use lucent_packet::{Bytes, HttpResponse, IcmpMessage, Packet, UdpHeader};
-use lucent_tcp::{SocketEvent, SocketId, TcpHost, TcpState};
+use lucent_tcp::{FilterRule, SocketEvent, SocketId, TcpHost, TcpState};
 use lucent_topology::{India, IspId};
 
 /// Default virtual timeout for connection establishment.
@@ -119,7 +119,8 @@ pub struct RawConn {
     pub client: NodeId,
     /// Client address.
     pub client_ip: Ipv4Addr,
-    /// Local port (claimed raw).
+    /// Local port (claimed raw, or a stack socket's: see
+    /// [`Lab::tcp_as_raw`]).
     pub local_port: u16,
     /// Server address.
     pub dst: Ipv4Addr,
@@ -216,12 +217,12 @@ impl Lab {
         self.india.net.node_mut::<TcpHost>(node)
     }
 
-    fn host_ip(&mut self, node: NodeId) -> Ipv4Addr {
-        self.india
-            .net
-            .node_ref::<TcpHost>(node)
-            .map(|h| h.ip)
-            .unwrap_or(Ipv4Addr::UNSPECIFIED)
+    fn host_ref(&self, node: NodeId) -> Option<&TcpHost> {
+        self.india.net.node_ref::<TcpHost>(node)
+    }
+
+    fn host_ip(&self, node: NodeId) -> Ipv4Addr {
+        self.host_ref(node).map(|h| h.ip).unwrap_or(Ipv4Addr::UNSPECIFIED)
     }
 
     /// Run in small slices until `pred` is true or `timeout_ms` elapses.
@@ -258,47 +259,25 @@ impl Lab {
         request: Vec<u8>,
         timeout_ms: u64,
     ) -> Fetch {
-        let Some(sock) = self.host_mut(from).map(|h| h.connect(dst, port)) else {
-            return Fetch {
-                sock: SocketId(u32::MAX),
-                bytes: Vec::new(),
-                response: None,
-                events: Vec::new(),
-                connect_failed: true,
-            };
+        let unconnected = |sock, events| Fetch {
+            sock,
+            bytes: Vec::new(),
+            response: None,
+            events,
+            connect_failed: true,
         };
-        self.india.net.wake(from);
-        let state_of = |lab: &Lab| {
-            lab.india
-                .net
-                .node_ref::<TcpHost>(from)
-                .map(|h| h.state(sock))
-                .unwrap_or(TcpState::Closed)
+        let Some(sock) = self.tcp_connect(from, dst, port) else {
+            return unconnected(SocketId(u32::MAX), Vec::new());
         };
-        let established =
-            self.run_until_ms(CONNECT_TIMEOUT_MS, |lab| state_of(lab) != TcpState::SynSent);
-        let state = state_of(self);
-        if !established || state != TcpState::Established {
-            let events = self
-                .india
-                .net
-                .node_ref::<TcpHost>(from)
-                .map(|h| h.events(sock).to_vec())
-                .unwrap_or_default();
-            return Fetch {
-                sock,
-                bytes: Vec::new(),
-                response: None,
-                events: events.into_iter().map(|e| e.event).collect(),
-                connect_failed: true,
-            };
+        let established = self.run_until_ms(CONNECT_TIMEOUT_MS, |lab| {
+            lab.tcp_state(from, sock) != TcpState::SynSent
+        });
+        if !established || self.tcp_state(from, sock) != TcpState::Established {
+            return unconnected(sock, self.tcp_events(from, sock));
         }
-        if let Some(h) = self.host_mut(from) {
-            h.send(sock, &request);
-        }
-        self.india.net.wake(from);
+        self.tcp_send(from, sock, &request);
         self.run_until_ms(timeout_ms, |lab| {
-            let Some(host) = lab.india.net.node_ref::<TcpHost>(from) else {
+            let Some(host) = lab.host_ref(from) else {
                 return true;
             };
             let st = host.state(sock);
@@ -309,21 +288,91 @@ impl Lab {
         });
         // Give in-flight tail packets (e.g. the post-FIN RST) a moment.
         self.run_ms(30);
-        let bytes = self.host_mut(from).map(|h| h.take_received(sock)).unwrap_or_default();
-        let events: Vec<SocketEvent> = self
-            .india
-            .net
-            .node_ref::<TcpHost>(from)
-            .map(|h| h.events(sock).iter().map(|e| e.event.clone()).collect())
-            .unwrap_or_default();
-        let response = HttpResponse::parse(&bytes).ok();
-        Fetch { sock, bytes, response, events, connect_failed: false }
+        self.tcp_collect(from, sock)
     }
 
     /// Browser-like GET for `host_header` at `dst`.
     pub fn http_get(&mut self, from: NodeId, dst: Ipv4Addr, host_header: &str, timeout_ms: u64) -> Fetch {
         let request = RequestBuilder::browser(host_header, "/").build();
         self.http_fetch(from, dst, 80, request, timeout_ms)
+    }
+
+    // ------------------------------------------------------------------
+    // Host sockets
+    //
+    // The steps every socket-level probe is made of, `http_fetch` and the
+    // evasion techniques' hand-timed scripts alike. Each wake follows
+    // the write it announces; none of them advances virtual time.
+    // ------------------------------------------------------------------
+
+    /// Open a connection from `from` to `dst:port` and wake the host.
+    /// `None` when `from` is not a TCP host.
+    pub(crate) fn tcp_connect(&mut self, from: NodeId, dst: Ipv4Addr, port: u16) -> Option<SocketId> {
+        let sock = self.host_mut(from)?.connect(dst, port);
+        self.india.net.wake(from);
+        Some(sock)
+    }
+
+    /// The socket's state (`Closed` when there is no such socket).
+    pub(crate) fn tcp_state(&self, from: NodeId, sock: SocketId) -> TcpState {
+        self.host_ref(from).map_or(TcpState::Closed, |h| h.state(sock))
+    }
+
+    /// Queue `bytes` on the socket and wake the host.
+    pub(crate) fn tcp_send(&mut self, from: NodeId, sock: SocketId, bytes: &[u8]) {
+        if let Some(host) = self.host_mut(from) {
+            host.send(sock, bytes);
+        }
+        self.india.net.wake(from);
+    }
+
+    /// The socket's event log so far.
+    pub(crate) fn tcp_events(&self, from: NodeId, sock: SocketId) -> Vec<SocketEvent> {
+        self.host_ref(from)
+            .map(|h| h.events(sock).iter().map(|e| e.event.clone()).collect())
+            .unwrap_or_default()
+    }
+
+    /// Drain what the socket received and return it, parsed, with the
+    /// event log: the outcome of an established connection.
+    pub(crate) fn tcp_collect(&mut self, from: NodeId, sock: SocketId) -> Fetch {
+        let bytes = self.host_mut(from).map(|h| h.take_received(sock)).unwrap_or_default();
+        let events = self.tcp_events(from, sock);
+        let response = HttpResponse::parse(&bytes).ok();
+        Fetch { sock, bytes, response, events, connect_failed: false }
+    }
+
+    /// A raw view of the stack socket `sock` toward `dst`, at its current
+    /// cursors, for crafting in-window segments with
+    /// [`Lab::raw_segment`]. Nothing is claimed: the port stays the
+    /// stack's. `None` when there is no such socket.
+    pub(crate) fn tcp_as_raw(&self, from: NodeId, sock: SocketId, dst: Ipv4Addr) -> Option<RawConn> {
+        let host = self.host_ref(from)?;
+        let (seq, ack) = host.seq_cursors(sock)?;
+        let (_, local_port) = host.local_addr(sock)?;
+        let client_ip = host.ip;
+        Some(RawConn { client: from, client_ip, local_port, dst, seq, ack, established: true })
+    }
+
+    /// Run `f` with `rule` on `host`'s firewall and return its value with
+    /// the packets the firewall dropped meanwhile. Every rule is off
+    /// again on return. A node that is not a TCP host drops nothing.
+    pub(crate) fn firewalled<R>(
+        &mut self,
+        host: NodeId,
+        rule: FilterRule,
+        f: impl FnOnce(&mut Lab) -> R,
+    ) -> (R, u64) {
+        let before = self.host_mut(host).map_or(0, |h| {
+            h.firewall.add(rule);
+            h.firewall.dropped
+        });
+        let value = f(self);
+        let after = self.host_mut(host).map_or(before, |h| {
+            h.firewall.clear();
+            h.firewall.dropped
+        });
+        (value, after - before)
     }
 
     // ------------------------------------------------------------------
@@ -385,32 +434,26 @@ impl Lab {
             host.raw_send(pkt);
         }
         self.india.net.wake(from);
+        // Move the answers to our query from the UDP inbox to `responses`.
+        let drain = |lab: &mut Lab, responses: &mut Vec<DnsMessage>| {
+            let inbox = lab.host_mut(from).map(|h| h.take_udp_inbox()).unwrap_or_default();
+            responses.extend(
+                inbox
+                    .into_iter()
+                    .filter(|d| d.dst_port == port)
+                    .filter_map(|d| DnsMessage::parse(&d.payload).ok())
+                    .filter(|msg| msg.id == id),
+            );
+        };
         let mut responses: Vec<DnsMessage> = Vec::new();
         self.run_until_ms(DNS_WINDOW_MS, |lab| {
-            let inbox = lab.host_mut(from).map(|h| h.take_udp_inbox()).unwrap_or_default();
-            for d in inbox {
-                if d.dst_port == port {
-                    if let Ok(msg) = DnsMessage::parse(&d.payload) {
-                        if msg.id == id {
-                            responses.push(msg);
-                        }
-                    }
-                }
-            }
+            drain(lab, &mut responses);
             !responses.is_empty()
         });
         if !responses.is_empty() {
             // Grace window: catch a trailing second answer (injection).
             self.run_ms(80);
-            for d in self.host_mut(from).map(|h| h.take_udp_inbox()).unwrap_or_default() {
-                if d.dst_port == port {
-                    if let Ok(msg) = DnsMessage::parse(&d.payload) {
-                        if msg.id == id {
-                            responses.push(msg);
-                        }
-                    }
-                }
-            }
+            drain(self, &mut responses);
         }
         let ips = responses.first().map(|r| r.a_records()).unwrap_or_default();
         let timed_out = responses.is_empty();

@@ -20,7 +20,6 @@ use lucent_netsim::NodeId;
 use lucent_packet::http::RequestBuilder;
 use lucent_packet::tcp::TcpFlags;
 use lucent_packet::HttpResponse;
-use lucent_tcp::TcpHost;
 use lucent_topology::IspId;
 use lucent_web::{Site, SiteId};
 
@@ -88,12 +87,7 @@ pub fn remote_host_experiment(
         lab.run_ms(30_000);
         fetch
     });
-    let (client_snd_nxt, _) = lab
-        .india
-        .net
-        .node_ref::<TcpHost>(client)
-        .and_then(|h| h.seq_cursors(fetch.sock))
-        .unwrap_or((0, 0));
+    let client_snd_nxt = lab.tcp_as_raw(client, fetch.sock, remote).map_or(0, |c| c.seq);
     RemoteHostObservation {
         remote,
         fetch,
@@ -304,6 +298,7 @@ pub fn icmp_consumption(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lucent_tcp::TcpHost;
     use lucent_topology::{India, IndiaConfig};
 
     #[test]

@@ -103,8 +103,8 @@ impl Report {
 
     /// Machine-readable report (schema `lucent-lint/6`). Hand-rolled on
     /// purpose: every map is a `BTreeMap` and every list is pre-sorted
-    /// by the caller, so the bytes are identical across runs — CI diffs
-    /// this against a committed golden.
+    /// by the caller, so the bytes are identical across runs —
+    /// `tests/lint_gate.rs` diffs this against a committed golden.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"schema\": \"lucent-lint/6\",\n");

@@ -9,7 +9,6 @@
 //! original query continues to the resolver (whose honest answer arrives
 //! later and loses).
 
-use std::any::Any;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -101,14 +100,6 @@ impl Node for DnsInjectorNode {
 
     fn label(&self) -> &str {
         &self.label
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -28,7 +28,6 @@
 //! range draw). The recorded transcripts pin this draw sequence — a
 //! reordered draw diverges from the goldens.
 
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -608,14 +607,6 @@ impl Node for PolicyBox {
     fn label(&self) -> &str {
         &self.label
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -641,12 +632,6 @@ mod tests {
         }
         fn label(&self) -> &str {
             "sink"
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -1,5 +1,6 @@
 //! The [`Network`]: nodes, links, the event queue and the virtual clock.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -345,7 +346,8 @@ impl Network {
     /// Borrow a node, downcast to its concrete type. `None` when the id
     /// is unknown or the node is not a `T`.
     pub fn node_ref<T: Node>(&self, id: NodeId) -> Option<&T> {
-        self.nodes.get(id.0 as usize)?.as_any().downcast_ref::<T>()
+        let node: &dyn Any = &**self.nodes.get(id.0 as usize)?;
+        node.downcast_ref::<T>()
     }
 
     /// Borrow a node mutably, downcast to its concrete type. `None`
@@ -353,10 +355,11 @@ impl Network {
     /// shared with a clone of this network is copied first.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> Option<&mut T> {
         let slot = self.nodes.get_mut(id.0 as usize)?;
-        if !slot.as_any().is::<T>() {
+        if !(&**slot as &dyn Any).is::<T>() {
             return None;
         }
-        unshare(slot)?.as_any_mut().downcast_mut::<T>()
+        let node: &mut dyn Any = unshare(slot)?;
+        node.downcast_mut::<T>()
     }
 
     /// Enqueue a [`crate::WAKE`] timer for `node` at the current instant —
@@ -529,7 +532,6 @@ impl Network {
 mod tests {
     use super::*;
     use lucent_packet::{Packet, UdpHeader};
-    use std::any::Any;
     use std::net::Ipv4Addr;
 
     /// Echoes every UDP packet back out the interface it came from, after
@@ -548,12 +550,6 @@ mod tests {
         }
         fn label(&self) -> &str {
             "echo"
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -581,12 +577,6 @@ mod tests {
         }
         fn label(&self) -> &str {
             "probe"
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -49,12 +49,6 @@ pub trait Node: Any + CloneNode {
     fn label(&self) -> &str {
         "node"
     }
-
-    /// Upcast for driver-side downcasting.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Upcast (mutable) for driver-side downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Copy-on-write support for [`Node`]: a deep copy of the node in its

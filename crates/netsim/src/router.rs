@@ -1,8 +1,6 @@
 //! The router node: longest-prefix forwarding, TTL handling, ICMP
 //! generation, optional anonymity, and wiretap mirror ports.
 
-use std::any::Any;
-
 use lucent_packet::{IcmpMessage, Packet, Transport};
 
 use crate::node::{IfaceId, Node, NodeCtx};
@@ -125,14 +123,6 @@ impl Node for RouterNode {
     fn label(&self) -> &str {
         &self.label
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -172,12 +162,6 @@ mod tests {
         }
         fn label(&self) -> &str {
             "sink"
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

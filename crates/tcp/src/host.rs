@@ -2,7 +2,6 @@
 //! table, listeners, UDP, ICMP plumbing, raw sockets and the client-side
 //! firewall.
 
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -578,13 +577,5 @@ impl Node for TcpHost {
 
     fn label(&self) -> &str {
         &self.label
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -31,7 +31,7 @@ use lucent_middlebox::compile::{builtin, builtin_names, compile};
 use lucent_middlebox::policy::Family;
 
 /// Every committed tiny metrics golden: the suite entry that produces
-/// it and the `--trace` spec CI runs it with.
+/// it and the `--trace` spec it was recorded with.
 const GOLDENS: [(&str, Option<&str>, &str); 5] = [
     ("race", Some("wiretap=debug"), include_str!("golden/race-tiny-metrics.json")),
     ("table1", Some("wiretap=debug"), include_str!("golden/table1-tiny-metrics.json")),

@@ -46,6 +46,7 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
     // The profile actually carries data, not just an empty skeleton.
     assert!(det1.contains("prof.sched.pops") || det1.contains("pops"), "{det1}");
     assert!(det1.contains("race/shard-00"), "{det1}");
+    assert!(det1.contains("race/shard-01"), "{det1}");
 }
 
 #[test]
