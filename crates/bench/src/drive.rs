@@ -208,6 +208,10 @@ mod tests {
     use lucent_netsim::NodeId;
     use lucent_support::Json;
 
+    fn driver(threads: usize, prof: bool) -> Driver {
+        Driver::new(Scale::Tiny, threads, None, prof).expect("no trace spec to reject")
+    }
+
     #[test]
     fn the_chrome_trace_names_track_0_after_node_0() {
         let drv = Driver::new(Scale::Tiny, 1, Some("wiretap=debug"), false).expect("valid spec");
@@ -219,5 +223,40 @@ mod tests {
             .find(|e| e.get("tid").and_then(Json::as_i64) == Some(0))
             .and_then(|e| e.get("args")?.get("name")?.as_str());
         assert_eq!(track0, Some(drv.lab.india.net.label_of(NodeId(0))));
+    }
+
+    #[test]
+    fn race_rows_are_thread_count_invariant() {
+        let opts = race::RaceOptions {
+            isps: vec![IspId::Airtel, IspId::Idea],
+            attempts: 3,
+            sites_per_isp: 1,
+        };
+        let mut d1 = driver(1, false);
+        let r1 = d1.race(&opts);
+        let mut d4 = driver(4, false);
+        let r4 = d4.race(&opts);
+        assert_eq!(format!("{r1}"), format!("{r4}"));
+        let (m1, m4) = (d1.telemetry(), d4.telemetry());
+        assert_eq!(m1.metrics_snapshot_pretty(), m4.metrics_snapshot_pretty());
+    }
+
+    #[test]
+    fn profiled_pools_label_shards() {
+        let opts = race::RaceOptions {
+            isps: vec![IspId::Airtel, IspId::Idea],
+            attempts: 2,
+            sites_per_isp: 1,
+        };
+        let prof_snapshot = |threads: usize| {
+            let mut drv = driver(threads, true);
+            drv.race(&opts);
+            lucent_obs::prof::deterministic_json(&drv.telemetry(), 0).to_string_pretty()
+        };
+        let det1 = prof_snapshot(1);
+        let det4 = prof_snapshot(4);
+        assert_eq!(det1, det4, "deterministic plane must be thread-count invariant");
+        assert!(det1.contains("race/shard-00"), "{det1}");
+        assert!(det1.contains("race/shard-01"), "{det1}");
     }
 }

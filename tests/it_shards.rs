@@ -6,6 +6,8 @@
 //! `--threads 1` and `4`. Shard jobs run on clones of a per-worker
 //! template world, so the clone contract is pinned here too.
 
+use std::sync::OnceLock;
+
 use lucent_bench::drive::Driver;
 use lucent_bench::{suite, Scale};
 use lucent_core::experiments::race;
@@ -59,24 +61,64 @@ fn assert_thread_invariant(name: &str) -> Vec<Step> {
     steps1
 }
 
+/// `all`'s steps at `--threads 1`, checked once at `--threads 1, 2, 4`
+/// and shared by every test below.
+fn all_steps() -> &'static [Step] {
+    static ALL: OnceLock<Vec<Step>> = OnceLock::new();
+    ALL.get_or_init(|| assert_thread_invariant("all"))
+}
+
 #[test]
 fn the_whole_suite_is_byte_identical_across_thread_counts() {
-    let steps = assert_thread_invariant("all");
-    assert_eq!(steps.len(), 16, "`all` runs sixteen experiments");
-    // A sharded entry's worlds are built fresh, so it runs alone exactly
-    // as inside `all` (hub steps do not; DESIGN §10), at any thread count.
-    for name in ["race", "table1", "fig2", "triggers", "evasion", "anonymity"] {
-        let (one, metrics1) = run_at(name, 1);
-        let (four, metrics4) = run_at(name, 4);
-        assert!(!one.is_empty() && one.len() == four.len(), "{name}: step counts differ");
-        for step in one.iter().chain(&four) {
-            assert!(steps.contains(step), "{name}: alone differs from its step in `all`");
-        }
-        assert!(
-            metrics1 == metrics4,
-            "{name}: metrics differ between --threads 1 and --threads 4"
-        );
+    assert_eq!(all_steps().len(), 16, "`all` runs sixteen experiments");
+}
+
+/// A sharded entry's worlds are built fresh, so it runs alone exactly
+/// as inside `all` (hub steps do not; DESIGN §10), at any thread count:
+/// run `name` alone at `--threads 1` and `4`, hold both to its step in
+/// `all` and their metrics snapshots to each other.
+fn assert_alone_matches_all(name: &str) {
+    let steps = all_steps();
+    let (one, metrics1) = run_at(name, 1);
+    let (four, metrics4) = run_at(name, 4);
+    assert!(!one.is_empty() && one.len() == four.len(), "{name}: step counts differ");
+    for step in one.iter().chain(&four) {
+        assert!(steps.contains(step), "{name}: alone differs from its step in `all`");
     }
+    assert!(
+        metrics1 == metrics4,
+        "{name}: metrics differ between --threads 1 and --threads 4"
+    );
+}
+
+#[test]
+fn race_is_byte_identical_across_thread_counts() {
+    assert_alone_matches_all("race");
+}
+
+#[test]
+fn table1_is_byte_identical_across_thread_counts() {
+    assert_alone_matches_all("table1");
+}
+
+#[test]
+fn fig2_is_byte_identical_across_thread_counts() {
+    assert_alone_matches_all("fig2");
+}
+
+#[test]
+fn triggers_is_byte_identical_across_thread_counts() {
+    assert_alone_matches_all("triggers");
+}
+
+#[test]
+fn evasion_is_byte_identical_across_thread_counts() {
+    assert_alone_matches_all("evasion");
+}
+
+#[test]
+fn anonymity_is_byte_identical_across_thread_counts() {
+    assert_alone_matches_all("anonymity");
 }
 
 /// One Airtel race on `india` with every event target at `trace`, so
