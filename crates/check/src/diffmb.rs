@@ -103,7 +103,6 @@ impl MbSpec {
         t.push_str(&format!("flow_timeout_secs = {}\n", self.flow_timeout_secs));
         t.push_str("\n[[rule]]\ntrigger = \"host-header\"\n");
         t.push_str(&format!("matcher = \"{}\"\n", matcher_word(self.matcher)));
-        t.push_str("hosts = \"blocklist\"\n");
         let verbs: &str = match (self.wiretap, self.notice.is_some()) {
             (true, true) => "[\"inject-notice\", \"inject-rst\"]",
             (true, false) => "[\"inject-rst\"]",

@@ -124,7 +124,6 @@ family = "wiretap"
 [[rule]]
 trigger = "host-header"
 matcher = "exact-token"
-hosts = "blocklist"
 action = ["inject-notice", "inject-rst"]
 notice = "airtel"
 ip_id = 242

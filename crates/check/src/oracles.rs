@@ -24,7 +24,6 @@
 //! | `route_lookup_matches_linear_model` | the netsim route table's indexed longest-prefix match picks the route a linear scan picks |
 //! | `policy_replay_deterministic` | a compiled policy program renders a byte-identical transcript on every replay — the invariant the recorded `tests/golden/mb-*.transcript` goldens rest on |
 //! | `policy_compile_total` | the policy compiler, the lint's allowlist reader and its manifest extraction never panic and are deterministic on soup, garbage, and corrupted programs |
-//! | `policy_anomaly_total` | the L11/L12 symbolic policy analyzer is total (no panic) and deterministic on randomly corrupted policy IRs |
 
 use std::net::Ipv4Addr;
 
@@ -607,70 +606,6 @@ pub fn policy_compile_total(s: &mut Source) {
     assert_eq!(manifest(), manifest(), "re-reading the manifest changed it");
 }
 
-/// The L11/L12 symbolic policy analyzer is total and deterministic on
-/// corrupted policy IRs: take a compiled program from the differential
-/// spec generator, then mutate it into shapes the compiler itself would
-/// reject — wild `after` targets, self-gates, zero/NaN/infinite
-/// probabilities, empty and garbage host lists, duplicated rules — and
-/// demand that both probes return without panicking and return the
-/// same findings twice.
-pub fn policy_anomaly_total(s: &mut Source) {
-    use lucent_devtools::policycheck::{coverage_findings, probe_policy};
-    use lucent_middlebox::policy::{Action, HostSet};
-    let spec = crate::diffmb::diff_spec(s);
-    let mut policy = match lucent_middlebox::compile::compile(&spec.policy_toml()) {
-        Ok(p) => p,
-        Err(e) => std::panic::panic_any(format!("rendered spec must compile: {e}")),
-    };
-    let copies = s.len_in(0, 4);
-    for _ in 0..copies {
-        let r = policy.rules[0].clone();
-        policy.rules.push(r);
-    }
-    for j in 0..policy.rules.len() {
-        if s.chance(1, 3) {
-            // Often out of range or a self/forward gate the compiler
-            // would never emit.
-            policy.rules[j].after = Some(s.len_in(0, 9));
-        }
-        if s.chance(1, 4) {
-            policy.rules[j].probability = Some(match s.below(4) {
-                0 => 0.0,
-                1 => f64::NAN,
-                2 => f64::INFINITY,
-                _ => 1.0,
-            });
-        }
-        if s.chance(1, 4) {
-            policy.rules[j].hosts = match s.below(3) {
-                0 => HostSet::Listed(Default::default()),
-                1 => {
-                    let mut set = std::collections::BTreeSet::new();
-                    set.insert(String::from_utf8_lossy(&s.bytes(0, 12)).into_owned());
-                    HostSet::Listed(set)
-                }
-                _ => HostSet::Any,
-            };
-        }
-        if s.chance(1, 5) {
-            policy.rules[j].action = Action::Pass;
-        }
-    }
-    // Rule-line tables of the wrong length exercise the pinning
-    // fallback, not just the happy path.
-    let lines: Vec<usize> = (0..s.len_in(0, policy.rules.len())).map(|i| i * 3 + 2).collect();
-    assert_eq!(
-        probe_policy(&policy, &lines),
-        probe_policy(&policy, &lines),
-        "the anomaly probe must be deterministic"
-    );
-    assert_eq!(
-        coverage_findings(&policy, &lines),
-        coverage_findings(&policy, &lines),
-        "the coverage probe must be deterministic"
-    );
-}
-
 /// A named oracle, as listed by [`all`].
 pub type NamedOracle = (&'static str, fn(&mut Source));
 
@@ -697,7 +632,6 @@ pub fn all() -> Vec<NamedOracle> {
         ("route_lookup_matches_linear_model", route_lookup_matches_linear_model),
         ("policy_replay_deterministic", policy_replay_deterministic),
         ("policy_compile_total", policy_compile_total),
-        ("policy_anomaly_total", policy_anomaly_total),
     ]
 }
 

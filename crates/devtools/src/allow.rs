@@ -113,7 +113,7 @@ mod tests {
              [rng_construction], [shared_state]",
             "a table the gate does not read must not pass silently"
         );
-        // L11 has no allowlist: a leftover anomaly table is retired too.
+        // The retired L11 ceiling table is an unknown section too.
         assert!(bad("[policy_anomaly]\n").starts_with("line 1: unknown section [policy_anomaly]"));
         assert!(bad("[[wall_clock]]\nfiles = []\n").starts_with("line 1: unknown section [[wall_clock]]"));
         assert_eq!(bad("files = []\n"), "line 1: `files` before any section header");

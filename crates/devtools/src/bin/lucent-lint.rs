@@ -8,9 +8,9 @@
 //! I/O errors. Run from anywhere inside the workspace; the root is found
 //! by walking up to the `[workspace]` manifest.
 //!
-//! `--json` prints the machine-readable report (schema `lucent-lint/6`)
-//! to stdout and nothing else; the bytes are identical across runs, so
-//! CI diffs them against a committed golden.
+//! `--json` prints the machine-readable report (schema `lucent-lint/7`)
+//! to stdout and nothing else; the bytes are identical across runs, and
+//! `tests/lint_gate.rs` compares them with a committed golden.
 
 #![forbid(unsafe_code)]
 
@@ -70,9 +70,8 @@ fn main() -> ExitCode {
     }
     if report.ok() {
         println!(
-            "lucent-lint: clean — {} files, {} policy files, {} note(s)",
+            "lucent-lint: clean — {} files, {} note(s)",
             report.files_scanned,
-            report.policy_files,
             report.warnings.len()
         );
         ExitCode::SUCCESS

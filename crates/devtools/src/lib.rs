@@ -1,10 +1,13 @@
 //! `lucent-devtools`: in-tree static analysis for the lucent workspace.
 //!
 //! The `lucent-lint` binary (and the `run_root` library entry point the
-//! tier-1 gate calls) enforces nine rule families, L1–L6, L8, L11 and
-//! L12. The numbers L7 (panic reachability, which L4 at zero subsumes)
-//! and L9/L10 (static allocation estimates, replaced by `benchmark/`'s
-//! measured counts) are retired:
+//! tier-1 gate calls) enforces seven rule families, L1–L6 and L8. The
+//! numbers L7 (panic reachability, which L4 at zero subsumes), L9/L10
+//! (static allocation estimates, replaced by `benchmark/`'s measured
+//! counts) and L11/L12 (a symbolic analyzer for policy features no
+//! censor program used; the policy compiler now rejects those features
+//! and `tests/it_policy.rs` compiles every committed program) are
+//! retired:
 //!
 //! - **L1 hermeticity** — every dependency is a path dependency; the
 //!   workspace builds with the network unplugged.
@@ -27,32 +30,17 @@
 //!   interior-mutability statics (`Mutex`/`RefCell`/atomics/… at static
 //!   scope, `thread_local!`) are confined to `[shared_state]`
 //!   allowlisted files so shard workers never share mutable state.
-//! - **L11 policy anomalies** — committed censor-policy programs
-//!   (`crates/*/policies/*.toml`) are compiled to the middlebox rule IR
-//!   and symbolically analyzed ([`policycheck`]): dead rules,
-//!   conflicting overlaps, unreachable `after` gates, and
-//!   probability-mass errors are each a violation at the rule's line,
-//!   with no allowlist.
-//! - **L12 policy coverage** — the policy set is cross-checked against
-//!   the simulator's ground truth: both mechanism families present,
-//!   literal host sets resolvable against the blocklist corpus, every
-//!   program compilable.
 //!
-//! The lint's *language frontend* is dependency-free by construction:
-//! it ships its own Rust scrubbing lexer ([`lex`]) and reads
-//! `lint-allow.toml` and the manifests with `lucent-support`'s TOML
-//! reader — the one the policy compiler uses — so the gate itself
-//! cannot violate L1. Its workspace dependencies are that substrate and
-//! `lucent-middlebox`, linked so L11/L12 analyze the *compiled* policy
-//! IR — the exact programs the interpreter executes — rather than
-//! re-parsing policy TOML with a second grammar.
+//! The lint is dependency-free by construction: it ships its own Rust
+//! scrubbing lexer ([`lex`]) and reads `lint-allow.toml` and the
+//! manifests with `lucent-support`'s TOML reader — its only workspace
+//! dependency — so the gate itself cannot violate L1.
 
 #![forbid(unsafe_code)]
 
 pub mod allow;
 pub mod lex;
 pub mod manifest;
-pub mod policycheck;
 pub mod report;
 pub mod source;
 
@@ -99,14 +87,6 @@ pub fn run_root(root: &Path) -> io::Result<Report> {
     for rel in rust_sources(root)? {
         scan_file(root, &rel, &allow, &mut report)?;
     }
-
-    // L11/L12: compile and symbolically analyze the committed censor
-    // policies, in file order.
-    let policy_paths = policy_sources(root)?;
-    report.policy_files = policy_paths.len();
-    let policy_out = policycheck::check_policy_files(root, &policy_paths)?;
-    report.merge(policy_out.violations);
-    report.policy_anomaly = policy_out.anomaly_counts;
 
     // Allowlist hygiene: entries for files that no longer exist are
     // violations — a stale entry looks live while guarding nothing.
@@ -274,38 +254,6 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Every committed censor-policy file: `crates/<name>/policies/*.toml`,
-/// sorted, repo-relative. Deliberately non-recursive — the `fixtures/`
-/// subtree under a policies directory holds malformed and
-/// deliberately-anomalous programs for the analyzer's own tests and is
-/// never part of the committed set.
-fn policy_sources(root: &Path) -> io::Result<Vec<String>> {
-    let mut out = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut entries: Vec<_> = fs::read_dir(&crates)?.collect::<Result<_, _>>()?;
-        entries.sort_by_key(std::fs::DirEntry::file_name);
-        for e in entries {
-            let dir = e.path().join("policies");
-            if !dir.is_dir() {
-                continue;
-            }
-            let mut files: Vec<_> = fs::read_dir(&dir)?.collect::<Result<_, _>>()?;
-            files.sort_by_key(std::fs::DirEntry::file_name);
-            for f in files {
-                let path = f.path();
-                if path.is_file() && path.extension().is_some_and(|x| x == "toml") {
-                    if let Ok(rel) = path.strip_prefix(root) {
-                        out.push(rel.to_string_lossy().replace('\\', "/"));
-                    }
-                }
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
 }
 
 /// L3/L4 apply to crate library/bin code only: `crates/<name>/src/…`.

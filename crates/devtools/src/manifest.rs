@@ -156,9 +156,9 @@ pub fn layer_map() -> BTreeMap<&'static str, Vec<&'static str>> {
     const CORE: &str = "lucent-core";
     let mut m = BTreeMap::new();
     m.insert(SUPPORT, vec![]);
-    // The lint links the middlebox policy IR for L11/L12 policycheck,
-    // so it sits just above the middlebox layer (transitively closed).
-    m.insert("lucent-devtools", vec![SUPPORT, OBS, PACKET, NETSIM, TCP, DNS, MIDDLEBOX]);
+    // The lint reads TOML with the support crate's reader and links
+    // nothing else.
+    m.insert("lucent-devtools", vec![SUPPORT]);
     m.insert(OBS, vec![SUPPORT]);
     m.insert(PACKET, vec![SUPPORT]);
     m.insert(NETSIM, vec![SUPPORT, OBS, PACKET]);

@@ -20,14 +20,6 @@ pub enum Rule {
     /// L8 — no `static mut`; interior-mutability statics confined to
     /// `[shared_state]` allowlisted files.
     SharedState,
-    /// L11 — symbolic anomalies in compiled censor policies (dead
-    /// rules, conflicting overlaps, unreachable gates, probability-mass
-    /// errors); each is a violation, with no allowlist.
-    PolicyAnomaly,
-    /// L12 — the committed policy set covers the simulator's ground
-    /// truth: both mechanism families, corpus-resolvable host sets,
-    /// and compilable programs.
-    PolicyCoverage,
 }
 
 impl Rule {
@@ -40,8 +32,6 @@ impl Rule {
             Rule::UnsafeHygiene => "L5-unsafe",
             Rule::PrintHygiene => "L6-print",
             Rule::SharedState => "L8-shared-state",
-            Rule::PolicyAnomaly => "L11-policy-anomaly",
-            Rule::PolicyCoverage => "L12-policy-coverage",
         }
     }
 }
@@ -86,10 +76,6 @@ pub struct Report {
     pub panic_total: usize,
     /// Per-file panic-site counts (files with zero sites omitted).
     pub panic_by_file: std::collections::BTreeMap<String, usize>,
-    /// Committed policy files scanned by L11/L12.
-    pub policy_files: usize,
-    /// Policy file → L11 anomaly count (zero-finding files omitted).
-    pub policy_anomaly: std::collections::BTreeMap<String, usize>,
 }
 
 impl Report {
@@ -101,18 +87,16 @@ impl Report {
         self.violations.append(&mut other);
     }
 
-    /// Machine-readable report (schema `lucent-lint/6`). Hand-rolled on
+    /// Machine-readable report (schema `lucent-lint/7`). Hand-rolled on
     /// purpose: every map is a `BTreeMap` and every list is pre-sorted
     /// by the caller, so the bytes are identical across runs —
     /// `tests/lint_gate.rs` diffs this against a committed golden.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"lucent-lint/6\",\n");
+        out.push_str("{\n  \"schema\": \"lucent-lint/7\",\n");
         count_line(&mut out, "files_scanned", self.files_scanned);
         count_line(&mut out, "panic_total", self.panic_total);
-        count_line(&mut out, "policy_files", self.policy_files);
         count_map(&mut out, "panic_sites", &self.panic_by_file);
-        count_map(&mut out, "policy_anomaly", &self.policy_anomaly);
         out.push_str("  \"violations\": [");
         let mut first = true;
         for v in &self.violations {
@@ -188,13 +172,10 @@ mod tests {
         r.panic_by_file.insert("crates/x/src/a.rs".into(), 1);
         r.violations.push(Violation::at(Rule::SharedState, "crates/x/src/b.rs", 7, "a \"quoted\" msg"));
         r.warnings.push("note\twith tab".into());
-        r.policy_files = 2;
-        r.policy_anomaly.insert("crates/x/policies/p.toml".into(), 3);
         let json = r.to_json();
         assert_eq!(json, r.to_json(), "emission is deterministic");
-        assert!(json.contains("\"schema\": \"lucent-lint/6\""), "{json}");
-        assert!(json.contains("\"policy_files\": 2"), "{json}");
-        assert!(json.contains("\"crates/x/policies/p.toml\": 3"), "{json}");
+        assert!(json.contains("\"schema\": \"lucent-lint/7\""), "{json}");
+        assert!(!json.contains("\"policy_"), "schema 7 carries no policy census: {json}");
         assert!(json.contains("\"L8-shared-state\""), "{json}");
         assert!(json.contains("a \\\"quoted\\\" msg"), "{json}");
         assert!(json.contains("note\\twith tab"), "{json}");
@@ -205,7 +186,6 @@ mod tests {
     fn empty_report_serializes_with_empty_collections() {
         let json = Report::default().to_json();
         assert!(json.contains("\"panic_sites\": {},"), "{json}");
-        assert!(json.contains("\"policy_anomaly\": {},"), "{json}");
         assert!(json.contains("\"violations\": [],"), "{json}");
         assert!(json.ends_with("]\n}\n"), "{json}");
     }

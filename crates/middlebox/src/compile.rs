@@ -13,6 +13,15 @@
 //! the malformed-fixture corpus under `policies/fixtures/bad/` pins
 //! them byte-for-byte.
 //!
+//! Every rule has one shape: a Host-header `trigger` with a `matcher`
+//! that extracts the domain, checked against the device's own blocklist
+//! (the [`crate::config::Instance`] supplies it), and an `action` list
+//! of verbs that fire on a hit. The one semantic check across rules
+//! follows from that shape: a rule may not repeat an earlier rule's
+//! matcher, because it would extract the same domain from the same
+//! request and test it against the same blocklist, so it could never
+//! fire.
+//!
 //! ```toml
 //! [policy]
 //! name = "airtel-wm"
@@ -27,7 +36,6 @@
 //! [[rule]]
 //! trigger = "host-header"
 //! matcher = "exact-token"
-//! hosts = "blocklist"
 //! action = ["inject-notice", "inject-rst"]
 //! notice = "airtel"
 //! ip_id = 242
@@ -43,9 +51,7 @@ use lucent_support::toml::{self, Dialect, Entry, Section, Value};
 
 use crate::matcher::HostMatcher;
 use crate::notice::NoticeStyle;
-use crate::policy::{
-    Action, DelaySpec, Family, FireSpec, HostSet, IpIdSpec, Policy, Rule,
-};
+use crate::policy::{DelaySpec, Family, FireSpec, IpIdSpec, Policy, Rule};
 
 /// A compile failure, pointing at the offending line (0 for whole-file
 /// problems such as a missing section).
@@ -162,18 +168,13 @@ fn notice_of(sect: &Section, overt: bool) -> Result<Option<NoticeStyle>, PolicyE
     Ok(None)
 }
 
-/// Compile one `[[rule]]` section (without `after` resolution, which
-/// needs the whole rule list).
-fn rule_of_sect(sect: &Section, family: Family) -> Result<(Rule, Option<(String, usize)>), PolicyError> {
+/// Compile one `[[rule]]` section.
+fn rule_of_sect(sect: &Section, family: Family) -> Result<Rule, PolicyError> {
     check_keys(
         sect,
         &[
-            "name",
             "trigger",
             "matcher",
-            "hosts",
-            "after",
-            "probability",
             "action",
             "notice",
             "notice_iframe",
@@ -204,49 +205,6 @@ fn rule_of_sect(sect: &Section, family: Family) -> Result<(Rule, Option<(String,
         other => return err(m.line, format!("unknown matcher `{other}`")),
     };
 
-    let hosts = match sect.get("hosts") {
-        None => HostSet::Blocklist,
-        Some(e) => match &e.value {
-            Value::Str(s) if s == "blocklist" => HostSet::Blocklist,
-            Value::Str(s) if s == "any" => HostSet::Any,
-            Value::List(items) => {
-                let mut set = BTreeSet::new();
-                for item in items {
-                    let Value::Str(host) = item else {
-                        return err(
-                            e.line,
-                            "`hosts` wants \"blocklist\", \"any\", or a list of strings"
-                                .to_string(),
-                        );
-                    };
-                    set.insert(host.to_ascii_lowercase());
-                }
-                HostSet::Listed(set)
-            }
-            _ => {
-                return err(
-                    e.line,
-                    "`hosts` wants \"blocklist\", \"any\", or a list of strings".to_string(),
-                )
-            }
-        },
-    };
-
-    let probability = match sect.get("probability") {
-        None => None,
-        Some(e) => {
-            let p = match e.value {
-                Value::Float(x) => x,
-                Value::Int(1) => 1.0,
-                _ => return err(e.line, "`probability` must be within (0, 1]".to_string()),
-            };
-            if !(p > 0.0 && p <= 1.0) {
-                return err(e.line, "`probability` must be within (0, 1]".to_string());
-            }
-            Some(p)
-        }
-    };
-
     let Some(act) = sect.get("action") else {
         return err(sect.line, "rule needs a non-empty `action`".to_string());
     };
@@ -256,23 +214,19 @@ fn rule_of_sect(sect: &Section, family: Family) -> Result<(Rule, Option<(String,
     if verbs.is_empty() {
         return err(act.line, "rule needs a non-empty `action`".to_string());
     }
-    let (mut pass, mut inject_notice, mut inject_rst, mut reset_server, mut drop_flow) =
-        (false, false, false, false, false);
+    let (mut inject_notice, mut inject_rst, mut reset_server, mut drop_flow) =
+        (false, false, false, false);
     for v in verbs {
         let Value::Str(verb) = v else {
             return err(act.line, "`action` wants a list of verbs".to_string());
         };
         match verb.as_str() {
-            "pass" => pass = true,
             "inject-notice" => inject_notice = true,
             "inject-rst" => inject_rst = true,
             "reset-server" => reset_server = true,
             "drop" => drop_flow = true,
             other => return err(act.line, format!("unknown verb `{other}` in `action`")),
         }
-    }
-    if pass && verbs.len() > 1 {
-        return err(act.line, "`pass` admits no other verbs".to_string());
     }
     if family == Family::Wiretap {
         if reset_server {
@@ -281,7 +235,7 @@ fn rule_of_sect(sect: &Section, family: Family) -> Result<(Rule, Option<(String,
         if drop_flow {
             return err(act.line, "verb `drop` requires family \"interceptive\"".to_string());
         }
-        if !pass && !inject_notice && !inject_rst {
+        if !inject_notice && !inject_rst {
             return err(act.line, "a wiretap rule must inject something".to_string());
         }
     }
@@ -297,7 +251,7 @@ fn rule_of_sect(sect: &Section, family: Family) -> Result<(Rule, Option<(String,
         }
     }
     let base = match delay_entry {
-        None if family == Family::Wiretap && !pass => Some((300, 900)),
+        None if family == Family::Wiretap => Some((300, 900)),
         None => None,
         Some(e) => {
             let Value::Table(pairs) = &e.value else {
@@ -375,55 +329,24 @@ fn rule_of_sect(sect: &Section, family: Family) -> Result<(Rule, Option<(String,
         },
     };
 
-    let action = if pass {
-        let fire_keys =
-            ["notice", "notice_iframe", "notice_server", "notice_text", "ip_id", "delay_us", "slow"];
-        if let Some(e) = fire_keys.iter().find_map(|k| sect.get(k)) {
-            return err(e.line, format!("`{}` is meaningless on a pass rule", e.key));
-        }
-        Action::Pass
-    } else {
-        let notice = notice_of(sect, inject_notice)?;
-        if notice.is_some() && !inject_notice {
-            return err(
-                sect.line,
-                "a notice style is set but `action` lacks `inject-notice`".to_string(),
-            );
-        }
-        Action::Fire(FireSpec {
-            notice,
-            rst: inject_rst,
-            reset_server,
-            drop_flow,
-            ip_id,
-            delay: DelaySpec { base, slow },
-        })
+    let notice = notice_of(sect, inject_notice)?;
+    if notice.is_some() && !inject_notice {
+        return err(sect.line, "a notice style is set but `action` lacks `inject-notice`".to_string());
+    }
+    let fire = FireSpec {
+        notice,
+        rst: inject_rst,
+        reset_server,
+        drop_flow,
+        ip_id,
+        delay: DelaySpec { base, slow },
     };
-
-    let name = match sect.get("name") {
-        None => None,
-        Some(e) => Some(want_str(e)?.to_string()),
-    };
-    let after_ref = match sect.get("after") {
-        None => None,
-        Some(e) => Some((want_str(e)?.to_string(), e.line)),
-    };
-
-    Ok((Rule { name, matcher, hosts, after: None, probability, action }, after_ref))
+    Ok(Rule { matcher, fire })
 }
 
 /// Compile a policy file. Total: returns a [`PolicyError`] for every
 /// malformed input, and identical output for identical input.
 pub fn compile(text: &str) -> Result<Policy, PolicyError> {
-    compile_with_lines(text).map(|(policy, _)| policy)
-}
-
-/// Compile a policy file and also return, per rule, the 1-based source
-/// line of its `[[rule]]` header. The compiled [`Policy`] deliberately
-/// carries no source positions (the interpreter compares programs for
-/// equality); the line table is the side channel the `policycheck`
-/// analyzer in devtools uses to pin L11/L12 findings back to the file.
-pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyError> {
     let sects = toml::parse_in(text, &PolicyDialect)?;
 
     let Some(policy_sect) = sects.iter().find(|s| s.name == "policy") else {
@@ -498,75 +421,24 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
         }
     }
 
-    let rule_sects: Vec<&Section> = sects.iter().filter(|s| s.name == "rule").collect();
-    if rule_sects.is_empty() {
-        return err(0, "a policy needs at least one [[rule]]".to_string());
-    }
-    if rule_sects.len() > 64 {
-        return err(0, "a policy is limited to 64 rules".to_string());
-    }
-
-    let mut rules = Vec::new();
-    let mut afters: Vec<Option<(String, usize)>> = Vec::new();
-    for sect in &rule_sects {
-        let (rule, after_ref) = rule_of_sect(sect, family)?;
-        if let Some(rule_name) = &rule.name {
-            if rules.iter().any(|r: &Rule| r.name.as_deref() == Some(rule_name)) {
-                // Pin the error to the `name =` entry itself, not the
-                // `[[rule]]` header — the name is the offender.
-                let line = sect.get("name").map(|e| e.line).unwrap_or(sect.line);
-                return err(line, format!("duplicate rule name `{rule_name}`"));
-            }
+    let mut rules: Vec<Rule> = Vec::new();
+    for sect in sects.iter().filter(|s| s.name == "rule") {
+        let rule = rule_of_sect(sect, family)?;
+        // Every rule tests the same blocklist, so a repeated matcher
+        // extracts the same domain and reaches the same verdict as the
+        // earlier rule: scanned first-match-wins, it can never fire.
+        if let Some(j) = rules.iter().position(|r| r.matcher == rule.matcher) {
+            return err(
+                sect.line,
+                format!("rule can never fire: rule #{} already has the same matcher", j + 1),
+            );
         }
         rules.push(rule);
-        afters.push(after_ref);
     }
-
-    // Resolve `after` references (forward references allowed) and
-    // reject cycles — a cyclic chain can never arm.
-    for (i, after_ref) in afters.iter().enumerate() {
-        let Some((target, line)) = after_ref else { continue };
-        let Some(j) = rules.iter().position(|r| r.name.as_deref() == Some(target)) else {
-            return err(*line, format!("`after` references unknown rule `{target}`"));
-        };
-        rules[i].after = Some(j);
+    if rules.is_empty() {
+        return err(0, "a policy needs at least one [[rule]]".to_string());
     }
-    for (i, _) in rules.iter().enumerate() {
-        let mut cursor = i;
-        let mut hops = 0;
-        while let Some(next) = rules[cursor].after {
-            cursor = next;
-            hops += 1;
-            if cursor == i || hops > rules.len() {
-                let line = rule_sects[i].line;
-                return err(line, "cyclic `after` references".to_string());
-            }
-        }
-    }
-
-    // Reachability: a later rule with the same matcher can never run
-    // once an unconditional catch-all precedes it.
-    for (i, rule) in rules.iter().enumerate() {
-        for earlier in &rules[..i] {
-            if earlier.matcher == rule.matcher
-                && earlier.hosts == HostSet::Any
-                && earlier.probability.is_none()
-                && earlier.after.is_none()
-            {
-                let line = rule_sects[i].line;
-                return err(
-                    line,
-                    "rule is unreachable: an earlier rule already matches every host".to_string(),
-                );
-            }
-        }
-    }
-
-    let mut rule_lines = Vec::new();
-    for sect in &rule_sects {
-        rule_lines.push(sect.line);
-    }
-    Ok((Policy { name, family, ports, flow_timeout, rules }, rule_lines))
+    Ok(Policy { name, family, ports, flow_timeout, rules })
 }
 
 /// Names of the four access-ISP policy files. TATA's border program,
@@ -615,7 +487,7 @@ mod tests {
         let p = builtin("airtel-wm").unwrap();
         assert_eq!(p.family, Family::Wiretap);
         assert_eq!(p.flow_timeout, SimDuration::from_secs(150));
-        let Action::Fire(act) = &p.rules[0].action else { panic!("airtel rule passes") };
+        let act = &p.rules[0].fire;
         assert_eq!(act.ip_id, IpIdSpec::Fixed(242));
         assert_eq!(act.delay.base, Some((300, 900)));
         assert_eq!(act.delay.slow, Some((0.3, (150_000, 400_000))));
@@ -627,7 +499,7 @@ mod tests {
     fn vodafone_builtin_is_covert() {
         let p = builtin("vodafone-im").unwrap();
         assert_eq!(p.family, Family::Interceptive);
-        let Action::Fire(act) = &p.rules[0].action else { panic!("vodafone rule passes") };
+        let act = &p.rules[0].fire;
         assert!(act.notice.is_none() && act.rst && act.reset_server && act.drop_flow);
         assert_eq!(act.ip_id, IpIdSpec::DeviceMark);
     }
@@ -654,14 +526,7 @@ mod tests {
             ip_id: IpIdSpec::SeqHash,
             delay: DelaySpec { base: Some((300, 900)), slow: None },
         };
-        let rule = Rule {
-            name: None,
-            matcher: HostMatcher::ExactToken,
-            hosts: HostSet::Blocklist,
-            after: None,
-            probability: None,
-            action: Action::Fire(fire),
-        };
+        let rule = Rule { matcher: HostMatcher::ExactToken, fire };
         assert_eq!(p.rules, vec![rule]);
     }
 
@@ -684,7 +549,7 @@ mod tests {
             .filter(|p| p.extension().is_some_and(|x| x == "toml"))
             .collect();
         paths.sort();
-        assert!(paths.len() >= 18, "corpus shrank to {} fixtures", paths.len());
+        assert!(paths.len() >= 19, "corpus shrank to {} fixtures", paths.len());
         for path in paths {
             let name = path.file_name().unwrap_or_default().to_string_lossy();
             let text = std::fs::read_to_string(&path).expect("read fixture");
@@ -731,16 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn listed_hosts_are_lowercased() {
-        let p = compile(
-            "[policy]\nname = \"x\"\nfamily = \"wiretap\"\n[[rule]]\ntrigger = \"host-header\"\nmatcher = \"exact-token\"\nhosts = [\"MiXeD.Example\"]\naction = [\"inject-rst\"]\n",
-        )
-        .unwrap();
-        let HostSet::Listed(set) = &p.rules[0].hosts else { panic!("expected a listed set") };
-        assert!(set.contains("mixed.example"));
-    }
-
-    #[test]
     fn error_lines_point_at_the_offender() {
         let e = compile("[policy]\nname = \"x\"\nfamily = \"weird\"\n").unwrap_err();
         assert_eq!(e.line, 3);
@@ -757,24 +612,20 @@ mod tests {
     }
 
     #[test]
-    fn after_chain_compiles_and_resolves() {
-        let text = "[policy]\nname = \"x\"\nfamily = \"wiretap\"\n[[rule]]\nname = \"first\"\ntrigger = \"host-header\"\nmatcher = \"exact-token\"\naction = [\"inject-rst\"]\n[[rule]]\ntrigger = \"host-header\"\nmatcher = \"exact-token\"\nhosts = \"any\"\nafter = \"first\"\naction = [\"inject-rst\"]\n";
-        let p = compile(text).unwrap();
-        assert_eq!(p.rules[1].after, Some(0));
-    }
-
-    #[test]
     fn rule_lines_point_at_the_rule_headers() {
-        let text = "[policy]\nname = \"x\"\nfamily = \"wiretap\"\n\n[[rule]]\ntrigger = \"host-header\"\nmatcher = \"exact-token\"\naction = [\"inject-rst\"]\n\n[[rule]]\ntrigger = \"host-header\"\nmatcher = \"last-host\"\naction = [\"inject-rst\"]\n";
-        let (p, lines) = compile_with_lines(text).unwrap();
-        assert_eq!(p.rules.len(), 2);
-        assert_eq!(lines, vec![5, 10]);
-    }
-
-    #[test]
-    fn duplicate_rule_names_are_pinned_to_the_name_entry() {
-        let e = compile(include_str!("../policies/fixtures/bad/duplicate-rule.toml")).unwrap_err();
-        assert_eq!(e.line, 13, "pinned to the second `name =` line, not the [[rule]] header");
+        // Two rules with different matchers compile; a second rule that
+        // repeats the first one's matcher could never fire, and the
+        // error points at its `[[rule]]` header.
+        let two = |second: &str| {
+            format!("[policy]\nname = \"x\"\nfamily = \"wiretap\"\n\n[[rule]]\ntrigger = \"host-header\"\nmatcher = \"exact-token\"\naction = [\"inject-rst\"]\n\n[[rule]]\ntrigger = \"host-header\"\nmatcher = \"{second}\"\naction = [\"inject-rst\"]\n")
+        };
+        let p = compile(&two("last-host")).unwrap();
+        let matchers: Vec<_> = p.rules.iter().map(|r| r.matcher).collect();
+        assert_eq!(matchers, vec![HostMatcher::ExactToken, HostMatcher::LastHost]);
+        assert_eq!(
+            msg(&two("exact-token")),
+            "line 10: rule can never fire: rule #1 already has the same matcher"
+        );
     }
 
     #[test]

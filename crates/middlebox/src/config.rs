@@ -20,7 +20,7 @@ pub struct Instance {
     /// Jio's prefixes make its middleboxes invisible to vantage points
     /// outside the ISP.
     pub client_filter: Option<Vec<Cidr>>,
-    /// RNG seed for probability gates and delay jitter.
+    /// Seed of the RNG that draws wiretap delay jitter.
     pub seed: u64,
 }
 

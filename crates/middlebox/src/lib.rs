@@ -21,14 +21,15 @@
 //! in *how* they match that header — differences Section 5's evasion
 //! techniques exploit, reproduced here in [`matcher::HostMatcher`].
 //!
-//! Both families are instances of one **censor program** shape —
-//! match → state → action — which [`policy`] makes explicit: a generic
+//! Both families are instances of one **censor program** shape, which
+//! [`policy`] makes explicit: each rule matches the Host header against
+//! the device's own blocklist and fires a notice page and/or RSTs with
+//! an IP-ID stamp (and, on a wiretap, a race delay). A generic
 //! [`policy::PolicyBox`] interprets programs compiled by [`compile`]
 //! from TOML files under `policies/`. The hardcoded structs that used
 //! to implement the two families directly are retired; their recorded
 //! behaviour lives on as transcript goldens under `tests/golden/`
-//! (see `lucent-check::diffmb`), and the committed policy programs are
-//! statically verified by the lucent-lint L11/L12 analyzer.
+//! (see `lucent-check::diffmb`).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,12 +4,13 @@
 //! and interceptive filtering — that differ only in match triggers,
 //! state handling, and injected actions (Section 4.2). That is the shape
 //! of a policy *program*, not four hardcoded structs: a [`Policy`] is a
-//! list of [`Rule`]s, each `match` (ports, host trigger set, optional
-//! `after` state predicate) → `state` (flow-table transitions reusing
-//! [`crate::flow`]) → `action` (inject a notice, inject a RST, reset the
-//! server, drop/black-hole, pass, probabilistic variants with derived
-//! RNG). A single generic [`PolicyBox`] interprets a compiled policy
-//! behind the same [`Node`] surface the netsim engine already drives.
+//! list of [`Rule`]s, each a Host-header match against the device's own
+//! blocklist (a [`HostMatcher`] extracts the domain) that fires a
+//! [`FireSpec`] — inject a notice and/or RSTs with an IP-ID stamp and,
+//! on a wiretap, a race delay; reset the server and black-hole the flow
+//! inline — over flow-table state reused from [`crate::flow`]. A single
+//! generic [`PolicyBox`] interprets a compiled policy behind the same
+//! [`Node`] surface the netsim engine already drives.
 //!
 //! Policies are compiled from TOML files by [`crate::compile`]; the
 //! five committed programs (the four access ISPs' and TATA's border
@@ -23,10 +24,10 @@
 //! # Determinism
 //!
 //! The interpreter draws from one derived RNG stream in a fixed order:
-//! the generator is seeded `seed ^ 0x77aa_77aa`, probability gates draw
-//! first (scan order), then the delay jitter (slow-path coin before
-//! range draw). The recorded transcripts pin this draw sequence — a
-//! reordered draw diverges from the goldens.
+//! the generator is seeded `seed ^ 0x77aa_77aa`, and each wiretap firing
+//! draws its delay jitter (slow-path coin before range draw). The rule
+//! scan itself never draws. The recorded transcripts pin this draw
+//! sequence — a reordered draw diverges from the goldens.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -57,18 +58,6 @@ pub enum Family {
     /// Inline device: consumes, answers, resets, black-holes
     /// (Idea, Vodafone).
     Interceptive,
-}
-
-/// The host trigger set a rule matches extracted domains against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HostSet {
-    /// The per-device blocklist supplied at instantiation (the common
-    /// case: one program shared by every device of an ISP).
-    Blocklist,
-    /// A literal set baked into the policy file (lowercased).
-    Listed(BTreeSet<String>),
-    /// Every extracted host matches.
-    Any,
 }
 
 /// How the IP-Identifier of forged packets is chosen.
@@ -117,33 +106,15 @@ pub struct FireSpec {
     pub delay: DelaySpec,
 }
 
-/// A rule's action: stop scanning and leave the flow alone, or fire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Action {
-    /// Explicit whitelist: a matching pass rule ends the scan cleanly.
-    Pass,
-    /// Inject/transition per the [`FireSpec`].
-    Fire(FireSpec),
-}
-
-/// One match → state → action rule.
+/// One rule: a Host-header match against the device's blocklist that
+/// fires on a hit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
-    /// Optional rule name, referenced by later rules' `after`.
-    pub name: Option<String>,
     /// How the domain is extracted from the request.
     pub matcher: HostMatcher,
-    /// The trigger set the extracted domain must fall in.
-    pub hosts: HostSet,
-    /// State predicate: the rule arms only after the named earlier rule
-    /// (by index) has fired at least once on this device — escalation
-    /// programs ("notice first, bare RSTs once the device is hot").
-    pub after: Option<usize>,
-    /// Probabilistic variant: fire only when a derived-RNG coin with
-    /// this weight comes up. `None` never draws (deterministic rule).
-    pub probability: Option<f64>,
-    /// What to do on match.
-    pub action: Action,
+    /// What the rule injects and transitions when the extracted domain
+    /// is on the device's blocklist.
+    pub fire: FireSpec,
 }
 
 /// A compiled censor program: device-wide match gates plus the rule
@@ -168,26 +139,20 @@ impl Policy {
         self.ports.as_ref().map(|p| p.contains(&port)).unwrap_or(true)
     }
 
-    /// The notice page this program forges: the first one its firing
-    /// rules name. `None` for a covert program that only answers with
-    /// RSTs.
+    /// The notice page this program forges: the first one its rules
+    /// name. `None` for a covert program that only answers with RSTs.
     pub fn notice(&self) -> Option<&NoticeStyle> {
-        self.rules.iter().find_map(|rule| match &rule.action {
-            Action::Fire(fire) => fire.notice.as_ref(),
-            Action::Pass => None,
-        })
+        self.rules.iter().find_map(|rule| rule.fire.notice.as_ref())
     }
 
-    /// Give every firing rule the slow path `(p, range_us)`: with
-    /// probability `p` an injection takes a delay drawn from `range_us`
-    /// instead of the normal range. Only timed (wiretap) rules draw, so
-    /// an interceptive program is unaffected. The race ablation sweeps
-    /// this knob.
+    /// Give every rule the slow path `(p, range_us)`: with probability
+    /// `p` an injection takes a delay drawn from `range_us` instead of
+    /// the normal range. Only timed (wiretap) rules draw, so an
+    /// interceptive program is unaffected. The race ablation sweeps this
+    /// knob.
     pub fn set_slow_path(&mut self, p: f64, range_us: (u64, u64)) {
         for rule in &mut self.rules {
-            if let Action::Fire(fire) = &mut rule.action {
-                fire.delay.slow = Some((p, range_us));
-            }
+            rule.fire.delay.slow = Some((p, range_us));
         }
     }
 }
@@ -196,7 +161,7 @@ impl Policy {
 enum Scan {
     /// Rule `usize` fired on the extracted domain.
     Fire(usize, String),
-    /// A domain was extracted but nothing fired (or a pass rule won).
+    /// A domain was extracted but no rule's blocklist held it.
     Clean,
     /// No rule's matcher extracted a domain.
     NoDomain,
@@ -207,14 +172,6 @@ enum Scan {
 enum FireNote {
     Race { delay_us: u64, slow: bool },
     Intercept { covert: bool },
-}
-
-fn rule_hits(hosts: &HostSet, inst: &Instance, domain: &str) -> bool {
-    match hosts {
-        HostSet::Blocklist => inst.blocks(domain),
-        HostSet::Listed(set) => set.contains(domain),
-        HostSet::Any => true,
-    }
 }
 
 fn forge_ip_id(spec: &IpIdSpec, seq: u32) -> u16 {
@@ -294,8 +251,6 @@ pub struct PolicyBox {
     rng: SimRng,
     label: String,
     sweep_armed: bool,
-    /// Bit i set once rule i has fired on this device (`after` gates).
-    fired_mask: u64,
     /// Number of rule firings (injections/interceptions) performed.
     pub triggers: u64,
     /// (time, client, domain) trigger log.
@@ -315,7 +270,6 @@ impl PolicyBox {
             rng,
             label: label.into(),
             sweep_armed: false,
-            fired_mask: 0,
             triggers: 0,
             trigger_log: Vec::new(),
         }
@@ -343,33 +297,16 @@ impl PolicyBox {
         }
     }
 
-    /// Scan the rules in order; first hit wins. Probability gates draw
-    /// here, in scan order, so deterministic policies never touch the
-    /// RNG before the delay jitter — the stream alignment the recorded
-    /// transcripts pin.
-    fn scan_rules(&mut self, payload: &[u8]) -> Scan {
-        let PolicyBox { policy, inst, rng, fired_mask, .. } = self;
+    /// Scan the rules in order; the first rule whose extracted domain is
+    /// on the device's blocklist wins. The scan never draws from the RNG.
+    fn scan_rules(&self, payload: &[u8]) -> Scan {
         let mut saw_domain = false;
-        for (i, rule) in policy.rules.iter().enumerate() {
+        for (i, rule) in self.policy.rules.iter().enumerate() {
             let Some(domain) = rule.matcher.extract(payload) else { continue };
             saw_domain = true;
-            if !rule_hits(&rule.hosts, inst, &domain) {
-                continue;
+            if self.inst.blocks(&domain) {
+                return Scan::Fire(i, domain);
             }
-            if let Some(j) = rule.after {
-                if *fired_mask & (1 << j) == 0 {
-                    continue; // state predicate not yet satisfied
-                }
-            }
-            if let Some(p) = rule.probability {
-                if !rng.gen_bool(p) {
-                    continue;
-                }
-            }
-            return match rule.action {
-                Action::Pass => Scan::Clean,
-                Action::Fire(_) => Scan::Fire(i, domain),
-            };
         }
         if saw_domain {
             Scan::Clean
@@ -387,9 +324,8 @@ impl PolicyBox {
         domain: &str,
         rule_idx: usize,
     ) {
-        let PolicyBox { policy, rng, fired_mask, triggers, trigger_log, .. } = self;
-        let Action::Fire(act) = &policy.rules[rule_idx].action else { return };
-        *fired_mask |= 1 << rule_idx;
+        let PolicyBox { policy, rng, triggers, trigger_log, .. } = self;
+        let act = &policy.rules[rule_idx].fire;
         *triggers += 1;
         trigger_log.push((ctx.now(), insp.key.client.0, domain.to_string()));
         let (client_ip, client_port) = insp.key.client;
@@ -451,9 +387,8 @@ impl PolicyBox {
         domain: &str,
         rule_idx: usize,
     ) {
-        let PolicyBox { policy, flows, blackholed, fired_mask, triggers, trigger_log, .. } = self;
-        let Action::Fire(act) = &policy.rules[rule_idx].action else { return };
-        *fired_mask |= 1 << rule_idx;
+        let PolicyBox { policy, flows, blackholed, triggers, trigger_log, .. } = self;
+        let act = &policy.rules[rule_idx].fire;
         *triggers += 1;
         trigger_log.push((ctx.now(), insp.key.client.0, domain.to_string()));
         let (client_ip, client_port) = insp.key.client;
@@ -636,7 +571,10 @@ mod tests {
     }
 
     fn get_for(host: &str, seq: u32) -> Packet {
-        let body = RequestBuilder::browser(host, "/").build();
+        request(RequestBuilder::browser(host, "/").build(), seq)
+    }
+
+    fn request(body: Vec<u8>, seq: u32) -> Packet {
         let mut h = TcpHeader::new(40000, 80, TcpFlags::ACK | TcpFlags::PSH);
         h.seq = seq;
         h.ack = 2001;
@@ -687,9 +625,7 @@ mod tests {
     /// injection lands within the 5 ms the tests run for.
     fn airtel_policy() -> Policy {
         let mut policy = builtin("airtel-wm").unwrap();
-        if let Action::Fire(fire) = &mut policy.rules[0].action {
-            fire.delay.slow = None;
-        }
+        policy.rules[0].fire.delay.slow = None;
         policy
     }
 
@@ -754,69 +690,23 @@ mod tests {
     }
 
     #[test]
-    fn pass_rule_whitelists_ahead_of_blocklist() {
+    fn a_clean_extraction_falls_through_to_the_next_matcher() {
+        // A second Host line after the terminator: last-host sees only
+        // the clean decoy, exact-token sees the blocked host. With the
+        // last-host rule first, the scan moves on to the exact-token
+        // rule, which fires.
         let mut policy = airtel_policy();
-        let mut listed = BTreeSet::new();
-        listed.insert("blocked.example".to_string());
-        policy.rules.insert(
-            0,
-            Rule {
-                name: None,
-                matcher: HostMatcher::ExactToken,
-                hosts: HostSet::Listed(listed),
-                after: None,
-                probability: None,
-                action: Action::Pass,
-            },
-        );
+        let mut decoy_first = policy.rules[0].clone();
+        decoy_first.matcher = HostMatcher::LastHost;
+        policy.rules.insert(0, decoy_first);
+        let mut body = RequestBuilder::browser("blocked.example", "/").build();
+        body.extend_from_slice(b"Host: fine.example\r\n\r\n");
         let (mut net, mb, sink) = mirror_rig(policy, inst(&["blocked.example"]));
         handshake(&mut net, mb, IfaceId(0));
-        net.inject(mb, IfaceId(0), get_for("blocked.example", 1000));
+        net.inject(mb, IfaceId(0), request(body, 1000));
         net.run_for(SimDuration::from_millis(5));
-        assert!(net.node_ref::<Sink>(sink).unwrap().got.is_empty());
-    }
-
-    #[test]
-    fn after_predicate_arms_a_rule_only_once_the_named_rule_fired() {
-        // Rule 0 fires on the blocklist; rule 1 fires on *any* host but
-        // only after rule 0 has fired once — an escalation program.
-        let mut policy = airtel_policy();
-        policy.rules[0].name = Some("first".to_string());
-        policy.rules.push(Rule {
-            name: None,
-            matcher: HostMatcher::ExactToken,
-            hosts: HostSet::Any,
-            after: Some(0),
-            probability: None,
-            action: policy.rules[0].action.clone(),
-        });
-        let (mut net, mb, sink) = mirror_rig(policy, inst(&["blocked.example"]));
-        handshake(&mut net, mb, IfaceId(0));
-        // Before escalation: a clean host passes.
-        net.inject(mb, IfaceId(0), get_for("fine.example", 1000));
-        net.run_for(SimDuration::from_millis(5));
-        assert!(net.node_ref::<Sink>(sink).unwrap().got.is_empty());
-        // Trip rule 0, then the same clean host is censored.
-        net.inject(mb, IfaceId(0), get_for("blocked.example", 1400));
-        net.run_for(SimDuration::from_millis(5));
-        let after_trip = net.node_ref::<Sink>(sink).unwrap().got.len();
-        assert!(after_trip >= 2);
-        net.inject(mb, IfaceId(0), get_for("fine.example", 1900));
-        net.run_for(SimDuration::from_millis(5));
-        assert!(net.node_ref::<Sink>(sink).unwrap().got.len() > after_trip);
-    }
-
-    #[test]
-    fn probability_one_always_fires_and_zeroish_never_does() {
-        for (p, expect) in [(1.0, 1u64), (0.000001, 0u64)] {
-            let mut policy = airtel_policy();
-            policy.rules[0].probability = Some(p);
-            let (mut net, mb, _sink) = mirror_rig(policy, inst(&["blocked.example"]));
-            handshake(&mut net, mb, IfaceId(0));
-            net.inject(mb, IfaceId(0), get_for("blocked.example", 1000));
-            net.run_for(SimDuration::from_millis(5));
-            assert_eq!(net.node_ref::<PolicyBox>(mb).unwrap().triggers, expect, "p={p}");
-        }
+        assert_eq!(net.node_ref::<Sink>(sink).unwrap().got.len(), 2, "notice + follow-up RST");
+        assert_eq!(net.node_ref::<PolicyBox>(mb).unwrap().triggers, 1);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!    transcripts byte-for-byte — one recording per middlebox family;
 //! 3. the planted `wrong-airtel.toml` fixture (one flipped action) must
 //!    diverge from the Airtel recording, and its byte-equivalent green
-//!    twin must match — proving the suite detects what it claims to.
+//!    twin must match — proving the suite detects what it claims to;
+//! 4. every program in `crates/middlebox/policies/` compiles to its
+//!    builtin, and both mechanism families are present.
 //!
 //! To re-record after an *intentional* behaviour change, run with
 //! `LUCENT_REGEN_TRANSCRIPTS=1` and commit the diff.
@@ -118,10 +120,28 @@ fn the_planted_wrong_policy_diverges_from_the_recording() {
 
 #[test]
 fn every_committed_isp_policy_compiles_to_its_family() {
-    for name in builtin_names().into_iter().chain(["tata-wm"]) {
-        let p = builtin(name).unwrap();
-        let want = if name.ends_with("-wm") { Family::Wiretap } else { Family::Interceptive };
-        assert_eq!(p.family, want, "{name}");
-        assert!(!p.rules.is_empty(), "{name} has no rules");
+    // Every program in the directory, not a hand-kept list: a file the
+    // builtins do not know, one that does not compile, or one that no
+    // longer compiles to its builtin fails here at its name.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates/middlebox/policies");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("read the committed policies")
+        .map(|e| e.expect("policy dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .collect();
+    paths.sort();
+    let mut families = Vec::new();
+    for path in &paths {
+        let stem = path.file_stem().and_then(|s| s.to_str()).expect("utf-8 policy name");
+        let text = std::fs::read_to_string(path).expect("read policy");
+        let p = compile(&text).unwrap_or_else(|e| panic!("{stem}.toml: {e}"));
+        assert_eq!(Ok(&p), builtin(stem).as_ref(), "{stem}.toml is not its builtin");
+        let want = if stem.ends_with("-wm") { Family::Wiretap } else { Family::Interceptive };
+        assert_eq!(p.family, want, "{stem}");
+        families.push(p.family);
+    }
+    assert_eq!(paths.len(), builtin_names().len() + 1, "the four access ISPs' and TATA's");
+    for family in [Family::Wiretap, Family::Interceptive] {
+        assert!(families.contains(&family), "no committed {family:?} program");
     }
 }
