@@ -20,7 +20,7 @@
 //! follows from that shape: a rule may not repeat an earlier rule's
 //! matcher, because it would extract the same domain from the same
 //! request and test it against the same blocklist, so it could never
-//! fire.
+//! fire ([`crate::policycheck`]).
 //!
 //! ```toml
 //! [policy]
@@ -52,6 +52,7 @@ use lucent_support::toml::{self, Dialect, Entry, Section, Value};
 use crate::matcher::HostMatcher;
 use crate::notice::NoticeStyle;
 use crate::policy::{DelaySpec, Family, FireSpec, IpIdSpec, Policy, Rule};
+use crate::policycheck;
 
 /// A compile failure, pointing at the offending line (0 for whole-file
 /// problems such as a missing section).
@@ -424,10 +425,7 @@ pub fn compile(text: &str) -> Result<Policy, PolicyError> {
     let mut rules: Vec<Rule> = Vec::new();
     for sect in sects.iter().filter(|s| s.name == "rule") {
         let rule = rule_of_sect(sect, family)?;
-        // Every rule tests the same blocklist, so a repeated matcher
-        // extracts the same domain and reaches the same verdict as the
-        // earlier rule: scanned first-match-wins, it can never fire.
-        if let Some(j) = rules.iter().position(|r| r.matcher == rule.matcher) {
+        if let Some(j) = policycheck::shadowed_by(&rules, &rule) {
             return err(
                 sect.line,
                 format!("rule can never fire: rule #{} already has the same matcher", j + 1),

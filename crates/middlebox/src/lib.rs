@@ -40,6 +40,7 @@ pub mod flow;
 pub mod matcher;
 pub mod notice;
 pub mod policy;
+pub mod policycheck;
 
 pub use compile::{builtin, PolicyError};
 pub use matcher::HostMatcher;

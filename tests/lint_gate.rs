@@ -8,7 +8,8 @@
 //! byte-identical across runs and to `tests/golden/lint-report.json`,
 //! the L4/L8 and allowlist fixtures under `crates/devtools/fixtures/`
 //! must go red/green exactly as designed, and a retired allowlist table
-//! must be an error.
+//! must be an error. The seeded dead-rule policy fixture the retired L11
+//! rule flagged must fail to compile.
 
 use std::path::{Path, PathBuf};
 
@@ -110,6 +111,22 @@ fn copy_tree(src: &Path, dst: &Path) {
             std::fs::copy(e.path(), &to).expect("copy");
         }
     }
+}
+
+#[test]
+fn l11_fixture_goes_red_on_a_seeded_dead_rule() {
+    // The dead-rule check the retired L11 rule made over policy files is
+    // now the policy compiler's own, so the lint no longer reads them:
+    // the seeded fixture (a second rule repeating the first one's
+    // matcher) fails to compile at the dead rule's `[[rule]]` header, and
+    // the same program without that rule compiles.
+    let path = workspace_root().join("crates/middlebox/policies/fixtures/bad/bad-rule-order.toml");
+    let text = std::fs::read_to_string(path).expect("read fixture");
+    let err = lucent_middlebox::compile::compile(&text).expect_err("a dead rule must not compile");
+    assert_eq!(err.to_string(), "line 11: rule can never fire: rule #1 already has the same matcher");
+    let live: String = text.lines().take(err.line - 1).map(|l| format!("{l}\n")).collect();
+    let policy = lucent_middlebox::compile::compile(&live).expect("the live rule alone compiles");
+    assert_eq!(policy.rules.len(), 1);
 }
 
 #[test]
