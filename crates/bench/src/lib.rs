@@ -34,7 +34,7 @@ impl Scale {
         match s {
             "tiny" => Some(Scale::Tiny),
             "small" => Some(Scale::Small),
-            "paper" | "full" => Some(Scale::Paper),
+            "paper" => Some(Scale::Paper),
             _ => None,
         }
     }
@@ -100,7 +100,7 @@ mod tests {
     fn scale_parsing() {
         assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("full"), Some(Scale::Paper));
+        assert_eq!(Scale::parse("full"), None);
         assert_eq!(Scale::parse("bogus"), None);
     }
 

@@ -89,6 +89,18 @@ fn zero_threads_is_rejected() {
 }
 
 #[test]
+fn only_the_three_listed_scales_are_accepted() {
+    // The usage line names tiny|small|paper; no other name is an alias.
+    for scale in ["full", "bogus"] {
+        let out = repro().args(["fig1", "--scale", scale]).output().expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "--scale {scale} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("unknown scale"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+    }
+}
+
+#[test]
 fn a_flag_is_never_taken_as_the_previous_flags_value() {
     for flag in ["--json", "--trace", "--metrics-out", "--profile", "--scale"] {
         let out = repro().args(["fig1", flag, "--threads", "1"]).output().expect("spawn repro");

@@ -534,8 +534,7 @@ pub fn run_diff(
 /// Compile `spec`'s own rendered policy text and replay it through two
 /// fresh rigs: the transcripts must be byte-identical. This replay
 /// determinism is the invariant every recorded golden rests on (and the
-/// everyday entry point of [`crate::oracles::policy_replay_deterministic`]
-/// and the fuzz-smoke campaign).
+/// everyday entry point of [`crate::oracles::policy_replay_deterministic`]).
 pub fn spec_self_diff(spec: &MbSpec, steps: &[Step]) -> Result<(), String> {
     let policy =
         compile(&spec.policy_toml()).map_err(|e| format!("rendered policy rejected: {e}"))?;

@@ -15,7 +15,6 @@
 //! Layers:
 //!
 //! - [`source`] — the recorded/replayed choice tape and primitive draws;
-//! - [`gen`] — combinators ([`Gen`]) over a `Source`;
 //! - [`packets`] — structured generators for every wire format in
 //!   `lucent-packet`, plus [`corrupt`]'s mutate-a-valid-image operators;
 //! - [`shrink`] — greedy tape minimization;
@@ -31,27 +30,27 @@
 //!   replays the recorded `tests/golden/mb-*.transcript` files against
 //!   today's interpreter, and holds any spec to replay determinism;
 //! - [`invariants`] — metamorphic properties through the real simulation
-//!   stack (header-permutation invariance, blocklist monotonicity);
-//! - [`report`] — the deterministic `fuzz-smoke` campaign transcript;
-//! - [`planted`] — a feature-gated seeded defect proving the
-//!   find → shrink → replay loop end to end.
+//!   stack (header-permutation invariance, blocklist monotonicity).
+//!
+//! The crate has no binary and no cargo feature: the tier-1 test suite
+//! (`cargo test`) is the only runner. It runs the whole catalogue at two
+//! fixed seeds (`oracles::tests` and `tests/it_check.rs`), each crate's
+//! `props.rs` pins the oracles over that crate, and
+//! `tests/selftest.rs` plants a known bug to prove the find → shrink →
+//! replay loop.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod corrupt;
 pub mod diffmb;
-pub mod gen;
 pub mod invariants;
 pub mod oracles;
 pub mod packets;
-pub mod planted;
-pub mod report;
 pub mod runner;
 pub mod rustish;
 pub mod shrink;
 pub mod source;
 
-pub use gen::Gen;
 pub use runner::{assert_replay, check, parse_tape, replay, run, tape_hex, Config, Finding};
 pub use source::Source;

@@ -2,9 +2,11 @@
 //! `lucent-tcp`, `lucent-middlebox` and the lint's readers.
 //!
 //! Every oracle is a property `fn(&mut Source)` that panics on
-//! violation, so the same function runs under [`crate::runner::check`]
-//! in a crate's test suite and inside the bounded `fuzz-smoke` campaign.
-//! The catalogue:
+//! violation and runs under [`crate::runner::check`]. Tier-1 runs the
+//! whole catalogue ([`all`]) at two fixed seeds — 48 cases at seed
+//! `0xA11CE` in this module's tests, 64 cases at seed 7 in
+//! `tests/it_check.rs` — and each crate's `props.rs` pins the oracles
+//! over that crate at a deeper case count. The catalogue:
 //!
 //! | oracle | claim |
 //! |---|---|
@@ -17,7 +19,6 @@
 //! | `dns_roundtrip` / `http_roundtrips` | DNS and HTTP emitters agree with their parsers |
 //! | `tcb_arbitrary_segments_safe` | the TCP state machine never panics, receive buffer never shrinks |
 //! | `flow_table_invariants` | flow tracking: len moves by ≤1 per packet, sweep reports exactly what it evicts |
-//! | `planted_cap_is_bounded` | the planted SUT respects its cap (fails under `--features planted-bug`) |
 //! | `lint_lexer_total` | the devtools scrubbing lexer preserves length and newlines on Rust-ish soup |
 //! | `obs_histogram_merge` | telemetry merge is order/grouping-insensitive and conserves histogram buckets under shard splits |
 //! | `sched_matches_heap_model` | the netsim calendar queue pops in exactly the reference binary-heap order, deadline pops included |
@@ -40,7 +41,6 @@ use lucent_middlebox::flow::FlowTable;
 
 use crate::corrupt::corrupt;
 use crate::packets;
-use crate::planted;
 use crate::source::Source;
 
 /// Unwrap a parse result without spending the L4 panic budget: oracle
@@ -284,18 +284,6 @@ pub fn flow_table_invariants(s: &mut Source) {
         );
         established_seen = table.established_total;
     }
-}
-
-/// The planted SUT respects its cap. Correct under default features;
-/// fails (and must be found + shrunk) under `--features planted-bug`.
-pub fn planted_cap_is_bounded(s: &mut Source) {
-    let v = s.any_u64();
-    let capped = planted::cap(v);
-    assert!(
-        capped <= planted::CAP,
-        "planted::cap({v}) returned {capped}, above the cap {}",
-        planted::CAP
-    );
 }
 
 /// The devtools scrubbing lexer is total on arbitrary Rust-ish soup
@@ -625,7 +613,6 @@ pub fn all() -> Vec<NamedOracle> {
         ("http_roundtrips", http_roundtrips),
         ("tcb_arbitrary_segments_safe", tcb_arbitrary_segments_safe),
         ("flow_table_invariants", flow_table_invariants),
-        ("planted_cap_is_bounded", planted_cap_is_bounded),
         ("lint_lexer_total", lint_lexer_total),
         ("obs_histogram_merge", obs_histogram_merge),
         ("sched_matches_heap_model", sched_matches_heap_model),
@@ -642,10 +629,7 @@ mod tests {
 
     #[test]
     fn the_catalogue_holds_at_a_fixed_seed() {
-        for (name, oracle) in all() {
-            if name == "planted_cap_is_bounded" && cfg!(feature = "planted-bug") {
-                continue; // exercised by the planted-bug self-test instead
-            }
+        for (_, oracle) in all() {
             check(&Config::cases(48).with_seed(0xA11CE), oracle);
         }
     }

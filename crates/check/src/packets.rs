@@ -2,8 +2,7 @@
 //!
 //! These replace the ad-hoc `arb_*` builders the three `props.rs`
 //! suites used to duplicate: all of them draw from the same shrinkable
-//! choice tape, and each plain function lifts into a [`Gen`] via
-//! [`Gen::new`] when combinator composition is wanted.
+//! choice tape.
 
 use std::net::Ipv4Addr;
 
@@ -13,7 +12,6 @@ use lucent_packet::{
 use lucent_packet::http::RequestBuilder;
 use lucent_support::Bytes;
 
-use crate::gen::Gen;
 use crate::source::Source;
 
 /// Lowercase label alphabet (domain-name shaped).
@@ -160,11 +158,6 @@ pub fn wire_image(s: &mut Source) -> Vec<u8> {
         }
         _ => http_request(s),
     }
-}
-
-/// `Gen` form of [`tcp_packet`].
-pub fn packets() -> Gen<Packet> {
-    Gen::new(tcp_packet)
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@ use crate::source::Source;
 /// Default base seed for property runs.
 pub const DEFAULT_SEED: u64 = 0x1CEB_00DA_5EED_CA5E;
 
-/// Default shrink execution budget.
-pub const DEFAULT_SHRINK_BUDGET: u32 = 4096;
+/// Execution budget for shrinking a failure.
+const SHRINK_BUDGET: u32 = 4096;
 
 /// Runner configuration.
 #[derive(Debug, Clone, Copy)]
@@ -26,13 +26,11 @@ pub struct Config {
     pub cases: u32,
     /// Base seed; case `i` draws from stream `i` of this seed.
     pub seed: u64,
-    /// Execution budget for shrinking a failure.
-    pub shrink_budget: u32,
 }
 
 impl Default for Config {
     fn default() -> Config {
-        Config { cases: 96, seed: DEFAULT_SEED, shrink_budget: DEFAULT_SHRINK_BUDGET }
+        Config { cases: 96, seed: DEFAULT_SEED }
     }
 }
 
@@ -54,7 +52,7 @@ impl Config {
 pub struct Finding {
     /// Index of the failing case.
     pub case: u32,
-    /// Base seed the campaign ran under.
+    /// Base seed the run drew its cases from.
     pub seed: u64,
     /// Panic message of the original failure.
     pub message: String,
@@ -162,7 +160,7 @@ pub fn run(cfg: &Config, prop: impl Fn(&mut Source)) -> Option<Finding> {
                 }
             };
             let shrunk =
-                shrink::minimize((tape.clone(), message.clone()), &mut trial, cfg.shrink_budget);
+                shrink::minimize((tape.clone(), message.clone()), &mut trial, SHRINK_BUDGET);
             return Some(Finding {
                 case,
                 seed: cfg.seed,

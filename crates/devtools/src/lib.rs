@@ -23,9 +23,8 @@
 //! - **L5 unsafe hygiene** — every `unsafe` carries a `// SAFETY:`
 //!   justification (most crates simply `#![forbid(unsafe_code)]`).
 //! - **L6 print hygiene** — no `println!`/`eprintln!` in non-test library
-//!   code outside the sanctioned sinks (the `repro` CLI, the lint CLI,
-//!   and the `lucent-check` campaign reporter with its `fuzz-smoke`
-//!   binary); diagnostics go through `lucent-obs`.
+//!   code outside the sanctioned sinks (the `repro` CLI and the lint
+//!   CLI); diagnostics go through `lucent-obs`.
 //! - **L8 shard isolation** — `static mut` is forbidden everywhere, and
 //!   interior-mutability statics (`Mutex`/`RefCell`/atomics/… at static
 //!   scope, `thread_local!`) are confined to `[shared_state]`

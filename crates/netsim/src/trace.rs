@@ -8,7 +8,7 @@
 //! The capture buffer is a bounded ring (oldest entries evict first), and
 //! every recorded packet is also offered to the `lucent-obs` event bus
 //! under target `pkttrace` at [`Level::Trace`] — one trace pipeline, two
-//! consumers: the structured event log and the legacy in-memory capture.
+//! consumers: the structured event log and the opt-in in-memory capture.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -171,7 +171,7 @@ impl TraceHandle {
     pub(crate) fn record(&self, time: SimTime, node: NodeId, label: &str, dir: Dir, pkt: &Packet) {
         let mut s = self.state.borrow_mut();
         // The event bus sees every packet the obs filter asks for,
-        // whether or not the legacy capture is enabled.
+        // whether or not the opt-in in-memory capture is enabled.
         if let Some(bus) = &s.bus {
             if bus.enabled("pkttrace", Level::Trace) {
                 // One exact-capacity field vector per event: 6 common
@@ -286,7 +286,7 @@ mod tests {
         bus.set_filter_spec("pkttrace=trace").expect("spec");
         let t = TraceHandle::new();
         t.attach_bus(bus.clone());
-        // The bus sees packets even while the legacy capture is disabled.
+        // The bus sees packets even while the in-memory capture is disabled.
         t.record(SimTime(9), NodeId(3), "client", Dir::Drop("firewall"), &pkt());
         assert!(t.is_empty());
         assert_eq!(bus.event_count(), 1);

@@ -4,10 +4,11 @@
 //!
 //! The ad-hoc `arb_*` builders that used to live here are gone — the
 //! structured generators now live in `lucent_check::packets` and the
-//! properties themselves in `lucent_check::oracles`, where the fuzz
-//! campaign (`fuzz-smoke`) also runs them. This suite pins each oracle
-//! into `cargo test -p lucent-packet` with a deeper case count, and a
-//! failure reports a shrunk, replayable tape instead of a bare seed.
+//! properties themselves in `lucent_check::oracles`, whose catalogue
+//! tier-1 also runs whole at two fixed seeds. This suite pins each
+//! oracle into `cargo test -p lucent-packet` with a deeper case count,
+//! and a failure reports a shrunk, replayable tape instead of a bare
+//! seed.
 
 use lucent_check::{check, oracles, Config};
 

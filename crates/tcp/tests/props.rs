@@ -4,7 +4,7 @@
 //!
 //! The handshake rig (`established_pair`) and the arbitrary-segment
 //! safety property live in `lucent_check::oracles`, shared with the
-//! fuzz campaign; the delivery properties below draw their inputs from
+//! oracle catalogue; the delivery properties below draw their inputs from
 //! a [`Source`] so a failure shrinks to a minimal chunk list or loss
 //! pattern and reports a replayable tape.
 

@@ -1,13 +1,13 @@
-//! Integration tests for the `lucent-check` campaign: the §5
-//! header-permutation invariant exercised against the *real* India
-//! topology (not the synthetic rig), and byte-identical campaign
-//! transcripts across runs and thread counts — the property behind the
-//! `fuzz-smoke` CI gate.
+//! Integration tests for `lucent-check`: the §5 header-permutation
+//! invariant exercised against the *real* India topology (not the
+//! synthetic rig), and the whole oracle catalogue plus the simulation
+//! invariants at a second fixed seed.
 
-use lucent_check::invariants::permuted_request;
-use lucent_check::report::campaign;
-use lucent_check::runner::DEFAULT_SEED;
-use lucent_check::Source;
+use lucent_check::invariants::{
+    blocklist_monotonicity, header_permutation_verdicts, permuted_request,
+    wiretap_verdicts_are_header_invariant,
+};
+use lucent_check::{oracles, run, Config, Source};
 
 use lucent_core::lab::Lab;
 use lucent_packet::http::RequestBuilder;
@@ -52,13 +52,23 @@ fn india_middlebox_verdicts_ignore_innocuous_headers() {
     assert!(!probe(&control), "an unlisted host must not be censored");
 }
 
-/// The whole campaign — oracles plus live-rig simulation invariants —
-/// prints a byte-identical transcript at the same seed on every run,
-/// and finds nothing on a clean tree.
+/// Run `prop` at seed 7; a finding fails with the property's name and
+/// its shrunk, replayable tape.
+fn holds(name: &str, cases: u32, prop: fn(&mut Source)) {
+    if let Some(finding) = run(&Config::cases(cases).with_seed(7), prop) {
+        panic!("{name}: {}", finding.report());
+    }
+}
+
+/// Every oracle in the catalogue, then the metamorphic simulation
+/// invariants, at seed 7 and 64 cases each — except the live-rig
+/// wiretap property, which runs whole simulations per case and gets 4.
 #[test]
-fn campaign_transcripts_are_byte_identical_across_runs() {
-    let (first, findings) = campaign(4, DEFAULT_SEED, true);
-    assert_eq!(findings, 0, "clean tree must produce no findings:\n{first}");
-    let (again, _) = campaign(4, DEFAULT_SEED, true);
-    assert_eq!(first, again, "campaign transcript differs between identical runs");
+fn the_catalogue_and_simulation_invariants_hold_at_seed_7() {
+    for (name, oracle) in oracles::all() {
+        holds(name, 64, oracle);
+    }
+    holds("header_permutation_verdicts", 64, header_permutation_verdicts);
+    holds("blocklist_monotonicity", 64, blocklist_monotonicity);
+    holds("wiretap_verdicts_are_header_invariant", 4, wiretap_verdicts_are_header_invariant);
 }
