@@ -17,6 +17,7 @@
 //! | `parsers_survive_garbage` | no parser panics on arbitrary bytes |
 //! | `parsers_survive_corruption` | no parser panics on corrupted valid images; re-accepted images re-emit parseably |
 //! | `dns_roundtrip` / `http_roundtrips` | DNS and HTTP emitters agree with their parsers |
+//! | `dns_wire_matches_message_codec` | a resolver's wire-level round trip (`dns::QueryView`, `dns::a_records`) answers, stays silent and reads A records exactly as the `DnsMessage` codec does |
 //! | `tcb_arbitrary_segments_safe` | the TCP state machine never panics, receive buffer never shrinks |
 //! | `flow_table_invariants` | flow tracking: len moves by ≤1 per packet, sweep reports exactly what it evicts |
 //! | `lint_lexer_total` | the devtools scrubbing lexer preserves length and newlines on Rust-ish soup |
@@ -33,6 +34,7 @@ use lucent_packet::{
     checksum, DnsMessage, HttpRequest, HttpResponse, IcmpMessage, Ipv4Header, Packet,
     TcpFlags, TcpHeader, UdpHeader,
 };
+use lucent_packet::dns::{self, QueryView, Rcode};
 use lucent_packet::http::RequestBuilder;
 use lucent_support::Bytes;
 use lucent_tcp::tcb::Tcb;
@@ -134,6 +136,8 @@ fn feed_all_parsers(bytes: &[u8]) {
     let _ = Ipv4Header::parse(bytes);
     let _ = Packet::parse(bytes);
     let _ = DnsMessage::parse(bytes);
+    let _ = QueryView::parse(bytes);
+    let _ = dns::a_records(bytes);
     let _ = HttpRequest::parse(bytes);
     let _ = HttpResponse::parse(bytes);
 }
@@ -165,6 +169,40 @@ pub fn dns_roundtrip(s: &mut Source) {
     let mut wire = Vec::new();
     ok(msg.emit(&mut wire), "generated names must fit");
     assert_eq!(ok(DnsMessage::parse(&wire), "own emission must parse"), msg);
+}
+
+/// The wire-level DNS round trip is the message codec's: over generated
+/// odd queries, sometimes corrupted, [`QueryView`] is silent exactly
+/// when `DnsMessage::parse` fails or the message is a response, and
+/// otherwise writes the bytes (or error) of `answer_a`/`error` → `emit`;
+/// and `dns::a_records` returns `parse().map(a_records)`, error
+/// included, on the query, on the reply, and on a corrupted reply.
+pub fn dns_wire_matches_message_codec(s: &mut Source) {
+    let mut query = packets::dns_query_wire(s);
+    if s.below(4) == 3 {
+        corrupt(s, &mut query);
+    }
+    let ips: Vec<Ipv4Addr> = (0..s.len_in(0, 3)).map(|_| s.ipv4()).collect();
+    let ttl = s.any_u32();
+    let rcode = Rcode::from_code(s.below(16) as u8);
+    let codec = DnsMessage::parse(&query).ok().filter(|m| !m.flags.response);
+    let view = QueryView::parse(&query);
+    assert_eq!(view.is_some(), codec.is_some(), "the view answers exactly what the codec answers");
+    let a_records = |wire: &[u8]| {
+        assert_eq!(dns::a_records(wire), DnsMessage::parse(wire).map(|m| m.a_records()), "{wire:?}");
+    };
+    a_records(&query);
+    let (Some(view), Some(msg)) = (view, codec) else { return };
+    assert_eq!(view.name(), msg.questions.first().map(|q| q.name.as_str()));
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    let written = (DnsMessage::error(msg.clone(), rcode).emit(&mut want), view.error(rcode, &mut got));
+    assert_eq!((written.1, &got), (written.0, &want), "error reply to {query:?}");
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    let written = (DnsMessage::answer_a(msg, &ips, ttl).emit(&mut want), view.answer_a(&ips, ttl, &mut got));
+    assert_eq!((written.1, &got), (written.0, &want), "answer to {query:?}");
+    a_records(&got);
+    corrupt(s, &mut got);
+    a_records(&got);
 }
 
 /// HTTP request builder and response emitter agree with their parsers.
@@ -610,6 +648,7 @@ pub fn all() -> Vec<NamedOracle> {
         ("parsers_survive_garbage", parsers_survive_garbage),
         ("parsers_survive_corruption", parsers_survive_corruption),
         ("dns_roundtrip", dns_roundtrip),
+        ("dns_wire_matches_message_codec", dns_wire_matches_message_codec),
         ("http_roundtrips", http_roundtrips),
         ("tcb_arbitrary_segments_safe", tcb_arbitrary_segments_safe),
         ("flow_table_invariants", flow_table_invariants),

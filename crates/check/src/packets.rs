@@ -102,6 +102,84 @@ pub fn dns_message(s: &mut Source) -> DnsMessage {
     }
 }
 
+/// A hand-encoded DNS query in the shapes a resolver meets on the wire
+/// and [`DnsMessage::query_a`] never builds: 0–3 questions (QDCOUNT 0
+/// included), names with uppercase letters, label bytes ≥ 0x80 and `.`
+/// inside labels, names that end in a compression pointer to an earlier
+/// label (or, as a loop, to one of their own), any type and sometimes a
+/// non-IN class, resource records after the questions, trailing bytes,
+/// and sometimes the response bit.
+pub fn dns_query_wire(s: &mut Source) -> Vec<u8> {
+    let mut wire = Vec::new();
+    let response = if one_in(s, 8) { 0x8000 } else { 0 };
+    let flags = s.any_u16() & 0x7fff | response;
+    let questions = s.len_in(0, 3) as u16;
+    let records = if one_in(s, 4) { [s.below(3), s.below(2), s.below(2)].map(|n| n as u16) } else { [0; 3] };
+    for word in [s.any_u16(), flags, questions, records[0], records[1], records[2]] {
+        wire.extend_from_slice(&word.to_be_bytes());
+    }
+    let mut labels = Vec::new();
+    for _ in 0..questions {
+        wire_name(s, &mut wire, &mut labels);
+        let qtype = if s.any_bool() { 1 } else { s.any_u16() };
+        let class = if one_in(s, 4) { s.any_u16() } else { 1 };
+        wire.extend_from_slice(&qtype.to_be_bytes());
+        wire.extend_from_slice(&class.to_be_bytes());
+    }
+    for _ in 0..records.iter().sum::<u16>() {
+        wire_name(s, &mut wire, &mut labels);
+        let rtype = *s.pick(&[1u16, 5, 16]);
+        wire.extend_from_slice(&rtype.to_be_bytes());
+        wire.extend_from_slice(&1u16.to_be_bytes());
+        wire.extend_from_slice(&s.any_u32().to_be_bytes());
+        let at = wire.len();
+        wire.extend_from_slice(&[0, 0]);
+        match rtype {
+            1 => wire.extend_from_slice(&s.bytes(3, 5)),
+            5 => wire_name(s, &mut wire, &mut labels),
+            _ => wire.extend_from_slice(&s.bytes(0, 8)),
+        }
+        let rdlen = (wire.len() - at - 2) as u16;
+        wire[at..at + 2].copy_from_slice(&rdlen.to_be_bytes());
+    }
+    if one_in(s, 4) {
+        wire.extend_from_slice(&s.bytes(1, 8));
+    }
+    wire
+}
+
+/// Append a name of 0–4 labels to `wire`, ending in a zero byte or in
+/// a pointer to one of `labels`, the offsets of every label so far
+/// (this name's own included, which makes a loop).
+fn wire_name(s: &mut Source, wire: &mut Vec<u8>, labels: &mut Vec<usize>) {
+    for _ in 0..s.len_in(0, 4) {
+        labels.push(wire.len());
+        let len = if one_in(s, 8) { s.len_in(1, 63) } else { s.len_in(1, 12) };
+        wire.push(len as u8);
+        for _ in 0..len {
+            let byte = match s.below(16) {
+                0..=9 => *s.pick(ALNUM_LOWER.as_bytes()),
+                10..=13 => s.range_u64(u64::from(b'A'), u64::from(b'Z')) as u8,
+                14 => b'.',
+                _ => 0x80 | s.any_u8(),
+            };
+            wire.push(byte);
+        }
+    }
+    if !labels.is_empty() && one_in(s, 3) {
+        let target = *s.pick(labels) as u16 & 0x3fff;
+        wire.extend_from_slice(&(0xc000 | target).to_be_bytes());
+    } else {
+        wire.push(0);
+    }
+}
+
+/// True one time in `n`; a zero draw is false, so shrinking turns the
+/// rare shape off.
+fn one_in(s: &mut Source, n: u64) -> bool {
+    s.below(n) == n - 1
+}
+
 /// A plausible host name: letter first, alnum last, dots and dashes in
 /// the middle — the shape `it_props.rs` used to hand-roll.
 pub fn host_name(s: &mut Source) -> String {

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 
 use lucent_middlebox::notice::looks_like_notice;
 use lucent_netsim::{NodeId, SimDuration, SimTime};
-use lucent_packet::dns::DnsMessage;
+use lucent_packet::dns::{self, DnsMessage};
 use lucent_packet::http::{find_head_end, RequestBuilder};
 use lucent_packet::tcp::{TcpFlags, TcpHeader};
 use lucent_packet::{Bytes, HttpResponse, IcmpMessage, Packet, UdpHeader};
@@ -24,6 +24,31 @@ pub const DNS_WINDOW_MS: u64 = 1_500;
 pub const HOP_WINDOW_MS: u64 = 600;
 /// The port every raw connection targets.
 const HTTP_PORT: u16 = 80;
+/// Queries per round of a bulk resolve; query `i` of a round takes the
+/// client port, and DNS id, `BULK_BASE_PORT + i`.
+const BULK_ROUND: usize = 8_000;
+/// See [`BULK_ROUND`].
+const BULK_BASE_PORT: u16 = 40_000;
+
+/// The client port, and DNS id, of bulk query `i`.
+fn bulk_port(i: usize) -> u16 {
+    BULK_BASE_PORT + (i % BULK_ROUND) as u16
+}
+
+/// Bulk query `i`, an A query for `domain`, encoded; `None` when the
+/// name cannot be encoded.
+fn bulk_query(i: usize, domain: &str) -> Option<Vec<u8>> {
+    let mut bytes = Vec::new();
+    DnsMessage::query_a(bulk_port(i), domain).emit(&mut bytes).ok()?;
+    Some(bytes)
+}
+
+/// The A queries for `domains`, each encoded once as
+/// [`Lab::bulk_resolve`] encodes the query at its index, for
+/// [`Lab::bulk_resolve_at`].
+pub fn bulk_queries<'a>(domains: impl IntoIterator<Item = &'a str>) -> Vec<Option<Vec<u8>>> {
+    domains.into_iter().enumerate().map(|(i, domain)| bulk_query(i, domain)).collect()
+}
 
 /// What a host captured: every inbound packet with its arrival time,
 /// oldest first.
@@ -467,50 +492,77 @@ impl Lab {
     /// — dropped or unanswered probes pad with `None` rather than
     /// shrinking the list, so callers may index- or zip-align it with
     /// `queries` safely. Used by the open-resolver scans, where waiting
-    /// a full window per probe would be wasteful.
+    /// a full window per probe would be wasteful. Each query is encoded
+    /// as it is sent.
     pub fn bulk_resolve(
         &mut self,
         from: NodeId,
         queries: &[(Ipv4Addr, &str)],
         window_ms: u64,
     ) -> Vec<Option<Vec<Ipv4Addr>>> {
+        let payload = |i: usize| bulk_query(i, queries[i].1).map(Bytes::from);
+        self.bulk_exchange(from, queries.len(), window_ms, |i| queries[i].0, payload)
+    }
+
+    /// [`Lab::bulk_resolve`] with every query sent to `resolver`, the
+    /// queries already encoded by [`bulk_queries`]: a scan of many
+    /// resolvers encodes its names once and sends each a copy of the
+    /// same bytes. (Sharing one buffer across every send left the
+    /// Figure 2 survey with the same live bytes but a larger, more
+    /// fragmented heap.)
+    pub fn bulk_resolve_at(
+        &mut self,
+        from: NodeId,
+        resolver: Ipv4Addr,
+        queries: &[Option<Vec<u8>>],
+        window_ms: u64,
+    ) -> Vec<Option<Vec<Ipv4Addr>>> {
+        let payload = |i: usize| queries[i].as_deref().map(Bytes::from);
+        self.bulk_exchange(from, queries.len(), window_ms, |_| resolver, payload)
+    }
+
+    /// The exchange behind both bulk resolves: query `i` goes to `dst(i)`
+    /// from port [`bulk_port`]`(i)`, carrying `payload(i)` (nothing is
+    /// sent for `None`), in rounds of [`BULK_ROUND`] queries. A reply
+    /// counts only from the query's own destination, and only the first.
+    fn bulk_exchange(
+        &mut self,
+        from: NodeId,
+        n: usize,
+        window_ms: u64,
+        dst: impl Fn(usize) -> Ipv4Addr,
+        mut payload: impl FnMut(usize) -> Option<Bytes>,
+    ) -> Vec<Option<Vec<Ipv4Addr>>> {
         let from_ip = self.host_ip(from);
-        let mut results: Vec<Option<Vec<Ipv4Addr>>> = vec![None; queries.len()];
-        for chunk_start in (0..queries.len()).step_by(8_000) {
-            let chunk = &queries[chunk_start..queries.len().min(chunk_start + 8_000)];
-            let base_port = 40_000u16;
+        let mut results: Vec<Option<Vec<Ipv4Addr>>> = vec![None; n];
+        for round_start in (0..n).step_by(BULK_ROUND) {
+            let round = round_start..n.min(round_start + BULK_ROUND);
             if let Some(host) = self.host_mut(from) {
-                for (i, (resolver, domain)) in chunk.iter().enumerate() {
-                    let port = base_port + i as u16;
+                for i in round.clone() {
+                    let port = bulk_port(i);
                     host.udp_bind(port);
-                    let query = DnsMessage::query_a(port, domain);
-                    let mut bytes = Vec::new();
-                    if query.emit(&mut bytes).is_err() {
-                        continue;
+                    if let Some(bytes) = payload(i) {
+                        host.raw_send(Packet::udp(from_ip, dst(i), UdpHeader::new(port, 53), bytes));
                     }
-                    host.raw_send(Packet::udp(from_ip, *resolver, UdpHeader::new(port, 53), bytes));
                 }
             }
             self.india.net.wake(from);
             let deadline = self.now() + SimDuration::from_millis(window_ms);
-            let mut pending = chunk.len();
+            let mut pending = round.len();
             while self.now() < deadline && pending > 0 {
                 let next = self.now() + SimDuration::from_millis(20);
                 self.india.net.run_until(next.min(deadline));
                 for d in self.host_mut(from).map(|h| h.take_udp_inbox()).unwrap_or_default() {
-                    let idx = usize::from(d.dst_port.wrapping_sub(base_port));
-                    if idx >= chunk.len() {
+                    let i = round_start + usize::from(d.dst_port.wrapping_sub(BULK_BASE_PORT));
+                    if !round.contains(&i) || d.src != dst(i) || results[i].is_some() {
                         continue;
                     }
-                    let Ok(msg) = DnsMessage::parse(&d.payload) else { continue };
-                    if d.src == chunk[idx].0 && results[chunk_start + idx].is_none() {
-                        results[chunk_start + idx] = Some(msg.a_records());
-                        pending -= 1;
-                    }
+                    let Ok(ips) = dns::a_records(&d.payload) else { continue };
+                    results[i] = Some(ips);
+                    pending -= 1;
                 }
             }
         }
-        debug_assert_eq!(results.len(), queries.len());
         results
     }
 

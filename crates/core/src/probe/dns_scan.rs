@@ -9,7 +9,7 @@ use lucent_packet::ipv4::is_bogon;
 use lucent_topology::IspId;
 use lucent_web::SiteId;
 
-use crate::lab::Lab;
+use crate::lab::{bulk_queries, Lab};
 
 /// Per-resolver scan outcome.
 #[derive(Debug, Clone)]
@@ -106,7 +106,8 @@ fn judge_answers(
 /// Scan a batch of `resolvers` against a precomputed `reference`. This
 /// is the shardable unit: fixed-size resolver chunks of one ISP can run
 /// on separate labs and their `ResolverScan`s concatenate in submission
-/// order to exactly the scan of the whole list on one lab.
+/// order to exactly the scan of the whole list on one lab. The PBW
+/// queries are encoded once per batch and sent to every resolver.
 pub fn survey_batch(
     lab: &mut Lab,
     isp: IspId,
@@ -116,15 +117,10 @@ pub fn survey_batch(
 ) -> Vec<ResolverScan> {
     let client = lab.client_of(isp);
     let prefix = lab.india.isps[&isp].prefix;
-    let domains = pbw_domains(lab, pbw);
-    let mut queries: Vec<(Ipv4Addr, &str)> =
-        domains.iter().map(|d| (Ipv4Addr::UNSPECIFIED, d.as_str())).collect();
+    let queries = bulk_queries(pbw_domains(lab, pbw).iter().map(String::as_str));
     let mut poisoned = Vec::new();
     for &resolver in resolvers {
-        for query in &mut queries {
-            query.0 = resolver;
-        }
-        let answers = lab.bulk_resolve(client, &queries, 2_500);
+        let answers = lab.bulk_resolve_at(client, resolver, &queries, 2_500);
         let manipulated = judge_answers(pbw, &answers, reference, prefix);
         if !manipulated.is_empty() {
             poisoned.push(ResolverScan { resolver, manipulated });
@@ -185,6 +181,23 @@ mod tests {
         assert_eq!(answers.len(), queries.len());
         assert!(answers[0].is_none() && answers[2].is_none(), "{answers:?}");
         assert!(answers[1].is_some(), "{answers:?}");
+    }
+
+    #[test]
+    fn queries_encoded_once_resolve_as_bulk_resolve_resolves() {
+        let lab = || Lab::new(India::build(IndiaConfig::tiny()));
+        let (mut once, mut each) = (lab(), lab());
+        let client = once.client_of(IspId::Mtnl);
+        let resolver = once.india.isps[&IspId::Mtnl].default_resolver;
+        let mut domains = pbw_domains(&once, &once.india.corpus.pbw.clone());
+        domains.truncate(6);
+        domains.insert(2, "empty..label".to_string()); // cannot be encoded: no reply
+        let queries: Vec<(Ipv4Addr, &str)> = domains.iter().map(|d| (resolver, d.as_str())).collect();
+        let expected = each.bulk_resolve(client, &queries, 2_500);
+        let encoded = bulk_queries(domains.iter().map(String::as_str));
+        assert!(encoded[2].is_none());
+        assert_eq!(once.bulk_resolve_at(client, resolver, &encoded, 2_500), expected);
+        assert!(expected[2].is_none() && expected.iter().filter(|a| a.is_some()).count() == 6, "{expected:?}");
     }
 
     #[test]

@@ -62,7 +62,11 @@ impl DnsCatalog {
     }
 
     /// Whether the catalog knows `name` at all (dead or alive).
-    pub fn knows(&self, name: &Name) -> bool {
+    ///
+    /// Every lookup takes the name as lowercase dotted text without the
+    /// trailing dot, as [`Name::as_str`] gives it, so a decoded query is
+    /// looked up without allocating a [`Name`].
+    pub fn knows(&self, name: &str) -> bool {
         self.entries.contains_key(name)
     }
 
@@ -72,7 +76,7 @@ impl DnsCatalog {
     /// replica assigned to the region — the steering behaviour that makes
     /// "the answers differ" useless as a censorship signal (§3.1 of the
     /// paper); global sites return all replicas.
-    pub fn resolve(&self, name: &Name, region: RegionId) -> Option<&[Ipv4Addr]> {
+    pub fn resolve(&self, name: &str, region: RegionId) -> Option<&[Ipv4Addr]> {
         let e = self.entries.get(name)?;
         if e.dead || e.replicas.is_empty() {
             return None;
@@ -86,7 +90,7 @@ impl DnsCatalog {
 
     /// All replica addresses of a name, regardless of region (ground
     /// truth for "did these IPs really belong to the site?").
-    pub fn all_replicas(&self, name: &Name) -> Option<&[Ipv4Addr]> {
+    pub fn all_replicas(&self, name: &str) -> Option<&[Ipv4Addr]> {
         self.entries.get(name).map(|e| e.replicas.as_slice())
     }
 
@@ -122,50 +126,50 @@ mod tests {
     fn global_sites_answer_identically_everywhere() {
         let mut c = DnsCatalog::new();
         c.add_global("plain.example", vec![ip(1), ip(2)]);
-        let name = Name::new("plain.example");
-        assert_eq!(c.resolve(&name, 0), c.resolve(&name, 99));
-        assert_eq!(c.resolve(&name, 0).unwrap().len(), 2);
+        let name = "plain.example";
+        assert_eq!(c.resolve(name, 0), c.resolve(name, 99));
+        assert_eq!(c.resolve(name, 0).unwrap().len(), 2);
     }
 
     #[test]
     fn regional_sites_steer_to_one_replica_per_region() {
         let mut c = DnsCatalog::new();
         c.add_regional("cdn.example", (1..=6).map(ip).collect());
-        let name = Name::new("cdn.example");
-        let r0 = c.resolve(&name, 0).unwrap();
-        let r3 = c.resolve(&name, 3).unwrap();
+        let name = "cdn.example";
+        let r0 = c.resolve(name, 0).unwrap();
+        let r3 = c.resolve(name, 3).unwrap();
         assert_eq!(r0.len(), 1, "one edge per region");
         assert_ne!(r0, r3, "different regions see different replicas");
         // Every answer is a true replica.
-        let all = c.all_replicas(&name).unwrap();
+        let all = c.all_replicas(name).unwrap();
         for ip in r0.iter().chain(r3.iter()) {
             assert!(all.contains(ip));
         }
         // Regions congruent mod n agree.
-        assert_eq!(c.resolve(&name, 0), c.resolve(&name, 6));
+        assert_eq!(c.resolve(name, 0), c.resolve(name, 6));
     }
 
     #[test]
     fn dead_names_are_nxdomain() {
         let mut c = DnsCatalog::new();
         c.add_dead("gone.example");
-        assert!(c.knows(&Name::new("gone.example")));
-        assert_eq!(c.resolve(&Name::new("gone.example"), 0), None);
+        assert!(c.knows("gone.example"));
+        assert_eq!(c.resolve("gone.example", 0), None);
     }
 
     #[test]
     fn unknown_names_are_nxdomain_and_unknown() {
         let c = DnsCatalog::new();
-        assert!(!c.knows(&Name::new("nowhere.example")));
-        assert_eq!(c.resolve(&Name::new("nowhere.example"), 0), None);
+        assert!(!c.knows("nowhere.example"));
+        assert_eq!(c.resolve("nowhere.example", 0), None);
     }
 
     #[test]
     fn region_selection_is_deterministic() {
         let mut c = DnsCatalog::new();
         c.add_regional("cdn.example", (1..=5).map(ip).collect());
-        let name = Name::new("cdn.example");
-        assert_eq!(c.resolve(&name, 7), c.resolve(&name, 7));
-        assert_eq!(c.resolve(&name, 7), c.resolve(&name, 12)); // 7 % 5 == 12 % 5
+        let name = "cdn.example";
+        assert_eq!(c.resolve(name, 7), c.resolve(name, 7));
+        assert_eq!(c.resolve(name, 7), c.resolve(name, 12)); // 7 % 5 == 12 % 5
     }
 }

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use lucent_netsim::{IfaceId, Node, NodeCtx, SimDuration};
-use lucent_packet::dns::{DnsMessage, Name};
+use lucent_packet::dns::{Name, QueryView};
 use lucent_packet::{Packet, Transport, UdpHeader};
 
 /// Interface toward the clients (queries arrive here).
@@ -58,22 +58,15 @@ impl DnsInjectorNode {
         if udp.dst_port != 53 {
             return;
         }
-        let Ok(query) = DnsMessage::parse(payload) else {
+        let Some(query) = QueryView::parse(payload) else {
             return;
         };
-        if query.flags.response {
-            return;
-        }
-        let Some(q) = query.questions.first() else {
-            return;
-        };
-        if !self.blocklist.contains(&q.name) {
+        if !query.name().is_some_and(|name| self.blocklist.contains(name)) {
             return;
         }
         self.injections += 1;
-        let forged = DnsMessage::answer_a(query, &[self.forged_ip], 60);
         let mut bytes = Vec::new();
-        if forged.emit(&mut bytes).is_err() {
+        if query.answer_a(&[self.forged_ip], 60, &mut bytes).is_err() {
             return;
         }
         // Forge the resolver as source so the client's stub accepts it.
@@ -107,6 +100,7 @@ impl Node for DnsInjectorNode {
 mod tests {
     use super::*;
     use crate::catalog::{shared, DnsCatalog};
+    use lucent_packet::dns::DnsMessage;
     use crate::resolver::ResolverApp;
     use lucent_netsim::Network;
     use lucent_tcp::{TcpHost, UdpDatagram};
@@ -138,13 +132,18 @@ mod tests {
 
     /// Every datagram the client receives after asking for `name`.
     fn query_datagrams(net: &mut Network, client: lucent_netsim::NodeId, name: &str) -> Vec<UdpDatagram> {
-        let q = DnsMessage::query_a(7, name);
         let mut bytes = Vec::new();
-        q.emit(&mut bytes).unwrap();
+        DnsMessage::query_a(7, name).emit(&mut bytes).unwrap();
+        wire_datagrams(net, client, &bytes)
+    }
+
+    /// Every datagram the client receives after sending the query bytes
+    /// `wire`.
+    fn wire_datagrams(net: &mut Network, client: lucent_netsim::NodeId, wire: &[u8]) -> Vec<UdpDatagram> {
         {
             let c = net.node_mut::<TcpHost>(client).unwrap();
             c.udp_bind(5353);
-            c.udp_send(5353, RESOLVER, 53, &bytes);
+            c.udp_send(5353, RESOLVER, 53, wire);
         }
         net.wake(client);
         net.run_for(SimDuration::from_millis(50));
@@ -169,6 +168,28 @@ mod tests {
         ]
         .concat();
         assert_eq!(first.payload.as_ref(), &expected[..]);
+    }
+
+    #[test]
+    fn odd_queries_get_pinned_forged_replies() {
+        let (mut net, client, _) = build(&["blocked.example"]);
+        let name: &[u8] = b"\x07blocked\x07example\x00";
+        let forged = [
+            &[0, 7, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0][..],
+            name, &[0, 1, 0, 1],
+            name, &[0, 1, 0, 1, 0, 0, 0, 60, 0, 4],
+            &FORGED.octets(),
+        ]
+        .concat();
+        let header: &[u8] = &[0, 7, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+        // An uppercase question, and one compressed into a pointer to
+        // bytes past the question: both are forged in canonical form.
+        let upper = [header, b"\x07BLOCKED\x07Example\x00", &[0, 1, 0, 1]].concat();
+        let compressed = [header, &[0xc0, 18, 0, 1, 0, 1], b"\x07blocKED\x07example\x00"].concat();
+        for query in [upper, compressed] {
+            let first = wire_datagrams(&mut net, client, &query).remove(0);
+            assert_eq!(first.payload.as_ref(), &forged[..], "{query:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use lucent_obs::Level;
-use lucent_packet::dns::{DnsMessage, Name, Rcode};
+use lucent_packet::dns::{Name, QueryView, Rcode};
 use lucent_support::ToJson;
 use lucent_tcp::{UdpApp, UdpIo};
 
@@ -26,11 +26,12 @@ pub enum PoisonMode {
 }
 
 impl PoisonMode {
-    /// The manipulated A-record address, if this mode produces one.
-    pub fn answer_ip(&self) -> Option<Ipv4Addr> {
+    /// The manipulated reply: the A record this mode answers with, or
+    /// its error code.
+    fn reply(&self) -> Result<&[Ipv4Addr], Rcode> {
         match self {
-            PoisonMode::StaticIp(ip) | PoisonMode::Bogon(ip) => Some(*ip),
-            PoisonMode::NxDomain => None,
+            PoisonMode::StaticIp(ip) | PoisonMode::Bogon(ip) => Ok(std::slice::from_ref(ip)),
+            PoisonMode::NxDomain => Err(Rcode::NxDomain),
         }
     }
 }
@@ -50,8 +51,8 @@ pub struct Blocklist {
 /// The first eight bytes of `name`, zero-padded, as a big-endian
 /// integer: comparing keys is one integer compare instead of a string
 /// compare, and `prefix_key(a) < prefix_key(b)` implies `a < b`.
-fn prefix_key(name: &Name) -> u64 {
-    let bytes = name.as_str().as_bytes();
+fn prefix_key(name: &str) -> u64 {
+    let bytes = name.as_bytes();
     let mut key = [0; 8];
     let n = bytes.len().min(8);
     key[..n].copy_from_slice(&bytes[..n]);
@@ -74,19 +75,20 @@ impl Blocklist {
             }
             slots[input] = sorted.len() - 1;
         }
-        let keys = sorted.iter().map(prefix_key).collect();
+        let keys = sorted.iter().map(|name| prefix_key(name.as_str())).collect();
         (Rc::new(Blocklist { names: sorted.into(), keys }), slots)
     }
 
-    /// The slot of `name`, if it is on the list: a binary search that
-    /// compares integer keys and reads the strings only on key ties.
-    pub fn slot(&self, name: &Name) -> Option<usize> {
+    /// The slot of `name` (lowercase dotted text, as [`Name::as_str`]
+    /// gives it), if it is on the list: a binary search that compares
+    /// integer keys and reads the strings only on key ties.
+    pub fn slot(&self, name: &str) -> Option<usize> {
         let key = prefix_key(name);
         let (mut lo, mut hi) = (0, self.names.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let below = match self.keys[mid].cmp(&key) {
-                Ordering::Equal => self.names[mid] < *name,
+                Ordering::Equal => self.names[mid].as_str() < name,
                 order => order == Ordering::Less,
             };
             if below {
@@ -95,7 +97,7 @@ impl Blocklist {
                 hi = mid;
             }
         }
-        (self.names.get(lo) == Some(name)).then_some(lo)
+        (self.names.get(lo).map(Name::as_str) == Some(name)).then_some(lo)
     }
 
     /// The membership bitset with `slots` set: bit `i % 64` of word
@@ -158,61 +160,57 @@ impl ResolverApp {
     }
 
     /// True if this resolver manipulates `name`.
-    fn blocks(&self, name: &Name) -> bool {
+    fn blocks(&self, name: &str) -> bool {
         let Some(slot) = self.master.slot(name) else { return false };
         self.members.get(slot / 64).is_some_and(|word| word >> (slot % 64) & 1 == 1)
     }
 
-    fn answer(&mut self, query: DnsMessage) -> DnsMessage {
-        let Some(q) = query.questions.first() else {
-            return DnsMessage::error(query, Rcode::FormErr);
+    /// The reply to a query for `name` (`None`: the query has no
+    /// question) — its A records, or the error code — and whether it is
+    /// a manipulated one.
+    fn answer(&self, name: Option<&str>) -> (Result<&[Ipv4Addr], Rcode>, bool) {
+        let Some(name) = name else {
+            return (Err(Rcode::FormErr), false);
         };
-        if self.blocks(&q.name) {
-            self.poisoned_answers += 1;
-            return match self.mode.answer_ip() {
-                Some(ip) => DnsMessage::answer_a(query, &[ip], 300),
-                None => DnsMessage::error(query, Rcode::NxDomain),
-            };
+        if self.blocks(name) {
+            return (self.mode.reply(), true);
         }
-        match self.catalog.resolve(&q.name, self.region) {
-            Some(ips) => DnsMessage::answer_a(query, ips, 300),
-            None => DnsMessage::error(query, Rcode::NxDomain),
-        }
+        (self.catalog.resolve(name, self.region).ok_or(Rcode::NxDomain), false)
     }
 }
 
 impl UdpApp for ResolverApp {
     fn on_datagram(&mut self, io: &mut UdpIo, src: Ipv4Addr, src_port: u16, payload: &[u8]) {
-        let Ok(query) = DnsMessage::parse(payload) else {
-            return; // garbage in, silence out
+        let Some(query) = QueryView::parse(payload) else {
+            return; // garbage and responses in, silence out
         };
-        if query.flags.response {
-            return;
-        }
         self.queries += 1;
         io.obs.counter_inc("dns.queries", "resolver");
-        let poisoned_before = self.poisoned_answers;
-        let response = self.answer(query);
-        if self.poisoned_answers > poisoned_before {
+        let (reply, poisoned) = self.answer(query.name());
+        if poisoned {
             io.obs.counter_inc("dns.poisoned_answers", "resolver");
         }
         if io.obs.enabled("dns", Level::Debug) {
-            let name = response.questions.first().map(|q| q.name.to_string()).unwrap_or_default();
-            let verdict = if self.poisoned_answers > poisoned_before {
-                "poisoned"
-            } else if response.flags.rcode == Rcode::NxDomain {
-                "nxdomain"
-            } else {
-                "answered"
+            let verdict = match reply {
+                _ if poisoned => "poisoned",
+                Err(Rcode::NxDomain) => "nxdomain",
+                _ => "answered",
             };
             let fields = vec![
-                ("name".to_string(), name.to_json()),
+                ("name".to_string(), query.name().unwrap_or_default().to_json()),
                 ("verdict".to_string(), verdict.to_json()),
             ];
             io.obs.event(io.now.micros(), Level::Debug, "dns", "verdict", fields);
         }
         let mut bytes = Vec::new();
-        if response.emit(&mut bytes).is_ok() {
+        let written = match reply {
+            Ok(ips) => query.answer_a(ips, 300, &mut bytes),
+            Err(rcode) => query.error(rcode, &mut bytes),
+        };
+        if poisoned {
+            self.poisoned_answers += 1;
+        }
+        if written.is_ok() {
             io.out.push((src, src_port, bytes));
         }
     }
@@ -223,6 +221,7 @@ mod tests {
     use super::*;
     use crate::catalog::{shared, DnsCatalog};
     use lucent_netsim::SimTime;
+    use lucent_packet::dns::DnsMessage;
 
     fn catalog() -> SharedCatalog {
         let mut c = DnsCatalog::new();
@@ -236,8 +235,13 @@ mod tests {
     fn reply_bytes(app: &mut ResolverApp, query: &DnsMessage) -> Option<Vec<u8>> {
         let mut bytes = Vec::new();
         query.emit(&mut bytes).unwrap();
+        reply_to_wire(app, &bytes)
+    }
+
+    /// The reply `app` sends to the query bytes `wire`.
+    fn reply_to_wire(app: &mut ResolverApp, wire: &[u8]) -> Option<Vec<u8>> {
         let mut io = UdpIo { out: Vec::new(), now: SimTime::ZERO, obs: lucent_obs::Telemetry::new() };
-        app.on_datagram(&mut io, Ipv4Addr::new(10, 0, 0, 9), 5000, &bytes);
+        app.on_datagram(&mut io, Ipv4Addr::new(10, 0, 0, 9), 5000, wire);
         io.out.pop().map(|(_, _, b)| b)
     }
 
@@ -262,7 +266,7 @@ mod tests {
     /// that blocks `blocked`.
     fn blocking(blocked: &[&str], mode: PoisonMode) -> ResolverApp {
         let (master, _) = Blocklist::intern(["blocked.example", "other.example"].map(Name::new));
-        let bits = master.members(blocked.iter().filter_map(|n| master.slot(&Name::new(n))));
+        let bits = master.members(blocked.iter().filter_map(|n| master.slot(n)));
         ResolverApp::poisoned(catalog(), 0, master, bits, mode)
     }
 
@@ -302,6 +306,31 @@ mod tests {
         let mut empty = DnsMessage::query_a(42, "");
         empty.questions.clear();
         assert_eq!(reply_bytes(&mut ResolverApp::honest(catalog(), 0), &empty), Some(header(1, 0, 0)));
+    }
+
+    /// Header of a one-question query with id 42 and RD set.
+    const QUERY_HEADER: [u8; 12] = [0, 42, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+
+    #[test]
+    fn odd_queries_get_pinned_canonical_replies() {
+        // An uppercase question is looked up and echoed in lowercase.
+        let upper = [&QUERY_HEADER[..], b"\x05MuLTI\x07EXAMPLE\x00", &A_IN].concat();
+        let expected = [
+            &header(0, 1, 2)[..],
+            MULTI, &A_IN,
+            MULTI, &A_IN, &TTL_300_RDLEN_4, &[198, 51, 100, 7],
+            MULTI, &A_IN, &TTL_300_RDLEN_4, &[198, 51, 100, 9],
+        ]
+        .concat();
+        assert_eq!(reply_to_wire(&mut ResolverApp::honest(catalog(), 0), &upper), Some(expected));
+        // A question name compressed into a pointer to bytes past the
+        // question is echoed uncompressed.
+        let compressed = [&QUERY_HEADER[..], &[0xc0, 18], &A_IN, b"\x07bLocked\x07example\x00"].concat();
+        let expected =
+            [&header(0, 1, 1)[..], BLOCKED, &A_IN, BLOCKED, &A_IN, &TTL_300_RDLEN_4, &[59, 144, 1, 1]].concat();
+        let mut app = blocking(&["blocked.example"], PoisonMode::StaticIp(Ipv4Addr::new(59, 144, 1, 1)));
+        assert_eq!(reply_to_wire(&mut app, &compressed), Some(expected));
+        assert_eq!(app.poisoned_answers, 1);
     }
 
     #[test]
@@ -439,13 +468,13 @@ mod tests {
         let names = ["abcdefgh", "abcdefgh.in", "abcdefgh.com", "abcdefgi", "abc", "", "zz"];
         let (master, slots) = Blocklist::intern(names.map(Name::new));
         for (name, slot) in names.iter().zip(&slots) {
-            assert_eq!(master.slot(&Name::new(name)), Some(*slot), "{name}");
+            assert_eq!(master.slot(name), Some(*slot), "{name}");
             assert_eq!(master.names[*slot], Name::new(name));
         }
         for absent in ["abcdefgh.org", "abcdefg", "ab", "abcdefgj", "zzz", "a"] {
-            assert_eq!(master.slot(&Name::new(absent)), None, "{absent}");
+            assert_eq!(master.slot(absent), None, "{absent}");
         }
-        assert_eq!(Blocklist::default().slot(&Name::new("abc")), None);
+        assert_eq!(Blocklist::default().slot("abc"), None);
     }
 
     #[test]

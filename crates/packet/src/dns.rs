@@ -1,6 +1,13 @@
 //! DNS message wire format (RFC 1035): header, questions, resource
 //! records, A/CNAME rdata, and name compression (parsed, never emitted).
+//!
+//! [`DnsMessage`] is the general codec. A responder's round trip has a
+//! wire-level path beside it that builds no message: [`QueryView`]
+//! reads a query in place and writes the reply `DnsMessage` would
+//! write, and [`a_records`] reads a reply's A records. Both accept and
+//! reject exactly what [`DnsMessage::parse`] does.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -10,6 +17,8 @@ use crate::error::ParseError;
 const MAX_NAME_LEN: usize = 255;
 /// Cap on compression-pointer hops, defeating pointer loops.
 const MAX_POINTER_HOPS: usize = 32;
+/// The error of every length or offset past the end of a message.
+const BAD_LENGTH: ParseError = ParseError::BadLength { what: "dns" };
 
 /// A fully-qualified domain name, stored lowercase without the trailing dot.
 ///
@@ -32,98 +41,133 @@ impl Name {
         &self.0
     }
 
-    /// Iterate over labels.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.0.split('.').filter(|l| !l.is_empty())
-    }
-
-    /// Length of this name on the wire, uncompressed: one zero byte for
-    /// the root, else each label behind its length byte, then the zero.
-    /// Rejects what `emit` cannot encode: an empty label inside a
-    /// non-root name, a label over 63 bytes, or more than
-    /// [`MAX_NAME_LEN`] bytes of length-prefixed labels.
+    /// Length of this name on the wire, uncompressed, checked as by
+    /// [`encode_dotted`].
     fn wire_len(&self) -> Result<usize, ParseError> {
-        if self.0.is_empty() {
-            return Ok(1);
-        }
-        let mut total = 0usize;
-        for label in self.0.split('.') {
-            if label.is_empty() || label.len() > 63 {
-                return Err(ParseError::BadName);
-            }
-            total += label.len() + 1;
-        }
-        if total > MAX_NAME_LEN {
-            return Err(ParseError::BadName);
-        }
-        Ok(total + 1)
+        encode_dotted(&self.0, &mut [0; MAX_NAME_LEN + 1])
     }
 
     /// Append this name, uncompressed, to `out`. The caller has checked
     /// it with [`Name::wire_len`].
     fn emit(&self, out: &mut Vec<u8>) {
-        for label in self.labels() {
-            out.push(label.len() as u8);
-            out.extend_from_slice(label.as_bytes());
+        let mut wire = [0; MAX_NAME_LEN + 1];
+        if let Ok(len) = encode_dotted(&self.0, &mut wire) {
+            out.extend_from_slice(&wire[..len]);
         }
-        out.push(0);
     }
 
     /// Decode a (possibly compressed) name starting at `pos` in `msg`.
     ///
     /// Returns the name and the offset just past its *in-place* encoding
-    /// (i.e. past the first pointer if one is used). Each wire byte
-    /// becomes one char (Latin-1), ASCII letters lowercased; the dotted
-    /// text is assembled on the stack and allocated once.
+    /// (i.e. past the first pointer if one is used). The dotted text is
+    /// assembled on the stack ([`Dotted`]) and allocated once.
     fn parse(msg: &[u8], pos: usize) -> Result<(Name, usize), ParseError> {
-        // A char takes at most two UTF-8 bytes, so the text of a name
-        // within MAX_NAME_LEN wire bytes always fits.
-        let mut text = [0u8; 2 * MAX_NAME_LEN];
-        let mut text_len = 0usize;
-        let mut cursor = pos;
-        let mut end_after: Option<usize> = None;
-        let mut hops = 0usize;
-        let mut total = 0usize;
-        loop {
-            let &len = msg.get(cursor).ok_or(ParseError::BadName)?;
-            if len & 0xc0 == 0xc0 {
-                let &lo = msg.get(cursor + 1).ok_or(ParseError::BadName)?;
-                if end_after.is_none() {
-                    end_after = Some(cursor + 2);
-                }
-                cursor = usize::from(u16::from_be_bytes([len & 0x3f, lo]));
-                hops += 1;
-                if hops > MAX_POINTER_HOPS {
-                    return Err(ParseError::BadName);
-                }
-            } else if len == 0 {
-                let end = end_after.unwrap_or(cursor + 1);
-                let dotted =
-                    std::str::from_utf8(&text[..text_len]).map_err(|_| ParseError::BadName)?;
-                return Ok((Name(dotted.to_owned()), end));
-            } else if len & 0xc0 != 0 {
-                return Err(ParseError::BadName); // reserved label types
-            } else {
-                let len = usize::from(len);
-                total += len + 1;
-                if total > MAX_NAME_LEN {
-                    return Err(ParseError::BadName);
-                }
-                let bytes = msg
-                    .get(cursor + 1..cursor + 1 + len)
-                    .ok_or(ParseError::BadName)?;
-                if text_len > 0 {
-                    text[text_len] = b'.';
-                    text_len += 1;
-                }
-                for &b in bytes {
-                    let c = char::from(b).to_ascii_lowercase();
-                    text_len += c.encode_utf8(&mut text[text_len..]).len();
-                }
-                cursor += 1 + len;
+        let mut text = Dotted::default();
+        let end = walk_name(msg, pos, |label| text.push_label(label))?;
+        Ok((Name(text.as_str().to_owned()), end))
+    }
+}
+
+/// Lookups by dotted text: a `Name` orders, compares and hashes as its
+/// string does, so maps and sets keyed by `Name` can be queried with the
+/// `&str` a decoded query yields, without allocating a `Name`.
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Follow the (possibly compressed) name at `pos` in `msg`, handing
+/// each label's bytes to `label` in order. Returns the offset just past
+/// the name's in-place encoding. Rejects a pointer or label past the
+/// end, a reserved label type, more than [`MAX_POINTER_HOPS`] pointers
+/// and more than [`MAX_NAME_LEN`] bytes of length-prefixed labels.
+fn walk_name(msg: &[u8], pos: usize, mut label: impl FnMut(&[u8])) -> Result<usize, ParseError> {
+    let mut cursor = pos;
+    let mut end_after: Option<usize> = None;
+    let mut hops = 0usize;
+    let mut total = 0usize;
+    loop {
+        let &len = msg.get(cursor).ok_or(ParseError::BadName)?;
+        if len & 0xc0 == 0xc0 {
+            let &lo = msg.get(cursor + 1).ok_or(ParseError::BadName)?;
+            if end_after.is_none() {
+                end_after = Some(cursor + 2);
             }
+            cursor = usize::from(u16::from_be_bytes([len & 0x3f, lo]));
+            hops += 1;
+            if hops > MAX_POINTER_HOPS {
+                return Err(ParseError::BadName);
+            }
+        } else if len == 0 {
+            return Ok(end_after.unwrap_or(cursor + 1));
+        } else if len & 0xc0 != 0 {
+            return Err(ParseError::BadName); // reserved label types
+        } else {
+            let len = usize::from(len);
+            total += len + 1;
+            if total > MAX_NAME_LEN {
+                return Err(ParseError::BadName);
+            }
+            label(msg.get(cursor + 1..cursor + 1 + len).ok_or(ParseError::BadName)?);
+            cursor += 1 + len;
         }
     }
+}
+
+/// The dotted text of a wire name, on the stack: each wire byte one
+/// Latin-1 char, ASCII letters lowercased, labels joined by dots.
+struct Dotted {
+    /// A char takes at most two UTF-8 bytes, so the text of a name
+    /// within [`MAX_NAME_LEN`] wire bytes always fits.
+    text: [u8; 2 * MAX_NAME_LEN],
+    len: usize,
+}
+
+impl Default for Dotted {
+    fn default() -> Self {
+        Dotted { text: [0; 2 * MAX_NAME_LEN], len: 0 }
+    }
+}
+
+impl Dotted {
+    fn push_label(&mut self, bytes: &[u8]) {
+        if self.len > 0 {
+            self.text[self.len] = b'.';
+            self.len += 1;
+        }
+        for &b in bytes {
+            let c = char::from(b).to_ascii_lowercase();
+            self.len += c.encode_utf8(&mut self.text[self.len..]).len();
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        // Every byte went in as a whole char, so this is always UTF-8.
+        std::str::from_utf8(&self.text[..self.len]).unwrap_or_default()
+    }
+}
+
+/// Write the dotted name `s` into `wire` uncompressed: one zero byte
+/// for the root, else each dot-separated label behind its length byte,
+/// then the zero. Returns the length written. Rejects what cannot be
+/// encoded: an empty label inside a non-root name, a label over 63
+/// bytes, or more than [`MAX_NAME_LEN`] bytes of length-prefixed labels.
+fn encode_dotted(s: &str, wire: &mut [u8; MAX_NAME_LEN + 1]) -> Result<usize, ParseError> {
+    let mut total = 0usize;
+    if !s.is_empty() {
+        for label in s.split('.') {
+            let len = label.len();
+            if len == 0 || len > 63 || total + len + 1 > MAX_NAME_LEN {
+                return Err(ParseError::BadName);
+            }
+            wire[total] = len as u8;
+            wire[total + 1..total + 1 + len].copy_from_slice(label.as_bytes());
+            total += len + 1;
+        }
+    }
+    wire[total] = 0;
+    Ok(total + 1)
 }
 
 impl fmt::Display for Name {
@@ -472,6 +516,199 @@ impl DnsMessage {
     }
 }
 
+/// A message's six header words: id, flags, QDCOUNT, ANCOUNT, NSCOUNT
+/// and ARCOUNT.
+fn header(msg: &[u8]) -> Result<[u16; 6], ParseError> {
+    let Some(head) = msg.get(..12) else {
+        return Err(ParseError::Truncated { what: "dns", need: 12, have: msg.len() });
+    };
+    let mut words = [0; 6];
+    for (word, pair) in words.iter_mut().zip(head.chunks_exact(2)) {
+        *word = u16::from_be_bytes([pair[0], pair[1]]);
+    }
+    Ok(words)
+}
+
+/// The offset past the type and class of a question whose name ends at
+/// `pos`.
+fn question_end(msg: &[u8], pos: usize) -> Result<usize, ParseError> {
+    let end = pos + 4;
+    if end > msg.len() {
+        return Err(BAD_LENGTH);
+    }
+    Ok(end)
+}
+
+/// Check the `counts` (ANCOUNT, NSCOUNT, ARCOUNT) resource records from
+/// `pos` on as [`DnsMessage::parse`] reads them, handing the answer
+/// section's A records to `a` in order.
+fn walk_records(
+    msg: &[u8],
+    mut pos: usize,
+    [ancount, nscount, arcount]: [u16; 3],
+    mut a: impl FnMut(Ipv4Addr),
+) -> Result<(), ParseError> {
+    let total = u32::from(ancount) + u32::from(nscount) + u32::from(arcount);
+    for i in 0..total {
+        pos = walk_name(msg, pos, |_| {})?;
+        let fixed = msg.get(pos..pos + 10).ok_or(BAD_LENGTH)?;
+        let rtype = u16::from_be_bytes([fixed[0], fixed[1]]);
+        let rdlen = usize::from(u16::from_be_bytes([fixed[8], fixed[9]]));
+        let rdata = msg.get(pos + 10..pos + 10 + rdlen).ok_or(BAD_LENGTH)?;
+        if i < u32::from(ancount) {
+            match (rtype, rdata) {
+                (1, &[a0, a1, a2, a3]) => a(Ipv4Addr::new(a0, a1, a2, a3)),
+                (5, _) => {
+                    walk_name(msg, pos + 10, |_| {})?;
+                }
+                _ => {}
+            }
+        }
+        pos += 10 + rdlen;
+    }
+    Ok(())
+}
+
+/// The A-record addresses of the answer section of `msg`: exactly
+/// `DnsMessage::parse(msg).map(|m| m.a_records())`, error included,
+/// without building the message.
+pub fn a_records(msg: &[u8]) -> Result<Vec<Ipv4Addr>, ParseError> {
+    let [_, _, qdcount, ancount, nscount, arcount] = header(msg)?;
+    let mut pos = 12;
+    for _ in 0..qdcount {
+        pos = question_end(msg, walk_name(msg, pos, |_| {})?)?;
+    }
+    let mut ips = Vec::new();
+    walk_records(msg, pos, [ancount, nscount, arcount], |ip| ips.push(ip))?;
+    Ok(ips)
+}
+
+/// A query read in place: what a responder needs to look its first
+/// question up and to reply, decoded in one pass into stack buffers.
+///
+/// [`QueryView::parse`] accepts what [`DnsMessage::parse`] accepts, and
+/// [`QueryView::answer_a`] and [`QueryView::error`] write the bytes
+/// that [`DnsMessage::answer_a`] and [`DnsMessage::error`] followed by
+/// [`DnsMessage::emit`] write, error included.
+pub struct QueryView<'a> {
+    msg: &'a [u8],
+    id: u16,
+    rd: bool,
+    qdcount: u16,
+    /// The first question's name, as [`Name::parse`] decodes it.
+    name: Dotted,
+    /// That name as [`DnsMessage::emit`] writes it (the root without a
+    /// question): the owner of every answer record.
+    owner: [u8; MAX_NAME_LEN + 1],
+    /// The length of `owner`; `None` when the name cannot be emitted.
+    owner_len: Option<usize>,
+    /// The first question's type code.
+    qtype: [u8; 2],
+    /// Offset of the second question.
+    rest: usize,
+}
+
+impl<'a> QueryView<'a> {
+    /// Read `msg` as a query. `None` when [`DnsMessage::parse`] rejects
+    /// it or it is a response: a responder answers neither.
+    pub fn parse(msg: &'a [u8]) -> Option<QueryView<'a>> {
+        let [id, flags, qdcount, ancount, nscount, arcount] = header(msg).ok()?;
+        if flags & 0x8000 != 0 {
+            return None;
+        }
+        let mut view = QueryView {
+            msg,
+            id,
+            rd: flags & 0x0100 != 0,
+            qdcount,
+            name: Dotted::default(),
+            owner: [0; MAX_NAME_LEN + 1],
+            owner_len: Some(1),
+            qtype: [0; 2],
+            rest: 12,
+        };
+        let mut pos = 12;
+        if qdcount > 0 {
+            let end = walk_name(msg, pos, |label| view.name.push_label(label)).ok()?;
+            pos = question_end(msg, end).ok()?;
+            view.qtype = [msg[end], msg[end + 1]];
+            view.owner_len = encode_dotted(view.name.as_str(), &mut view.owner).ok();
+            view.rest = pos;
+        }
+        for _ in 1..qdcount {
+            pos = question_end(msg, walk_name(msg, pos, |_| {}).ok()?).ok()?;
+        }
+        walk_records(msg, pos, [ancount, nscount, arcount], |_| {}).ok()?;
+        Some(view)
+    }
+
+    /// The first question's name, lowercase dotted text as
+    /// [`Name::as_str`] gives it; `None` when the query has no question.
+    pub fn name(&self) -> Option<&str> {
+        (self.qdcount > 0).then(|| self.name.as_str())
+    }
+
+    /// Append the response carrying `ips` as A records, as
+    /// [`DnsMessage::answer_a`] builds it and [`DnsMessage::emit`]
+    /// writes it. On error nothing is appended.
+    pub fn answer_a(&self, ips: &[Ipv4Addr], ttl: u32, out: &mut Vec<u8>) -> Result<(), ParseError> {
+        self.reply(Rcode::NoError, ips, ttl, out)
+    }
+
+    /// Append the `rcode` response, as [`DnsMessage::error`] builds it
+    /// and [`DnsMessage::emit`] writes it. On error nothing is appended.
+    pub fn error(&self, rcode: Rcode, out: &mut Vec<u8>) -> Result<(), ParseError> {
+        self.reply(rcode, &[], 0, out)
+    }
+
+    fn reply(&self, rcode: Rcode, ips: &[Ipv4Addr], ttl: u32, out: &mut Vec<u8>) -> Result<(), ParseError> {
+        let ancount = wire_u16(ips.len())?;
+        let owner = &self.owner[..self.owner_len.ok_or(ParseError::BadName)?];
+        let first = if self.qdcount > 0 { owner.len() + 4 } else { 0 };
+        out.reserve_exact(12 + first + ips.len() * (owner.len() + 14));
+        let start = out.len();
+        let rd = if self.rd { 0x0100 } else { 0 };
+        let flags = 0x8000 | rd | 0x0080 | u16::from(rcode.code() & 0x0f);
+        for word in [self.id, flags, self.qdcount, ancount, 0, 0] {
+            out.extend_from_slice(&word.to_be_bytes());
+        }
+        if self.qdcount > 0 {
+            out.extend_from_slice(owner);
+            out.extend_from_slice(&self.qtype);
+            out.extend_from_slice(&1u16.to_be_bytes()); // class IN
+        }
+        if let Err(e) = self.emit_later_questions(out) {
+            out.truncate(start);
+            return Err(e);
+        }
+        for ip in ips {
+            out.extend_from_slice(owner);
+            out.extend_from_slice(&[0, 1, 0, 1]); // TYPE A, CLASS IN
+            out.extend_from_slice(&ttl.to_be_bytes());
+            out.extend_from_slice(&4u16.to_be_bytes());
+            out.extend_from_slice(&ip.octets());
+        }
+        Ok(())
+    }
+
+    /// Append every question after the first, decoded and re-encoded
+    /// as [`DnsMessage::emit`] writes them.
+    fn emit_later_questions(&self, out: &mut Vec<u8>) -> Result<(), ParseError> {
+        let mut pos = self.rest;
+        for _ in 1..self.qdcount {
+            let mut text = Dotted::default();
+            let end = walk_name(self.msg, pos, |label| text.push_label(label))?;
+            let mut wire = [0; MAX_NAME_LEN + 1];
+            let len = encode_dotted(text.as_str(), &mut wire)?;
+            out.extend_from_slice(&wire[..len]);
+            out.extend_from_slice(self.msg.get(end..end + 2).ok_or(BAD_LENGTH)?);
+            out.extend_from_slice(&1u16.to_be_bytes());
+            pos = end + 4;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,7 +717,7 @@ mod tests {
     fn name_normalizes_case_and_dot() {
         let n = Name::new("WWW.Example.COM.");
         assert_eq!(n.as_str(), "www.example.com");
-        assert_eq!(n.labels().count(), 3);
+        assert_eq!(n.wire_len(), Ok(17), "three labels behind length bytes, then the root");
     }
 
     #[test]
@@ -732,5 +969,83 @@ mod tests {
         DnsMessage::query_a(1, "MiXeD.CoM").emit(&mut out).unwrap();
         let parsed = DnsMessage::parse(&out).unwrap();
         assert_eq!(parsed.questions[0].name.as_str(), "mixed.com");
+    }
+
+    /// The reply the message codec writes to `query` (`None`: it does
+    /// not answer), with the answers `ips` or, when empty, NXDOMAIN.
+    fn codec_reply(query: &[u8], ips: &[Ipv4Addr]) -> Option<Result<Vec<u8>, ParseError>> {
+        let msg = DnsMessage::parse(query).ok().filter(|m| !m.flags.response)?;
+        let reply =
+            if ips.is_empty() { DnsMessage::error(msg, Rcode::NxDomain) } else { DnsMessage::answer_a(msg, ips, 300) };
+        let mut out = Vec::new();
+        Some(reply.emit(&mut out).map(|()| out))
+    }
+
+    /// The reply [`QueryView`] writes to `query`, as [`codec_reply`].
+    fn view_reply(query: &[u8], ips: &[Ipv4Addr]) -> Option<Result<Vec<u8>, ParseError>> {
+        let view = QueryView::parse(query)?;
+        let mut out = Vec::new();
+        let written = if ips.is_empty() { view.error(Rcode::NxDomain, &mut out) } else { view.answer_a(ips, 300, &mut out) };
+        Some(written.map(|()| out))
+    }
+
+    #[test]
+    fn the_query_view_replies_as_the_message_codec_does() {
+        let two = [Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)];
+        let pointer = {
+            // Question 1 is "x" + a pointer into question 2's "a.b".
+            let mut q = vec![0, 9, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0];
+            q.extend_from_slice(&[1, b'X', 0xc0, 21, 0, 1, 0, 1]); // 12..20, pointer to 21
+            q.push(0xff); // 20: a stray byte the pointer skips
+            q.extend_from_slice(&[1, b'a', 1, b'B', 0, 0, 28, 0, 3]); // 21: AAAA, class CH
+            q
+        };
+        let mut trailing = with_wire_name(&[3, b'W', b'w', b'W', 0]);
+        trailing.extend_from_slice(b"junk");
+        let mut empty = with_wire_name(&[]);
+        empty.truncate(12);
+        empty[5] = 0; // QDCOUNT 0
+        let cases = [
+            with_wire_name(b"\x07Blocked\x07EXAMPLE\x00"),
+            pointer,
+            trailing,
+            empty,
+            with_wire_name(&[2, 0xc9, b'a', 1, b'z', 0]), // a byte >= 0x80 re-emits as two
+            with_wire_name(&[3, b'a', b'.', b'b', 0]), // a dot inside a label splits it
+            with_wire_name(&[2, b'a', b'.', 1, b'b', 0]), // ... or leaves an empty label
+            with_wire_name(&[63, 0xff, 0]), // truncated label
+            with_wire_name(&[0xc0, 12]), // pointer loop
+        ];
+        for query in &cases {
+            for ips in [&[][..], &two[..1], &two[..]] {
+                assert_eq!(view_reply(query, ips), codec_reply(query, ips), "{query:?}");
+            }
+        }
+        let mut response = with_wire_name(&[1, b'a', 0]);
+        response[2] |= 0x80;
+        assert!(view_reply(&response, &two).is_none());
+    }
+
+    #[test]
+    fn a_records_match_the_message_codec_on_every_truncation() {
+        let q = DnsMessage::query_a(3, "www.example.com");
+        let mut a = DnsMessage::answer_a(q, &[Ipv4Addr::new(9, 9, 9, 9), Ipv4Addr::new(8, 8, 8, 8)], 60);
+        a.answers.insert(
+            1,
+            DnsRecord {
+                name: Name::new("www.example.com"),
+                ttl: 60,
+                data: RecordData::Cname(Name::new("edge.cdn.example.net")),
+            },
+        );
+        let mut wire = Vec::new();
+        a.emit(&mut wire).unwrap();
+        wire[9] = 1; // ARCOUNT 1: an additional A record, not an answer
+        wire.extend_from_slice(&[0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 4, 7, 7, 7, 7]);
+        for end in 0..=wire.len() {
+            let reference = DnsMessage::parse(&wire[..end]).map(|m| m.a_records());
+            assert_eq!(a_records(&wire[..end]), reference, "cut at {end}");
+        }
+        assert_eq!(a_records(&wire), Ok(vec![Ipv4Addr::new(9, 9, 9, 9), Ipv4Addr::new(8, 8, 8, 8)]));
     }
 }

@@ -307,7 +307,7 @@ mod tests {
         assert_eq!(catalog.len(), c.sites().len());
         for site in c.sites() {
             let name = lucent_packet::dns::Name::new(&site.domain);
-            let resolved = catalog.resolve(&name, 0);
+            let resolved = catalog.resolve(name.as_str(), 0);
             assert_eq!(resolved.is_some(), site.is_alive(), "{}", site.domain);
         }
     }
