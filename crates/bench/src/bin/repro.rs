@@ -56,8 +56,9 @@ struct Args {
     threads: usize,
 }
 
+#[expect(clippy::print_stdout, clippy::print_stderr, reason = "the CLI's usage and argument errors")]
 fn parse_args() -> Args {
-    let mut experiment = "all".to_string();
+    let mut experiment: Option<String> = None;
     let mut scale = Scale::Small;
     let mut json_dir = None;
     let mut trace = None;
@@ -68,7 +69,7 @@ fn parse_args() -> Args {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                let v = flag_value(&mut args, "--scale").unwrap_or_default();
+                let v = required(&mut args, "--scale", "tiny|small|paper");
                 scale = Scale::parse(&v).unwrap_or_else(|| {
                     eprintln!("unknown scale {v:?}; use tiny|small|paper");
                     std::process::exit(2);
@@ -100,11 +101,19 @@ fn parse_args() -> Args {
                 eprintln!("unknown flag {flag:?}\nusage: {}", usage());
                 std::process::exit(2);
             }
-            other => experiment = other.to_string(),
+            // A second EXPERIMENT must not silently replace the first.
+            other => {
+                if let Some(first) = &experiment {
+                    eprintln!("one EXPERIMENT per run, got {first:?} and {other:?}\nusage: {}", usage());
+                    std::process::exit(2);
+                }
+                experiment = Some(other.to_string());
+            }
         }
     }
-    let Some(experiment) = suite::entry(&experiment) else {
-        eprintln!("unknown experiment {experiment:?}\nusage: {}", usage());
+    let name = experiment.as_deref().unwrap_or("all");
+    let Some(experiment) = suite::entry(name) else {
+        eprintln!("unknown experiment {name:?}\nusage: {}", usage());
         std::process::exit(2);
     };
     Args { experiment, scale, json_dir, trace, metrics_out, profile, threads }
@@ -113,6 +122,7 @@ fn parse_args() -> Args {
 /// The value after `flag`, or `None` when the arguments end. A value
 /// that is itself a flag exits 2 rather than being swallowed, so
 /// `--json --scale tiny` cannot write JSON into a directory `--scale`.
+#[expect(clippy::print_stderr, reason = "the CLI's argument errors")]
 fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Option<String> {
     let v = args.next()?;
     if v.starts_with("--") {
@@ -124,6 +134,7 @@ fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Option<Str
 
 /// The value after `flag`; when the arguments end, exits 2 saying the
 /// flag needs `what`.
+#[expect(clippy::print_stderr, reason = "the CLI's argument errors")]
 fn required(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
     flag_value(args, flag).unwrap_or_else(|| {
         eprintln!("{flag} needs {what}");
@@ -131,6 +142,7 @@ fn required(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> 
     })
 }
 
+#[expect(clippy::print_stdout, clippy::print_stderr, reason = "the CLI prints its tables and warnings")]
 fn main() {
     let args = parse_args();
     println!(
@@ -205,6 +217,7 @@ fn main() {
 /// Write a requested output file, creating its directory first, and
 /// fail loudly: a run that was asked for an artifact and could not
 /// write it must not exit 0.
+#[expect(clippy::print_stderr, reason = "the CLI's write errors")]
 fn write_or_die(path: &std::path::Path, contents: &str) {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     if let Err(e) = dir.map_or(Ok(()), fs::create_dir_all).and_then(|()| fs::write(path, contents)) {

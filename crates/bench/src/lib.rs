@@ -8,7 +8,6 @@
 //! [`Scale`] and [`shard`].
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 use lucent_core::lab::Lab;
 use lucent_topology::{India, IndiaConfig};

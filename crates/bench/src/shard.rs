@@ -14,12 +14,12 @@
 //! and so cannot cross threads: each template lives and dies on the
 //! thread that built it.
 //!
-//! This module is the only sanctioned home of `std::thread` in the
-//! workspace (enforced by lucent-lint L3): determinism is an argument
-//! about *this* scheduler, not about arbitrary thread use.
+//! This module is the only sanctioned home of threads and locks in the
+//! workspace (`clippy.toml` disallows them everywhere else): determinism
+//! is an argument about *this* scheduler, not about arbitrary thread use.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::MutexGuard;
 
 use lucent_core::lab::Lab;
 use lucent_obs::{FilterError, Telemetry, TelemetryDump};
@@ -89,6 +89,11 @@ impl Pool {
     /// depends only on the tag and the submission index, never on a
     /// thread id, so the merged registry stays byte-identical at any
     /// `--threads N`.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the shard pool: a mutexed queue drained by scoped workers, merged in submission order"
+    )]
     pub fn run_tagged<T: Send>(&self, tag: &str, jobs: Vec<Job<'_, T>>) -> Vec<ShardOut<T>> {
         let n = jobs.len();
         if self.threads == 1 || n <= 1 {
@@ -99,10 +104,10 @@ impl Pool {
                 .map(|(i, job)| self.run_one(&mut template, i + 1 == n, tag, i, job))
                 .collect();
         }
-        let queue: Mutex<VecDeque<(usize, Job<'_, T>)>> =
-            Mutex::new(jobs.into_iter().enumerate().collect());
-        let results: Mutex<Vec<Option<ShardOut<T>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
+        let queue: std::sync::Mutex<VecDeque<(usize, Job<'_, T>)>> =
+            std::sync::Mutex::new(jobs.into_iter().enumerate().collect());
+        let results: std::sync::Mutex<Vec<Option<ShardOut<T>>>> =
+            std::sync::Mutex::new((0..n).map(|_| None).collect());
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(n) {
                 scope.spawn(|| {
@@ -185,7 +190,8 @@ pub(crate) fn instrument(
 
 /// Lock a mutex, recovering from poisoning (a panicked sibling shard
 /// must not cascade into a second panic here).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+#[expect(clippy::disallowed_types, reason = "the shard pool's queue and result locks")]
+fn lock<T>(m: &std::sync::Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),

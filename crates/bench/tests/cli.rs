@@ -1,11 +1,12 @@
 //! CLI contract tests for the `repro` binary: flag validation exits 2
-//! with usage, a flag is never read as another flag's value, `--help`
-//! exits 0 listing exactly the suite's experiments, `--json` creates its
-//! output directory (nested paths included) before writing result files,
-//! an output that cannot be written exits 1, the closing line's totals
-//! count every world of the run at any thread count, span drops are
-//! reported like event drops, and the profile and `dns-mechanism`'s
-//! outputs match their committed goldens at `--threads 1` and `4`.
+//! with usage, a second EXPERIMENT is refused, a flag is never read as
+//! another flag's value, `--help` exits 0 listing exactly the suite's
+//! experiments, `--json` creates its output directory (nested paths
+//! included) before writing result files, an output that cannot be
+//! written exits 1, the closing line's totals count every world of the
+//! run at any thread count, span drops are reported like event drops,
+//! and the profile and `dns-mechanism`'s outputs match their committed
+//! goldens at `--threads 1` and `4`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -41,6 +42,29 @@ fn unknown_experiments_exit_2() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown experiment"), "{stderr}");
     assert_eq!(experiments_listed(&stderr), suite_names(), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+}
+
+#[test]
+fn a_second_experiment_exits_2_with_usage() {
+    // Neither a valid nor an unknown first EXPERIMENT may be replaced by
+    // a later one.
+    for args in [["bogus", "fig3"], ["fig1", "fig3"]] {
+        let out = repro().args(args).args(["--scale", "tiny"]).output().expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: the second EXPERIMENT was not refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("one EXPERIMENT per run, got {:?} and {:?}\nusage: ", args[0], args[1]);
+        assert!(stderr.starts_with(&want), "{stderr}");
+        assert_eq!(experiments_listed(&stderr), suite_names(), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+    }
+}
+
+#[test]
+fn scale_without_a_value_names_the_scales() {
+    let out = repro().args(["fig1", "--scale"]).output().expect("spawn repro");
+    assert_eq!(out.status.code(), Some(2), "a trailing --scale must exit 2");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "--scale needs tiny|small|paper\n");
     assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
 }
 
@@ -157,6 +181,7 @@ fn unwritable_json_dir_exits_1() {
 }
 
 /// The committed golden `file` under the workspace's `tests/golden/`.
+#[allow(clippy::panic, reason = "test helper: a missing golden fails its test")]
 fn golden(file: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(file);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
@@ -269,6 +294,7 @@ fn ablate_race_reports_the_telemetry_of_its_own_worlds() {
 
 /// The closing line's run totals, after its wall seconds: `N simulator
 /// events, virtual time T`.
+#[allow(clippy::panic, reason = "test helper: a missing closing line fails its test")]
 fn totals(stdout: &str) -> String {
     stdout
         .lines()

@@ -568,7 +568,7 @@ mod tests {
             let spec = diff_spec(s);
             let steps = diff_script(s, &spec);
             if let Err(e) = spec_self_diff(&spec, &steps) {
-                std::panic::panic_any(e);
+                panic!("{e}");
             }
         });
     }

@@ -27,12 +27,12 @@ use crate::source::Source;
 const MATCHERS: [HostMatcher; 3] =
     [HostMatcher::ExactToken, HostMatcher::StrictPattern, HostMatcher::LastHost];
 
-/// Unwrap an `Option` without spending the L4 panic budget (see
-/// `oracles::ok`): a miss aborts the case via `panic_any`.
+/// Unwrap an `Option`; a miss aborts the case.
+#[expect(clippy::panic, reason = "a failed property aborts its case")]
 fn must<T>(v: Option<T>, what: &str) -> T {
     match v {
         Some(x) => x,
-        None => std::panic::panic_any(format!("{what}: unexpectedly absent")),
+        None => panic!("{what}: unexpectedly absent"),
     }
 }
 

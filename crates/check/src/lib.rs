@@ -21,10 +21,11 @@
 //! - [`runner`] — the case loop: [`check`] panics with a replayable
 //!   report, [`run`] returns the [`Finding`];
 //! - [`oracles`] — differential and round-trip properties over
-//!   `lucent-packet`, `lucent-tcp`, `lucent-middlebox`, and the
-//!   `lucent-devtools` lexer (fed by [`rustish`]);
+//!   `lucent-packet`, `lucent-tcp`, `lucent-middlebox`, and the policy
+//!   compiler (fed by [`rustish`]);
 //! - [`rustish`] — Rust-ish token soup (raw strings, nested block
-//!   comments, escaped literals) for the lint lexer totality oracle;
+//!   comments, escaped literals) for the policy compiler's totality
+//!   oracle;
 //! - [`diffmb`] — the policy-engine transcript harness: it renders a
 //!   policy device's run through a packet script as one canonical text,
 //!   replays the recorded `tests/golden/mb-*.transcript` files against
@@ -40,7 +41,6 @@
 //! replay loop.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod corrupt;
 pub mod diffmb;

@@ -1,5 +1,5 @@
 //! Differential and round-trip oracles over `lucent-packet`,
-//! `lucent-tcp`, `lucent-middlebox` and the lint's readers.
+//! `lucent-tcp`, `lucent-middlebox` and the TOML reader.
 //!
 //! Every oracle is a property `fn(&mut Source)` that panics on
 //! violation and runs under [`crate::runner::check`]. Tier-1 runs the
@@ -20,12 +20,11 @@
 //! | `dns_wire_matches_message_codec` | a resolver's wire-level round trip (`dns::QueryView`, `dns::a_records`) answers, stays silent and reads A records exactly as the `DnsMessage` codec does |
 //! | `tcb_arbitrary_segments_safe` | the TCP state machine never panics, receive buffer never shrinks |
 //! | `flow_table_invariants` | flow tracking: len moves by ≤1 per packet, sweep reports exactly what it evicts |
-//! | `lint_lexer_total` | the devtools scrubbing lexer preserves length and newlines on Rust-ish soup |
 //! | `obs_histogram_merge` | telemetry merge is order/grouping-insensitive and conserves histogram buckets under shard splits |
 //! | `sched_matches_heap_model` | the netsim calendar queue pops in exactly the reference binary-heap order, deadline pops included |
 //! | `route_lookup_matches_linear_model` | the netsim route table's indexed longest-prefix match picks the route a linear scan picks |
 //! | `policy_replay_deterministic` | a compiled policy program renders a byte-identical transcript on every replay — the invariant the recorded `tests/golden/mb-*.transcript` goldens rest on |
-//! | `policy_compile_total` | the policy compiler, the lint's allowlist reader and its manifest extraction never panic and are deterministic on soup, garbage, and corrupted programs |
+//! | `policy_compile_total` | the policy compiler and the TOML reader under it never panic and are deterministic on soup, garbage, and corrupted programs |
 
 use std::net::Ipv4Addr;
 
@@ -45,13 +44,13 @@ use crate::corrupt::corrupt;
 use crate::packets;
 use crate::source::Source;
 
-/// Unwrap a parse result without spending the L4 panic budget: oracle
-/// failures must abort the case (the runner catches the unwind), and
-/// `panic_any` carries the message without being a panic-site token.
+/// Unwrap a parse result; a failure aborts the case (the runner
+/// catches the unwind).
+#[expect(clippy::panic, reason = "a failed property aborts its case")]
 fn ok<T, E: std::fmt::Debug>(r: Result<T, E>, what: &str) -> T {
     match r {
         Ok(v) => v,
-        Err(e) => std::panic::panic_any(format!("{what}: {e:?}")),
+        Err(e) => panic!("{what}: {e:?}"),
     }
 }
 
@@ -324,21 +323,6 @@ pub fn flow_table_invariants(s: &mut Source) {
     }
 }
 
-/// The devtools scrubbing lexer is total on arbitrary Rust-ish soup
-/// and keeps its contract: output has the same byte length and the
-/// same newline positions as the input, and `has_token` never panics.
-pub fn lint_lexer_total(s: &mut Source) {
-    let text = crate::rustish::soup(s);
-    let scrubbed = lucent_devtools::lex::scrub(&text);
-    assert_eq!(scrubbed.len(), text.len(), "scrub must preserve byte length");
-    let newlines = |t: &str| -> Vec<usize> {
-        t.bytes().enumerate().filter(|&(_, c)| c == b'\n').map(|(i, _)| i).collect()
-    };
-    assert_eq!(newlines(&scrubbed), newlines(&text), "scrub must preserve newline positions");
-    let _ = lucent_devtools::lex::has_token(&scrubbed, "fn");
-    let _ = lucent_devtools::lex::test_spans(&scrubbed);
-}
-
 /// Telemetry merge — the operation the profiler's thread-count
 /// invariance claim rests on — is commutative and associative, and
 /// conserves histogram buckets under shard splits: absorbing shard
@@ -581,11 +565,12 @@ pub fn route_lookup_matches_linear_model(s: &mut Source) {
 /// [`crate::diffmb`]). This is the invariant that makes the recorded
 /// `tests/golden/mb-*.transcript` goldens a sound stand-in for the
 /// retired hardcoded middleboxes.
+#[expect(clippy::panic, reason = "a failed property aborts its case")]
 pub fn policy_replay_deterministic(s: &mut Source) {
     let spec = crate::diffmb::diff_spec(s);
     let steps = crate::diffmb::diff_script(s, &spec);
     if let Err(e) = crate::diffmb::spec_self_diff(&spec, &steps) {
-        std::panic::panic_any(e);
+        panic!("{e}");
     }
 }
 
@@ -594,8 +579,8 @@ pub fn policy_replay_deterministic(s: &mut Source) {
 /// corrupted image of a valid policy — and compiling the same text
 /// twice yields identical results (policies compare equal, errors
 /// pin the same line and message). The same inputs go through the
-/// lint's allowlist parser and manifest extraction, which share the
-/// compiler's TOML reader.
+/// TOML reader the compiler is built on.
+#[expect(clippy::panic, reason = "a failed property aborts its case")]
 pub fn policy_compile_total(s: &mut Source) {
     use lucent_middlebox::compile::compile;
     let text = match s.below(3) {
@@ -619,17 +604,12 @@ pub fn policy_compile_total(s: &mut Source) {
         (Err(a), Err(b)) => {
             assert_eq!((a.line, &a.msg), (b.line, &b.msg), "recompilation changed the error")
         }
-        _ => std::panic::panic_any("recompilation flipped between Ok and Err".to_string()),
+        _ => panic!("recompilation flipped between Ok and Err"),
     }
-    // The lint reads `lint-allow.toml` and the manifests with the same
-    // TOML reader: both consumers must be total and deterministic too.
-    let allow = || format!("{:?}", lucent_devtools::allow::Allow::parse(&text));
-    assert_eq!(allow(), allow(), "re-reading the allowlist changed it");
-    let manifest = || {
-        let doc = lucent_support::toml::parse(&text);
-        format!("{:?}", doc.map(|d| lucent_devtools::manifest::extract(&d, "Cargo.toml")))
-    };
-    assert_eq!(manifest(), manifest(), "re-reading the manifest changed it");
+    // The compiler reads through `lucent_support::toml`: the reader must
+    // be deterministic on the same inputs too.
+    let doc = || format!("{:?}", lucent_support::toml::parse(&text));
+    assert_eq!(doc(), doc(), "re-reading the TOML changed it");
 }
 
 /// A named oracle, as listed by [`all`].
@@ -652,7 +632,6 @@ pub fn all() -> Vec<NamedOracle> {
         ("http_roundtrips", http_roundtrips),
         ("tcb_arbitrary_segments_safe", tcb_arbitrary_segments_safe),
         ("flow_table_invariants", flow_table_invariants),
-        ("lint_lexer_total", lint_lexer_total),
         ("obs_histogram_merge", obs_histogram_merge),
         ("sched_matches_heap_model", sched_matches_heap_model),
         ("route_lookup_matches_linear_model", route_lookup_matches_linear_model),

@@ -8,7 +8,6 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
 
 use crate::shrink;
 use crate::source::Source;
@@ -108,9 +107,14 @@ pub fn parse_tape(hex: &str) -> Option<Vec<u64>> {
 }
 
 thread_local! {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the panic hook is process-wide; it stays silent only on the threads running a case"
+    )]
     static QUIET: Cell<bool> = const { Cell::new(false) };
 }
-static HOOK: Once = Once::new();
+#[expect(clippy::disallowed_types, reason = "the panic hook is process-wide and installed once")]
+static HOOK: std::sync::Once = std::sync::Once::new();
 
 /// Install (once) a forwarding panic hook that stays silent while this
 /// thread is inside a harness-controlled execution — shrinking replays a
@@ -177,9 +181,10 @@ pub fn run(cfg: &Config, prop: impl Fn(&mut Source)) -> Option<Finding> {
 
 /// Run the property and panic with a shrunk, replayable report on
 /// failure.
+#[expect(clippy::panic, reason = "a failed property aborts its case")]
 pub fn check(cfg: &Config, prop: impl Fn(&mut Source)) {
     if let Some(finding) = run(cfg, prop) {
-        std::panic::panic_any(finding.report());
+        panic!("{}", finding.report());
     }
 }
 
@@ -193,12 +198,13 @@ pub fn replay(tape: &[u64], prop: impl Fn(&mut Source)) -> Result<(), String> {
 /// Replay a hex tape (as printed in a [`Finding`] report) and panic with
 /// its failure message — paste the tape from a CI log to reproduce a
 /// shrunk case locally.
+#[expect(clippy::panic, reason = "a failed property aborts its case")]
 pub fn assert_replay(hex: &str, prop: impl Fn(&mut Source)) {
     let Some(tape) = parse_tape(hex) else {
-        std::panic::panic_any(format!("assert_replay: unparseable tape {hex:?}"));
+        panic!("assert_replay: unparseable tape {hex:?}");
     };
     if let Err(message) = replay(&tape, prop) {
-        std::panic::panic_any(format!("replayed [{hex}]: {message}"));
+        panic!("replayed [{hex}]: {message}");
     }
 }
 

@@ -1,14 +1,14 @@
-//! A generator of Rust-ish token soup for fuzzing the `lucent-devtools`
-//! scrubbing lexer.
+//! A generator of Rust-ish token soup for fuzzing text readers — the
+//! policy compiler and the TOML reader under it (`policy_compile_total`).
 //!
 //! The output is *not* valid Rust — it is a concatenation of the
-//! constructs the lexer has to get right: raw strings with hash fences,
-//! nested block comments, byte and char literals with escapes,
-//! lifetimes (which look like unterminated char literals), and item
-//! keywords with unbalanced braces. Possibly-unterminated fragments are
-//! generated on purpose: the lexer claims totality on arbitrary input,
-//! and that claim is only worth something if the input distribution
-//! actually covers the nasty corners.
+//! constructs a hand-written reader tends to get wrong: raw strings with
+//! hash fences, nested block comments, byte and char literals with
+//! escapes, lifetimes (which look like unterminated char literals), and
+//! item keywords with unbalanced braces. Possibly-unterminated fragments
+//! are generated on purpose: a reader that claims totality on arbitrary
+//! input is only shown to be total if the input distribution actually
+//! covers the nasty corners.
 
 use crate::source::Source;
 
@@ -100,8 +100,8 @@ fn fragment(s: &mut Source) -> String {
     }
 }
 
-/// Generate a Rust-ish source file: token soup over the constructs the
-/// devtools lexer must stay total on.
+/// Generate a Rust-ish source file: token soup over the constructs a
+/// reader must stay total on.
 pub fn soup(s: &mut Source) -> String {
     let mut out = String::new();
     for _ in 0..s.len_in(0, 48) {

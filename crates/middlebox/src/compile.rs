@@ -1,15 +1,15 @@
 //! The policy compiler: TOML policy files → [`Policy`] programs.
 //!
 //! The grammar is the workspace's TOML subset, read by
-//! [`lucent_support::toml`] — the same line-pinned reader the lint uses
-//! for `lint-allow.toml` and the manifests. The reader raises every
-//! syntax error; this module supplies the policy vocabulary (which
-//! headers exist, bare `[A-Za-z0-9_]` keys) and the semantics.
+//! [`lucent_support::toml`] — the same line-pinned reader the manifest
+//! test uses for the workspace's `Cargo.toml` files. The reader raises
+//! every syntax error; this module supplies the policy vocabulary
+//! (which headers exist, bare `[A-Za-z0-9_]` keys) and the semantics.
 //!
 //! The compiler is **total**: any input, including fuzzer garbage,
 //! either compiles or returns a line-numbered [`PolicyError`] — it
 //! never panics (enforced by the `policy_compile_total` oracle and the
-//! workspace panic-site lint). Error messages are part of the contract:
+//! workspace's panic lints). Error messages are part of the contract:
 //! the malformed-fixture corpus under `policies/fixtures/bad/` pins
 //! them byte-for-byte.
 //!

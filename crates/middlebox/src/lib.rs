@@ -32,7 +32,6 @@
 //! (see `lucent-check::diffmb`).
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod compile;
 pub mod config;

@@ -259,6 +259,7 @@ pub struct PolicyBox {
 
 impl PolicyBox {
     /// Instantiate a program for one device.
+    #[expect(clippy::disallowed_methods, reason = "seed plumbing: a device draws from its seed")]
     pub fn new(policy: Policy, inst: Instance, label: impl Into<String>) -> Self {
         let flows = FlowTable::new(policy.flow_timeout);
         let rng = SimRng::seed_from_u64(inst.seed ^ 0x77aa_77aa);

@@ -25,7 +25,6 @@
 //! * **No global state**: a [`Network`] is a plain value; tests build dozens.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod network;
 pub mod node;

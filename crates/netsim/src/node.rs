@@ -151,6 +151,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types, reason = "checks that ids hash")]
     fn ids_are_ordered_and_hashable() {
         use std::collections::HashSet;
         let mut s = HashSet::new();

@@ -7,9 +7,9 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// Every stream of randomness in the workspace is an explicitly seeded
 /// [`lucent_support::rng::Rng64`]; this alias marks the sanctioned
-/// construction point. Lint rule L3 (`lucent-devtools`) restricts RNG
-/// construction to an allowlist anchored on this module, so no code can
-/// quietly introduce wall-clock or entropy-derived randomness.
+/// construction point. `clippy.toml` disallows `Rng64::seed_from_u64`
+/// outside the seed-plumbing functions that `#[expect]` it, so no code
+/// can quietly introduce a stream that does not trace back to a seed.
 pub type SimRng = lucent_support::rng::Rng64;
 
 /// An instant of virtual time, in microseconds since simulation start.

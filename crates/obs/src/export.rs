@@ -2,7 +2,7 @@
 //! trace-event files.
 //!
 //! Both are pure string builders over already-collected telemetry —
-//! the sanctioned "obs sinks" of lint rule L6 never print; callers
+//! library code never prints (`clippy::print_stdout`); callers
 //! (the `repro` binary) decide where the bytes go.
 
 use std::collections::BTreeMap;

@@ -24,7 +24,6 @@
 //! are byte-level phenomena, so the request type preserves exact bytes.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod checksum;
 pub mod dns;

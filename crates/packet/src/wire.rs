@@ -277,7 +277,7 @@ mod tests {
             // The payload is a view into the wire buffer, not a copy.
             let payload = match &zero.transport {
                 Transport::Tcp(_, p) | Transport::Udp(_, p) => p,
-                Transport::Icmp(_) => unreachable!(),
+                Transport::Icmp(_) => panic!("the packet was built as TCP or UDP"),
             };
             let off = wire.len() - payload.len();
             assert!(std::ptr::eq(&wire[off], &payload[0]), "payload must share the allocation");

@@ -1,22 +1,22 @@
 //! The wall-clock stopwatch.
 //!
 //! This module is the single sanctioned home of wall-clock reads in the
-//! workspace: lint rule L3 bans `std::time::Instant::now` everywhere
-//! except here, so simulation code can never accidentally couple results
-//! to real time. The `repro` binary and the shard pool take their timing
-//! through [`Stopwatch`].
-
-use std::time::Instant;
+//! workspace: `clippy.toml` disallows `std::time::Instant` everywhere,
+//! and only this module expects it, so simulation code can never
+//! accidentally couple results to real time. The `repro` binary and the
+//! shard pool take their timing through [`Stopwatch`].
 
 /// A simple wall-clock stopwatch for end-of-run reporting.
+#[expect(clippy::disallowed_types, reason = "the workspace's one wall clock")]
 pub struct Stopwatch {
-    start: Instant,
+    start: std::time::Instant,
 }
 
 impl Stopwatch {
     /// Start timing now.
+    #[expect(clippy::disallowed_types, reason = "the workspace's one wall clock")]
     pub fn start() -> Stopwatch {
-        Stopwatch { start: Instant::now() }
+        Stopwatch { start: std::time::Instant::now() }
     }
 
     /// Seconds elapsed since start.

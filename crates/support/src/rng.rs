@@ -85,6 +85,7 @@ impl Rng64 {
 /// generator (stream = shard id): the XOR keeps every stream traceable
 /// to the one top-level seed, while SplitMix64 decorrelates streams
 /// whose ids differ in a single bit.
+#[expect(clippy::disallowed_methods, reason = "seed plumbing: a stream derives from its seed")]
 pub fn derive(seed: u64, stream: u64) -> Rng64 {
     Rng64::seed_from_u64(seed ^ stream)
 }
@@ -169,6 +170,7 @@ impl SampleRange for core::ops::Range<f64> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the generator's own tests construct it")]
 mod tests {
     use super::*;
 

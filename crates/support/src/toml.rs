@@ -1,6 +1,6 @@
 //! A line-pinned reader for the workspace's TOML subset — the one
-//! grammar behind the censor-policy programs, `lint-allow.toml` and the
-//! workspace's `Cargo.toml` manifests.
+//! grammar behind the censor-policy programs and the workspace's
+//! `Cargo.toml` manifests.
 //!
 //! The dialect is line-oriented: `[section]` and `[[array]]` headers,
 //! `key = value` lines, and `#` comments outside strings. Values are

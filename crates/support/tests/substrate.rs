@@ -3,6 +3,8 @@
 //! world), JSON round-trips on result-shaped documents, and the Bytes
 //! sharing semantics the packet layer depends on.
 
+#![allow(clippy::disallowed_methods, reason = "pins the generator's streams from their seeds")]
+
 use lucent_support::{Bytes, Json, Rng64};
 
 /// The exact first outputs of xoshiro256** under SplitMix64 expansion.

@@ -131,6 +131,7 @@ pub struct TcpHost {
 
 impl TcpHost {
     /// A host with the given address; `seed` drives ISS generation.
+    #[expect(clippy::disallowed_methods, reason = "seed plumbing: a host draws from its seed")]
     pub fn new(ip: Ipv4Addr, label: impl Into<String>, seed: u64) -> Self {
         TcpHost {
             ip,

@@ -19,7 +19,6 @@
 //! [`SocketApp`] trait server applications implement.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod app;
 pub mod firewall;

@@ -173,6 +173,7 @@ const MS: fn(u64) -> SimDuration = SimDuration::from_millis;
 
 impl India {
     /// Build the world from `cfg`.
+    #[expect(clippy::disallowed_methods, reason = "seed plumbing: the world draws from its seed")]
     pub fn build(cfg: IndiaConfig) -> India {
         let mut rng = SimRng::seed_from_u64(cfg.seed);
         let mut net = Network::new();

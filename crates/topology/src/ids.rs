@@ -146,7 +146,7 @@ impl fmt::Display for IspId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn prefixes_are_disjoint() {
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn regions_are_unique() {
-        let regions: HashSet<_> = IspId::ALL.iter().map(|i| i.region()).collect();
+        let regions: BTreeSet<_> = IspId::ALL.iter().map(|i| i.region()).collect();
         assert_eq!(regions.len(), IspId::ALL.len());
     }
 

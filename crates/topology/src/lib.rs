@@ -28,7 +28,6 @@
 //! emerges rather than being scripted.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod build;
 pub mod ids;

@@ -94,6 +94,7 @@ pub struct Corpus {
 impl Corpus {
     /// Generate deterministically from `cfg`, hosting everything on
     /// addresses drawn from `alloc`.
+    #[expect(clippy::disallowed_methods, reason = "seed plumbing: the corpus draws from its seed")]
     pub fn generate(cfg: &CorpusConfig, alloc: &mut IpAllocator) -> Corpus {
         let mut rng = SimRng::seed_from_u64(cfg.seed);
         let mut sites = Vec::with_capacity(cfg.pbw_count + cfg.popular_count);

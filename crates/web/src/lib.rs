@@ -13,7 +13,6 @@
 //! `\r\n\r\n` framing that Section 5's evasion techniques exploit.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod content;
 pub mod corpus;

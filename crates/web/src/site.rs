@@ -201,8 +201,8 @@ mod tests {
 
     #[test]
     fn categories_have_unique_slugs() {
-        use std::collections::HashSet;
-        let slugs: HashSet<_> = Category::PBW.iter().map(|c| c.slug()).collect();
+        use std::collections::BTreeSet;
+        let slugs: BTreeSet<_> = Category::PBW.iter().map(|c| c.slug()).collect();
         assert_eq!(slugs.len(), 7);
     }
 }

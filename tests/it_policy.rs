@@ -19,7 +19,9 @@
 //!    diverge from the Airtel recording, and its byte-equivalent green
 //!    twin must match — proving the suite detects what it claims to;
 //! 4. every program in `crates/middlebox/policies/` compiles to its
-//!    builtin, and both mechanism families are present.
+//!    builtin, and both mechanism families are present;
+//! 5. the seeded dead-rule fixture (`bad-rule-order.toml`) fails to
+//!    compile at the dead rule, and its live rule alone compiles.
 //!
 //! To re-record after an *intentional* behaviour change, run with
 //! `LUCENT_REGEN_TRANSCRIPTS=1` and commit the diff.
@@ -144,4 +146,24 @@ fn every_committed_isp_policy_compiles_to_its_family() {
     for family in [Family::Wiretap, Family::Interceptive] {
         assert!(families.contains(&family), "no committed {family:?} program");
     }
+}
+
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("workspace root")
+}
+
+#[test]
+fn l11_fixture_goes_red_on_a_seeded_dead_rule() {
+    // The dead-rule check the retired L11 rule made over policy files is
+    // now the policy compiler's own, so the lint no longer reads them:
+    // the seeded fixture (a second rule repeating the first one's
+    // matcher) fails to compile at the dead rule's `[[rule]]` header, and
+    // the same program without that rule compiles.
+    let path = workspace_root().join("crates/middlebox/policies/fixtures/bad/bad-rule-order.toml");
+    let text = std::fs::read_to_string(path).expect("read fixture");
+    let err = lucent_middlebox::compile::compile(&text).expect_err("a dead rule must not compile");
+    assert_eq!(err.to_string(), "line 11: rule can never fire: rule #1 already has the same matcher");
+    let live: String = text.lines().take(err.line - 1).map(|l| format!("{l}\n")).collect();
+    let policy = lucent_middlebox::compile::compile(&live).expect("the live rule alone compiles");
+    assert_eq!(policy.rules.len(), 1);
 }

@@ -6,8 +6,6 @@
 //! `--threads 1` and `4`. Shard jobs run on clones of a per-worker
 //! template world, so the clone contract is pinned here too.
 
-use std::sync::OnceLock;
-
 use lucent_bench::drive::Driver;
 use lucent_bench::{suite, Scale};
 use lucent_core::experiments::race;
@@ -63,8 +61,9 @@ fn assert_thread_invariant(name: &str) -> Vec<Step> {
 
 /// `all`'s steps at `--threads 1`, checked once at `--threads 1, 2, 4`
 /// and shared by every test below.
+#[allow(clippy::disallowed_types, reason = "the tests share one run of the suite")]
 fn all_steps() -> &'static [Step] {
-    static ALL: OnceLock<Vec<Step>> = OnceLock::new();
+    static ALL: std::sync::OnceLock<Vec<Step>> = std::sync::OnceLock::new();
     ALL.get_or_init(|| assert_thread_invariant("all"))
 }
 
