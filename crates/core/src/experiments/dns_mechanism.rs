@@ -6,7 +6,6 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-
 use lucent_dns::{catalog, DnsCatalog, DnsInjectorNode, ResolverApp};
 use lucent_netsim::routing::Cidr;
 use lucent_netsim::{IfaceId, Network, RouterNode, SimDuration};
@@ -135,11 +134,7 @@ pub fn synthetic_injection_control() -> DnsMechanism {
             }
             let Ok(msg) = DnsMessage::parse(&d.payload) else { continue };
             if msg.a_records().contains(&FORGED) {
-                return if ttl >= path_len {
-                    DnsMechanism::Poisoning
-                } else {
-                    DnsMechanism::Injection { at_ttl: ttl }
-                };
+                return DnsMechanism::manipulated_at(ttl, Some(path_len));
             }
         }
     }

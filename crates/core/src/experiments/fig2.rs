@@ -3,7 +3,6 @@
 //! coverage numbers (MTNL 383/448 ≈ 77%, BSNL 17/182 ≈ 9.3%) and
 //! consistency averages (≈42.4% vs ≈7.5%).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::num::NonZeroU32;
@@ -86,22 +85,14 @@ pub fn prepare_isp(lab: &mut Lab, isp: IspId, opts: &Fig2Options) -> IspPrep {
 /// behind the figure (share of poisoned resolvers blocking each site,
 /// one entry per site blocked anywhere).
 pub fn assemble_row(isp: IspId, open: Vec<Ipv4Addr>, poisoned: Vec<ResolverScan>) -> DnsRow {
-    let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-    for scan in &poisoned {
-        for &site in &scan.manipulated {
-            *counts.entry(site).or_insert(0) += 1;
-        }
-    }
     let n = poisoned.len();
-    let counts: Vec<usize> = counts.into_values().collect();
-    let mut series: Vec<f64> = counts.iter().map(|&c| c as f64 / n.max(1) as f64).collect();
-    series.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    let (consistency, series) = metrics::consistency(poisoned.iter().map(|scan| scan.manipulated.as_slice()));
     DnsRow {
         isp: isp.name().to_string(),
         open: open.len(),
         poisoned: n,
         coverage: metrics::coverage(n, open.len()),
-        consistency: metrics::consistency(&counts, n),
+        consistency,
         series,
     }
 }

@@ -4,12 +4,12 @@
 
 use std::fmt;
 
-
 use lucent_topology::IspId;
 use lucent_web::SiteId;
 
 use crate::lab::Lab;
-use crate::probe::coverage::{consistency_from_blocklists, per_path_blocklists};
+use crate::metrics;
+use crate::probe::coverage::per_path_blocklists;
 use crate::report;
 
 use super::table2::HttpScan;
@@ -56,14 +56,12 @@ pub fn from_scan(lab: &mut Lab, isp: IspId, scan: &HttpScan, max_paths: usize) -
             .collect();
         per_path_blocklists(lab, client, &targets, &candidates)
     };
-    let paths = lists.len();
-    let (consistency, mut series) = consistency_from_blocklists(&lists);
-    series.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    let (consistency, series) = metrics::consistency(lists.iter().map(|(_, sites)| sites.as_slice()));
     IspConsistency {
         isp: isp.name().to_string(),
         consistency,
         series,
-        paths,
+        paths: lists.len(),
     }
 }
 

@@ -100,6 +100,17 @@ impl Fetch {
     pub fn censored(&self) -> bool {
         self.was_reset() || self.hit_timeout() || self.shows_notice()
     }
+
+    /// Did the fetch die without a response: reset, timed out or never
+    /// connected?
+    pub fn killed(&self) -> bool {
+        self.response.is_none() && (self.was_reset() || self.hit_timeout() || self.connect_failed)
+    }
+
+    /// Did a complete response arrive with no reset?
+    pub fn clean(&self) -> bool {
+        self.complete() && !self.was_reset()
+    }
 }
 
 /// Outcome of a DNS resolution attempt.

@@ -1,5 +1,6 @@
 //! Measurement arithmetic: precision/recall, coverage, consistency.
 
+use std::collections::BTreeMap;
 
 /// A precision/recall accumulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -74,17 +75,23 @@ pub fn coverage(poisoned: usize, total: usize) -> f64 {
     }
 }
 
-/// Consistency: given a per-site list of "how many of the N poisoned
-/// paths/resolvers block it", the average blocked fraction (§4.1, §4.2.2).
-pub fn consistency(per_site_blocking_counts: &[usize], poisoned_total: usize) -> f64 {
-    if per_site_blocking_counts.is_empty() || poisoned_total == 0 {
-        return 0.0;
+/// Consistency (§4.1, §4.2.2) over `lists`, one list of blocked sites
+/// per poisoned resolver or path: the share of lists that block each
+/// site blocked anywhere, and their mean. The mean is summed in site
+/// order, before the shares are sorted highest first for the series.
+pub fn consistency<'a, S: Ord + Copy + 'a>(lists: impl IntoIterator<Item = &'a [S]>) -> (f64, Vec<f64>) {
+    let mut counts: BTreeMap<S, usize> = BTreeMap::new();
+    let mut n = 0;
+    for list in lists {
+        n += 1;
+        for &site in list {
+            *counts.entry(site).or_insert(0) += 1;
+        }
     }
-    let sum: f64 = per_site_blocking_counts
-        .iter()
-        .map(|&c| c as f64 / poisoned_total as f64)
-        .sum();
-    sum / per_site_blocking_counts.len() as f64
+    let mut series: Vec<f64> = counts.into_values().map(|c| c as f64 / n as f64).collect();
+    let mean = if series.is_empty() { 0.0 } else { series.iter().sum::<f64>() / series.len() as f64 };
+    series.sort_by(|a, b| b.total_cmp(a));
+    (mean, series)
 }
 
 #[cfg(test)]
@@ -119,16 +126,18 @@ mod tests {
         assert_eq!(pr.precision(), 0.0);
         assert_eq!(pr.recall(), 0.0);
         assert_eq!(coverage(0, 0), 0.0);
-        assert_eq!(consistency(&[], 5), 0.0);
-        assert_eq!(consistency(&[1, 2], 0), 0.0);
+        assert_eq!(consistency::<u32>([]), (0.0, Vec::new()));
+        assert_eq!(consistency::<u32>([&[][..], &[]]), (0.0, Vec::new()));
     }
 
     #[test]
     fn coverage_and_consistency() {
         assert!((coverage(383, 448) - 0.855).abs() < 0.001);
-        // Two sites over 4 poisoned resolvers: blocked by 4 and by 2.
-        let c = consistency(&[4, 2], 4);
-        assert!((c - 0.75).abs() < 1e-12);
+        // Three sites over 4 poisoned resolvers: blocked by 2, 4 and 1.
+        let lists: [&[u32]; 4] = [&[1, 2], &[1, 2, 3], &[2], &[2]];
+        let (mean, series) = consistency(lists);
+        assert_eq!(series, [1.0, 0.5, 0.25], "highest share first");
+        assert!((mean - 7.0 / 12.0).abs() < 1e-12);
     }
 }
 

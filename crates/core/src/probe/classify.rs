@@ -162,7 +162,8 @@ pub fn censored_on_path(lab: &mut Lab, isp: IspId, site: SiteId) -> bool {
 pub enum Blocked {
     /// A try drew this notification page.
     Notice(HttpResponse),
-    /// Every try was reset or timed out after connecting.
+    /// Every try was killed: reset or timed out, and for
+    /// [`crate::probe::manual::confirm`] also refused.
     Killed,
 }
 
@@ -171,6 +172,11 @@ pub enum Blocked {
 /// 3/10 races, so one rendered page does not clear a site). A notice
 /// page stops the tries and blocks; otherwise the site is blocked only
 /// if every try was reset or timed out after connecting.
+///
+/// This stays apart from [`crate::probe::manual::confirm`], which counts
+/// a refused connection as a kill, because the scans that call it fetch
+/// no Tor reference. Only a page Tor loads tells a refused connection
+/// from a dead site, so counting refusals here would block dead sites.
 pub fn blocked_on_retries(
     lab: &mut Lab,
     client: NodeId,

@@ -159,26 +159,6 @@ pub fn per_path_blocklists(
     out
 }
 
-/// Consistency from per-path blocklists: for every site blocked on at
-/// least one poisoned path, the fraction of poisoned paths blocking it;
-/// returns (average, per-site series).
-pub fn consistency_from_blocklists(blocklists: &[(Ipv4Addr, Vec<SiteId>)]) -> (f64, Vec<f64>) {
-    use std::collections::BTreeMap;
-    let n = blocklists.len();
-    if n == 0 {
-        return (0.0, Vec::new());
-    }
-    let mut counts: BTreeMap<SiteId, usize> = BTreeMap::new();
-    for (_, sites) in blocklists {
-        for &s in sites {
-            *counts.entry(s).or_insert(0) += 1;
-        }
-    }
-    let series: Vec<f64> = counts.values().map(|&c| c as f64 / n as f64).collect();
-    let avg = if series.is_empty() { 0.0 } else { series.iter().sum::<f64>() / series.len() as f64 };
-    (avg, series)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,20 +180,6 @@ mod tests {
         let jio = inside_scan(&mut lab, IspId::Jio, 16, 40);
         let c = jio.coverage();
         assert!(c < 0.5, "Jio inside coverage should be low: {c}");
-    }
-
-    #[test]
-    fn consistency_math_from_blocklists() {
-        let t = |x: u8| Ipv4Addr::new(1, 1, 1, x);
-        let lists = vec![
-            (t(1), vec![SiteId(1), SiteId(2)]),
-            (t(2), vec![SiteId(1)]),
-        ];
-        let (avg, series) = consistency_from_blocklists(&lists);
-        // Site 1: 2/2, site 2: 1/2 → avg 0.75.
-        assert!((avg - 0.75).abs() < 1e-9);
-        assert_eq!(series.len(), 2);
-        assert_eq!(consistency_from_blocklists(&[]).0, 0.0);
     }
 
     #[test]

@@ -3,15 +3,13 @@
 
 use std::net::Ipv4Addr;
 
-
-use lucent_middlebox::notice::looks_like_notice;
-use lucent_packet::ipv4::is_bogon;
 use lucent_topology::IspId;
 use lucent_web::SiteId;
 
 use crate::diff;
 use crate::lab::{Lab, FETCH_TIMEOUT_MS};
-use crate::probe::CensorKind;
+use crate::probe::dns_scan::{judge_answer, Answer};
+use crate::probe::{manual, CensorKind};
 
 /// Result of running the full §3 pipeline on one site.
 #[derive(Debug, Clone)]
@@ -55,7 +53,7 @@ pub fn tcp_ip_filtered(lab: &mut Lab, isp: IspId, site: SiteId) -> bool {
 }
 
 /// §3.2: DNS filtering detection via Tor-vs-ISP answer comparison plus
-/// the bogon / client-AS heuristics.
+/// the bogon / client-AS heuristics ([`judge_answer`]).
 pub fn dns_filtered(lab: &mut Lab, isp: IspId, site: SiteId) -> Option<Detection> {
     let domain = lab.india.corpus.site(site).domain.clone();
     let client = lab.client_of(isp);
@@ -69,47 +67,24 @@ pub fn dns_filtered(lab: &mut Lab, isp: IspId, site: SiteId) -> Option<Detection
         return None; // cannot establish a reference resolution
     }
     let isp_dns = lab.resolve(client, resolver, &domain);
-    if isp_dns.failed() {
-        return Some(Detection {
-            site: site.0,
-            blocked: true,
-            kind: Some(CensorKind::Dns),
-            flagged_by_threshold: false,
-            confirmed: Some(true),
-        });
-    }
-    // Overlapping answer sets ⇒ uncensored.
-    if isp_dns.ips.iter().any(|ip| tor_dns.ips.contains(ip)) {
-        return None;
-    }
-    // Heuristic 1: resolved address inside the client's AS.
-    // Heuristic 2: bogon.
-    let manipulated = isp_dns.ips.iter().any(|&ip| prefix.contains(ip) || is_bogon(ip));
-    if manipulated {
-        return Some(Detection {
-            site: site.0,
-            blocked: true,
-            kind: Some(CensorKind::Dns),
-            flagged_by_threshold: false,
-            confirmed: Some(true),
-        });
-    }
-    // Remaining disjoint answers: fetch through Tor from the ISP-resolved
-    // address; real content means a CDN artifact, not censorship.
-    let check_ip = isp_dns.ips[0];
-    let f = lab.http_get(tor, check_ip, &domain, FETCH_TIMEOUT_MS);
-    let genuine = f.response.map(|r| r.status == 200 || r.status == 302).unwrap_or(false);
-    if genuine {
-        None
-    } else {
-        Some(Detection {
-            site: site.0,
-            blocked: true,
-            kind: Some(CensorKind::Dns),
-            flagged_by_threshold: false,
-            confirmed: Some(true),
-        })
-    }
+    let blocked = match judge_answer(&isp_dns.ips, &tor_dns.ips, prefix) {
+        Answer::Consistent => false,
+        Answer::Manipulated => true,
+        // Disjoint but plausible answers: fetch through Tor from the
+        // ISP-resolved address; real content means a CDN artifact, not
+        // censorship.
+        Answer::Unexplained => {
+            let f = lab.http_get(tor, isp_dns.ips[0], &domain, FETCH_TIMEOUT_MS);
+            !f.response.is_some_and(|r| r.status == 200 || r.status == 302)
+        }
+    };
+    blocked.then_some(Detection {
+        site: site.0,
+        blocked: true,
+        kind: Some(CensorKind::Dns),
+        flagged_by_threshold: false,
+        confirmed: Some(true),
+    })
 }
 
 /// §3.4: HTTP filtering detection — Tor fetch vs direct fetch, diff
@@ -125,30 +100,13 @@ pub fn http_filtered(lab: &mut Lab, isp: IspId, site: SiteId, resolved_ip: Ipv4A
     let tor_body = tor_fetch.response.as_ref().map(|r| r.body.clone()).unwrap_or_default();
     let direct_body = direct.response.as_ref().map(|r| r.body.clone()).unwrap_or_default();
 
-    let hard_fail = !direct.complete() && (direct.was_reset() || direct.hit_timeout() || direct.connect_failed);
-    let flagged = hard_fail || !diff::below_threshold(&tor_body, &direct_body);
+    let flagged = direct.killed() || !diff::below_threshold(&tor_body, &direct_body);
     if !flagged {
         return Detection { site: site.0, blocked: false, kind: None, flagged_by_threshold: false, confirmed: None };
     }
-    // Manual confirmation: does a human see a block? (retries absorb the
-    // wiretap race; a covert reset must be reproducible and Tor-visible).
-    let mut notice = direct.shows_notice();
-    let mut kills = usize::from(hard_fail);
-    for _ in 0..2 {
-        if notice {
-            break;
-        }
-        let again = lab.http_get(client, resolved_ip, &domain, FETCH_TIMEOUT_MS);
-        if let Some(r) = &again.response {
-            if looks_like_notice(r) {
-                notice = true;
-            }
-        } else if again.was_reset() || again.hit_timeout() || again.connect_failed {
-            kills += 1;
-        }
-    }
-    let tor_ok = tor_fetch.complete() && !tor_fetch.was_reset();
-    let confirmed = notice || (kills >= 3 && tor_ok);
+    // Manual confirmation: the direct fetch is the person's first try.
+    let retries = std::iter::repeat_with(|| lab.http_get(client, resolved_ip, &domain, FETCH_TIMEOUT_MS));
+    let confirmed = manual::confirm(std::iter::once(direct).chain(retries), tor_fetch.clean()).is_some();
     Detection {
         site: site.0,
         blocked: confirmed,

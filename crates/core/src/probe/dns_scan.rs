@@ -5,6 +5,7 @@
 use std::net::Ipv4Addr;
 use std::num::NonZeroU32;
 
+use lucent_netsim::routing::Cidr;
 use lucent_packet::ipv4::is_bogon;
 use lucent_topology::IspId;
 use lucent_web::SiteId;
@@ -69,34 +70,53 @@ fn pbw_domains(lab: &Lab, pbw: &[SiteId]) -> Vec<String> {
     pbw.iter().map(|&s| lab.india.corpus.site(s).domain.clone()).collect()
 }
 
-/// Judge one resolver's answer sheet against the reference with the
-/// §3.2 heuristics. Length-checked: every PBW is judged, and a missing
+/// What the §3.2 heuristics make of one DNS answer next to the
+/// reference answer from an uncensored vantage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// The answers overlap, or neither side resolves.
+    Consistent,
+    /// No answer where the reference resolves, or a disjoint answer
+    /// holding a bogon or an address inside the client's own prefix.
+    Manipulated,
+    /// Disjoint but plausible addresses: a CDN or a poisoned answer
+    /// that only a fetch can tell apart.
+    Unexplained,
+}
+
+/// Judge `answer` (empty = no address) against `reference` with the
+/// §3.2 heuristics. Overlap is tested first, so a shared address clears
+/// an answer whatever else it holds.
+pub fn judge_answer(answer: &[Ipv4Addr], reference: &[Ipv4Addr], prefix: Cidr) -> Answer {
+    if answer.is_empty() {
+        return if reference.is_empty() { Answer::Consistent } else { Answer::Manipulated };
+    }
+    if answer.iter().any(|ip| reference.contains(ip)) {
+        Answer::Consistent
+    } else if answer.iter().any(|&ip| is_bogon(ip) || prefix.contains(ip)) {
+        Answer::Manipulated
+    } else {
+        Answer::Unexplained
+    }
+}
+
+/// Judge one resolver's answer sheet against the reference with
+/// [`judge_answer`]. Length-checked: every PBW is judged, and a missing
 /// slot in either list counts as "no answer" instead of silently
 /// cutting the scan short at the shortest list (a `zip` here once
-/// dropped the tail sites whenever `bulk_resolve` came up short).
+/// dropped the tail sites whenever `bulk_resolve` came up short). A
+/// resolver that did not answer a site is not judged on it.
 fn judge_answers(
     pbw: &[SiteId],
     answers: &[Option<Vec<Ipv4Addr>>],
     reference: &[Option<Vec<Ipv4Addr>>],
-    prefix: lucent_netsim::routing::Cidr,
+    prefix: Cidr,
 ) -> Vec<u32> {
     let mut manipulated = Vec::new();
     for (i, &site) in pbw.iter().enumerate() {
-        let answer = answers.get(i).and_then(|a| a.as_ref());
-        let reference = reference.get(i).and_then(|r| r.as_ref());
-        let Some(answer) = answer else { continue };
-        if answer.is_empty() {
-            // NXDOMAIN while the reference resolves ⇒ manipulation.
-            if reference.map(|r| !r.is_empty()).unwrap_or(false) {
-                manipulated.push(site.0);
-            }
-            continue;
-        }
-        let overlap = reference.map(|r| answer.iter().any(|ip| r.contains(ip))).unwrap_or(false);
-        if overlap {
-            continue;
-        }
-        if answer.iter().any(|&ip| is_bogon(ip) || prefix.contains(ip)) {
+        let Some(answer) = answers.get(i).and_then(Option::as_deref) else { continue };
+        let reference = reference.get(i).and_then(Option::as_deref).unwrap_or_default();
+        if judge_answer(answer, reference, prefix) == Answer::Manipulated {
             manipulated.push(site.0);
         }
     }
@@ -158,12 +178,34 @@ mod tests {
         let bogon = Ipv4Addr::new(127, 0, 0, 7);
         let answers = vec![Some(vec![real]), None, Some(vec![bogon])];
         let reference = vec![Some(vec![real]), Some(vec![real])]; // dropped tail
-        let prefix = lucent_netsim::routing::Cidr::new(Ipv4Addr::new(10, 60, 0, 0), 16);
+        let prefix = Cidr::new(Ipv4Addr::new(10, 60, 0, 0), 16);
         let manipulated = judge_answers(&pbw, &answers, &reference, prefix);
         assert_eq!(manipulated, vec![2], "tail site must still be judged");
         // And a short *answer* list must not panic or misattribute.
         let manipulated = judge_answers(&pbw, &answers[..1], &reference, prefix);
         assert!(manipulated.is_empty());
+    }
+
+    #[test]
+    fn judge_answer_cases() {
+        let prefix = Cidr::new(Ipv4Addr::new(10, 60, 0, 0), 16);
+        let real = Ipv4Addr::new(151, 101, 1, 10);
+        let other = Ipv4Addr::new(52, 84, 0, 20);
+        let bogon = Ipv4Addr::new(127, 0, 0, 7);
+        let inside = Ipv4Addr::new(10, 60, 3, 4);
+        let table: [(&[Ipv4Addr], &[Ipv4Addr], Answer); 8] = [
+            (&[], &[], Answer::Consistent),
+            (&[real], &[real], Answer::Consistent),
+            (&[bogon, real], &[real], Answer::Consistent),
+            (&[], &[real], Answer::Manipulated),
+            (&[bogon], &[real], Answer::Manipulated),
+            (&[inside], &[real], Answer::Manipulated),
+            (&[inside], &[], Answer::Manipulated),
+            (&[other], &[real], Answer::Unexplained),
+        ];
+        for (answer, reference, want) in table {
+            assert_eq!(judge_answer(answer, reference, prefix), want, "{answer:?} vs {reference:?}");
+        }
     }
 
     #[test]

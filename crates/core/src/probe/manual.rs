@@ -8,12 +8,13 @@
 //! well-known block-page fingerprints.
 
 
-use lucent_middlebox::notice::looks_like_notice;
 use lucent_packet::ipv4::is_bogon;
 use lucent_topology::IspId;
 use lucent_web::SiteId;
 
 use crate::lab::{Fetch, Lab, FETCH_TIMEOUT_MS};
+use crate::probe::classify::Blocked;
+use crate::probe::dns_scan::{judge_answer, Answer};
 use crate::probe::CensorKind;
 
 /// How many times the human retries a flaky fetch (wiretap races make
@@ -35,6 +36,26 @@ pub struct ManualVerdict {
     pub dead_from_tor: bool,
 }
 
+/// A person's reading of a page they retry: take up to
+/// [`MANUAL_RETRIES`] fetches from `fetches`, stopping at the first
+/// notice page, which blocks the page. Without a notice the page is
+/// blocked only if all [`MANUAL_RETRIES`] fetches were killed
+/// ([`Fetch::killed`]) while Tor loads it (`tor_loads`). A wiretap
+/// that loses some races still censors, so a rendered page never clears
+/// one that drew a notice. `fetches` is pulled lazily: every fetch
+/// advances the simulation, so none is made after the reading is
+/// decided.
+pub fn confirm(fetches: impl IntoIterator<Item = Fetch>, tor_loads: bool) -> Option<Blocked> {
+    let mut killed = 0;
+    for f in fetches.into_iter().take(MANUAL_RETRIES) {
+        if f.shows_notice() {
+            return f.response.map(Blocked::Notice);
+        }
+        killed += usize::from(f.killed());
+    }
+    (killed == MANUAL_RETRIES && tor_loads).then_some(Blocked::Killed)
+}
+
 /// Inspect one site from inside `isp`.
 pub fn inspect(lab: &mut Lab, isp: IspId, site: SiteId) -> ManualVerdict {
     let domain = lab.india.corpus.site(site).domain.clone();
@@ -46,34 +67,16 @@ pub fn inspect(lab: &mut Lab, isp: IspId, site: SiteId) -> ManualVerdict {
 
     // Tor-side ground reference (an uncensored vantage, not an oracle).
     let tor_dns = lab.resolve(tor, public_dns, &domain);
-    let tor_fetch: Option<Fetch> = tor_dns
+    let tor_ok = tor_dns
         .ips
         .first()
-        .copied()
-        .map(|ip| lab.http_get(tor, ip, &domain, FETCH_TIMEOUT_MS));
-    let tor_ok = tor_fetch
-        .as_ref()
-        .map(|f| f.complete() && !f.was_reset())
-        .unwrap_or(false);
+        .is_some_and(|&ip| lab.http_get(tor, ip, &domain, FETCH_TIMEOUT_MS).clean());
 
-    // Step 1: the ISP's DNS answer.
+    // Step 1: the ISP's DNS answer. NXDOMAIN for a dead site is just a
+    // dead site; a disjoint answer is a CDN artifact unless the address
+    // is nonsense (bogon) or suspiciously inside the access ISP itself.
     let isp_dns = lab.resolve(client, resolver, &domain);
-    let dns_manipulated = if isp_dns.failed() {
-        // NXDOMAIN while Tor resolves fine is manipulation; NXDOMAIN for a
-        // dead site is just a dead site.
-        !tor_dns.failed()
-    } else {
-        let overlap = isp_dns.ips.iter().any(|ip| tor_dns.ips.contains(ip));
-        if overlap {
-            false
-        } else {
-            // Disjoint answers: CDN artifact or poisoning? A human checks
-            // whether the address is nonsense (bogon) or suspiciously
-            // inside the access ISP itself.
-            isp_dns.ips.iter().any(|&ip| is_bogon(ip) || client_prefix.contains(ip))
-        }
-    };
-    if dns_manipulated {
+    if judge_answer(&isp_dns.ips, &tor_dns.ips, client_prefix) == Answer::Manipulated {
         // Confirm by looking at what the poisoned address serves.
         let notice_seen = isp_dns.ips.first().is_some_and(|&ip| {
             !is_bogon(ip) && lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS).shows_notice()
@@ -99,34 +102,13 @@ pub fn inspect(lab: &mut Lab, isp: IspId, site: SiteId) -> ManualVerdict {
             dead_from_tor: true,
         };
     };
-    let mut notice_seen = false;
-    let mut rendered = false;
-    let mut killed = 0usize;
-    for _ in 0..MANUAL_RETRIES {
-        let f = lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS);
-        if let Some(resp) = &f.response {
-            if looks_like_notice(resp) {
-                notice_seen = true;
-            } else if resp.status < 500 {
-                rendered = true;
-            }
-        } else if f.was_reset() || f.hit_timeout() || f.connect_failed {
-            killed += 1;
-        }
-        if notice_seen {
-            break;
-        }
-    }
-    let covert_block = killed == MANUAL_RETRIES && tor_ok;
-    // `rendered` intentionally does not veto `notice_seen`: a wiretap that
-    // loses some races still censors — exactly the human's reading.
-    let _ = rendered;
-    let blocked = notice_seen || covert_block;
+    let fetches = std::iter::repeat_with(|| lab.http_get(client, ip, &domain, FETCH_TIMEOUT_MS));
+    let reading = confirm(fetches, tor_ok);
     ManualVerdict {
         site: site.0,
-        blocked,
-        kind: blocked.then_some(CensorKind::Http),
-        notice_seen,
+        blocked: reading.is_some(),
+        kind: reading.is_some().then_some(CensorKind::Http),
+        notice_seen: matches!(reading, Some(Blocked::Notice(_))),
         dead_from_tor: !tor_ok,
     }
 }
@@ -134,7 +116,44 @@ pub fn inspect(lab: &mut Lab, isp: IspId, site: SiteId) -> ManualVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lucent_middlebox::notice::NoticeStyle;
+    use lucent_packet::HttpResponse;
+    use lucent_tcp::{SocketEvent, SocketId};
     use lucent_topology::{India, IndiaConfig};
+
+    fn fetch(response: Option<HttpResponse>, events: Vec<SocketEvent>) -> Fetch {
+        Fetch { sock: SocketId(0), bytes: Vec::new(), response, events, connect_failed: false }
+    }
+
+    #[test]
+    fn confirm_pulls_one_fetch_on_a_notice_and_three_otherwise() {
+        let notice = fetch(Some(NoticeStyle::airtel_like().render()), Vec::new());
+        let page = HttpResponse::new(200, "OK", b"<html><title>Hello there</title></html>".to_vec());
+        let rendered = fetch(Some(page), Vec::new());
+        let reset = fetch(None, vec![SocketEvent::Reset]);
+        let refused = Fetch { connect_failed: true, ..fetch(None, Vec::new()) };
+        // (script, Tor loads the page, fetches pulled, blocked, by notice)
+        let table = [
+            (vec![&notice; 4], true, 1, true, true),
+            (vec![&rendered, &notice, &rendered, &rendered], true, 2, true, true),
+            (vec![&reset, &reset, &notice, &rendered], false, 3, true, true),
+            (vec![&rendered; 4], true, 3, false, false),
+            (vec![&reset, &refused, &reset, &rendered], true, 3, true, false),
+            (vec![&reset; 4], false, 3, false, false),
+            (vec![&reset, &rendered, &reset, &reset], true, 3, false, false),
+        ];
+        for (i, (script, tor_loads, pulls, blocked, by_notice)) in table.into_iter().enumerate() {
+            let mut pulled = 0;
+            let fetches = std::iter::from_fn(|| {
+                pulled += 1;
+                script.get(pulled - 1).map(|&f| f.clone())
+            });
+            let reading = confirm(fetches, tor_loads);
+            assert_eq!(pulled, pulls, "row {i}: fetches pulled");
+            assert_eq!(reading.is_some(), blocked, "row {i}: {reading:?}");
+            assert_eq!(matches!(reading, Some(Blocked::Notice(_))), by_notice, "row {i}");
+        }
+    }
 
     #[test]
     fn manual_inspection_agrees_with_ground_truth_in_idea() {

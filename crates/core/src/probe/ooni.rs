@@ -117,10 +117,7 @@ pub fn web_connectivity_with(
         _ => (None, None, None),
     };
 
-    let probe_failed = probe_fetch
-        .as_ref()
-        .map(|f| f.connect_failed || (!f.complete() && (f.was_reset() || f.hit_timeout())))
-        .unwrap_or(true);
+    let probe_failed = probe_fetch.as_ref().is_none_or(Fetch::killed);
     let control_ok = control_fetch.as_ref().map(|f| f.complete()).unwrap_or(false);
 
     // Per the paper's reading of OONI (§3.1): "if the two IP addresses of
@@ -189,11 +186,9 @@ mod tests {
                 break;
             }
         }
-        // With Airtel's ~12% per-device consistency many of these sites
-        // aren't even on the probed path's device, so the absence of any
-        // false negative in a tiny world is possible but unlikely; accept
-        // either a FN or a fully-clean path, but the call must not crash.
-        let _ = fn_seen;
+        // At tiny scale OONI clears at least one of the first six alive
+        // master-list sites on matching header names.
+        assert!(fn_seen, "no OONI false negative among Airtel's first master-list sites");
     }
 
     #[test]

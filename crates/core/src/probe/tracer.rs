@@ -97,6 +97,20 @@ pub enum DnsMechanism {
     NotCensored,
 }
 
+impl DnsMechanism {
+    /// The verdict on a manipulated answer drawn by a query sent at
+    /// `ttl`: a query that reached the resolver (`ttl` ≥ `path_len`, or
+    /// the path length is unknown) means poisoning; one that expired on
+    /// the way means an on-path injector.
+    pub fn manipulated_at(ttl: u8, path_len: Option<u8>) -> Self {
+        if path_len.is_none_or(|n| ttl >= n) {
+            DnsMechanism::Poisoning
+        } else {
+            DnsMechanism::Injection { at_ttl: ttl }
+        }
+    }
+}
+
 /// Run the DNS variant of the tracer: the query for `domain` is sent to
 /// `resolver` with increasing TTL; a manipulated answer arriving while
 /// the query cannot yet have reached the resolver betrays an injector.
@@ -114,12 +128,7 @@ pub fn dns_tracer(
         let out = lab.resolve_ttl(client, resolver, domain, Some(ttl));
         for resp in &out.responses {
             if manipulated(&resp.a_records()) {
-                let at_resolver = path_len.map(|n| ttl >= n).unwrap_or(true);
-                return if at_resolver {
-                    DnsMechanism::Poisoning
-                } else {
-                    DnsMechanism::Injection { at_ttl: ttl }
-                };
+                return DnsMechanism::manipulated_at(ttl, path_len);
             }
         }
     }

@@ -75,6 +75,11 @@ impl IspId {
         }
     }
 
+    /// The ISP whose [`IspId::name`] is `name`, ignoring ASCII case.
+    pub fn from_name(name: &str) -> Option<IspId> {
+        IspId::ALL.into_iter().find(|i| i.name().eq_ignore_ascii_case(name))
+    }
+
     /// The /16 this AS announces in the simulation.
     pub fn prefix(self) -> Cidr {
         let second = match self {

@@ -11,7 +11,12 @@ use lucent_bench::{shard, Scale};
 use lucent_core::experiments::evasion::EvasionOptions;
 
 fn main() {
-    let sites: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(3);
+    let mut args = std::env::args().skip(1);
+    let sites = args.next().map_or(Some(3), |a| a.parse().ok().filter(|&n| n > 0));
+    let (Some(sites), None) = (sites, args.next()) else {
+        eprintln!("usage: evade [SITES_PER_ISP], a positive integer");
+        std::process::exit(2);
+    };
     println!("evading every censoring ISP, each measured on its own simulated India…");
     let opts = EvasionOptions { sites_per_isp: sites, ..Default::default() };
     let mut drv = Driver::new(Scale::Small, shard::default_threads(), None, false)

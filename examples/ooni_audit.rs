@@ -16,12 +16,13 @@ use lucent_topology::{India, IndiaConfig, IspId};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let isp_name = args.next().unwrap_or_else(|| "Airtel".into());
-    let max: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(40);
-    let isp = IspId::ALL
-        .into_iter()
-        .find(|i| i.name().eq_ignore_ascii_case(&isp_name))
-        .unwrap_or(IspId::Airtel);
+    let isp = args.next().map_or(Some(IspId::Airtel), |a| IspId::from_name(&a));
+    let max = args.next().map_or(Some(40), |a| a.parse().ok().filter(|&n| n > 0));
+    let (Some(isp), Some(max), None) = (isp, max, args.next()) else {
+        let isps = IspId::ALL.map(IspId::name).join(", ");
+        eprintln!("usage: ooni_audit [ISP] [SITES], ISP one of {isps}, SITES a positive integer");
+        std::process::exit(2);
+    };
 
     println!("building the simulated India…");
     let mut lab = Lab::new(India::build(IndiaConfig::small()));

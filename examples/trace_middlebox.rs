@@ -10,11 +10,13 @@ use lucent_core::lab::Lab;
 use lucent_topology::{India, IndiaConfig, IspId};
 
 fn main() {
-    let isp_name = std::env::args().nth(1).unwrap_or_else(|| "Idea".into());
-    let isp = IspId::ALL
-        .into_iter()
-        .find(|i| i.name().eq_ignore_ascii_case(&isp_name))
-        .unwrap_or(IspId::Idea);
+    let mut args = std::env::args().skip(1);
+    let isp = args.next().map_or(Some(IspId::Idea), |a| IspId::from_name(&a));
+    let (Some(isp), None) = (isp, args.next()) else {
+        let isps = IspId::ALL.map(IspId::name).join(", ");
+        eprintln!("usage: trace_middlebox [ISP], ISP one of {isps}");
+        std::process::exit(2);
+    };
 
     println!("building the simulated India…");
     let mut lab = Lab::new(India::build(IndiaConfig::small()));
