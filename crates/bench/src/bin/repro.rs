@@ -161,9 +161,9 @@ fn main() {
         });
     println!(
         "world built: {} sites, {} ISPs, {} events so far ({:.1}s)\n",
-        drv.lab.india.corpus.sites().len(),
-        drv.lab.india.isps.len(),
-        drv.lab.india.net.events_processed(),
+        drv.world().corpus.sites().len(),
+        drv.world().isps.len(),
+        drv.world().net.events_processed(),
         start.elapsed_secs()
     );
     args.experiment.run(&mut drv, |done| {
@@ -202,9 +202,8 @@ fn main() {
     let wall = start.elapsed_secs();
     if let Some(path) = &args.profile {
         use lucent_obs::prof;
-        let hwm = drv.lab.india.net.queue_depth_hwm();
         let profile = lucent_support::Json::Obj(vec![
-            ("deterministic".to_string(), prof::deterministic_json(&obs, hwm)),
+            ("deterministic".to_string(), prof::deterministic_json(&obs)),
             ("schema".to_string(), lucent_support::Json::Str(prof::SCHEMA.to_string())),
         ]);
         write_or_die(path, &profile.to_string_pretty());

@@ -1,16 +1,19 @@
-//! The run: one [`Driver`] owns the hub world that serial steps run on,
-//! turns each experiment's per-ISP (or per-resolver-chunk) entry points
-//! into shard jobs on a [`Pool`], and merges rows **and telemetry** back
-//! into the hub in submission order. This is the only way an experiment
-//! runs: `repro`, the integration tests and the examples all go through
-//! it, so what the tests prove byte-identical is exactly what users run.
+//! The run: one [`Driver`] builds a pristine template world, runs each
+//! serial step on a clone of it, turns each experiment's per-ISP (or
+//! per-resolver-chunk) entry points into shard jobs on a [`Pool`], and
+//! merges rows **and telemetry** into the run in submission order. Every
+//! step gets a world of its own, so what a step publishes does not
+//! depend on the steps run before it. This is the only way an
+//! experiment runs: `repro`, the integration tests and the examples all
+//! go through it, so what the tests prove byte-identical is exactly
+//! what users run.
 
 use lucent_core::experiments::{anonymity, evasion, fig2, race, table1, triggers};
 use lucent_core::lab::Lab;
 use lucent_core::probe::dns_scan::{survey_batch, ResolverScan};
 use lucent_netsim::{SimDuration, SimTime};
 use lucent_obs::{FilterError, Telemetry};
-use lucent_topology::{IndiaConfig, IspId};
+use lucent_topology::{India, IndiaConfig, IspId};
 
 use crate::shard::{instrument, Job, Pool, ShardCtx, ShardOut};
 use crate::Scale;
@@ -20,45 +23,42 @@ use crate::Scale;
 /// it every derived artifact — is identical at any `--threads N`.
 const RESOLVER_CHUNK: usize = 16;
 
-/// One experiment run: the hub world at a scale, a thread budget for
-/// its shards, and the trace spec and profiler every world of the run
-/// is set up with. It accounts for the hub and every world it ran.
+/// One experiment run: a pristine world at a scale, the pool its
+/// worlds run on, and the registry every world's telemetry merges
+/// into. It accounts for every world it ran.
 pub struct Driver {
     scale: Scale,
-    threads: usize,
-    trace: Option<String>,
-    prof: bool,
-    /// The hub world: serial steps run on it, and every other world's
-    /// telemetry is absorbed into its registry.
-    pub lab: Lab,
-    /// Simulator events processed by every world but the hub.
-    shard_events: u64,
-    /// Final clocks of every world but the hub, summed.
-    shard_time: SimDuration,
+    /// Runs every world of the run: the run's thread budget, and the
+    /// trace spec and profiler each world is set up with.
+    pool: Pool,
+    /// Never run: each serial step runs on a clone of it.
+    template: India,
+    /// The run's telemetry: every world's metrics, events and spans,
+    /// absorbed in the order the worlds ran.
+    obs: Telemetry,
+    /// Simulator events processed by every world of the run.
+    events: u64,
+    /// Final clocks of every world of the run, summed.
+    time: SimDuration,
 }
 
 impl Driver {
-    /// A run at `scale` over `threads` OS threads. Builds the hub world,
-    /// then installs on it the `trace` filter spec (with spans) and,
-    /// when `prof`, the profiler, exactly as on every shard. An invalid
-    /// spec is an error.
+    /// A run at `scale` over `threads` OS threads. Builds the template
+    /// world and installs on the run's registry the `trace` filter spec
+    /// (with spans) and, when `prof`, the profiler, exactly as on every
+    /// world. An invalid spec is an error.
     pub fn new(
         scale: Scale,
         threads: usize,
         trace: Option<&str>,
         prof: bool,
     ) -> Result<Driver, FilterError> {
-        let lab = scale.lab();
-        instrument(&lab.india.net.telemetry(), trace, prof)?;
-        Ok(Driver {
-            scale,
-            threads,
-            trace: trace.map(str::to_string),
-            prof,
-            lab,
-            shard_events: 0,
-            shard_time: SimDuration::ZERO,
-        })
+        let template = India::build(scale.config());
+        // A copy of the template's empty registry keeps its track names.
+        let obs = template.net.telemetry().fork();
+        instrument(&obs, trace, prof)?;
+        let pool = Pool::new(scale.config(), threads, trace.map(str::to_string)).with_prof(prof);
+        Ok(Driver { scale, pool, template, obs, events: 0, time: SimDuration::ZERO })
     }
 
     /// The run's scale.
@@ -66,30 +66,32 @@ impl Driver {
         self.scale
     }
 
-    /// The run's telemetry: the hub's registry, holding every world's
-    /// metrics, events and spans absorbed so far.
+    /// The world every serial step starts from, as built; no step runs
+    /// on it.
+    pub fn world(&self) -> &India {
+        &self.template
+    }
+
+    /// The run's telemetry, holding every world's metrics, events and
+    /// spans absorbed so far.
     pub fn telemetry(&self) -> Telemetry {
-        self.lab.india.net.telemetry()
+        self.obs.clone()
     }
 
-    /// The run's totals so far over all of its worlds: simulator
-    /// events, and virtual time as the hub's clock plus each other
-    /// world's final clock.
+    /// The run's totals so far over all of its worlds: simulator events,
+    /// and virtual time as the sum of each world's final clock.
     pub fn totals(&self) -> (u64, SimTime) {
-        let hub = &self.lab.india.net;
-        (hub.events_processed() + self.shard_events, hub.now() + self.shard_time)
+        (self.events, SimTime::ZERO + self.time)
     }
 
-    /// Run `jobs` on a fresh pool under `tag`, each returning its
-    /// world's final clock beside its value; absorb each shard in
-    /// submission order and return the values in the same order.
+    /// Run `jobs` on the pool under `tag`, each returning its world's
+    /// final clock beside its value; absorb each shard in submission
+    /// order and return the values in the same order.
     fn run_pool<T: Send>(&mut self, tag: &str, jobs: Vec<Job<'_, T>>) -> Vec<T> {
         let jobs = jobs.into_iter().map(|job| {
             Box::new(move |ctx: &mut ShardCtx| (job(ctx), ctx.lab.now())) as Job<'_, _>
         });
-        let outs = Pool::new(self.scale.config(), self.threads, self.trace.clone())
-            .with_prof(self.prof)
-            .run_tagged(tag, jobs.collect());
+        let outs = self.pool.run_tagged(tag, jobs.collect());
         outs.into_iter().map(|out| self.absorb(out)).collect()
     }
 
@@ -97,28 +99,39 @@ impl Driver {
     /// the run; return its value.
     fn absorb<T>(&mut self, out: ShardOut<(T, SimTime)>) -> T {
         let (value, now) = out.value;
-        self.shard_events = self.shard_events.saturating_add(out.events);
-        self.shard_time = self.shard_time + now.since(SimTime::ZERO);
-        self.lab.india.net.telemetry().absorb(out.dump);
+        self.events = self.events.saturating_add(out.events);
+        self.time = self.time + now.since(SimTime::ZERO);
+        self.obs.absorb(out.dump);
         value
     }
 
+    /// Run `job` on `world`, set up and profiled like a shard (as
+    /// `tag/shard-00`), and absorb it into the run before returning its
+    /// value.
+    fn run_on<T>(&mut self, tag: &str, world: India, job: impl FnOnce(&mut Lab) -> T) -> T {
+        let out = self.pool.run_one(world, tag, 0, |ctx: &mut ShardCtx| {
+            (job(&mut ctx.lab), ctx.lab.now())
+        });
+        self.absorb(out)
+    }
+
+    /// Run `job` on a world of its own, a clone of the template (so
+    /// equal to a fresh build at the run's scale).
+    pub(crate) fn serial<T>(&mut self, tag: &str, job: impl FnOnce(&mut Lab) -> T) -> T {
+        let world = self.template.clone();
+        self.run_on(tag, world, job)
+    }
+
     /// Run `job` on a world of its own, built from `config` rather than
-    /// this run's scale, set up like a shard (trace filter, spans,
-    /// profiler; profiled as `tag/shard-00`), and absorb it into the run
-    /// before returning its value. For experiments that vary the world
-    /// itself, such as an ablation.
+    /// this run's scale. For experiments that vary the world itself,
+    /// such as an ablation.
     pub(crate) fn on_world<T>(
         &mut self,
         tag: &str,
         config: IndiaConfig,
-        job: impl FnOnce(&mut Lab) -> T + Send,
+        job: impl FnOnce(&mut Lab) -> T,
     ) -> T {
-        let pool = Pool::new(config, 1, self.trace.clone()).with_prof(self.prof);
-        let job: Job<'_, _> =
-            Box::new(move |ctx: &mut ShardCtx| (job(&mut ctx.lab), ctx.lab.now()));
-        let out = pool.run_one(&mut None, true, tag, 0, job);
-        self.absorb(out)
+        self.run_on(tag, India::build(config), job)
     }
 
     /// Run `job` once per ISP in `isps`, one shard each, under `tag`;
@@ -222,7 +235,7 @@ mod tests {
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
             .find(|e| e.get("tid").and_then(Json::as_i64) == Some(0))
             .and_then(|e| e.get("args")?.get("name")?.as_str());
-        assert_eq!(track0, Some(drv.lab.india.net.label_of(NodeId(0))));
+        assert_eq!(track0, Some(drv.world().net.label_of(NodeId(0))));
     }
 
     #[test]
@@ -251,7 +264,7 @@ mod tests {
         let prof_snapshot = |threads: usize| {
             let mut drv = driver(threads, true);
             drv.race(&opts);
-            lucent_obs::prof::deterministic_json(&drv.telemetry(), 0).to_string_pretty()
+            lucent_obs::prof::deterministic_json(&drv.telemetry()).to_string_pretty()
         };
         let det1 = prof_snapshot(1);
         let det4 = prof_snapshot(4);

@@ -2,15 +2,14 @@
 //!
 //! The reproduction harness: the `repro` binary regenerates every table
 //! and figure of the paper (at a configurable scale) by walking the
-//! experiment [`suite`] on one run ([`drive::Driver`]), which owns the
-//! hub world and runs the per-ISP steps on shards. Performance is
-//! measured by the separate `benchmark/` workspace, which builds on
-//! [`Scale`] and [`shard`].
+//! experiment [`suite`] on one run ([`drive::Driver`]), which runs each
+//! step on worlds of its own: a clone of its template world, or shards.
+//! Performance is measured by the separate `benchmark/` workspace,
+//! which builds on [`Scale`] and [`shard`].
 
 #![deny(missing_docs)]
 
-use lucent_core::lab::Lab;
-use lucent_topology::{India, IndiaConfig};
+use lucent_topology::IndiaConfig;
 
 pub mod drive;
 pub mod shard;
@@ -45,11 +44,6 @@ impl Scale {
             Scale::Small => IndiaConfig::small(),
             Scale::Paper => IndiaConfig::paper(),
         }
-    }
-
-    /// Build a lab at this scale.
-    pub fn lab(self) -> Lab {
-        Lab::new(India::build(self.config()))
     }
 
     /// Default per-experiment caps: (sites, inside targets, hosts/path,

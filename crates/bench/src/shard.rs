@@ -37,14 +37,14 @@ pub struct ShardCtx {
 pub type Job<'a, T> = Box<dyn FnOnce(&mut ShardCtx) -> T + Send + 'a>;
 
 /// One shard's output: the job's value plus the shard-local telemetry,
-/// ready to be absorbed into a hub registry in submission order.
+/// ready to be absorbed into a run's registry in submission order.
 pub struct ShardOut<T> {
     /// The job's value.
     pub value: T,
     /// Drained metrics/events/spans of the shard's private world.
     pub dump: TelemetryDump,
     /// Simulator events the shard's network processed (for the run's
-    /// event total, which the hub can no longer see).
+    /// event total).
     pub events: u64,
     /// Wall-clock seconds this shard's job ran for. Read by the
     /// `benchmark/` workspace for its busy-vs-idle pool accounting;
@@ -65,14 +65,14 @@ pub struct Pool {
 impl Pool {
     /// A pool over `threads` OS threads (clamped to ≥ 1). `trace` is a
     /// filter spec for shard registries; pass a spec already validated
-    /// on the hub — an invalid one is ignored here rather than panicking
-    /// mid-shard.
+    /// (as [`Driver::new`](crate::drive::Driver::new) does) — an invalid
+    /// one is ignored here rather than panicking mid-shard.
     pub fn new(config: IndiaConfig, threads: usize, trace: Option<String>) -> Pool {
         Pool { config, threads: threads.max(1), trace, prof: false }
     }
 
-    /// Enable the deterministic profiler plane on every shard registry
-    /// (mirroring how the hub enables it after the world is built).
+    /// Enable the deterministic profiler plane on every shard registry,
+    /// after its world is made.
     pub fn with_prof(mut self, on: bool) -> Pool {
         self.prof = on;
         self
@@ -101,7 +101,7 @@ impl Pool {
             return jobs
                 .into_iter()
                 .enumerate()
-                .map(|(i, job)| self.run_one(&mut template, i + 1 == n, tag, i, job))
+                .map(|(i, job)| self.run_one(self.world(&mut template, i + 1 == n), tag, i, job))
                 .collect();
         }
         let queue: std::sync::Mutex<VecDeque<(usize, Job<'_, T>)>> =
@@ -120,7 +120,7 @@ impl Pool {
                             q.pop_front().map(|job| (job, q.is_empty()))
                         };
                         let Some(((i, job), last)) = next else { break };
-                        let out = self.run_one(&mut template, last, tag, i, job);
+                        let out = self.run_one(self.world(&mut template, last), tag, i, job);
                         lock(&results)[i] = Some(out);
                     }
                 });
@@ -141,15 +141,17 @@ impl Pool {
         world
     }
 
+    /// Run `job` inline on `world`, set up like every shard (trace
+    /// filter, spans, profiler) and profiled as `tag/shard-NN` with
+    /// `NN` = `index`; neither the job nor its value crosses a thread.
     pub(crate) fn run_one<T>(
         &self,
-        template: &mut Option<India>,
-        last: bool,
+        world: India,
         tag: &str,
         index: usize,
-        job: Job<'_, T>,
+        job: impl FnOnce(&mut ShardCtx) -> T,
     ) -> ShardOut<T> {
-        let lab = Lab::new(self.world(template, last));
+        let lab = Lab::new(world);
         let obs = lab.india.net.telemetry();
         let _ = instrument(&obs, self.trace.as_deref(), self.prof);
         let sw = lucent_support::bench::Stopwatch::start();
@@ -175,9 +177,10 @@ impl Pool {
 }
 
 /// Set a freshly built world's registry up for a run: the filter
-/// `spec` with span collection, and the profiler when `prof`. The
-/// [`Driver`](crate::drive::Driver)'s hub and every shard go through
-/// here, so the profiler sees the experiments and not the build.
+/// `spec` with span collection, and the profiler when `prof`. Every
+/// world of a run, and the [`Driver`](crate::drive::Driver)'s registry,
+/// go through here, so the profiler sees the experiments and not the
+/// build.
 pub(crate) fn instrument(
     obs: &Telemetry,
     spec: Option<&str>,
@@ -222,13 +225,13 @@ mod tests {
             .map(|&isp| Box::new(move |ctx: &mut ShardCtx| isp_client_row(ctx, isp)) as _)
             .collect();
         let outs = pool.run_tagged("pool", jobs);
-        let hub = lucent_obs::Telemetry::new();
+        let merged = lucent_obs::Telemetry::new();
         let mut rows = Vec::new();
         for out in outs {
             rows.push(out.value);
-            hub.absorb(out.dump);
+            merged.absorb(out.dump);
         }
-        (rows, hub.metrics_snapshot_pretty())
+        (rows, merged.metrics_snapshot_pretty())
     }
 
     #[test]

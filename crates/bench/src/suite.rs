@@ -3,12 +3,13 @@
 //!
 //! Each [`Entry`] of [`SUITE`] is a `repro` name and the fixed list of
 //! steps it runs: `fig5` is Table 2 then Figure 5, and `all` is the
-//! paper's whole battery (§3–§6) in the order it is reported. A step
-//! runs on the [`Driver`]'s hub world or on its shards and returns its
-//! text and its result; [`Entry::run`] hands each finished step to an
-//! observer the caller supplies. The library never prints, so the
-//! caller decides where text and JSON go, and a long run still streams
-//! one step at a time.
+//! paper's whole battery (§3–§6) in the order it is reported. Every
+//! step runs on worlds of its own, a clone of the [`Driver`]'s template
+//! or its shards, so it publishes the same alone as inside `all`. A
+//! step returns its text and its result; [`Entry::run`] hands each
+//! finished step to an observer the caller supplies. The library never
+//! prints, so the caller decides where text and JSON go, and a long run
+//! still streams one step at a time.
 
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
@@ -17,6 +18,7 @@ use lucent_core::experiments::{
     categories, dns_mechanism, evasion, fig2, fig5, https_note, mechanism, race, table1, table2,
     table3, tracer_demo,
 };
+use lucent_core::lab::Lab;
 use lucent_core::metrics::PrecisionRecall;
 use lucent_core::probe::classify::{censored_sites, render_rate};
 use lucent_core::probe::manual::inspect;
@@ -26,6 +28,7 @@ use lucent_topology::IspId;
 
 use crate::drive::Driver;
 use crate::Caps;
+use Run::{Driven, Serial};
 
 /// The ISPs whose HTTP censorship the triggers and anonymity runs
 /// characterize.
@@ -53,7 +56,17 @@ pub struct Entry {
 /// and the code that runs it.
 struct Step {
     file: &'static str,
-    run: fn(&mut Bench<'_>) -> Outcome,
+    run: Run,
+}
+
+/// How a step runs.
+enum Run {
+    /// On one world of its own, a clone of the run's template, profiled
+    /// under the step's file stem.
+    Serial(fn(&mut Lab, Caps) -> Outcome),
+    /// Through the run: on its shards, on worlds it builds, or on Table
+    /// 2's scans.
+    Driven(fn(&mut Bench<'_>) -> Outcome),
 }
 
 /// A step's text and its result (`None` when it has none to write).
@@ -70,25 +83,25 @@ pub struct Finished {
     pub value: Option<Rc<dyn ToJson>>,
 }
 
-const FIG1: Step = Step { file: "fig1", run: fig1 };
-const TABLE1: Step = Step { file: "table1", run: table1 };
-const THRESHOLD_AUDIT: Step = Step { file: "threshold_audit", run: threshold_audit };
-const TABLE2: Step = Step { file: "table2", run: table2 };
-const FIG5: Step = Step { file: "fig5", run: fig5 };
-const CATEGORIES: Step = Step { file: "categories", run: categories };
-const TABLE3: Step = Step { file: "table3", run: table3 };
-const FIG2: Step = Step { file: "fig2", run: fig2 };
-const FIG3: Step = Step { file: "fig3", run: fig3 };
-const FIG4: Step = Step { file: "fig4", run: fig4 };
-const RACE: Step = Step { file: "race", run: race };
-const TRIGGERS: Step = Step { file: "triggers", run: triggers };
-const EVASION: Step = Step { file: "evasion", run: evasion };
-const DNS_MECHANISM: Step = Step { file: "dns_mechanism", run: dns_mechanism };
-const HTTPS: Step = Step { file: "https", run: https };
-const ANONYMITY: Step = Step { file: "anonymity", run: anonymity };
-const WORLD: Step = Step { file: "world", run: world };
-const ABLATE_RACE: Step = Step { file: "ablate_race", run: ablate_race };
-const ABLATE_OONI: Step = Step { file: "ablate_ooni", run: ablate_ooni };
+const FIG1: Step = Step { file: "fig1", run: Serial(fig1) };
+const TABLE1: Step = Step { file: "table1", run: Driven(table1) };
+const THRESHOLD_AUDIT: Step = Step { file: "threshold_audit", run: Serial(threshold_audit) };
+const TABLE2: Step = Step { file: "table2", run: Driven(table2) };
+const FIG5: Step = Step { file: "fig5", run: Driven(fig5) };
+const CATEGORIES: Step = Step { file: "categories", run: Driven(categories) };
+const TABLE3: Step = Step { file: "table3", run: Serial(table3) };
+const FIG2: Step = Step { file: "fig2", run: Driven(fig2) };
+const FIG3: Step = Step { file: "fig3", run: Serial(fig3) };
+const FIG4: Step = Step { file: "fig4", run: Serial(fig4) };
+const RACE: Step = Step { file: "race", run: Driven(race) };
+const TRIGGERS: Step = Step { file: "triggers", run: Driven(triggers) };
+const EVASION: Step = Step { file: "evasion", run: Driven(evasion) };
+const DNS_MECHANISM: Step = Step { file: "dns_mechanism", run: Serial(dns_mechanism) };
+const HTTPS: Step = Step { file: "https", run: Serial(https) };
+const ANONYMITY: Step = Step { file: "anonymity", run: Driven(anonymity) };
+const WORLD: Step = Step { file: "world", run: Driven(world) };
+const ABLATE_RACE: Step = Step { file: "ablate_race", run: Driven(ablate_race) };
+const ABLATE_OONI: Step = Step { file: "ablate_ooni", run: Serial(ablate_ooni) };
 
 /// Every experiment `repro` accepts, in `--help` order. `categories`
 /// runs only within `all`.
@@ -131,14 +144,17 @@ impl Entry {
     pub fn run(&self, drv: &mut Driver, mut emit: impl FnMut(Finished)) {
         let mut bench = Bench { caps: drv.scale().caps(), drv, table2: None };
         for step in self.steps {
-            let (text, value) = (step.run)(&mut bench);
+            let (text, value) = match step.run {
+                Serial(run) => bench.drv.serial(step.file, |lab| run(lab, bench.caps)),
+                Driven(run) => run(&mut bench),
+            };
             emit(Finished { file: step.file, text, value });
         }
     }
 }
 
-/// What a step may use: the run, its scale's caps, and Table 2 once it
-/// has run (Figure 5 and the categories reuse its scans).
+/// What a driven step may use: the run, its scale's caps, and Table 2
+/// once it has run (Figure 5 and the categories reuse its scans).
 struct Bench<'a> {
     drv: &'a mut Driver,
     caps: Caps,
@@ -146,10 +162,11 @@ struct Bench<'a> {
 }
 
 impl Bench<'_> {
-    /// Table 2, run on first use.
+    /// Table 2, run on a world of its own on first use.
     fn table2(&mut self) -> Rc<table2::Table2> {
-        let (opts, lab) = (table2_options(self.caps), &mut self.drv.lab);
-        Rc::clone(self.table2.get_or_insert_with(|| Rc::new(table2::run(lab, &opts))))
+        let (opts, drv) = (table2_options(self.caps), &mut *self.drv);
+        let run = || Rc::new(drv.serial("table2", |lab| table2::run(lab, &opts)));
+        Rc::clone(self.table2.get_or_insert_with(run))
     }
 }
 
@@ -179,8 +196,8 @@ fn missing(text: &str) -> Outcome {
     (format!("{text}\n"), None)
 }
 
-fn fig1(b: &mut Bench<'_>) -> Outcome {
-    match tracer_demo::run(&mut b.drv.lab, IspId::Idea) {
+fn fig1(lab: &mut Lab, _: Caps) -> Outcome {
+    match tracer_demo::run(lab, IspId::Idea) {
         Some(demo) => shown(demo),
         None => missing("fig1: no censored path found (unexpected)"),
     }
@@ -191,13 +208,13 @@ fn table1(b: &mut Bench<'_>) -> Outcome {
     shown(b.drv.table1(&opts))
 }
 
-fn threshold_audit(b: &mut Bench<'_>) -> Outcome {
+fn threshold_audit(lab: &mut Lab, caps: Caps) -> Outcome {
     let mut text = String::from(
         "Threshold audit (§3.1): flagged-by-0.3-diff sites cleared by manual inspection\n",
     );
     let mut audits = Vec::new();
     for isp in [IspId::Airtel, IspId::Idea, IspId::Vodafone] {
-        let audit = table1::threshold_audit(&mut b.drv.lab, isp, b.caps.sites);
+        let audit = table1::threshold_audit(lab, isp, caps.sites);
         let (flagged, cleared, pct) =
             (audit.flagged, audit.cleared, audit.cleared_fraction() * 100.0);
         let _ = writeln!(text, "  {}: flagged {flagged}, cleared {cleared} ({pct:.0}%)", audit.isp);
@@ -212,26 +229,28 @@ fn table2(b: &mut Bench<'_>) -> Outcome {
 }
 
 fn fig5(b: &mut Bench<'_>) -> Outcome {
-    let t = b.table2();
-    let rows = table2_options(b.caps)
-        .isps
-        .into_iter()
-        .zip(&t.scans)
-        // The paper's Figure 5 plots Airtel, Vodafone, Idea.
-        .filter(|&(isp, _)| isp != IspId::Jio)
-        .map(|(isp, scan)| fig5::from_scan(&mut b.drv.lab, isp, scan, b.caps.consistency_paths))
-        .collect();
+    let (t, caps) = (b.table2(), b.caps);
+    let rows = b.drv.serial("fig5", |lab| {
+        table2_options(caps)
+            .isps
+            .into_iter()
+            .zip(&t.scans)
+            // The paper's Figure 5 plots Airtel, Vodafone, Idea.
+            .filter(|&(isp, _)| isp != IspId::Jio)
+            .map(|(isp, scan)| fig5::from_scan(lab, isp, scan, caps.consistency_paths))
+            .collect()
+    });
     shown(fig5::Fig5 { rows })
 }
 
 fn categories(b: &mut Bench<'_>) -> Outcome {
     let t = b.table2();
-    shown(categories::from_scans(&b.drv.lab, &t.scans))
+    shown(b.drv.serial("categories", |lab| categories::from_scans(lab, &t.scans)))
 }
 
-fn table3(b: &mut Bench<'_>) -> Outcome {
-    let opts = table3::Table3Options { max_sites: b.caps.sites, ..Default::default() };
-    shown(table3::run(&mut b.drv.lab, &opts))
+fn table3(lab: &mut Lab, caps: Caps) -> Outcome {
+    let opts = table3::Table3Options { max_sites: caps.sites, ..Default::default() };
+    shown(table3::run(lab, &opts))
 }
 
 fn fig2(b: &mut Bench<'_>) -> Outcome {
@@ -239,15 +258,15 @@ fn fig2(b: &mut Bench<'_>) -> Outcome {
     shown(b.drv.fig2(&opts))
 }
 
-fn fig3(b: &mut Bench<'_>) -> Outcome {
-    match mechanism::figure3(&mut b.drv.lab) {
+fn fig3(lab: &mut Lab, _: Caps) -> Outcome {
+    match mechanism::figure3(lab) {
         Some(m) => titled("Figure 3 (interceptive mechanism, Idea):\n", m),
         None => missing("fig3: no covered remote path (unexpected for Idea)"),
     }
 }
 
-fn fig4(b: &mut Bench<'_>) -> Outcome {
-    match mechanism::figure4(&mut b.drv.lab) {
+fn fig4(lab: &mut Lab, _: Caps) -> Outcome {
+    match mechanism::figure4(lab) {
         Some(m) => titled("Figure 4 (wiretap mechanism, Airtel):\n", m),
         None => missing("fig4: no covered remote path from the Airtel client"),
     }
@@ -265,12 +284,12 @@ fn evasion(b: &mut Bench<'_>) -> Outcome {
     shown(b.drv.evasion(&evasion::EvasionOptions::default()))
 }
 
-fn dns_mechanism(b: &mut Bench<'_>) -> Outcome {
-    shown(dns_mechanism::run(&mut b.drv.lab, DNS_MECHANISM_RESOLVERS))
+fn dns_mechanism(lab: &mut Lab, _: Caps) -> Outcome {
+    shown(dns_mechanism::run(lab, DNS_MECHANISM_RESOLVERS))
 }
 
-fn https(b: &mut Bench<'_>) -> Outcome {
-    shown(https_note::run(&mut b.drv.lab, &HTTPS_ISPS, HTTPS_SITES_PER_ISP))
+fn https(lab: &mut Lab, _: Caps) -> Outcome {
+    shown(https_note::run(lab, &HTTPS_ISPS, HTTPS_SITES_PER_ISP))
 }
 
 fn anonymity(b: &mut Bench<'_>) -> Outcome {
@@ -278,7 +297,7 @@ fn anonymity(b: &mut Bench<'_>) -> Outcome {
 }
 
 fn world(b: &mut Bench<'_>) -> Outcome {
-    (b.drv.lab.india.summary(), None)
+    (b.drv.world().summary(), None)
 }
 
 /// Ablation: sweep the slow-path probability of Airtel's program and
@@ -319,19 +338,19 @@ fn ablate_race(b: &mut Bench<'_>) -> Outcome {
 
 /// Ablation: sweep OONI's body-proportion threshold and report the
 /// precision/recall trade-off in one ISP.
-fn ablate_ooni(b: &mut Bench<'_>) -> Outcome {
+fn ablate_ooni(lab: &mut Lab, caps: Caps) -> Outcome {
     let mut text =
         String::from("Ablation: OONI body-proportion threshold → precision/recall (Idea)\n");
-    let cap = b.caps.sites.map_or(200, |n| n.min(60));
-    let sites = b.drv.lab.india.corpus.pbw_sample(Some(cap));
+    let cap = caps.sites.map_or(200, |n| n.min(60));
+    let sites = lab.india.corpus.pbw_sample(Some(cap));
     // Manual verdicts once.
     let manual: Vec<bool> =
-        sites.iter().map(|&s| inspect(&mut b.drv.lab, IspId::Idea, s).blocked).collect();
+        sites.iter().map(|&s| inspect(lab, IspId::Idea, s).blocked).collect();
     let mut rows = Vec::new();
     for threshold in [0.3, 0.5, 0.7, 0.9] {
         let mut pr = PrecisionRecall::default();
         for (&site, &actual) in sites.iter().zip(&manual) {
-            let m = web_connectivity_with(&mut b.drv.lab, IspId::Idea, site, threshold);
+            let m = web_connectivity_with(lab, IspId::Idea, site, threshold);
             pr.record(m.verdict.is_some(), actual);
         }
         let (p, r) = (pr.precision(), pr.recall());

@@ -6,7 +6,7 @@
 //! written exits 1, the closing line's totals count every world of the
 //! run at any thread count, span drops are reported like event drops,
 //! and the profile and `dns-mechanism`'s outputs match their committed
-//! goldens at `--threads 1` and `4`.
+//! goldens and record at `--threads 1` and `4`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -180,11 +180,16 @@ fn unwritable_json_dir_exits_1() {
     let _ = std::fs::remove_dir_all(root);
 }
 
-/// The committed golden `file` under the workspace's `tests/golden/`.
+/// The committed file at `path` under the workspace root.
 #[allow(clippy::panic, reason = "test helper: a missing golden fails its test")]
-fn golden(file: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(file);
+fn committed(path: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(path);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The committed golden `file` under the workspace's `tests/golden/`.
+fn golden(file: &str) -> String {
+    committed(&format!("tests/golden/{file}"))
 }
 
 #[test]
@@ -233,16 +238,16 @@ fn dns_mechanism_reproduces_its_goldens_at_any_thread_count() {
             .output()
             .expect("spawn repro");
         assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-        for (written, committed) in [
-            ("trace-events.jsonl", "dns-mechanism-tiny-events.jsonl"),
-            ("dns_mechanism.json", "dns_mechanism-tiny.json"),
-            ("metrics.json", "dns-mechanism-tiny-metrics.json"),
+        for (written, want) in [
+            ("trace-events.jsonl", "tests/golden/dns-mechanism-tiny-events.jsonl"),
+            ("dns_mechanism.json", "results/tiny/dns_mechanism.json"),
+            ("metrics.json", "tests/golden/dns-mechanism-tiny-metrics.json"),
         ] {
             let text = std::fs::read_to_string(dir.join(written)).expect("output written");
             // `assert!`, not `assert_eq!`: the event log runs long.
             assert!(
-                text == golden(committed),
-                "{written} at --threads {threads} differs from tests/golden/{committed}"
+                text == committed(want),
+                "{written} at --threads {threads} differs from {want}"
             );
         }
     }
@@ -319,7 +324,7 @@ fn the_closing_line_sums_every_worlds_clock_at_any_thread_count() {
         .nth(1)
         .and_then(|t| t.strip_suffix('s')?.parse().ok())
         .unwrap_or_else(|| panic!("no virtual time in {one:?}"));
-    // `race` runs only on per-ISP shards; the hub's clock never moves.
+    // `race` runs only on per-ISP shards.
     assert!(seconds > 0.0, "the shards' clocks are missing from {one:?}");
     assert_eq!(one, run("4"), "the run's totals depend on the thread count");
 }

@@ -67,7 +67,7 @@ pub struct Telemetry {
 /// Everything a [`Telemetry`] collected, detached from its `Rc` state so
 /// it can cross a thread boundary (`Telemetry` itself cannot: it is
 /// deliberately single-threaded). A worker shard drains its private
-/// telemetry into a dump and ships it back; the hub absorbs dumps **in
+/// telemetry into a dump and ships it back; the run absorbs dumps **in
 /// submission order** so the merged registry, event log and span list
 /// are identical no matter how many threads produced them.
 #[derive(Debug, Default)]

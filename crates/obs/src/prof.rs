@@ -48,12 +48,11 @@ pub fn dwell_metric(kind: &str) -> &'static str {
     }
 }
 
-/// Assemble the deterministic plane from a hub registry that has
-/// absorbed every shard dump, plus the hub network's own queue
-/// high-water mark (the hub never shards, so its scheduler state is not
-/// in the registry). Key order is fixed by construction; the whole
+/// Assemble the deterministic plane from a run's registry that has
+/// absorbed every world's dump; each world's queue high-water mark is
+/// under its shard label. Key order is fixed by construction; the whole
 /// tree is byte-identical across same-seed runs at any thread count.
-pub fn deterministic_json(t: &Telemetry, hub_queue_hwm: u64) -> Json {
+pub fn deterministic_json(t: &Telemetry) -> Json {
     let counter_obj = |name: &str| {
         Json::Obj(
             t.counter_family(name).into_iter().map(|(k, v)| (k, Json::UInt(v))).collect(),
@@ -80,7 +79,6 @@ pub fn deterministic_json(t: &Telemetry, hub_queue_hwm: u64) -> Json {
             Json::Obj(vec![
                 ("dwell_us".to_string(), dwell),
                 ("pops".to_string(), counter_obj(SCHED_POPS)),
-                ("queue_depth_hwm".to_string(), Json::UInt(hub_queue_hwm)),
             ]),
         ),
         (
@@ -137,7 +135,7 @@ mod tests {
             t.prof_path("im.forward");
             t.counter_add(SHARD_EVENTS, "race/shard-00", 42);
             t.gauge_set(SHARD_QUEUE_HWM, "race/shard-00", 17);
-            deterministic_json(&t, 5).to_string_pretty()
+            deterministic_json(&t).to_string_pretty()
         };
         let a = sample();
         assert_eq!(a, sample(), "same samples, same bytes");
@@ -146,9 +144,13 @@ mod tests {
             parsed.get("scheduler").and_then(|s| s.get("pops")).and_then(|p| p.get("deliver")),
             Some(&Json::Int(1))
         );
+        assert_eq!(parsed.get("scheduler").and_then(|s| s.get("queue_depth_hwm")), None);
         assert_eq!(
-            parsed.get("scheduler").and_then(|s| s.get("queue_depth_hwm")),
-            Some(&Json::Int(5))
+            parsed
+                .get("shards")
+                .and_then(|s| s.get("queue_depth_hwm"))
+                .and_then(|h| h.get("race/shard-00")),
+            Some(&Json::Int(17))
         );
         assert_eq!(
             parsed.get("shards").and_then(|s| s.get("events")).and_then(|e| e.get("race/shard-00")),

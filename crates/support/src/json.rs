@@ -88,6 +88,70 @@ impl Json {
         }
     }
 
+    /// Every value that differs between `self` (the old document) and
+    /// `new`, in document order, one line each: `path: old → new`, with
+    /// a jq-style path (`.scans[0].inside.paths[5].tried`, `.` for the
+    /// root). A member or element present on one side only shows as
+    /// `absent` on the other; an array or object on one side only is
+    /// shown by its size.
+    pub fn moves(&self, new: &Json) -> Vec<String> {
+        let mut out = Vec::new();
+        self.moves_into(new, &mut String::new(), &mut out);
+        out
+    }
+
+    fn moves_into(&self, new: &Json, path: &mut String, out: &mut Vec<String>) {
+        let len = path.len();
+        match (self, new) {
+            (Json::Obj(old), Json::Obj(new)) => {
+                for (key, value) in old {
+                    let _ = write!(path, ".{key}");
+                    let other = new.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                    Json::moved(Some(value), other, path, out);
+                    path.truncate(len);
+                }
+                for (key, value) in new.iter().filter(|(k, _)| !old.iter().any(|(o, _)| o == k)) {
+                    let _ = write!(path, ".{key}");
+                    Json::moved(None, Some(value), path, out);
+                    path.truncate(len);
+                }
+            }
+            (Json::Arr(old), Json::Arr(new)) => {
+                let root = if len == 0 { "." } else { "" };
+                for i in 0..old.len().max(new.len()) {
+                    let _ = write!(path, "{root}[{i}]");
+                    Json::moved(old.get(i), new.get(i), path, out);
+                    path.truncate(len);
+                }
+            }
+            (old, new) if old != new => {
+                let at = if path.is_empty() { "." } else { path.as_str() };
+                out.push(format!("{at}: {} → {}", old.brief(), new.brief()));
+            }
+            _ => {}
+        }
+    }
+
+    /// Compare the values at `path` on each side, either of which may
+    /// be absent.
+    fn moved(old: Option<&Json>, new: Option<&Json>, path: &mut String, out: &mut Vec<String>) {
+        match (old, new) {
+            (Some(old), Some(new)) => old.moves_into(new, path, out),
+            (Some(old), None) => out.push(format!("{path}: {} → absent", old.brief())),
+            (None, Some(new)) => out.push(format!("{path}: absent → {}", new.brief())),
+            (None, None) => {}
+        }
+    }
+
+    /// A scalar as JSON; an array or object by its size.
+    fn brief(&self) -> String {
+        match self {
+            Json::Arr(items) => format!("[{} items]", items.len()),
+            Json::Obj(members) => format!("{{{} members}}", members.len()),
+            scalar => scalar.to_string(),
+        }
+    }
+
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
@@ -597,6 +661,26 @@ mod tests {
         let once = v.to_string_pretty();
         let twice = Json::parse(&once).unwrap().to_string_pretty();
         assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn moves_name_each_changed_value_by_path() {
+        let parse = |text: &str| Json::parse(text).expect("valid JSON");
+        let old = parse(r#"{"scans":[{"tried":29,"isp":"Airtel"}],"gone":[1,2],"same":true}"#);
+        let new = parse(r#"{"scans":[{"tried":28,"isp":"Airtel"},3],"same":true,"added":{"a":1}}"#);
+        assert_eq!(
+            old.moves(&new),
+            [
+                ".scans[0].tried: 29 → 28",
+                ".scans[1]: absent → 3",
+                ".gone: [2 items] → absent",
+                ".added: absent → {1 members}",
+            ]
+        );
+        assert!(new.moves(&new).is_empty());
+        assert_eq!(parse("1").moves(&parse("1.5")), [".: 1 → 1.5"]);
+        let (audit, audit2) = (parse(r#"[{"flagged":3}]"#), parse(r#"[{"flagged":2}]"#));
+        assert_eq!(audit.moves(&audit2), [".[0].flagged: 3 → 2"]);
     }
 
     #[test]

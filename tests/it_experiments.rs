@@ -1,18 +1,18 @@
 //! Experiment-level integration: run every table/figure generator on the
 //! tiny world (a few on the small one) and check the paper's qualitative
 //! shapes. The per-ISP experiments run through the sharded [`Driver`],
-//! the path `repro` ships, so every ISP is measured on its own lab. The
-//! hub experiments' tiny results are pinned to committed goldens.
+//! the path `repro` ships, so every ISP is measured on its own lab.
+//! Every step's published result is pinned by the committed record
+//! under `results/` (`it_record`, `it_shards`).
 
 use lucent_bench::drive::Driver;
-use lucent_bench::{suite, Scale};
+use lucent_bench::Scale;
 use lucent_core::anticensor::Technique;
 use lucent_core::experiments::{
     dns_mechanism, evasion, fig2, mechanism, race, table1, table2, table3, tracer_demo,
 };
 use lucent_core::lab::Lab;
 use lucent_core::probe::classify::{censored_sites, render_rate};
-use lucent_support::json::to_string_pretty;
 use lucent_topology::{India, IndiaConfig, IspId};
 
 fn lab() -> Lab {
@@ -23,26 +23,6 @@ fn lab() -> Lab {
 /// count.
 fn driver(scale: Scale) -> Driver {
     Driver::new(scale, 1, None, false).expect("no trace spec to reject")
-}
-
-/// Committed tiny results of the hub experiments: the suite entry, and
-/// the `repro --json` file it writes.
-const RESULT_GOLDENS: [(&str, &str); 4] = [
-    ("table2", include_str!("golden/table2-tiny.json")),
-    ("fig3", include_str!("golden/fig3-tiny.json")),
-    ("fig4", include_str!("golden/fig4-tiny.json")),
-    ("dns-mechanism", include_str!("golden/dns_mechanism-tiny.json")),
-];
-
-#[test]
-fn hub_results_match_their_committed_tiny_goldens() {
-    for (name, golden) in RESULT_GOLDENS {
-        let entry = suite::entry(name).unwrap_or_else(|| panic!("the suite has no `{name}`"));
-        let mut results = Vec::new();
-        entry.run(&mut driver(Scale::Tiny), |done| results.extend(done.value));
-        let [result] = &results[..] else { panic!("{name}: {} results", results.len()) };
-        assert!(to_string_pretty(&**result) == golden, "{name} diverged from its golden");
-    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! experiment results nor itself vary between same-seed runs.
 
 use lucent_bench::drive::Driver;
-use lucent_bench::Scale;
+use lucent_bench::{suite, Scale};
 use lucent_core::experiments::{mechanism, race};
 use lucent_core::lab::Lab;
 use lucent_support::ToJson;
@@ -26,11 +26,20 @@ fn driver(trace: Option<&str>) -> Driver {
     Driver::new(Scale::Tiny, 1, trace, false).expect("valid spec")
 }
 
-/// Run fig4 on the hub + a small race on shards with full tracing on
-/// and hand back the deterministic exporter artifacts.
+/// Run the Figure 4 step on `drv`, as `repro fig4` does; its result
+/// JSON.
+fn fig4(drv: &mut Driver) -> String {
+    let mut results = Vec::new();
+    let entry = suite::entry("fig4").expect("the suite has `fig4`");
+    entry.run(drv, |done| results.extend(done.value.map(|v| v.to_json().to_string_pretty())));
+    results.pop().expect("fig4 path exists")
+}
+
+/// Run fig4 on its own world + a small race on shards with full tracing
+/// on and hand back the deterministic exporter artifacts.
 fn traced_run() -> (String, String, String) {
     let mut drv = driver(Some("trace"));
-    mechanism::figure4(&mut drv.lab);
+    fig4(&mut drv);
     drv.race(&race_opts());
     let obs = drv.telemetry();
     (obs.event_log(), obs.metrics_snapshot_pretty(), obs.chrome_trace())
@@ -50,20 +59,16 @@ fn same_seed_runs_produce_byte_identical_telemetry() {
 fn telemetry_on_or_off_does_not_change_experiment_results() {
     // Quiet run: default telemetry (events off, spans off).
     let mut quiet = driver(None);
-    let quiet_fig4 = mechanism::figure4(&mut quiet.lab).expect("fig4 path exists");
+    let quiet_fig4 = fig4(&mut quiet);
     let quiet_race = quiet.race(&race_opts());
 
     // Loud run: everything on.
     let mut loud = driver(Some("trace"));
-    let loud_fig4 = mechanism::figure4(&mut loud.lab).expect("fig4 path exists");
+    let loud_fig4 = fig4(&mut loud);
     let loud_race = loud.race(&race_opts());
 
     assert!(loud.telemetry().event_count() > 0, "the loud run must actually have traced");
-    assert_eq!(
-        quiet_fig4.to_json().to_string_pretty(),
-        loud_fig4.to_json().to_string_pretty(),
-        "fig4 result JSON must not depend on tracing"
-    );
+    assert_eq!(quiet_fig4, loud_fig4, "fig4 result JSON must not depend on tracing");
     assert_eq!(
         quiet_race.to_json().to_string_pretty(),
         loud_race.to_json().to_string_pretty(),

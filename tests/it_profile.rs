@@ -11,8 +11,10 @@
 use lucent_bench::drive::Driver;
 use lucent_bench::Scale;
 use lucent_core::experiments::race;
+use lucent_core::lab::Lab;
 use lucent_obs::prof;
 use lucent_support::json::to_string_pretty;
+use lucent_topology::India;
 
 fn race_opts() -> race::RaceOptions {
     race::RaceOptions::default()
@@ -28,7 +30,7 @@ fn driver(threads: usize, prof: bool) -> Driver {
 fn profiled_race(threads: usize) -> (String, String) {
     let mut drv = driver(threads, true);
     let json = to_string_pretty(&drv.race(&race_opts()));
-    let det = prof::deterministic_json(&drv.telemetry(), 0).to_string_pretty();
+    let det = prof::deterministic_json(&drv.telemetry()).to_string_pretty();
     (json, det)
 }
 
@@ -58,8 +60,7 @@ fn profiling_is_observation_only() {
 
 #[test]
 fn dwell_histograms_conserve_popped_events() {
-    let scale = Scale::Tiny;
-    let mut lab = scale.lab();
+    let mut lab = Lab::new(India::build(Scale::Tiny.config()));
     let obs = lab.india.net.telemetry();
     obs.enable_prof(true);
     let before = lab.india.net.events_processed();

@@ -1,15 +1,17 @@
 //! Cross-thread-count determinism: every experiment of the suite must
 //! produce byte-identical text, JSON results and metrics snapshots at
 //! `--threads 1`, `2`, and `4` for the same seed. This is the contract
-//! that lets one committed golden stand for every thread count, and a
-//! sharded entry must give the same step alone as inside `all`, at
-//! `--threads 1` and `4`. Shard jobs run on clones of a per-worker
-//! template world, so the clone contract is pinned here too.
+//! that lets one committed record stand for every thread count: `all`
+//! must write `results/tiny`, and every entry must give the same steps
+//! alone as inside `all`, at `--threads 1` and `4`. Steps and shard jobs
+//! run on clones of a template world, so the clone contract is pinned
+//! here too.
 
 use lucent_bench::drive::Driver;
 use lucent_bench::{suite, Scale};
 use lucent_core::experiments::race;
 use lucent_core::lab::Lab;
+use lucent_integration::{record_dir, record_mismatches};
 use lucent_middlebox::PolicyBox;
 use lucent_support::json::to_string_pretty;
 use lucent_tcp::{SocketId, TcpHost};
@@ -72,10 +74,24 @@ fn the_whole_suite_is_byte_identical_across_thread_counts() {
     assert_eq!(all_steps().len(), 16, "`all` runs sixteen experiments");
 }
 
-/// A sharded entry's worlds are built fresh, so it runs alone exactly
-/// as inside `all` (hub steps do not; DESIGN §10), at any thread count:
-/// run `name` alone at `--threads 1` and `4`, hold both to its step in
-/// `all` and their metrics snapshots to each other.
+#[test]
+fn the_tiny_record_matches_the_run_of_all() {
+    let results: Vec<(&str, String)> = all_steps()
+        .iter()
+        .filter_map(|(file, _, json)| Some((*file, json.clone()?)))
+        .collect();
+    let report = record_mismatches(&record_dir("tiny"), &results);
+    assert!(
+        report.is_empty(),
+        "results/tiny differs from a fresh run; if the moves are meant, re-record with \
+         `repro all --scale tiny --threads 1 --json results/tiny`:\n{report}"
+    );
+}
+
+/// Every step runs on worlds of its own (DESIGN §10), so an entry runs
+/// alone exactly as inside `all`, at any thread count: run `name` alone
+/// at `--threads 1` and `4`, hold both to its steps in `all` and their
+/// metrics snapshots to each other.
 fn assert_alone_matches_all(name: &str) {
     let steps = all_steps();
     let (one, metrics1) = run_at(name, 1);
@@ -118,6 +134,52 @@ fn evasion_is_byte_identical_across_thread_counts() {
 #[test]
 fn anonymity_is_byte_identical_across_thread_counts() {
     assert_alone_matches_all("anonymity");
+}
+
+#[test]
+fn fig1_alone_matches_all() {
+    assert_alone_matches_all("fig1");
+}
+
+#[test]
+fn threshold_audit_alone_matches_all() {
+    assert_alone_matches_all("threshold-audit");
+}
+
+#[test]
+fn table2_alone_matches_all() {
+    assert_alone_matches_all("table2");
+}
+
+/// Table 2 then Figure 5.
+#[test]
+fn fig5_alone_matches_all() {
+    assert_alone_matches_all("fig5");
+}
+
+#[test]
+fn table3_alone_matches_all() {
+    assert_alone_matches_all("table3");
+}
+
+#[test]
+fn fig3_alone_matches_all() {
+    assert_alone_matches_all("fig3");
+}
+
+#[test]
+fn fig4_alone_matches_all() {
+    assert_alone_matches_all("fig4");
+}
+
+#[test]
+fn dns_mechanism_alone_matches_all() {
+    assert_alone_matches_all("dns-mechanism");
+}
+
+#[test]
+fn https_alone_matches_all() {
+    assert_alone_matches_all("https");
 }
 
 /// One Airtel race on `india` with every event target at `trace`, so
