@@ -65,8 +65,17 @@ fn parse_args() -> Args {
     let mut metrics_out = None;
     let mut profile = None;
     let mut threads = shard::default_threads();
+    let mut flags_seen: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        // A repeated flag must not silently override its first value.
+        if a.starts_with("--") {
+            if flags_seen.contains(&a) {
+                eprintln!("{a} given twice\nusage: {}", usage());
+                std::process::exit(2);
+            }
+            flags_seen.push(a.clone());
+        }
         match a.as_str() {
             "--scale" => {
                 let v = required(&mut args, "--scale", "tiny|small|paper");

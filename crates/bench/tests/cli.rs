@@ -1,12 +1,13 @@
 //! CLI contract tests for the `repro` binary: flag validation exits 2
-//! with usage, a second EXPERIMENT is refused, a flag is never read as
-//! another flag's value, `--help` exits 0 listing exactly the suite's
-//! experiments, `--json` creates its output directory (nested paths
-//! included) before writing result files, an output that cannot be
-//! written exits 1, the closing line's totals count every world of the
-//! run at any thread count, span drops are reported like event drops,
-//! and the profile and `dns-mechanism`'s outputs match their committed
-//! goldens and record at `--threads 1` and `4`.
+//! with usage, a second EXPERIMENT or a repeated flag is refused, a
+//! flag is never read as another flag's value, `--help` exits 0 listing
+//! exactly the suite's experiments, `--json` creates its output
+//! directory (nested paths included) before writing result files, an
+//! output that cannot be written exits 1, the closing line's totals
+//! count every world of the run at any thread count, span drops are
+//! reported like event drops, and the profile and `dns-mechanism`'s
+//! outputs match their committed goldens and record at `--threads 1`
+//! and `4`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -58,6 +59,38 @@ fn a_second_experiment_exits_2_with_usage() {
         assert_eq!(experiments_listed(&stderr), suite_names(), "{stderr}");
         assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
     }
+}
+
+#[test]
+fn a_repeated_flag_exits_2_with_usage() {
+    // Every output goes under `dir`, so a run that is not refused
+    // leaves evidence there instead of in the current directory.
+    let dir = scratch("repeated-flag");
+    let out_path = dir.join("out").display().to_string();
+    let out_path = out_path.as_str();
+    for (flag, first, second) in [
+        ("--scale", "tiny", "small"),
+        ("--threads", "2", "3"),
+        ("--json", out_path, out_path),
+        ("--trace", "trace", "tcp=info"),
+        ("--metrics-out", out_path, out_path),
+        ("--profile", out_path, out_path),
+    ] {
+        let mut args = vec!["fig1", flag, first, flag, second];
+        if flag != "--scale" {
+            args.extend(["--scale", "tiny"]);
+        }
+        if flag == "--trace" {
+            args.extend(["--json", out_path]);
+        }
+        let out = repro().args(&args).output().expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: the repeated flag was not refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(&format!("{flag} given twice\nusage: ")), "{stderr}");
+        assert_eq!(experiments_listed(&stderr), suite_names(), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing may run: {}", String::from_utf8_lossy(&out.stdout));
+    }
+    assert!(!dir.exists(), "a refused run wrote {}", dir.display());
 }
 
 #[test]

@@ -400,11 +400,12 @@ pub fn obs_histogram_merge(s: &mut Source) {
 
 /// The netsim calendar-queue scheduler pops in exactly the order a
 /// reference binary heap does — the strict `(time, seq)` total order —
-/// on random event streams with same-tick bursts, at-now injects and
-/// far-future overflow timers, across random wheel geometries. This is
-/// the scheduler-swap equivalence claim the deterministic profile
-/// golden pins at the system level, checked here at the structure
-/// level with tiny horizons so overflow and wheel wrap are hammered.
+/// on random event streams with same-tick bursts, at-now injects,
+/// waves that overfill a bucket and far-future overflow timers, across
+/// random wheel geometries. This is the scheduler-swap equivalence
+/// claim the deterministic profile golden pins at the system level,
+/// checked here at the structure level with tiny horizons so overflow
+/// and wheel wrap are hammered.
 pub fn sched_matches_heap_model(s: &mut Source) {
     use lucent_netsim::{CalendarQueue, Scheduled};
     use std::cmp::Reverse;
@@ -426,13 +427,18 @@ pub fn sched_matches_heap_model(s: &mut Source) {
         );
         if s.chance(3, 5) {
             // A burst of pushes relative to `now`, like a node callback.
-            for _ in 0..s.len_in(1, 4) {
-                let delta = match s.below(4) {
+            // Rarely a wave at one offset, like a Figure 2 resolver's
+            // queries: it overfills a bucket, so draining it releases
+            // the bucket's buffer, and later waves refill it after wrap.
+            let wave = (!s.chance(15, 16)).then(|| s.range_u64(0, 1 << (slot_log2 + 3)));
+            let pushes = if wave.is_some() { s.len_in(17, 200) } else { s.len_in(1, 4) };
+            for _ in 0..pushes {
+                let delta = wave.unwrap_or_else(|| match s.below(4) {
                     0 => 0,                                        // inject at now
                     1 => s.range_u64(0, 40),                       // same-tick burst
                     2 => s.range_u64(0, 1 << (slot_log2 + 3)),     // in-ring latency
                     _ => s.range_u64(180_000_000, 200_000_000),    // flow-timeout tail
-                };
+                });
                 let at = now + delta;
                 q.schedule(Scheduled {
                     at: SimTime(at),

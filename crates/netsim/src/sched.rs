@@ -33,7 +33,8 @@
 //!
 //! Advancing: when `due` drains, the wheel scans forward from
 //! `base_slot + 1` to the first non-empty bucket, moves its items into
-//! the run and sorts it; if the whole ring is empty it jumps straight
+//! the run, releases the bucket's buffer down to [`BUCKET_KEEP`] items
+//! and sorts the run; if the whole ring is empty it jumps straight
 //! to the earliest overflow slot. After *every* advance the overflow
 //! heap is drained of items that now fall inside the horizon — skipping
 //! this would let a later ring push overtake an earlier overflow item.
@@ -56,6 +57,11 @@ use crate::time::SimTime;
 pub const SLOT_LOG2: u32 = 10;
 /// Default number of ring buckets (horizon ≈ 1.05 virtual seconds).
 pub const SLOTS: usize = 1024;
+/// The most items' worth of buffer a drained ring bucket keeps. Most
+/// buckets never hold more than 16 items, so they never reallocate;
+/// a Figure 2 wave of thousands gives its buffer back once the bucket
+/// drains, instead of every bucket keeping the largest wave it held.
+const BUCKET_KEEP: usize = 16;
 
 /// One scheduled item: the engine's `(time, seq)` key plus payload.
 #[derive(Debug, Clone)]
@@ -228,10 +234,11 @@ impl<T> CalendarQueue<T> {
             let idx = (s & self.mask) as usize;
             if !self.ring[idx].is_empty() {
                 self.base_slot = s;
-                // Moves the items, not the buffers: the bucket keeps its
-                // own capacity instead of inheriting the run's, which
-                // can be large.
+                // Moves the items, not the buffers: a swap would strand
+                // the run's large buffer in the bucket. The bucket then
+                // gives back all but `BUCKET_KEEP` items' worth.
                 self.run.append(&mut self.ring[idx]);
+                self.ring[idx].shrink_to(BUCKET_KEEP);
                 found = true;
                 break;
             }
@@ -384,6 +391,36 @@ mod tests {
         // Peeking never consumes.
         assert_eq!(q.len(), 3);
         assert_eq!(drain_order(&mut q), vec![(0, 2), (40, 1), (10_000, 0)]);
+    }
+
+    #[test]
+    fn a_drained_wave_leaves_every_bucket_small() {
+        // A Figure-2-sized wave: 3,000 items in each of four
+        // consecutive 1 ms slots.
+        let wave = |q: &mut CalendarQueue<u64>, first_slot: u64, seq: &mut u64| {
+            let mut want = Vec::new();
+            for slot in first_slot..first_slot + 4 {
+                for k in 0..3_000 {
+                    let at = (slot << SLOT_LOG2) + k % 1_000;
+                    want.push((at, *seq));
+                    q.schedule(item(at, *seq));
+                    *seq += 1;
+                }
+            }
+            want.sort_unstable();
+            want
+        };
+        let all_small = |q: &CalendarQueue<u64>| q.ring.iter().all(|b| b.capacity() <= BUCKET_KEEP);
+        let mut q = CalendarQueue::fresh();
+        let mut seq = 0;
+        let want = wave(&mut q, 3, &mut seq);
+        assert_eq!(drain_order(&mut q), want);
+        assert!(all_small(&q), "a drained bucket kept the first wave");
+        // After the wheel wraps, the same buckets fill again and still
+        // pop in `(at, seq)` order.
+        let want = wave(&mut q, 3 + SLOTS as u64, &mut seq);
+        assert_eq!(drain_order(&mut q), want);
+        assert!(all_small(&q), "a drained bucket kept the second wave");
     }
 
     #[test]
